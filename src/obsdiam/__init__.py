@@ -16,6 +16,7 @@ from .errors import (
     ObsdiamError,
     ResourceCapError,
     ValidationError,
+    VerificationError,
 )
 from .experiments import (
     CounterexampleReport,
@@ -78,6 +79,7 @@ __all__ = [
     "ValidationError",
     "ContractError",
     "ResourceCapError",
+    "VerificationError",
     # measures
     "DiscreteMeasure",
     "PartialDiameter",

@@ -9,6 +9,7 @@ int, or a Fraction instead.
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import DomainError, ValidationError
@@ -44,5 +45,18 @@ def format_fraction(value: Fraction) -> str:
 
 
 def render_decimal(value: Fraction, digits: int = 9) -> str:
-    """Human-oriented decimal rendering; display only, never fed back in."""
-    return format(float(value), f".{digits}g")
+    """Human-oriented decimal rendering; display only, never fed back in.
+
+    Values inside the float range render through ``float``.  Values past it,
+    which would overflow or flush to zero, are divided out in ``Decimal`` at
+    ``digits`` significant digits instead, so every Fraction renders.
+    """
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = None
+    if approx is None or (approx == 0 and value != 0):
+        context = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
+        approx = quotient.normalize(context)  # drop trailing zeros, as float's "g" does
+    return format(approx, f".{digits}g")

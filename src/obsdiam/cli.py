@@ -15,7 +15,13 @@ from fractions import Fraction
 
 from ._rational import format_fraction, render_decimal, to_fraction
 from .compression import clamp_construct
-from .errors import ContractError, DomainError, ResourceCapError, ValidationError
+from .errors import (
+    ContractError,
+    DomainError,
+    ResourceCapError,
+    ValidationError,
+    VerificationError,
+)
 from .experiments import (
     SEMICONTINUITY_CSV_COLUMNS,
     SHARPNESS_CSV_COLUMNS,
@@ -172,7 +178,7 @@ def _cmd_od(args) -> int:
     result.witness.validate(space, screen)
     achieved = witness_partial_diameter(space, result.witness, 1 - kappa)
     if achieved != result.value:
-        raise AssertionError(
+        raise VerificationError(
             f"witness re-validation failed: pd {achieved} != reported {result.value}"
         )
     if args.format == "json":
@@ -458,7 +464,7 @@ def main(argv=None) -> int:
     except (DomainError, ValidationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (VerificationError, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -23,3 +23,11 @@ class ContractError(ObsdiamError):
 
 class ResourceCapError(ObsdiamError):
     """An enumeration cap would be exceeded; raise the cap explicitly to proceed."""
+
+
+class VerificationError(ObsdiamError):
+    """A computed result failed its own certificate check.
+
+    Raised explicitly rather than through ``assert``, so the check still runs
+    under ``python -O``.  It signals a bug in the package, not bad input.
+    """

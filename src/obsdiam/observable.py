@@ -7,7 +7,7 @@ per point, and the partial diameter of its image is the smallest spread
 (max - min of values) over the inclusion-minimal heavy subsets.  So the
 problem is a max-min over value assignments.
 
-The engine enumerates the possible weak orderings of the values.  Once an
+The engine works over the possible weak orderings of the values.  Once an
 ordering is fixed, everything in sight is a difference constraint:
 
 * monotonicity between consecutive slots,
@@ -21,13 +21,39 @@ is feasible iff the graph has no negative cycle, and the optimum is the
 smallest cycle ratio (constant weight sum over count of t-edges).  Starting
 from a cheap upper bound, each infeasibility certificate (a negative cycle)
 lowers ``t`` to that cycle's exact rational ratio, and the first feasible
-``t`` is the exact optimum for the ordering.  Orderings whose upper bound
-cannot beat the incumbent are skipped, which is what keeps families of
-evenly spaced points fast: a seeded witness already achieves the optimum and
-every ordering prunes.  Ties between values need no special handling because
-slot constraints are non-strict.
+``t`` is the exact optimum for the ordering.  Ties between values need no
+special handling because slot constraints are non-strict.
 
-All arithmetic is integer or rational; reported values are exact.
+Most orderings never reach that solve.  Cheap seed witnesses (constant and
+distance-to-anchor maps) set an incumbent first, and two bounds then cut
+the orderings that cannot beat it:
+
+* **Global bound.**  No 1-Lipschitz image spreads a heavy subset S wider than
+  its metric diameter, nor wider than the screen, so
+  ``UB = min(width, min over S of diam S)`` caps the answer.  When a seed
+  already reaches UB the search is skipped.  On a line space over the full
+  line the distance-to-leftmost-point seed is an isometry and always does.
+* **Prefix search.**  Orderings are built slot by slot, depth first.  Once
+  every point of a heavy subset is placed, its first and last slot are fixed
+  for all completions, so their distance bounds the ordering's ``t``; on an
+  interval screen, spans laid end to end (the greedy chain, counted as spans
+  complete) bound ``t`` by ``width / chain``.  Both only tighten as the
+  prefix grows, so a prefix whose bound does not beat the incumbent cuts its
+  whole subtree.  A prefix whose first point exceeds every unplaced point is
+  cut too: each of its orderings ends below where it starts, and negating
+  values realizes the reversed ordering, which starts lower.
+
+The search visits the surviving orderings in the lexicographic order of
+``itertools.permutations`` and cuts only orderings whose own upper bound
+could not beat the incumbent.  A plain sweep over all orderings skips those
+too, so both meet the same improving orderings in the same order, and the
+reported witness -- the first ordering to reach the optimum -- is the same.
+Distances are scaled to a common integer denominator once, so the bounds and
+Bellman-Ford run on plain ints.
+
+All arithmetic is integer or rational; reported values are exact.  Every
+reported value is re-checked against its witness with an explicit
+``VerificationError``, never an ``assert``, so the check survives ``-O``.
 """
 
 from __future__ import annotations
@@ -35,11 +61,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 
 from ._rational import format_fraction, render_decimal, to_fraction
-from .errors import DomainError, ResourceCapError, ValidationError
+from .errors import DomainError, ResourceCapError, VerificationError
 from .measures import partial_diameter
 from .mmspace import (
     DEFAULT_HEAVY_CAP,
@@ -156,16 +181,31 @@ def observable_diameter(
     dmat_scaled = [[int(d * scale) for d in row] for row in dmat]
     width_scaled = int(width * scale) if width is not None else None
 
+    # No image spreads a heavy subset wider than its diameter or the screen.
+    diam_scaled = min(
+        max(dmat_scaled[i][j] for i in subset for j in subset) for subset in family
+    )
+    upper = Fraction(diam_scaled, scale)
+    if width is not None and width < upper:
+        upper = width
+
     best = _ZERO
     best_witness = LipschitzWitness((base,) * n)
     for seed_witness in _seed_witnesses(space, screen):
         value = witness_partial_diameter(space, seed_witness, alpha)
         if value > best:
             best, best_witness = value, seed_witness
+            if best == upper:
+                break
 
-    for perm in permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue  # negating values realizes the reversed ordering
+    if best == upper:
+        orderings = ()  # a seed already meets the global bound
+    else:
+        # the lambda reads ``best`` as the loop below raises it
+        orderings = _pruned_orderings(
+            n, family, dmat_scaled, width_scaled, scale, diam_scaled, lambda: best
+        )
+    for perm in orderings:
         slot_of = [0] * n
         for slot, point in enumerate(perm):
             slot_of[point] = slot
@@ -198,12 +238,88 @@ def observable_diameter(
         for slot in range(n):
             values[perm[slot]] = potentials[slot] + shift
         candidate = LipschitzWitness(tuple(values))
-        assert witness_partial_diameter(space, candidate, alpha) == t
+        _check_witness(space, candidate, alpha, t)
         best, best_witness = t, candidate
 
     best_witness.validate(space, screen)
-    assert witness_partial_diameter(space, best_witness, alpha) == best
+    _check_witness(space, best_witness, alpha, best)
     return OdResult(value=best, witness=best_witness)
+
+
+def _check_witness(space, witness, alpha, value) -> None:
+    achieved = witness_partial_diameter(space, witness, alpha)
+    if achieved != value:
+        raise VerificationError(
+            f"witness achieves partial diameter {achieved}, not the claimed {value}"
+        )
+
+
+def _pruned_orderings(n, family, dmat_scaled, width_scaled, scale, diam_scaled, incumbent):
+    """Orderings of range(n) in lexicographic order, minus whole subtrees of
+    prefixes whose bound cannot beat ``incumbent()``.
+
+    The bound of a prefix is the least of ``diam_scaled``, the first-to-last
+    distance of every heavy subset already fully placed, and (on an interval
+    screen) the width over the greedy chain of those subsets' spans, all over
+    ``scale``.  It never falls below the upper bound ``observable_diameter``
+    computes for any completion.  ``incumbent`` is read again after every
+    yield, so it may rise while the caller consumes the orderings.
+    """
+    full = (1 << n) - 1
+    # point -> (mask of the subset's other points, the other points)
+    closing = [[] for _ in range(n)]
+    for subset in family:
+        for p in subset:
+            others = tuple(i for i in subset if i != p)
+            closing[p].append((sum(1 << i for i in others), others))
+    perm = []
+    slot_of = [0] * n
+    slot_at = slot_of.__getitem__
+
+    def floor():
+        best = incumbent()
+        return best.numerator * scale, best.denominator
+
+    def extend(placed, d_min, chain, frontier, limit, den):
+        """Yield the surviving completions of ``perm``; return the incumbent
+        as (numerator * scale, denominator), refreshed after every yield."""
+        slot = len(perm)
+        for p in range(n):
+            bit = 1 << p
+            if placed & bit:
+                continue
+            child = placed | bit
+            if child != full and (perm[0] if perm else p) > (full & ~child).bit_length() - 1:
+                continue  # every completion ends below its first point
+            d_next, chain_next, frontier_next = d_min, chain, frontier
+            row = dmat_scaled[p]
+            for mask, others in closing[p]:
+                if mask & placed != mask:
+                    continue
+                lo = min(map(slot_at, others))
+                d = row[perm[lo]]
+                if d < d_next:
+                    d_next = d
+                if lo >= frontier_next:
+                    # spans close in slot order, so this is the greedy chain
+                    chain_next, frontier_next = chain + 1, slot
+            if d_next * den <= limit:
+                continue
+            if width_scaled is not None and width_scaled * den <= limit * max(chain_next, 1):
+                continue
+            slot_of[p] = slot
+            perm.append(p)
+            if child == full:
+                yield tuple(perm)
+                limit, den = floor()
+            else:
+                limit, den = yield from extend(
+                    child, d_next, chain_next, frontier_next, limit, den
+                )
+            perm.pop()
+        return limit, den
+
+    return extend(0, diam_scaled, 0, -1, *floor())
 
 
 def _seed_witnesses(space: FiniteMMSpace, screen: Screen):
@@ -233,6 +349,7 @@ def _minimal_spans(spans):
             out.append((lo, hi))
             min_hi = hi
     return out
+
 
 def _greedy_chain(spans) -> int:
     """Most spans that can be laid end to end; their spreads stack inside the
@@ -280,10 +397,10 @@ def _max_t_for_order(edges, n_slots, scale, upper, floor_best):
         const_sum = sum(edges[e][2] for e in cycle)
         t_count = sum(edges[e][3] for e in cycle)
         if t_count == 0:
-            raise AssertionError("negative cycle without t-edges in a feasible base system")
+            raise VerificationError("negative cycle without t-edges in a feasible base system")
         ratio = Fraction(const_sum, scale * t_count)
         if ratio >= t:
-            raise AssertionError("cycle ratio failed to decrease")
+            raise VerificationError("cycle ratio failed to decrease")
         t = ratio
 
 
@@ -309,19 +426,21 @@ def _bellman_ford(n_nodes, edges, weights):
                     # walking predecessors n times lands inside it.
                     node = dst
                     for _ in range(n_nodes):
-                        assert pred[node] >= 0, "predecessor chain broke off"
+                        if pred[node] < 0:
+                            raise VerificationError("predecessor chain broke off")
                         node = edges[pred[node]][0]
                     cycle = []
                     cursor = node
                     while True:
                         edge_idx = pred[cursor]
-                        assert edge_idx >= 0, "predecessor chain broke off"
+                        if edge_idx < 0:
+                            raise VerificationError("predecessor chain broke off")
                         cycle.append(edge_idx)
                         cursor = edges[edge_idx][0]
                         if cursor == node:
                             break
-                    total = sum(weights[e] for e in cycle)
-                    assert total < 0, "extracted cycle is not negative"
+                    if sum(weights[e] for e in cycle) >= 0:
+                        raise VerificationError("extracted cycle is not negative")
                     return None, cycle
         if not changed:
             break

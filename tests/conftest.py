@@ -8,11 +8,25 @@ against something naive.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import lcm
 
 from hypothesis import strategies as st
 
-from obsdiam import DiscreteMeasure
+from obsdiam import (
+    DiscreteMeasure,
+    Interval,
+    LipschitzWitness,
+    heavy_minimal_subsets,
+    witness_partial_diameter,
+)
+from obsdiam.observable import (
+    _greedy_chain,
+    _max_t_for_order,
+    _minimal_spans,
+    _order_edges,
+    _seed_witnesses,
+)
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -69,6 +83,70 @@ def prokhorov_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction) 
             if reached < nu_mass - eps:
                 return False
     return True
+
+
+def od_permutation_oracle(space, screen, kappa):
+    """Exact observable diameter by the plain sweep over all n!/2 orderings.
+
+    This is the enumerator the engine's pruned prefix search replaced.  It
+    visits every ordering in ``itertools.permutations`` order and shares only
+    the per-ordering constraint solve with the engine, so agreement on value
+    *and* witness checks the search order and every cut.  Returns
+    ``(value, witness)``.
+    """
+    kappa = Fraction(kappa)
+    alpha = 1 - kappa
+    n = len(space)
+    base = screen.a if isinstance(screen, Interval) else Fraction(0)
+    family = heavy_minimal_subsets(space, alpha).minimal_subsets
+    if n == 1 or any(len(s) == 1 for s in family):
+        return Fraction(0), LipschitzWitness((base,) * n)
+    dmat = space.dist_matrix
+    width = screen.width if isinstance(screen, Interval) else None
+    denominators = {d.denominator for row in dmat for d in row}
+    if width is not None:
+        denominators.add(width.denominator)
+    scale = lcm(*denominators)
+    dmat_scaled = [[int(d * scale) for d in row] for row in dmat]
+    width_scaled = int(width * scale) if width is not None else None
+
+    best = Fraction(0)
+    best_witness = LipschitzWitness((base,) * n)
+    for seed_witness in _seed_witnesses(space, screen):
+        value = witness_partial_diameter(space, seed_witness, alpha)
+        if value > best:
+            best, best_witness = value, seed_witness
+    for perm in permutations(range(n)):
+        if perm[0] > perm[-1]:
+            continue
+        slot_of = [0] * n
+        for slot, point in enumerate(perm):
+            slot_of[point] = slot
+        spans = set()
+        ub = None
+        for subset in family:
+            lo = min(slot_of[i] for i in subset)
+            hi = max(slot_of[i] for i in subset)
+            spans.add((lo, hi))
+            d = dmat[perm[lo]][perm[hi]]
+            if ub is None or d < ub:
+                ub = d
+        kept = _minimal_spans(spans)
+        if width is not None:
+            ub = min(ub, width / _greedy_chain(kept))
+        if ub <= best:
+            continue
+        edges = _order_edges(n, perm, kept, dmat_scaled, width_scaled)
+        result = _max_t_for_order(edges, n, scale, ub, best)
+        if result is None:
+            continue
+        t, potentials = result
+        values = [Fraction(0)] * n
+        shift = base - potentials[0]
+        for slot in range(n):
+            values[perm[slot]] = potentials[slot] + shift
+        best, best_witness = t, LipschitzWitness(tuple(values))
+    return best, best_witness
 
 
 # -- hypothesis strategies -------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import obsdiam.cli as cli
 from obsdiam import DiscreteMeasure, FiniteMMSpace, PiecewiseLinearMap
+from obsdiam._rational import render_decimal
 from obsdiam.experiments import SHARPNESS_CSV_COLUMNS
 
 
@@ -73,6 +74,23 @@ def test_pd_unparseable_alpha(capsys, measure_file):
     assert code == 2
 
 
+def test_pd_json_past_float_range(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    DiscreteMeasure([(0, F(1, 2)), (F(10) ** 400, F(1, 2))]).dump(path)
+    code, out, _ = run(capsys, "pd", str(path), "--alpha", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == str(10**400)
+    assert payload["value_decimal"] == "1e+400"
+
+
+def test_render_decimal_keeps_float_rendering_in_range():
+    for value in (F(2, 3), F(-7, 2), F(0), F(10) ** 300, F(1, 10**300), F(17, 10) * F(10) ** 308):
+        assert render_decimal(value) == format(float(value), ".9g")
+    assert render_decimal(-(F(10) ** 400)) == "-1e+400"
+    assert render_decimal(F(1, 3 * 10**400)) == "3.33333333e-401"
+
+
 # -- compress --------------------------------------------------------------------
 
 
@@ -125,6 +143,19 @@ def test_od_exact_text(capsys, space_file):
     lines = out.splitlines()
     assert lines[0] == "2/3 (exact)"
     assert lines[1].startswith("witness: p0->")
+
+
+def test_od_json_past_float_range(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    FiniteMMSpace(["a", "b"], [[0, F(10) ** 400], [F(10) ** 400, 0]], [F(1, 2), F(1, 2)]).dump(path)
+    code, out, _ = run(
+        capsys,
+        "od", str(path), "--screen", "fullline", "--kappa", "1/4", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == str(10**400)
+    assert payload["value_decimal"] == "1e+400"
 
 
 def test_od_exact_json(capsys, space_file):

@@ -18,7 +18,9 @@ from obsdiam import (
     verify_revised_inequality,
     witness_partial_diameter,
 )
-from obsdiam.randgen import random_alpha, random_space
+from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
+
+from conftest import od_permutation_oracle
 
 X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
 
@@ -76,6 +78,22 @@ def test_reported_value_is_achieved_by_its_witness():
         got = observable_diameter(sp, screen, kappa)
         got.witness.validate(sp, screen)
         assert witness_partial_diameter(sp, got.witness, 1 - kappa) == got.value
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_od_matches_permutation_oracle_value_and_witness(kind):
+    """The pruned prefix search meets the same improving orderings in the
+    same order as the full sweep, so value and witness agree exactly."""
+    rng = random.Random(f"oracle/{kind}")
+    for n in range(2, 8):
+        sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+        for screen in (FULL_LINE, Interval(-1, 1)):
+            for kappa in (F(1, 3), F(1, 2), F(3, 4)):
+                got = observable_diameter(sp, screen, kappa)
+                value, witness = od_permutation_oracle(sp, screen, kappa)
+                assert (got.value, got.witness.values) == (value, witness.values), (
+                    n, screen, kappa
+                )
 
 
 def test_od_never_exceeds_sound_upper_bounds():
