@@ -65,7 +65,6 @@ from .prokhorov import (
     hausdorff_prokhorov,
     measurement_cloud,
     prokhorov_onesided,
-    prokhorov_symmetric,
 )
 from .proptests import SUITE_NAMES, SuiteReport, run_suite
 
@@ -116,7 +115,6 @@ __all__ = [
     "verify_revised_inequality",
     # prokhorov
     "prokhorov_onesided",
-    "prokhorov_symmetric",
     "TransferReport",
     "check_pd_transfer",
     "MeasureCloud",

@@ -5,6 +5,14 @@ All public entry points of the package funnel numeric input through
 rejected on purpose: a literal like 0.3 is not the rational 3/10 once it
 has been through binary floating point.  Pass "3/10", "0.3" (string), an
 int, or a Fraction instead.
+
+Strings are bounded before they are parsed: ``Fraction("1e100000000")``
+would build a 10^8-digit integer.  A string longer than
+``MAX_TEXT_LENGTH`` characters, or with a decimal exponent beyond
+``MAX_EXPONENT`` in magnitude, raises ``ResourceCapError``.  The exponent
+limit matches CPython's default cap of 4300 digits on int-string
+conversion, which already bounds the written digits, so an exponent adds no
+more digits than a written-out number could carry; ``1e400`` is accepted.
 """
 
 from __future__ import annotations
@@ -12,9 +20,12 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ResourceCapError, ValidationError
 
-__all__ = ["to_fraction", "format_fraction", "render_decimal"]
+__all__ = ["to_fraction", "to_open_unit", "format_fraction", "render_decimal"]
+
+MAX_TEXT_LENGTH = 10_000  # two 4300-digit integers, a sign and a slash fit
+MAX_EXPONENT = 4300
 
 
 def to_fraction(value, *, what: str = "value") -> Fraction:
@@ -31,12 +42,26 @@ def to_fraction(value, *, what: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if len(text) > MAX_TEXT_LENGTH:
+            raise ResourceCapError(f"{what} has {len(text)} characters, over {MAX_TEXT_LENGTH}")
+        _, marker, exponent = text.lower().partition("e")
         try:
+            if marker and abs(int(exponent)) > MAX_EXPONENT:
+                raise ResourceCapError(f"{what} has an exponent beyond +-{MAX_EXPONENT}")
             # Fraction parses both "3/4" and decimal strings like "0.75" exactly.
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse {what} from {value!r}: {exc}") from exc
     raise DomainError(f"{what} must be rational, got {type(value).__name__}")
+
+
+def to_open_unit(value, *, what: str) -> Fraction:
+    """``to_fraction`` for a level that must lie strictly between 0 and 1."""
+    value = to_fraction(value, what=what)
+    if not 0 < value < 1:
+        raise DomainError(f"{what} must lie in (0, 1), got {value}")
+    return value
 
 
 def format_fraction(value: Fraction) -> str:

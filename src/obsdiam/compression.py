@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import to_fraction
-from .errors import ContractError, DomainError
+from ._rational import to_fraction, to_open_unit
+from .errors import ContractError, DomainError, VerificationError
 from .measures import DiscreteMeasure, partial_diameter, push_forward
 from .plmaps import PiecewiseLinearMap
 
@@ -67,16 +67,9 @@ class AnchorSequence:
                 raise ContractError("anchors must strictly increase")
 
 
-def _check_alpha(alpha) -> Fraction:
-    alpha = to_fraction(alpha, what="alpha")
-    if not (0 < alpha < 1):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
-
-
 def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
     """Anchor walk for a measure with partial diameter exactly 1 at ``alpha``."""
-    alpha = _check_alpha(alpha)
+    alpha = to_open_unit(alpha, what="alpha")
     pd = partial_diameter(mu, alpha).value
     if pd != 1:
         raise ContractError(
@@ -95,7 +88,8 @@ def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
         if suffix[i + 1] < alpha:
             x_inf = atoms[i][0]
             break
-    assert x_inf is not None
+    if x_inf is None:  # unreachable: the last atom's suffix mass is 0 < alpha
+        raise VerificationError("no anchor limit found")
 
     anchors: list[Fraction] = []
     prev: Fraction | None = None  # None plays the role of -infinity
@@ -168,7 +162,7 @@ def build_compression(mu: DiscreteMeasure, alpha) -> PiecewiseLinearMap:
 def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     """1-Lipschitz map into [-R/alpha, R/alpha] whose image measure has
     partial diameter exactly min(R, pd(mu, alpha))."""
-    alpha = _check_alpha(alpha)
+    alpha = to_open_unit(alpha, what="alpha")
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
         raise DomainError(f"radius must be positive, got {radius}")
@@ -178,7 +172,8 @@ def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     rescale = PiecewiseLinearMap.affine(Fraction(1, 1) / r, 0)
     unit_measure = push_forward(mu, rescale)
     # Scaling by 1/r multiplies every partial diameter by 1/r.
-    assert partial_diameter(unit_measure, alpha).value == 1
+    if partial_diameter(unit_measure, alpha).value != 1:
+        raise VerificationError("rescaled measure does not have partial diameter 1")
     squeeze = build_compression(unit_measure, alpha)
     expand = PiecewiseLinearMap.affine(min(radius, r), 0)
     return expand.after(squeeze).after(rescale)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._rational import format_fraction, render_decimal, to_fraction
-from .errors import DomainError
+from ._rational import format_fraction, render_decimal, to_fraction, to_open_unit
+from .errors import DomainError, VerificationError
 from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str
 from .observable import DEFAULT_EXACT_CAP, observable_diameter
 
@@ -223,8 +223,10 @@ def sharpness_sweep(
             od_int = observable_diameter(
                 counterexample_space(n, radius), interval, kappa, cap_n=cap_n
             ).value
-            assert od_full == radius, (n, od_full)
-            assert od_int == c * radius, (n, od_int)
+            if (od_full, od_int) != (radius, c * radius):
+                raise VerificationError(
+                    f"n={n}: od {od_full}, {od_int} != closed forms {radius}, {c * radius}"
+                )
             provenance = "exact"
         else:
             od_full = radius
@@ -233,8 +235,8 @@ def sharpness_sweep(
         ratio = od_full / od_int
         revised_width = 2 * radius / (1 - kappa)
         gap = revised_width - 2 * half_width
-        assert ratio > 1, (n, ratio)
-        assert gap == 2 * radius, (n, gap)
+        if not (ratio > 1 and gap == 2 * radius):
+            raise VerificationError(f"n={n}: ratio {ratio} must exceed 1 and gap {gap} equal 2R")
         rows.append(
             SharpnessRow(
                 n_family=n,
@@ -339,17 +341,15 @@ def semicontinuity_profile(
     """
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
-    grid = sorted({to_fraction(k, what="kappa") for k in kappa_grid})
-    for k in grid:
-        if not 0 < k < 1:
-            raise DomainError(f"kappa must lie strictly between 0 and 1, got {k}")
+    grid = sorted({to_open_unit(k, what="kappa") for k in kappa_grid})
+    # The engine checks cap_n first, before the up to 2^n subset sums exist.
+    ods = [observable_diameter(space, screen, kappa, cap_n=cap_n).value for kappa in grid]
     subset_sums = {Fraction(0)}
     for m in space.masses:
         subset_sums |= {s + m for s in subset_sums}
     rows = []
-    for kappa in grid:
+    for kappa, od in zip(grid, ods):
         alpha = 1 - kappa
-        od = observable_diameter(space, screen, kappa, cap_n=cap_n).value
         below = max((s for s in subset_sums if s < alpha), default=Fraction(0))
         constant_until = 1 - below  # od constant on [kappa, constant_until)
         probe_alpha = (alpha + below) / 2

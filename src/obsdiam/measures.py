@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from ._rational import format_fraction, to_fraction
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, VerificationError
 
 __all__ = [
     "DiscreteMeasure",
@@ -194,7 +194,8 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
             if best is None or width < best:
                 best = width
                 window = (atoms[i][0], pos_j)
-    assert best is not None  # total mass 1 >= alpha
+    if best is None:  # unreachable: the total mass 1 reaches alpha
+        raise VerificationError(f"no window reaches mass {alpha}")
     return PartialDiameter(best, window)
 
 
@@ -283,7 +284,8 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
         if mass > reached:
             steps.append((mass, width))
             reached = mass
-    assert reached == 1
+    if reached != 1:
+        raise VerificationError(f"profile steps reach mass {reached}, not 1")
     return PdProfile(steps)
 
 

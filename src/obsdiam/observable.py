@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._rational import format_fraction, render_decimal, to_fraction
+from ._rational import format_fraction, render_decimal, to_fraction, to_open_unit
 from .errors import DomainError, ResourceCapError, VerificationError
 from .measures import partial_diameter
 from .mmspace import (
@@ -96,23 +96,16 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class OdResult:
-    """An observable-diameter value with an achieving witness.
-
-    ``exact`` is always True for the enumeration engine; ``bounds`` would
-    carry a certified enclosure if a value ever had to be reported inexactly,
-    and stays None otherwise.
-    """
+    """An exact observable-diameter value with an achieving witness."""
 
     value: Fraction
     witness: LipschitzWitness
-    exact: bool = True
-    bounds: tuple | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "value": format_fraction(self.value),
             "value_decimal": render_decimal(self.value),
-            "exact": self.exact,
+            "exact": True,
             "witness": [format_fraction(v) for v in self.witness.values],
         }
 
@@ -121,13 +114,6 @@ def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, al
     """Partial diameter of the witness's image measure; the self-check used
     to certify every reported observable diameter."""
     return partial_diameter(witness.pushforward(space), alpha).value
-
-
-def _check_kappa(kappa) -> Fraction:
-    kappa = to_fraction(kappa, what="kappa")
-    if not (0 < kappa < 1):
-        raise DomainError(f"kappa must lie in (0, 1), got {kappa}")
-    return kappa
 
 
 def _screen_base(screen: Screen) -> Fraction:
@@ -146,7 +132,7 @@ def observable_diameter(
     Raises ResourceCapError above ``cap_n`` points; the grid oracle is the
     fallback for certified lower bounds on larger spaces.
     """
-    kappa = _check_kappa(kappa)
+    kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     n = len(space)
@@ -462,8 +448,22 @@ def od_grid_oracle(
     it doubles as a cross-check oracle.  Enumerates with the smallest value
     pinned to the left screen end, which loses nothing since the objective
     and all constraints are translation invariant on the grid.
+
+    Enclosure: for n points and step h the result g obeys
+    g <= od <= g + (n - 1) * h.  The left side holds because each grid
+    assignment searched is a 1-Lipschitz map into the screen.  For the right
+    side, sort an optimal witness's values, f(p_1) <= ... <= f(p_n), and
+    floor each gap to whole steps: k_1 = 0 and
+    k_{j+1} = k_j + floor((f(p_{j+1}) - f(p_j)) / h).  A sum of floors is at
+    most the floor of the sum, so k_l - k_j <= floor((f(p_l) - f(p_j)) / h)
+    for j < l.  Hence the rounded map is 1-Lipschitz on the grid and spans
+    at most floor(width / h) steps, so it stays inside the screen and the
+    search meets it.  Each floor loses less than one step and a heavy
+    subset spans at most n - 1 gaps, so every heavy spread shrinks by less
+    than (n - 1) * h, and g > od - (n - 1) * h.  The early return of 0 for
+    a heavy singleton is exact, since that subset's spread is always 0.
     """
-    kappa = _check_kappa(kappa)
+    kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, Interval):
         raise DomainError("the grid oracle needs a bounded interval screen")
     step = to_fraction(grid_step, what="grid_step")
@@ -577,7 +577,7 @@ def verify_revised_inequality(
 ) -> RevisedInequalityReport:
     """Check the screen-size correction: a radius-R budget survives on the
     screen [-R/(1-kappa), R/(1-kappa)]."""
-    kappa = _check_kappa(kappa)
+    kappa = to_open_unit(kappa, what="kappa")
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
         raise DomainError(f"radius must be positive, got {radius}")

@@ -7,10 +7,14 @@ subset the left side is a step function of eps that jumps exactly at the
 support-to-subset distances, so the infimum over eps is reached at either a
 pairwise distance or a mass-gap value.  Both are enumerated exactly.
 
-(The symmetric variant takes the max of the two directions.  On probability
-measures the two directions in fact agree, by complement duality applied to
-the neighborhood condition, so the max is a formality; both entry points
-stay because callers read better asking for the variant they mean.)
+There is no separate symmetric variant, because on probability measures the
+two directions agree (Strassen 1965; Dudley, *Real Analysis and
+Probability*, section 11.6).  Suppose mu(U_eps(A)) >= nu(A) - eps for all A,
+and let B be any set.  Put A = complement of U_eps(B).  No point of A lies
+within eps of B, so B and U_eps(A) are disjoint, and
+nu(U_eps(B)) = 1 - nu(A) >= 1 - mu(U_eps(A)) - eps >= mu(B) - eps.  So a
+tolerance that works in one direction works in the other, and the two
+infima are equal.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .observable import random_lipschitz_map
 
 __all__ = [
     "prokhorov_onesided",
-    "prokhorov_symmetric",
     "TransferReport",
     "check_pd_transfer",
     "MeasureCloud",
@@ -79,25 +82,14 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
             # Scan the stretches (threshold_k, threshold_{k+1}]: on each the
             # neighborhood mass is frozen at cumulative[k], so the condition
             # first holds at max(threshold_k, nu_mass - cumulative[k]).
-            value = None
+            # The last stretch is unbounded, so the scan always stops on one.
             for k, d in enumerate(thresholds):
-                candidate = max(d, nu_mass - cumulative[k])
-                nxt = thresholds[k + 1] if k + 1 < len(thresholds) else None
-                if nxt is None or candidate <= nxt:
-                    value = candidate
+                value = max(d, nu_mass - cumulative[k])
+                if k + 1 == len(thresholds) or value <= thresholds[k + 1]:
                     break
-            assert value is not None
             if value > worst:
                 worst = value
     return worst
-
-
-def prokhorov_symmetric(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
-    """Max of the two one-sided distances."""
-    return max(
-        prokhorov_onesided(mu, nu, cap=cap),
-        prokhorov_onesided(nu, mu, cap=cap),
-    )
 
 
 @dataclass(frozen=True)
@@ -193,18 +185,12 @@ class MeasureCloud:
 def hausdorff_prokhorov(
     cloud_a: MeasureCloud,
     cloud_b: MeasureCloud,
-    mode: str = "onesided",
     *,
     cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Fraction:
     """Symmetrized Hausdorff distance between clouds, with member distances
-    measured by the chosen Prokhorov variant."""
-    if mode == "onesided":
-        dist = lambda x, y: prokhorov_onesided(x, y, cap=cap)  # noqa: E731
-    elif mode == "symmetric":
-        dist = lambda x, y: prokhorov_symmetric(x, y, cap=cap)  # noqa: E731
-    else:
-        raise DomainError(f"mode must be 'onesided' or 'symmetric', got {mode!r}")
+    measured by the Prokhorov distance."""
+    dist = lambda x, y: prokhorov_onesided(x, y, cap=cap)  # noqa: E731
     forward = max(min(dist(a, b) for b in cloud_b.members) for a in cloud_a.members)
     backward = max(min(dist(a, b) for a in cloud_a.members) for b in cloud_b.members)
     return max(forward, backward)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, VerificationError
 from .measures import DiscreteMeasure
 from .mmspace import FiniteMMSpace
 from .plmaps import PiecewiseLinearMap
@@ -78,7 +78,8 @@ def random_lipschitz_pl(rng: random.Random, *, max_interior: int = 4) -> Piecewi
             y += slopes[i] * (xs[i] - xs[i - 1])
             knots.append((xs[i], y))
         f = PiecewiseLinearMap(knots, slopes[0], slopes[-1])
-    assert f.is_one_lipschitz()
+    if not f.is_one_lipschitz():
+        raise VerificationError(f"generated map is not 1-Lipschitz: {f}")
     return f
 
 

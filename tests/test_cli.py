@@ -1,10 +1,11 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import obsdiam.cli as cli
-from obsdiam import DiscreteMeasure, FiniteMMSpace, PiecewiseLinearMap
+from obsdiam import DiscreteMeasure, FiniteMMSpace, PiecewiseLinearMap, VerificationError
 from obsdiam._rational import render_decimal
 from obsdiam.experiments import SHARPNESS_CSV_COLUMNS
 
@@ -82,6 +83,17 @@ def test_pd_json_past_float_range(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["value"] == str(10**400)
     assert payload["value_decimal"] == "1e+400"
+
+
+def test_pd_huge_exponent_is_a_resource_cap(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"atoms": [{"pos": "1e100000000", "mass": "1"}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pd", str(path), "--alpha", "1/2")
+    assert time.perf_counter() - start < 5  # building 10**(10**8) takes far longer
+    assert code == 3
+    assert out == ""
+    assert "exponent" in err
 
 
 def test_render_decimal_keeps_float_rendering_in_range():
@@ -171,22 +183,15 @@ def test_od_exact_json(capsys, space_file):
     assert len(payload["witness"]) == 4
 
 
-def test_od_tol_is_accepted_but_inert(capsys, space_file):
-    code, out, _ = run(
+def test_od_tol_option_is_gone(capsys, space_file):
+    # the engine is exact, so there is no tolerance to set
+    code, out, err = run(
         capsys,
-        "od", space_file, "--screen", "fullline", "--kappa", "3/5",
-        "--tol", "1/1000000000",
-    )
-    assert code == 0
-    assert out.splitlines()[0] == "1 (exact)"
-
-
-def test_od_bad_tol(capsys, space_file):
-    code, _, _ = run(
-        capsys,
-        "od", space_file, "--screen", "fullline", "--kappa", "3/5", "--tol", "-1/2",
+        "od", space_file, "--screen", "fullline", "--kappa", "3/5", "--tol", "1/1000",
     )
     assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_od_grid_certified_interval(capsys, space_file):
@@ -315,7 +320,7 @@ def test_sharpness_json_deterministic(capsys):
 
 def test_sharpness_internal_failure_maps_to_exit_one(capsys, monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("closed form mismatch (forced by test)")
+        raise VerificationError("closed form mismatch (forced by test)")
 
     monkeypatch.setattr(cli, "sharpness_sweep", boom)
     code, _, err = run(capsys, "sharpness", "1", "3")
@@ -345,6 +350,17 @@ def test_profile_json(capsys, space_file):
     assert payload["monotone_nonincreasing"] is True
     assert payload["right_continuous"] is True
     assert [r["od"] for r in payload["rows"]] == ["2/3", "2/3"]
+
+
+def test_profile_cap_exit(capsys, tmp_path):
+    path = tmp_path / "big40.json"
+    FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)]).dump(path)
+    code, out, err = run(
+        capsys, "profile", str(path), "--screen", "fullline", "--kappas", "1/2"
+    )
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
 
 
 def test_profile_bad_grid(capsys, space_file):

@@ -184,6 +184,13 @@ def test_semicontinuity_grid_validation():
         semicontinuity_profile(sp, FULL_LINE, [1])
 
 
+def test_semicontinuity_checks_the_cap_before_the_subset_sums():
+    # 40 distinct masses would make 2^40 subset sums
+    sp = FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)])
+    with pytest.raises(ResourceCapError):
+        semicontinuity_profile(sp, FULL_LINE, [F(1, 2)])
+
+
 def test_semicontinuity_csv_rows_match_columns():
     sp = FiniteMMSpace.line_space([0, 1])
     profile = semicontinuity_profile(sp, FULL_LINE, [F(1, 2)])

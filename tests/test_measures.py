@@ -11,6 +11,7 @@ from obsdiam import (
     DiscreteMeasure,
     DomainError,
     PiecewiseLinearMap,
+    ResourceCapError,
     ValidationError,
     partial_diameter,
     pd_profile,
@@ -56,6 +57,14 @@ def test_floats_rejected_everywhere():
 def test_string_rationals_parse_exactly():
     mu = DiscreteMeasure([("0.5", "1/2"), ("3/2", "0.5")])
     assert mu.atoms == ((F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)))
+
+
+def test_string_exponent_and_length_are_bounded():
+    assert DiscreteMeasure([("1e400", 1)]).atoms[0][0] == F(10) ** 400
+    assert DiscreteMeasure([("-1E-4300", 1)]).atoms[0][0] == -F(1, 10**4300)
+    for text in ("1e4301", "1e-1_000_000", "1" * 10_001):
+        with pytest.raises(ResourceCapError):
+            DiscreteMeasure([(text, 1)])
 
 
 def test_mass_of_interval():

@@ -31,7 +31,6 @@ X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
 def test_od_x2_full_line():
     got = observable_diameter(X2, FULL_LINE, F(3, 5))
     assert got.value == 1
-    assert got.exact
 
 
 def test_od_x2_narrow_interval():
@@ -182,18 +181,21 @@ def test_od_cap_suggests_grid_fallback():
 # -- grid oracle ---------------------------------------------------------------------
 
 
-def test_grid_oracle_bounds_exact_from_below():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_oracle_bounds_exact_from_below(n):
+    """The enclosure proved in od_grid_oracle's docstring: the grid value
+    trails the exact one by at most (n - 1) steps."""
     rng = random.Random(99)
     step = F(1, 64)
     for _ in range(30):
-        sp = random_space(rng, min_points=4, max_points=4)
+        sp = random_space(rng, min_points=n, max_points=n)
         kappa = random_alpha(rng)
         width = F(rng.randint(8, 96), 64)
         lo = F(rng.randint(-32, 32), 16)
         screen = Interval(lo, lo + width)
         exact = observable_diameter(sp, screen, kappa).value
         grid = od_grid_oracle(sp, screen, kappa, step)
-        assert 0 <= exact - grid <= 3 * step
+        assert 0 <= exact - grid <= (n - 1) * step
 
 
 def test_grid_oracle_exact_on_grid_aligned_instance():

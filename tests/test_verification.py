@@ -1,9 +1,11 @@
 """Certificate checks must run under ``python -O``, which strips asserts.
 
-The engine re-checks every reported value against its witness and raises
-``VerificationError`` when they disagree; the CLI maps that to exit 1.  The
-test runs in a ``-O`` child interpreter with the witness check patched to
-lie, so a check written as ``assert`` would pass silently and fail here.
+The engine re-checks every reported value against its witness, and the
+sharpness sweep checks its rows against the closed forms; both raise
+``VerificationError`` when they disagree, and the CLI maps that to exit 1.
+The test runs in a ``-O`` child interpreter with the witness check patched
+to lie and the sweep's engine patched to be off by one, so a check written
+as ``assert`` would pass silently and fail here.
 """
 
 import os
@@ -18,12 +20,27 @@ CHILD = textwrap.dedent(
     """
     import sys
     from fractions import Fraction
+    from types import SimpleNamespace
 
     import obsdiam.cli as cli
+    import obsdiam.experiments as experiments
     import obsdiam.observable as observable
     from obsdiam import FULL_LINE, FiniteMMSpace, VerificationError
 
     print("optimize", sys.flags.optimize)
+    honest_od = experiments.observable_diameter
+    experiments.observable_diameter = lambda *args, **kwargs: SimpleNamespace(
+        value=honest_od(*args, **kwargs).value + 1
+    )
+    try:
+        experiments.sharpness_sweep(1, 3)
+    except VerificationError:
+        print("sharpness VerificationError")
+    else:
+        print("sharpness passed")
+    print("sharpness cli exit", cli.main(["sharpness", "1", "3"]))
+    experiments.observable_diameter = honest_od
+
     space = FiniteMMSpace.line_space([1, 2, 3, 4])
     print("honest", observable.observable_diameter(space, FULL_LINE, Fraction(3, 5)).value)
     observable.witness_partial_diameter = lambda space, witness, alpha: Fraction(-1)
@@ -53,6 +70,8 @@ def test_witness_check_survives_python_O(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "optimize 1",
+        "sharpness VerificationError",
+        "sharpness cli exit 1",
         "honest 1",
         "engine VerificationError",
         "cli exit 1",
