@@ -17,6 +17,7 @@ more digits than a written-out number could carry; ``1e400`` is accepted.
 
 from __future__ import annotations
 
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
@@ -65,8 +66,20 @@ def to_open_unit(value, *, what: str) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Canonical string form: '3/4', '-2', '0'."""
-    return str(value)
+    """Canonical string form: '3/4', '-2', '0'.
+
+    A numerator or denominator past CPython's int-to-string digit limit
+    (``sys.get_int_max_str_digits()``, 4300 by default) cannot be written;
+    that raises ``ResourceCapError``, not a bare ``ValueError``.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceCapError(
+            f"a result's numerator or denominator has more than {limit} digits, "
+            "the int-to-string limit (sys.set_int_max_str_digits)"
+        ) from exc
 
 
 def render_decimal(value: Fraction, digits: int = 9) -> str:

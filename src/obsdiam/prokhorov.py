@@ -2,10 +2,60 @@
 
 The one-sided condition at tolerance ``eps`` asks that every Borel set A
 satisfy mu(U_eps(A)) >= nu(A) - eps, with U_eps the open eps-neighborhood.
-For finite supports only subsets of nu's support matter, and for a fixed
-subset the left side is a step function of eps that jumps exactly at the
-support-to-subset distances, so the infimum over eps is reached at either a
-pairwise distance or a mass-gap value.  Both are enumerated exactly.
+``prokhorov_onesided`` returns the infimum of the eps > 0 where it holds.
+Only subsets of nu's support matter: trimming A to them keeps nu(A) and
+shrinks the neighborhood.  Both sides move monotonically in eps, so the set
+of good eps is upward closed, and every eps >= 1 is good, as
+nu(A) - eps <= 0 there.  So the distance is at most 1.
+
+Stretches.  Let t_0 = 0 <= t_1 <= ... be the pairwise distances |x - y|
+(x an atom of mu, y an atom of nu) below 1, sorted, and then 1 itself.  For
+eps in the stretch (t_k, t_{k+1}] an atom x lies in U_eps(A) exactly when
+|x - y| <= t_k for some y in A, so the worst deficiency
+
+    D_k = max over A of nu(A) - mu(N_k(A)),   N_k(A) = {x : |x - y| <= t_k, y in A}
+
+is the same for all eps in the stretch (A empty makes it >= 0), and eps in
+the stretch is good exactly when eps >= D_k.  Three facts turn this into an
+algorithm with no subset enumeration.
+
+1. D_k = 1 - F_k, where F_k is the maximum flow from nu's atoms to mu's
+   atoms along the edges with |x - y| <= t_k (Hall's theorem in the form of
+   Strassen 1965; Dudley, *Real Analysis and Probability*, section 11.6).
+   In the network source -> y (capacity nu{y}) -> x (unbounded, where
+   |x - y| <= t_k) -> sink (capacity mu{x}), let a cut keep the nu atoms A
+   and the mu atoms X on the source side.  No unbounded edge may cross, so X
+   contains N_k(A), and the capacity nu(not A) + mu(X) is smallest at
+   X = N_k(A), where it is 1 - [nu(A) - mu(N_k(A))].  Max-flow min-cut gives
+   F_k = min over A = 1 - D_k.
+
+2. The greedy flow is maximum.  Take nu's atoms y_1 < y_2 < ... in order
+   and fill each from the leftmost mu atom in its window [y - t_k, y + t_k]
+   that has capacity left.  Both ends of the window are nondecreasing in y.
+   Let f be a maximum flow that agrees with the greedy one on the atoms
+   before y_j and on what y_j sends left of the mu atom x_i.  The greedy
+   sends y_j -> x_i the least of what y_j and x_i have left, so f sends no
+   more; say it sends delta less.  Then y_j leaves delta unsent or sends it
+   to atoms x_l right of x_i, and x_i has delta spare or takes it from
+   later atoms y_h.  Move it onto the edge y_j -> x_i unit by unit: unsent
+   with spare adds flow, unsent with y_h takes it from y_h, x_l with spare
+   reroutes it, and x_l with y_h swaps to y_j -> x_i and y_h -> x_l, an edge
+   because the left end of y_h's window is at most x_i < x_l and its right
+   end is at least y_j's.  The flow stays feasible and no smaller and now
+   agrees one entry further; by induction the greedy flow is maximum.
+
+3. The search is sound.  N_k(A) grows with k, so D_k is nonincreasing,
+   while t_{k+1} does not decrease.  So the test D_k <= t_{k+1} fails on a
+   prefix of the stretches and holds after it, and the last stretch, past 1,
+   holds.  No eps in a failing stretch is good; in the first holding one the
+   good eps start at max(t_k, D_k), which is therefore the distance.  A
+   repeated distance gives an empty stretch (t, t]; its test passes only if
+   D <= t, and then it answers t, as the stretch starting at t does, so
+   repeats change nothing.
+
+With n and m atoms, finding and sorting the distances below 1 costs at most
+O(nm log nm) comparisons, and each of the O(log nm) flows O(n + m) steps,
+all in exact ``Fraction`` arithmetic.
 
 There is no separate symmetric variant, because on probability measures the
 two directions agree (Strassen 1965; Dudley, *Real Analysis and
@@ -19,9 +69,9 @@ infima are equal.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from ._rational import format_fraction, to_fraction
 from .errors import DomainError, ResourceCapError, ValidationError
@@ -39,57 +89,66 @@ __all__ = [
     "DEFAULT_SUPPORT_CAP",
 ]
 
-DEFAULT_SUPPORT_CAP = 12
+DEFAULT_SUPPORT_CAP = 600  # 300 + 300 atoms within distance 1: under 1 s (README)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _check_cap(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int) -> None:
     combined = len(mu) + len(nu)
     if combined > cap:
         raise ResourceCapError(
-            f"combined support {combined} exceeds the subset-enumeration cap {cap}; "
-            "raise cap= to proceed"
+            f"combined support {combined} exceeds the Prokhorov support cap {cap} "
+            f"(up to {len(mu)} x {len(nu)} atom distances to sort); raise cap= to proceed"
         )
+
+
+def _max_flow(mu_atoms: tuple, nu_atoms: tuple, reach: Fraction) -> Fraction:
+    """Greedy maximum flow from nu's atoms to mu's atoms, each nu atom at y
+    sending only to mu atoms in [y - reach, y + reach] (module docstring)."""
+    capacity = [m for _, m in mu_atoms]
+    flow = _ZERO
+    i = 0  # mu atoms before i are used up or left of every later window
+    for y, need in nu_atoms:
+        left, right = y - reach, y + reach
+        while i < len(mu_atoms) and mu_atoms[i][0] < left:
+            i += 1
+        while need and i < len(mu_atoms) and mu_atoms[i][0] <= right:
+            sent = min(need, capacity[i])
+            capacity[i] -= sent
+            need -= sent
+            flow += sent
+            if not capacity[i]:
+                i += 1
+    return flow
 
 
 def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
     """inf of eps > 0 with mu(U_eps(A)) >= nu(A) - eps for all Borel A."""
     _check_cap(mu, nu, cap)
-    mu_atoms = mu.atoms
-    nu_atoms = nu.atoms
-    worst = _ZERO
-    for size in range(1, len(nu_atoms) + 1):
-        for combo in combinations(range(len(nu_atoms)), size):
-            nu_mass = sum(nu_atoms[i][1] for i in combo)
-            if nu_mass <= worst:
-                continue  # this subset cannot push the distance further
-            positions = [nu_atoms[i][0] for i in combo]
-            # Distance of each mu atom to the subset, then cumulative mass
-            # within each distance threshold.
-            reach: dict[Fraction, Fraction] = {}
-            for p, m in mu_atoms:
-                d = min(abs(p - a) for a in positions)
-                reach[d] = reach.get(d, _ZERO) + m
-            thresholds = sorted(reach)
-            if not thresholds or thresholds[0] != 0:
-                thresholds.insert(0, _ZERO)
-            cumulative = []
-            acc = _ZERO
-            for d in thresholds:
-                acc += reach.get(d, _ZERO)
-                cumulative.append(acc)
-            # Scan the stretches (threshold_k, threshold_{k+1}]: on each the
-            # neighborhood mass is frozen at cumulative[k], so the condition
-            # first holds at max(threshold_k, nu_mass - cumulative[k]).
-            # The last stretch is unbounded, so the scan always stops on one.
-            for k, d in enumerate(thresholds):
-                value = max(d, nu_mass - cumulative[k])
-                if k + 1 == len(thresholds) or value <= thresholds[k + 1]:
-                    break
-            if value > worst:
-                worst = value
-    return worst
+    # Every eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances past 1 are
+    # never stops.  Correctly rounded floats never invert an order, and exact
+    # comparison breaks their ties, so the key sorts exactly.
+    xs = mu.positions
+    stops = [_ZERO, _ONE]
+    for y in nu.positions:
+        near = xs[bisect_right(xs, y - 1) : bisect_left(xs, y + 1)]  # |x - y| < 1
+        stops.extend(abs(x - y) for x in near)
+    stops.sort(key=lambda d: (float(d), d))
+    # Binary search for the first stretch (stops[k], stops[k+1]] whose
+    # deficiency is at most its right end.  The last stretch, past 1,
+    # always qualifies and gives max(1, deficiency) = 1 for any deficiency.
+    lo, hi = 0, len(stops) - 1
+    deficiency = _ZERO  # stands for the deficiency of stretch hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        gap = 1 - _max_flow(mu.atoms, nu.atoms, stops[mid])
+        if gap <= stops[mid + 1]:
+            hi, deficiency = mid, gap
+        else:
+            lo = mid + 1
+    return max(stops[lo], deficiency)
 
 
 @dataclass(frozen=True)
@@ -190,9 +249,9 @@ def hausdorff_prokhorov(
 ) -> Fraction:
     """Symmetrized Hausdorff distance between clouds, with member distances
     measured by the Prokhorov distance."""
-    dist = lambda x, y: prokhorov_onesided(x, y, cap=cap)  # noqa: E731
-    forward = max(min(dist(a, b) for b in cloud_b.members) for a in cloud_a.members)
-    backward = max(min(dist(a, b) for a in cloud_a.members) for b in cloud_b.members)
+    table = [[prokhorov_onesided(a, b, cap=cap) for b in cloud_b.members] for a in cloud_a.members]
+    forward = max(min(row) for row in table)
+    backward = max(min(column) for column in zip(*table))
     return max(forward, backward)
 
 

@@ -137,8 +137,8 @@ def jittered_pair(
     """(mu, nu) with the one-sided distance from mu to nu strictly below
     epsilon: mu is nu with every atom nudged by at most 7*epsilon/8.
 
-    max_atoms defaults to 6 so the pair's combined support stays inside the
-    subset-enumeration cap of the distance computation."""
+    max_atoms defaults to 6; changing it changes every seeded
+    prokhorov-transfer case."""
     epsilon = Fraction(epsilon)
     nu = random_measure(rng, max_atoms=max_atoms)
     moved = [

@@ -85,6 +85,49 @@ def prokhorov_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction) 
     return True
 
 
+def prokhorov_subset_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
+    """One-sided Prokhorov distance by enumerating all 2^|supp nu| subsets.
+
+    This is the enumerator the library's max-flow search replaced.  For each
+    subset A it scans the stretches between the mu-to-A distances for the
+    least eps with mu(U_eps(A)) >= nu(A) - eps, and returns the worst subset's.
+    """
+    mu_atoms = mu.atoms
+    nu_atoms = nu.atoms
+    worst = Fraction(0)
+    for size in range(1, len(nu_atoms) + 1):
+        for combo in combinations(range(len(nu_atoms)), size):
+            nu_mass = sum(nu_atoms[i][1] for i in combo)
+            if nu_mass <= worst:
+                continue  # this subset cannot push the distance further
+            positions = [nu_atoms[i][0] for i in combo]
+            # Distance of each mu atom to the subset, then cumulative mass
+            # within each distance threshold.
+            reach: dict[Fraction, Fraction] = {}
+            for p, m in mu_atoms:
+                d = min(abs(p - a) for a in positions)
+                reach[d] = reach.get(d, Fraction(0)) + m
+            thresholds = sorted(reach)
+            if thresholds[0] != 0:
+                thresholds.insert(0, Fraction(0))
+            cumulative = []
+            acc = Fraction(0)
+            for d in thresholds:
+                acc += reach.get(d, Fraction(0))
+                cumulative.append(acc)
+            # On the stretch (threshold_k, threshold_{k+1}] the neighborhood
+            # mass is frozen at cumulative[k], so the condition first holds
+            # at max(threshold_k, nu_mass - cumulative[k]).  The last
+            # stretch is unbounded, so the scan always stops on one.
+            for k, d in enumerate(thresholds):
+                value = max(d, nu_mass - cumulative[k])
+                if k + 1 == len(thresholds) or value <= thresholds[k + 1]:
+                    break
+            if value > worst:
+                worst = value
+    return worst
+
+
 def od_permutation_oracle(space, screen, kappa):
     """Exact observable diameter by the plain sweep over all n!/2 orderings.
 

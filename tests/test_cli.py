@@ -96,6 +96,18 @@ def test_pd_huge_exponent_is_a_resource_cap(capsys, tmp_path):
     assert "exponent" in err
 
 
+def test_pd_result_past_the_digit_limit_is_a_resource_cap(capsys, tmp_path):
+    # the input parses (exponent -4300 is allowed), but pd = 10^-4300 has a
+    # 4301-digit denominator, which cannot be written as a string
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"atoms": [{"pos": "0", "mass": "1/2"}, {"pos": "1e-4300", "mass": "1/2"}]}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "pd", str(path), "--alpha", "1", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert "4300 digits" in err
+
+
 def test_render_decimal_keeps_float_rendering_in_range():
     for value in (F(2, 3), F(-7, 2), F(0), F(10) ** 300, F(1, 10**300), F(17, 10) * F(10) ** 308):
         assert render_decimal(value) == format(float(value), ".9g")

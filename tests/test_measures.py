@@ -17,6 +17,7 @@ from obsdiam import (
     pd_profile,
     push_forward,
 )
+from obsdiam._rational import format_fraction
 from obsdiam.randgen import random_lipschitz_pl, random_measure
 
 
@@ -65,6 +66,13 @@ def test_string_exponent_and_length_are_bounded():
     for text in ("1e4301", "1e-1_000_000", "1" * 10_001):
         with pytest.raises(ResourceCapError):
             DiscreteMeasure([(text, 1)])
+
+
+def test_format_fraction_past_the_digit_limit_is_a_resource_cap():
+    tiny = F(1, 10**4300)  # its denominator has 4301 digits
+    with pytest.raises(ResourceCapError, match="4300 digits"):
+        format_fraction(tiny)
+    assert format_fraction(F(1, 10**4299)) == "1/1" + "0" * 4299
 
 
 def test_mass_of_interval():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import prokhorov_feasible
+from conftest import prokhorov_feasible, prokhorov_subset_oracle
 
+import obsdiam.prokhorov as prokhorov_module
 from obsdiam import (
     DiscreteMeasure,
     DomainError,
@@ -19,7 +20,7 @@ from obsdiam import (
     partial_diameter,
     prokhorov_onesided,
 )
-from obsdiam.randgen import random_measure
+from obsdiam.randgen import jittered_pair, random_measure
 
 DELTA0 = DiscreteMeasure.point_mass(0)
 HALF_SPLIT = DiscreteMeasure([(0, F(1, 2)), (10, F(1, 2))])
@@ -76,12 +77,52 @@ def test_onesided_is_symmetric_on_probability_measures():
         assert prokhorov_onesided(mu, nu) == prokhorov_onesided(nu, mu)
 
 
+def _grid_measure(rng, atoms):
+    """Integer positions in [0, 4) with masses from a small denominator, so
+    pairs share atoms and tie on distances and on deficiencies."""
+    positions = rng.sample(range(4), atoms)
+    weights = [rng.randint(1, 3) for _ in positions]
+    return DiscreteMeasure((p, F(w, sum(weights))) for p, w in zip(positions, weights))
+
+
+def test_onesided_matches_subset_oracle():
+    rng = random.Random(2718)
+    for _ in range(150):
+        mu, nu = random_measure(rng, max_atoms=6), random_measure(rng, max_atoms=6)
+        assert prokhorov_onesided(mu, nu) == prokhorov_subset_oracle(mu, nu)
+    for epsilon in (F(1, 20), F(1, 4), F(1), F(3)):
+        for _ in range(40):
+            mu, nu = jittered_pair(rng, epsilon)
+            assert prokhorov_onesided(mu, nu) == prokhorov_subset_oracle(mu, nu)
+    for _ in range(150):
+        mu = _grid_measure(rng, rng.randint(1, 4))
+        nu = _grid_measure(rng, rng.randint(1, 4))
+        assert prokhorov_onesided(mu, nu) == prokhorov_subset_oracle(mu, nu)
+
+
+def test_shift_far_above_the_old_subset_cap():
+    # nu is uniform on 200 points more than 3 apart and mu is nu moved by
+    # delta < 1.  At eps <= delta the open eps-neighborhood of nu's whole
+    # support holds no atom of mu; above delta each atom reaches its own copy.
+    rng = random.Random(161)
+    positions = [4 * k + F(rng.randint(0, 7), 8) for k in range(200)]
+    nu = DiscreteMeasure.uniform(positions)
+    for delta in (F(1, 3), F(1, 1000), F(99, 100)):
+        mu = DiscreteMeasure.uniform([p + delta for p in positions])
+        assert prokhorov_onesided(mu, nu) == delta
+        assert prokhorov_onesided(nu, mu) == delta
+
+
 def test_support_cap_enforced_and_adjustable():
-    big = DiscreteMeasure.uniform(range(7))
-    other = DiscreteMeasure.uniform(range(10, 16))
-    with pytest.raises(ResourceCapError):
+    cap = prokhorov_module.DEFAULT_SUPPORT_CAP
+    half = cap // 2
+    big = DiscreteMeasure.uniform(range(half + 1))
+    other = DiscreteMeasure.uniform([F(2 * k + 1, 2) for k in range(half)])
+    with pytest.raises(ResourceCapError, match="support cap"):
         prokhorov_onesided(big, other)
-    assert prokhorov_onesided(big, other, cap=13) > 0
+    # below 1/2 no open neighborhood of nu's atoms reaches mu; just above it
+    # any k atoms of nu reach k + 1 atoms of mu, and (k + 1)/(half + 1) >= k/half
+    assert prokhorov_onesided(big, other, cap=cap + 1) == F(1, 2)
 
 
 # -- partial-diameter transfer -------------------------------------------------------
@@ -156,6 +197,24 @@ def test_hausdorff_frozen_small_clouds():
     # member of b has nothing closer than 1/2
     assert hausdorff_prokhorov(a, b) == F(1, 2)
     assert hausdorff_prokhorov(a, a) == 0
+
+
+def test_hausdorff_computes_each_member_pair_once(monkeypatch):
+    a = MeasureCloud(members=(DELTA0, HALF_SPLIT))
+    b = MeasureCloud(members=tuple(DiscreteMeasure.point_mass(F(k, 4)) for k in range(1, 4)))
+    real = prokhorov_module.prokhorov_onesided
+    forward = max(min(real(x, y) for y in b.members) for x in a.members)
+    backward = max(min(real(x, y) for x in a.members) for y in b.members)
+    calls = []
+
+    def counted(mu, nu, **kwargs):
+        calls.append((mu, nu))
+        return real(mu, nu, **kwargs)
+
+    monkeypatch.setattr(prokhorov_module, "prokhorov_onesided", counted)
+    assert hausdorff_prokhorov(a, b) == max(forward, backward)
+    assert len(calls) == len(a) * len(b)
+    assert len(set(calls)) == len(calls)
 
 
 def test_measurement_cloud_prefix_and_dedup():
