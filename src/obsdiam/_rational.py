@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceCapError, ValidationError
 
-__all__ = ["to_fraction", "to_open_unit", "format_fraction", "render_decimal"]
+__all__ = ["to_fraction", "to_open_unit", "format_fraction", "fraction_text", "render_decimal"]
 
 MAX_TEXT_LENGTH = 10_000  # two 4300-digit integers, a sign and a slash fit
 MAX_EXPONENT = 4300
@@ -61,7 +61,7 @@ def to_open_unit(value, *, what: str) -> Fraction:
     """``to_fraction`` for a level that must lie strictly between 0 and 1."""
     value = to_fraction(value, what=what)
     if not 0 < value < 1:
-        raise DomainError(f"{what} must lie in (0, 1), got {value}")
+        raise DomainError(f"{what} must lie in (0, 1), got {fraction_text(value)}")
     return value
 
 
@@ -80,6 +80,28 @@ def format_fraction(value: Fraction) -> str:
             f"a result's numerator or denominator has more than {limit} digits, "
             "the int-to-string limit (sys.set_int_max_str_digits)"
         ) from exc
+
+
+def fraction_text(value) -> str:
+    """``str(value)`` for error messages, which must never raise.
+
+    Where ``str`` would fail at the int-to-string digit limit, the numerator
+    and denominator are described by their digit counts instead.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        num, den = value.numerator, value.denominator
+        sign = "-" if num < 0 else ""
+        return f"{sign}<{_digits(num)}-digit numerator>/<{_digits(den)}-digit denominator>"
+
+
+def _digits(number: int) -> int:
+    """Decimal digits of ``abs(number)``, without converting it to a string."""
+    number = abs(number)
+    # 2^(bits - 1) <= number, so this undercounts by at most one
+    count = int((number.bit_length() - 1) * 0.30102999566398120) + 1
+    return count + 1 if number >= 10**count else count
 
 
 def render_decimal(value: Fraction, digits: int = 9) -> str:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from ._rational import format_fraction as fmt
-from ._rational import render_decimal, to_fraction
+from ._rational import fraction_text, render_decimal, to_fraction
 from .compression import clamp_construct
 from .errors import ContractError, DomainError, ResourceCapError, ValidationError, VerificationError
 from .experiments import (
@@ -46,9 +46,10 @@ def _verdict(flag: bool) -> str:
     return "OK" if flag else "FAIL"
 
 
-def _cap(args) -> dict:
-    """``cap_n`` only when given, so the library's defaults apply otherwise."""
-    return {} if args.cap_n is None else {"cap_n": args.cap_n}
+def _cap(args, keyword: str = "cap_n") -> dict:
+    """``--cap-n`` as the library's cap keyword, only when given, so the
+    library's defaults apply otherwise."""
+    return {} if args.cap_n is None else {keyword: args.cap_n}
 
 
 def _csv_lines(columns, rows) -> list:
@@ -143,7 +144,8 @@ def _cmd_od(args):
     achieved = witness_partial_diameter(space, result.witness, 1 - kappa)
     if achieved != result.value:
         raise VerificationError(
-            f"witness re-validation failed: pd {achieved} != reported {result.value}"
+            f"witness re-validation failed: pd {fraction_text(achieved)} "
+            f"!= reported {fraction_text(result.value)}"
         )
     pairs = ", ".join(f"{lab}->{fmt(v)}" for lab, v in zip(space.labels, result.witness.values))
     lines = [f"{fmt(result.value)} (exact)", f"witness: {pairs}"]
@@ -154,7 +156,7 @@ def _cmd_prokhorov(args):
     # Both modes are one computation: on probability measures the symmetric
     # distance equals the one-sided one (see the prokhorov module docstring).
     mu, nu = DiscreteMeasure.load(args.measure_a), DiscreteMeasure.load(args.measure_b)
-    value = prokhorov_onesided(mu, nu)
+    value = prokhorov_onesided(mu, nu, **_cap(args, "cap"))
     payload = {"mode": args.mode, "value": fmt(value), "value_decimal": render_decimal(value)}
     return payload, [fmt(value)], True
 
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the grid oracle at this step instead (certified enclosure)",
     )
 
-    p = command("prokhorov", _cmd_prokhorov, "distance between two measure files")
+    p = command("prokhorov", _cmd_prokhorov, "distance between two measure files", cap=True)
     p.add_argument("measure_a")
     p.add_argument("measure_b")
     p.add_argument(

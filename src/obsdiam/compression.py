@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import to_fraction, to_open_unit
+from ._rational import fraction_text, to_fraction, to_open_unit
 from .errors import ContractError, DomainError, VerificationError
 from .measures import DiscreteMeasure, partial_diameter, push_forward
 from .plmaps import PiecewiseLinearMap
@@ -73,7 +73,8 @@ def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
     pd = partial_diameter(mu, alpha).value
     if pd != 1:
         raise ContractError(
-            f"anchor_sequence requires partial diameter 1 at alpha={alpha}, got {pd}"
+            f"anchor_sequence requires partial diameter 1 at alpha={fraction_text(alpha)}, "
+            f"got {fraction_text(pd)}"
         )
     atoms = mu.atoms
     n = len(atoms)
@@ -165,7 +166,7 @@ def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     alpha = to_open_unit(alpha, what="alpha")
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
     r = partial_diameter(mu, alpha).value
     if r == 0:
         return PiecewiseLinearMap.constant(0)

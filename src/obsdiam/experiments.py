@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._rational import format_fraction, render_decimal, to_fraction, to_open_unit
+from ._rational import (
+    format_fraction,
+    fraction_text,
+    render_decimal,
+    to_fraction,
+    to_open_unit,
+)
 from .errors import DomainError, VerificationError
 from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str
 from .observable import DEFAULT_EXACT_CAP, observable_diameter
@@ -40,7 +46,7 @@ def counterexample_space(n_family: int, radius) -> FiniteMMSpace:
         raise DomainError(f"family index must be >= 2, got {n_family}")
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
     return FiniteMMSpace.line_space([radius * k for k in range(1, 2 * n_family + 1)])
 
 
@@ -207,7 +213,7 @@ def sharpness_sweep(
     """
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     rows = []
@@ -225,7 +231,8 @@ def sharpness_sweep(
             ).value
             if (od_full, od_int) != (radius, c * radius):
                 raise VerificationError(
-                    f"n={n}: od {od_full}, {od_int} != closed forms {radius}, {c * radius}"
+                    f"n={n}: od {fraction_text(od_full)}, {fraction_text(od_int)} != closed forms "
+                    f"{fraction_text(radius)}, {fraction_text(c * radius)}"
                 )
             provenance = "exact"
         else:
@@ -236,7 +243,10 @@ def sharpness_sweep(
         revised_width = 2 * radius / (1 - kappa)
         gap = revised_width - 2 * half_width
         if not (ratio > 1 and gap == 2 * radius):
-            raise VerificationError(f"n={n}: ratio {ratio} must exceed 1 and gap {gap} equal 2R")
+            raise VerificationError(
+                f"n={n}: ratio {fraction_text(ratio)} must exceed 1 "
+                f"and gap {fraction_text(gap)} equal 2R"
+            )
         rows.append(
             SharpnessRow(
                 n_family=n,

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from ._rational import format_fraction, to_fraction
+from ._rational import format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ValidationError, VerificationError
 
 __all__ = [
@@ -49,14 +49,17 @@ class DiscreteMeasure:
             pos = to_fraction(pos, what="atom position")
             mass = to_fraction(mass, what="atom mass")
             if mass <= 0:
-                raise ValidationError(f"atom mass must be positive, got {mass} at {pos}")
+                raise ValidationError(
+                    f"atom mass must be positive, got {fraction_text(mass)} "
+                    f"at {fraction_text(pos)}"
+                )
             merged[pos] = merged.get(pos, _ZERO) + mass
             count += 1
         if count == 0:
             raise ValidationError("a measure needs at least one atom")
         total = sum(merged.values())
         if total != 1:
-            raise ValidationError(f"atom masses must sum to 1 exactly, got {total}")
+            raise ValidationError(f"atom masses must sum to 1 exactly, got {fraction_text(total)}")
         self._atoms = tuple(sorted(merged.items()))
 
     # -- construction helpers -------------------------------------------------
@@ -174,7 +177,7 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     """
     alpha = to_fraction(alpha, what="alpha")
     if alpha > 1:
-        raise DomainError(f"alpha must be <= 1, got {alpha}")
+        raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
     if alpha <= 0:
         return PartialDiameter(_ZERO, None)
     atoms = mu.atoms
@@ -195,7 +198,7 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
                 best = width
                 window = (atoms[i][0], pos_j)
     if best is None:  # unreachable: the total mass 1 reaches alpha
-        raise VerificationError(f"no window reaches mass {alpha}")
+        raise VerificationError(f"no window reaches mass {fraction_text(alpha)}")
     return PartialDiameter(best, window)
 
 
@@ -220,9 +223,9 @@ class PdProfile:
         prev_t, prev_v = None, None
         for t, v in steps:
             if not (0 < t <= 1):
-                raise ValidationError(f"threshold {t} outside (0, 1]")
+                raise ValidationError(f"threshold {fraction_text(t)} outside (0, 1]")
             if v < 0:
-                raise ValidationError(f"profile value {v} is negative")
+                raise ValidationError(f"profile value {fraction_text(v)} is negative")
             if prev_t is not None and (t <= prev_t or v <= prev_v):
                 raise ValidationError("profile steps must strictly increase")
             prev_t, prev_v = t, v
@@ -237,7 +240,7 @@ class PdProfile:
     def evaluate(self, alpha) -> Fraction:
         alpha = to_fraction(alpha, what="alpha")
         if alpha > 1:
-            raise DomainError(f"alpha must be <= 1, got {alpha}")
+            raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
         if alpha <= 0:
             return _ZERO
         thresholds = [t for t, _ in self._steps]
@@ -285,7 +288,7 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
             steps.append((mass, width))
             reached = mass
     if reached != 1:
-        raise VerificationError(f"profile steps reach mass {reached}, not 1")
+        raise VerificationError(f"profile steps reach mass {fraction_text(reached)}, not 1")
     return PdProfile(steps)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Union
 
-from ._rational import format_fraction, to_fraction
+from ._rational import format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ResourceCapError, ValidationError
 from .measures import DiscreteMeasure
 
@@ -56,7 +56,7 @@ class FiniteMMSpace:
         if any(m <= 0 for m in masses):
             raise ValidationError("all masses must be positive")
         if sum(masses) != 1:
-            raise ValidationError(f"masses must sum to 1 exactly, got {sum(masses)}")
+            raise ValidationError(f"masses must sum to 1 exactly, got {fraction_text(sum(masses))}")
         for i in range(n):
             if rows[i][i] != 0:
                 raise ValidationError(f"distance ({labels[i]}, {labels[i]}) must be 0")
@@ -76,7 +76,8 @@ class FiniteMMSpace:
                         raise ValidationError(
                             "triangle inequality fails at triple "
                             f"({labels[i]}, {labels[j]}, {labels[k]}): "
-                            f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
+                            f"{fraction_text(rows[i][j])} > {fraction_text(rows[i][k])} "
+                            f"+ {fraction_text(rows[k][j])}"
                         )
         self._labels = labels
         self._dist = tuple(tuple(r) for r in rows)
@@ -182,7 +183,9 @@ class Interval:
         object.__setattr__(self, "a", to_fraction(self.a, what="screen endpoint"))
         object.__setattr__(self, "b", to_fraction(self.b, what="screen endpoint"))
         if self.a >= self.b:
-            raise ValidationError(f"screen needs a < b, got [{self.a}, {self.b}]")
+            raise ValidationError(
+                f"screen needs a < b, got [{fraction_text(self.a)}, {fraction_text(self.b)}]"
+            )
 
     @property
     def width(self) -> Fraction:
@@ -253,14 +256,15 @@ class LipschitzWitness:
             )
         for v in self.values:
             if not screen.contains(v):
-                raise ValidationError(f"witness value {v} escapes the screen")
+                raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
         for i in range(n):
             for j in range(i + 1, n):
                 if abs(self.values[i] - self.values[j]) > space.dist(i, j):
                     raise ValidationError(
                         "witness is not 1-Lipschitz between "
                         f"{space.labels[i]} and {space.labels[j]}: "
-                        f"|{self.values[i]} - {self.values[j]}| > {space.dist(i, j)}"
+                        f"|{fraction_text(self.values[i])} - {fraction_text(self.values[j])}| "
+                        f"> {fraction_text(space.dist(i, j))}"
                     )
 
     def pushforward(self, space: FiniteMMSpace) -> DiscreteMeasure:
@@ -285,7 +289,7 @@ def heavy_minimal_subsets(
     """
     alpha = to_fraction(alpha, what="alpha")
     if not (0 < alpha <= 1):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+        raise DomainError(f"alpha must lie in (0, 1], got {fraction_text(alpha)}")
     n = len(space)
     if n > cap:
         raise ResourceCapError(

@@ -25,29 +25,69 @@ lowers ``t`` to that cycle's exact rational ratio, and the first feasible
 special handling because slot constraints are non-strict.
 
 Most orderings never reach that solve.  Cheap seed witnesses (constant and
-distance-to-anchor maps) set an incumbent first, and two bounds then cut
-the orderings that cannot beat it:
+distance-to-anchor maps) set an incumbent first, and bounds then cut the
+orderings that cannot beat it:
 
 * **Global bound.**  No 1-Lipschitz image spreads a heavy subset S wider than
   its metric diameter, nor wider than the screen, so
   ``UB = min(width, min over S of diam S)`` caps the answer.  When a seed
   already reaches UB the search is skipped.  On a line space over the full
   line the distance-to-leftmost-point seed is an isometry and always does.
-* **Prefix search.**  Orderings are built slot by slot, depth first.  Once
-  every point of a heavy subset is placed, its first and last slot are fixed
-  for all completions, so their distance bounds the ordering's ``t``; on an
-  interval screen, spans laid end to end (the greedy chain, counted as spans
-  complete) bound ``t`` by ``width / chain``.  Both only tighten as the
-  prefix grows, so a prefix whose bound does not beat the incumbent cuts its
-  whole subtree.  A prefix whose first point exceeds every unplaced point is
-  cut too: each of its orderings ends below where it starts, and negating
-  values realizes the reversed ordering, which starts lower.
+* **Prefix search.**  Orderings are built slot by slot, depth first.  Write
+  ``y_0 <= ... <= y_{n-1}`` for the slot values and ``t`` for the smallest
+  spread of a heavy subset.  Once every point of a heavy subset is placed,
+  its span ``[lo, hi]`` (first and last slot) is *closed*: it is the same in
+  every completion, and ``y_hi - y_lo >= t``.  Two bounds then hold for
+  every completion of the prefix.
+
+  - **(B1) Chain-Lipschitz.**  Let ``E(a, b)`` be the most closed spans that
+    can be laid end to end (each starting at or after the previous one's
+    end) inside slots ``[a, b]``.  Their spreads stack, so
+    ``t * E(a, b) <= y_b - y_a <= d(perm[a], perm[b])``.  In the constraint
+    graph this is the cycle of those span edges closed by the Lipschitz edge
+    from slot a to slot b, and a cycle's ratio bounds ``t``.  When point p
+    fills slot s, the spans closing there belong to the subsets whose other
+    points are placed; the one with the largest first slot ``lo_max``
+    dominates, since ``E(a, lo)`` grows with ``lo``.  So
+    ``E(a, s) = max(E(a, s - 1), E(a, lo_max) + 1)`` for ``a <= lo_max``
+    and ``E(a, s - 1)`` otherwise.  ``lo_max`` of each unplaced point is
+    kept up to date as points are placed.  With ``E = 1``, B1 is the
+    first-to-last distance of each closed subset.
+  - **(B2) Remaining mass.**  Let f be the frontier of the longest chain
+    from slot 0 (its ``E(0, s)`` spans end at f, or f = 0 when none has
+    closed), T the points at slots ``>= f``, and ``beta`` the largest mass
+    of a non-heavy set.  In any completion, start at ``j_0 = f`` and let
+    ``j_{i+1}`` be the least slot with slots ``[j_i, j_{i+1}]`` heavy.  Each
+    chunk ``[j_i, j_{i+1})`` before a window end is non-heavy, so its mass is
+    at most ``beta``, and so is the tail after the last of the m windows.
+    The chunks and the tail split T, so ``mass(T) <= (m + 1) * beta``, and
+    ``m >= k = ceil(mass(T) / beta) - 1``.  Each window holds a heavy
+    subset, hence a span of spread ``>= t``, and the windows lie end to end
+    after f.  So ``t * (E(0, s) + k) <= y_{n-1} - y_0 <= W``, where W is the
+    screen width and, while points are unplaced, also the largest distance
+    from ``perm[0]`` to one of them, which is at least
+    ``d(perm[0], perm[n-1])``; on the full line that is the only W.  With
+    ``k = 0``, B2 is the width over the greedy chain.
+
+  A prefix's bound is the least of UB and every B1 and B2 value along its
+  path, so it only tightens as the prefix grows, and a prefix whose bound
+  does not beat the incumbent cuts its whole subtree.  The bounds are kept
+  on integers: chain counts, a table of the 2^n subset masses on one
+  integer scale, and distances scaled as below.  A prefix whose first point
+  exceeds every unplaced point is cut too: each of its orderings ends below
+  where it starts, and negating values realizes the reversed ordering,
+  which starts lower.
 
 The search visits the surviving orderings in the lexicographic order of
-``itertools.permutations`` and cuts only orderings whose own upper bound
-could not beat the incumbent.  A plain sweep over all orderings skips those
-too, so both meet the same improving orderings in the same order, and the
-reported witness -- the first ordering to reach the optimum -- is the same.
+``itertools.permutations`` and cuts only orderings whose optimum is at most
+their bound, which is at most the incumbent.  A plain sweep over all
+orderings gets no strict improvement from those either, so both meet the
+same improving orderings in the same order.  Each surviving ordering gets
+its bound and its minimal spans from the search.  Its solve starts from
+that bound instead of a weaker one; every cycle ratio is at least the
+optimum, so the first feasible probe is still the exact optimum, on the
+same constraint graph, with the same potentials.  The reported witness --
+the first ordering to reach the optimum -- is therefore the same.
 Distances are scaled to a common integer denominator once, so the bounds and
 Bellman-Ford run on plain ints.
 
@@ -63,7 +103,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._rational import format_fraction, render_decimal, to_fraction, to_open_unit
+from ._rational import (
+    format_fraction,
+    fraction_text,
+    render_decimal,
+    to_fraction,
+    to_open_unit,
+)
 from .errors import DomainError, ResourceCapError, VerificationError
 from .measures import partial_diameter
 from .mmspace import (
@@ -187,35 +233,17 @@ def observable_diameter(
     if best == upper:
         orderings = ()  # a seed already meets the global bound
     else:
+        # Masses on a common integer scale for the remaining-mass bound.
+        mass_scale = lcm(alpha.denominator, *(m.denominator for m in space.masses))
+        weights = [int(m * mass_scale) for m in space.masses]
         # the lambda reads ``best`` as the loop below raises it
         orderings = _pruned_orderings(
-            n, family, dmat_scaled, width_scaled, scale, diam_scaled, lambda: best
+            n, family, dmat_scaled, width_scaled, scale, diam_scaled,
+            weights, int(alpha * mass_scale), lambda: best,
         )
-    for perm in orderings:
-        slot_of = [0] * n
-        for slot, point in enumerate(perm):
-            slot_of[point] = slot
-
-        spans = set()
-        ub = None
-        for subset in family:
-            lo = min(slot_of[i] for i in subset)
-            hi = max(slot_of[i] for i in subset)
-            spans.add((lo, hi))
-            d = dmat[perm[lo]][perm[hi]]
-            if ub is None or d < ub:
-                ub = d
-        kept = _minimal_spans(spans)
-        if width is not None:
-            chain = _greedy_chain(kept)
-            pigeonhole = width / chain
-            if pigeonhole < ub:
-                ub = pigeonhole
-        if ub <= best:
-            continue
-
-        edges = _order_edges(n, perm, kept, dmat_scaled, width_scaled)
-        result = _max_t_for_order(edges, n, scale, ub, best)
+    for perm, bound, spans in orderings:
+        edges = _order_edges(n, perm, spans, dmat_scaled, width_scaled)
+        result = _max_t_for_order(edges, n, scale, bound, best)
         if result is None:
             continue
         t, potentials = result
@@ -236,76 +264,131 @@ def _check_witness(space, witness, alpha, value) -> None:
     achieved = witness_partial_diameter(space, witness, alpha)
     if achieved != value:
         raise VerificationError(
-            f"witness achieves partial diameter {achieved}, not the claimed {value}"
+            f"witness achieves partial diameter {fraction_text(achieved)}, "
+            f"not the claimed {fraction_text(value)}"
         )
 
 
-def _pruned_orderings(n, family, dmat_scaled, width_scaled, scale, diam_scaled, incumbent):
+def _pruned_orderings(
+    n, family, dmat_scaled, width_scaled, scale, diam_scaled, weights, alpha_w, incumbent
+):
     """Orderings of range(n) in lexicographic order, minus whole subtrees of
     prefixes whose bound cannot beat ``incumbent()``.
 
-    The bound of a prefix is the least of ``diam_scaled``, the first-to-last
-    distance of every heavy subset already fully placed, and (on an interval
-    screen) the width over the greedy chain of those subsets' spans, all over
-    ``scale``.  It never falls below the upper bound ``observable_diameter``
-    computes for any completion.  ``incumbent`` is read again after every
-    yield, so it may rise while the caller consumes the orderings.
+    Yields ``(perm, bound, spans)``: the ordering, a ``Fraction`` at least its
+    exact optimum, and its minimal heavy spans in ``_order_edges`` order
+    (first slot descending).  A prefix's bound is the least of
+    ``diam_scaled``, the chain-Lipschitz bound (B1) and the remaining-mass
+    bound (B2) of every prefix on its path, all over ``scale``; the module
+    docstring proves both.  ``weights`` and ``alpha_w`` are the point masses
+    and the level on one integer scale.  ``incumbent`` is read again after
+    every yield, so it may rise while the caller consumes the orderings.
     """
     full = (1 << n) - 1
-    # point -> (mask of the subset's other points, the other points)
-    closing = [[] for _ in range(n)]
-    for subset in family:
+    mass = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        mass[mask] = mass[mask ^ low] + weights[low.bit_length() - 1]
+    beta = max(w for w in mass if w < alpha_w)  # heaviest non-heavy set
+    # windows[mask]: heavy windows that fit end to end after the points in
+    # ``mask`` in every completion (B2's k)
+    windows = [max(-(-(mass[full] - w) // beta) - 1, 0) for w in mass]
+    # point -> (index, mask) of each heavy subset containing it
+    members = [[] for _ in range(n)]
+    for index, subset in enumerate(family):
+        mask = sum(1 << i for i in subset)
         for p in subset:
-            others = tuple(i for i in subset if i != p)
-            closing[p].append((sum(1 << i for i in others), others))
+            members[p].append((index, mask))
+    first = [0] * len(family)  # slot of each started subset's first point
+    # point -> (distance, bit) of the other points, farthest first
+    farthest = [
+        sorted(((row[q], 1 << q) for q in range(n) if q != p), reverse=True)
+        for p, row in enumerate(dmat_scaled)
+    ]
     perm = []
-    slot_of = [0] * n
-    slot_at = slot_of.__getitem__
+    chains = [None] * n  # chains[b][a] = E(a, b) for the placed slots
+    spans = []  # minimal spans of the prefix, first slot ascending
 
     def floor():
         best = incumbent()
         return best.numerator * scale, best.denominator
 
-    def extend(placed, d_min, chain, frontier, limit, den):
+    def extend(placed, lo_max, before_frontier, bound, count, limit, den):
         """Yield the surviving completions of ``perm``; return the incumbent
-        as (numerator * scale, denominator), refreshed after every yield."""
+        as (numerator * scale, denominator), refreshed after every yield.
+
+        ``lo_max[q]`` is the largest first slot of a subset that q would
+        close; ``before_frontier`` the points before the greedy chain's
+        frontier; ``bound / (count * scale)`` the prefix's bound.
+        """
         slot = len(perm)
+        top_lo = spans[-1][0] if spans else -1
+        prev = chains[slot - 1] if slot else ()
         for p in range(n):
             bit = 1 << p
             if placed & bit:
                 continue
             child = placed | bit
-            if child != full and (perm[0] if perm else p) > (full & ~child).bit_length() - 1:
+            start = perm[0] if slot else p
+            if child != full and start > (full & ~child).bit_length() - 1:
                 continue  # every completion ends below its first point
-            d_next, chain_next, frontier_next = d_min, chain, frontier
+            lo = lo_max[p]
+            col = [*prev, 0]
+            if lo >= 0:
+                # E(a, slot) = max(E(a, slot - 1), E(a, lo) + 1) for a <= lo,
+                # and E(a, lo) <= E(a, slot - 1)
+                for a, e in enumerate(chains[lo]):
+                    if e == col[a]:
+                        col[a] = e + 1
+            b_num, b_den = bound, count
             row = dmat_scaled[p]
-            for mask, others in closing[p]:
-                if mask & placed != mask:
-                    continue
-                lo = min(map(slot_at, others))
-                d = row[perm[lo]]
-                if d < d_next:
-                    d_next = d
-                if lo >= frontier_next:
-                    # spans close in slot order, so this is the greedy chain
-                    chain_next, frontier_next = chain + 1, slot
-            if d_next * den <= limit:
+            for a in range(slot):  # B1 on the pairs (a, slot)
+                e = col[a]
+                if e and row[perm[a]] * b_den < b_num * e:
+                    b_num, b_den = row[perm[a]], e
+            frontier_mask = before_frontier
+            if slot and col[0] > prev[0]:
+                frontier_mask = placed
+            stack = col[0] + windows[frontier_mask]  # B2's E(0, slot) + k
+            # B2's W: the width, and while points are unplaced the distance
+            # from the first point to the farthest of them
+            reach = width_scaled
+            if child != full:
+                for d, far_bit in farthest[start]:
+                    if not child & far_bit:
+                        if reach is None or d < reach:
+                            reach = d
+                        break
+            if stack and reach is not None and reach * b_den < b_num * stack:
+                b_num, b_den = reach, stack
+            if b_num * den <= limit * b_den:
                 continue
-            if width_scaled is not None and width_scaled * den <= limit * max(chain_next, 1):
-                continue
-            slot_of[p] = slot
             perm.append(p)
+            chains[slot] = col
+            if lo > top_lo:
+                spans.append((lo, slot))
             if child == full:
-                yield tuple(perm)
+                yield tuple(perm), Fraction(b_num, b_den * scale), tuple(reversed(spans))
                 limit, den = floor()
             else:
+                lo_next = list(lo_max)
+                for index, mask in members[p]:
+                    if not mask & placed:
+                        first[index] = slot
+                    rest = mask & ~child
+                    if rest and not rest & (rest - 1):
+                        q = rest.bit_length() - 1
+                        if first[index] > lo_next[q]:
+                            lo_next[q] = first[index]
                 limit, den = yield from extend(
-                    child, d_next, chain_next, frontier_next, limit, den
+                    child, lo_next, frontier_mask, b_num, b_den, limit, den
                 )
+            if lo > top_lo:
+                spans.pop()
             perm.pop()
         return limit, den
 
-    return extend(0, diam_scaled, 0, -1, *floor())
+    return extend(0, [-1] * n, 0, diam_scaled, 1, *floor())
 
 
 def _seed_witnesses(space: FiniteMMSpace, screen: Screen):
@@ -324,29 +407,6 @@ def _seed_witnesses(space: FiniteMMSpace, screen: Screen):
             factor = width / spread
             values = [v * factor for v in values]
         yield LipschitzWitness(tuple(v + base for v in values))
-
-
-def _minimal_spans(spans):
-    """Antichain of slot spans under containment; wider spans are implied."""
-    out = []
-    min_hi = None
-    for lo, hi in sorted(spans, key=lambda s: (-s[0], s[1])):
-        if min_hi is None or hi < min_hi:
-            out.append((lo, hi))
-            min_hi = hi
-    return out
-
-
-def _greedy_chain(spans) -> int:
-    """Most spans that can be laid end to end; their spreads stack inside the
-    screen width, giving the pigeonhole bound width / count."""
-    count = 0
-    frontier = None
-    for lo, hi in sorted(spans, key=lambda s: s[1]):
-        if frontier is None or lo >= frontier:
-            count += 1
-            frontier = hi
-    return count
 
 
 def _order_edges(n, perm, spans, dmat_scaled, width_scaled):
@@ -468,7 +528,7 @@ def od_grid_oracle(
         raise DomainError("the grid oracle needs a bounded interval screen")
     step = to_fraction(grid_step, what="grid_step")
     if step <= 0:
-        raise DomainError(f"grid_step must be positive, got {step}")
+        raise DomainError(f"grid_step must be positive, got {fraction_text(step)}")
     n = len(space)
     if n > cap_n:
         raise ResourceCapError(
@@ -580,7 +640,7 @@ def verify_revised_inequality(
     kappa = to_open_unit(kappa, what="kappa")
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
     od_full = observable_diameter(space, FULL_LINE, kappa, cap_n=cap_n)
     reach = radius / (1 - kappa)
     screen = Interval(-reach, reach)

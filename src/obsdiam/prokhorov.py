@@ -73,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import format_fraction, to_fraction
+from ._rational import format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ResourceCapError, ValidationError
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, Interval
@@ -198,9 +198,9 @@ def check_pd_transfer(
     alpha = to_fraction(alpha, what="alpha")
     epsilon = to_fraction(epsilon, what="epsilon")
     if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+        raise DomainError(f"epsilon must be positive, got {fraction_text(epsilon)}")
     if alpha > 1:
-        raise DomainError(f"alpha must be <= 1, got {alpha}")
+        raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
     distance = prokhorov_onesided(mu, nu, cap=cap)
     if distance >= epsilon:
         return TransferReport(
@@ -267,7 +267,7 @@ def measurement_cloud(
     """
     radius = to_fraction(radius, what="radius")
     if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     screen = Interval(-radius, radius)

@@ -20,13 +20,7 @@ from obsdiam import (
     heavy_minimal_subsets,
     witness_partial_diameter,
 )
-from obsdiam.observable import (
-    _greedy_chain,
-    _max_t_for_order,
-    _minimal_spans,
-    _order_edges,
-    _seed_witnesses,
-)
+from obsdiam.observable import _max_t_for_order, _order_edges, _seed_witnesses
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -128,6 +122,29 @@ def prokhorov_subset_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fractio
     return worst
 
 
+def minimal_spans(spans):
+    """Antichain of slot spans under containment; wider spans are implied."""
+    out = []
+    min_hi = None
+    for lo, hi in sorted(spans, key=lambda s: (-s[0], s[1])):
+        if min_hi is None or hi < min_hi:
+            out.append((lo, hi))
+            min_hi = hi
+    return out
+
+
+def greedy_chain(spans) -> int:
+    """Most spans that can be laid end to end; their spreads stack inside the
+    screen width, giving the pigeonhole bound width / count."""
+    count = 0
+    frontier = None
+    for lo, hi in sorted(spans, key=lambda s: s[1]):
+        if frontier is None or lo >= frontier:
+            count += 1
+            frontier = hi
+    return count
+
+
 def od_permutation_oracle(space, screen, kappa):
     """Exact observable diameter by the plain sweep over all n!/2 orderings.
 
@@ -174,9 +191,9 @@ def od_permutation_oracle(space, screen, kappa):
             d = dmat[perm[lo]][perm[hi]]
             if ub is None or d < ub:
                 ub = d
-        kept = _minimal_spans(spans)
+        kept = minimal_spans(spans)
         if width is not None:
-            ub = min(ub, width / _greedy_chain(kept))
+            ub = min(ub, width / greedy_chain(kept))
         if ub <= best:
             continue
         edges = _order_edges(n, perm, kept, dmat_scaled, width_scaled)

@@ -108,6 +108,22 @@ def test_pd_result_past_the_digit_limit_is_a_resource_cap(capsys, tmp_path):
         assert "4300 digits" in err
 
 
+def test_pd_message_past_the_digit_limit_names_the_real_complaint(capsys, tmp_path):
+    # the masses parse (4300-digit denominators), but their sum, which the
+    # message quotes, has a denominator past the int-to-string limit
+    big = 10**4299
+    path = tmp_path / "unbalanced.json"
+    path.write_text(json.dumps({"atoms": [
+        {"pos": "0", "mass": f"1/{big + 1}"},
+        {"pos": "1", "mass": f"1/{big + 3}"},
+    ]}))
+    code, out, err = run(capsys, "pd", str(path), "--alpha", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "must sum to 1 exactly" in err
+    assert "-digit denominator" in err
+
+
 def test_render_decimal_keeps_float_rendering_in_range():
     for value in (F(2, 3), F(-7, 2), F(0), F(10) ** 300, F(1, 10**300), F(17, 10) * F(10) ** 308):
         assert render_decimal(value) == format(float(value), ".9g")
@@ -277,6 +293,19 @@ def test_prokhorov_text_and_modes(capsys, tmp_path, measure_file):
     payload = json.loads(out)
     assert payload["mode"] == "symmetric"
     assert payload["value"] == "1/2"
+
+
+def test_prokhorov_support_cap_is_raised_by_cap_n(capsys, tmp_path):
+    big, other = tmp_path / "big.json", tmp_path / "other.json"
+    DiscreteMeasure.uniform(range(301)).dump(big)
+    DiscreteMeasure.uniform([F(2 * k + 1, 2) for k in range(300)]).dump(other)
+    code, out, err = run(capsys, "prokhorov", str(big), str(other))
+    assert code == 3
+    assert out == ""
+    assert "support cap 600" in err
+    code, out, _ = run(capsys, "prokhorov", str(big), str(other), "--cap-n", "601")
+    assert code == 0
+    assert out.strip() == "1/2"
 
 
 # -- counterexample -------------------------------------------------------------------

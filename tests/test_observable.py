@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -18,9 +20,10 @@ from obsdiam import (
     verify_revised_inequality,
     witness_partial_diameter,
 )
+from obsdiam.observable import _max_t_for_order, _order_edges, _pruned_orderings
 from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 
-from conftest import od_permutation_oracle
+from conftest import minimal_spans, od_permutation_oracle
 
 X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
 
@@ -93,6 +96,76 @@ def test_od_matches_permutation_oracle_value_and_witness(kind):
                 assert (got.value, got.witness.values) == (value, witness.values), (
                     n, screen, kappa
                 )
+
+
+def _check_prefix_bounds(space, screen, kappa) -> bool:
+    """Run the prefix search at incumbents just below each ordering optimum
+    and require it to yield every ordering that reaches that optimum, with a
+    bound at least the optimum and the ordering's minimal spans.
+
+    Each ordering's optimum is solved from the global bound with floor 0.
+    A prefix whose bound is below the optimum of one of its completions
+    would cut that completion at an incumbent just below the optimum, so
+    this checks every prefix the search evaluates.  Returns False when a
+    heavy singleton leaves nothing to search.
+    """
+    n = len(space)
+    alpha = 1 - kappa
+    family = heavy_minimal_subsets(space, alpha).minimal_subsets
+    if any(len(s) == 1 for s in family):
+        return False
+    width = screen.width if isinstance(screen, Interval) else None
+    denominators = {d.denominator for row in space.dist_matrix for d in row}
+    scale = lcm(*denominators, width.denominator if width is not None else 1)
+    dmat_scaled = [[int(d * scale) for d in row] for row in space.dist_matrix]
+    width_scaled = None if width is None else int(width * scale)
+    diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
+    upper = F(diam_scaled, scale) if width is None else min(F(diam_scaled, scale), width)
+    mass_scale = lcm(alpha.denominator, *(m.denominator for m in space.masses))
+    weights = [int(m * mass_scale) for m in space.masses]
+
+    optimum, minimal = {}, {}
+    for perm in permutations(range(n)):
+        if perm[0] > perm[-1]:
+            continue  # the search's reversal symmetry
+        slot_of = {point: slot for slot, point in enumerate(perm)}
+        spans = {
+            (min(slot_of[i] for i in s), max(slot_of[i] for i in s)) for s in family
+        }
+        minimal[perm] = tuple(minimal_spans(spans))
+        edges = _order_edges(n, perm, minimal[perm], dmat_scaled, width_scaled)
+        result = _max_t_for_order(edges, n, scale, upper, F(0))
+        optimum[perm] = F(0) if result is None else result[0]
+
+    # bounds and optima are ratios with denominators at most scale * (n + 1)
+    eps = F(1, 2 * scale * (n + 1) ** 2)
+    for level in sorted(set(optimum.values()) - {0}):
+        yielded = {
+            perm: (bound, spans)
+            for perm, bound, spans in _pruned_orderings(
+                n, family, dmat_scaled, width_scaled, scale, diam_scaled,
+                weights, int(alpha * mass_scale), lambda: level - eps,
+            )
+        }
+        for perm, value in optimum.items():
+            if value >= level:
+                assert perm in yielded, (perm, value)
+        for perm, (bound, spans) in yielded.items():
+            assert bound >= optimum[perm], (perm, bound, optimum[perm])
+            assert spans == minimal[perm], perm
+    return True
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
+    rng = random.Random(f"prefix-bounds/{kind}")
+    checked = 0
+    for n in (4, 5, 6):
+        sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+        for screen in (FULL_LINE, Interval(-1, 1)):
+            for kappa in (F(1, 4), F(1, 3), F(1, 2), F(3, 4)):
+                checked += _check_prefix_bounds(sp, screen, kappa)
+    assert checked >= 12
 
 
 def test_od_never_exceeds_sound_upper_bounds():
