@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from typing import Iterable, Union
 
 from ._rational import format_fraction, fraction_text, to_fraction
@@ -282,10 +282,13 @@ class HeavyFamily:
 def heavy_minimal_subsets(
     space: FiniteMMSpace, alpha, *, cap: int = DEFAULT_HEAVY_CAP
 ) -> HeavyFamily:
-    """Enumerate the minimal heavy subsets, smallest first.
+    """Enumerate the minimal heavy subsets, smallest first and in
+    lexicographic order within a size.
 
     A heavy subset is minimal exactly when dropping any single point takes it
-    below the level, since all masses are positive.
+    below the level, since all masses are positive.  Subset masses come from
+    the integer table of ``subset_masses``, which is in bitmask order, so
+    the family is sorted afterwards.
     """
     alpha = to_fraction(alpha, what="alpha")
     if not (0 < alpha <= 1):
@@ -295,13 +298,27 @@ def heavy_minimal_subsets(
         raise ResourceCapError(
             f"{n} points exceed the subset-enumeration cap {cap}; raise cap= to proceed"
         )
-    masses = space.masses
-    out = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            total = sum(masses[i] for i in combo)
-            if total < alpha:
-                continue
-            if all(total - masses[i] < alpha for i in combo):
-                out.append(combo)
+    table, level = subset_masses(space.masses, alpha)
+    bits = [1 << i for i in range(n)]
+    out = [
+        tuple(i for i in range(n) if mask & bits[i])
+        for mask, total in enumerate(table)
+        if total >= level and all(table[mask ^ bit] < level for bit in bits if mask & bit)
+    ]
+    out.sort(key=lambda combo: (len(combo), combo))
     return HeavyFamily(alpha=alpha, minimal_subsets=tuple(out))
+
+
+def subset_masses(masses, alpha) -> tuple[list, int]:
+    """``(table, level)``: the mass of every subset of points and the level
+    ``alpha``, all on one integer scale.  ``table[mask]`` is the mass of the
+    points whose bits are set in ``mask``; each entry adds one point's mass
+    to an earlier entry, so the 2^n sums cost one integer add each.
+    """
+    scale = lcm(alpha.denominator, *(m.denominator for m in masses))
+    weights = [m.numerator * (scale // m.denominator) for m in masses]
+    table = [0] * (1 << len(masses))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    return table, alpha.numerator * (scale // alpha.denominator)

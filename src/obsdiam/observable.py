@@ -26,7 +26,10 @@ special handling because slot constraints are non-strict.
 
 Most orderings never reach that solve.  Cheap seed witnesses (constant and
 distance-to-anchor maps) set an incumbent first, and bounds then cut the
-orderings that cannot beat it:
+orderings that cannot beat it.  A seed is scored on the scaled integer
+distances, as the least spread of a minimal heavy subset, times
+width / spread when it is squeezed onto a short screen; its witness is built
+only when it improves on the incumbent:
 
 * **Global bound.**  No 1-Lipschitz image spreads a heavy subset S wider than
   its metric diameter, nor wider than the screen, so
@@ -37,7 +40,7 @@ orderings that cannot beat it:
   ``y_0 <= ... <= y_{n-1}`` for the slot values and ``t`` for the smallest
   spread of a heavy subset.  Once every point of a heavy subset is placed,
   its span ``[lo, hi]`` (first and last slot) is *closed*: it is the same in
-  every completion, and ``y_hi - y_lo >= t``.  Two bounds then hold for
+  every completion, and ``y_hi - y_lo >= t``.  Three bounds then hold for
   every completion of the prefix.
 
   - **(B1) Chain-Lipschitz.**  Let ``E(a, b)`` be the most closed spans that
@@ -68,21 +71,36 @@ orderings that cannot beat it:
     from ``perm[0]`` to one of them, which is at least
     ``d(perm[0], perm[n-1])``; on the full line that is the only W.  With
     ``k = 0``, B2 is the width over the greedy chain.
+  - **(B3) Ball mass.**  Take a placed slot ``a <= s`` whose slots
+    ``a..s`` are not heavy, and let r be the least radius such that those
+    points together with the unplaced points within r of ``perm[a]`` are
+    heavy (the unplaced points are taken nearest first).  That set holds a
+    minimal heavy subset, whose spread is at least t.  In every completion
+    the unplaced points sit at slots after s, so the set's largest value is
+    ``y_q`` for an unplaced q in it, and its least is at least ``y_a``.
+    Hence ``t <= y_q - y_a <= d(perm[a], q) <= r``.  When slots ``a..s``
+    are heavy on their own, a closed span lies inside them and B1 already
+    gives ``t <= d(perm[a], perm[s])``.  B3 is what cuts a prefix before
+    any span has closed: when heavy subsets hold most of the points, B1 and
+    B2 see nothing until deep in the search, while the ball around an early
+    point already fixes a radius.
 
-  A prefix's bound is the least of UB and every B1 and B2 value along its
-  path, so it only tightens as the prefix grows, and a prefix whose bound
+  A prefix's bound is the least of UB and every B1, B2 and B3 value along
+  its path, so it only tightens as the prefix grows, and a prefix whose bound
   does not beat the incumbent cuts its whole subtree.  The bounds are kept
   on integers: chain counts, a table of the 2^n subset masses on one
-  integer scale, and distances scaled as below.  A prefix whose first point
-  exceeds every unplaced point is cut too: each of its orderings ends below
-  where it starts, and negating values realizes the reversed ordering,
-  which starts lower.
+  integer scale, a nearest-first list of the other points for each point,
+  and distances scaled as below.  A prefix whose first point exceeds every
+  unplaced point is cut too: each of its orderings ends below where it
+  starts, and negating values realizes the reversed ordering, which starts
+  lower.
 
 The search visits the surviving orderings in the lexicographic order of
 ``itertools.permutations`` and cuts only orderings whose optimum is at most
-their bound, which is at most the incumbent.  A plain sweep over all
-orderings gets no strict improvement from those either, so both meet the
-same improving orderings in the same order.  Each surviving ordering gets
+their bound, which is at most the incumbent; B3 is no exception, since
+like B1 and B2 it bounds the optimum of every completion.  A plain sweep
+over all orderings gets no strict improvement from those either, so both
+meet the same improving orderings in the same order.  Each surviving ordering gets
 its bound and its minimal spans from the search.  Its solve starts from
 that bound instead of a weaker one; every cycle ratio is at least the
 optimum, so the first feasible probe is still the exact optimum, on the
@@ -102,6 +120,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from ._rational import (
     format_fraction,
@@ -122,6 +141,7 @@ from .mmspace import (
     Screen,
     heavy_minimal_subsets,
     screen_to_str,
+    subset_masses,
 )
 
 __all__ = [
@@ -135,7 +155,7 @@ __all__ = [
     "DEFAULT_EXACT_CAP",
 ]
 
-DEFAULT_EXACT_CAP = 8
+DEFAULT_EXACT_CAP = 10
 
 _ZERO = Fraction(0)
 
@@ -175,8 +195,9 @@ def observable_diameter(
 ) -> OdResult:
     """Exact observable diameter with an achieving witness.
 
-    Raises ResourceCapError above ``cap_n`` points; the grid oracle is the
-    fallback for certified lower bounds on larger spaces.
+    Raises ResourceCapError above ``cap_n`` points, before any subset is
+    enumerated.  The search's worst case grows like n!, so a larger space
+    needs ``cap_n`` raised explicitly.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, (Interval, FullLine)):
@@ -184,8 +205,7 @@ def observable_diameter(
     n = len(space)
     if n > cap_n:
         raise ResourceCapError(
-            f"{n} points exceed the exact enumeration cap {cap_n}; "
-            "raise cap_n or fall back to od_grid_oracle for a lower bound"
+            f"{n} points exceed the exact enumeration cap {cap_n}; raise cap_n to proceed"
         )
     alpha = 1 - kappa
     base = _screen_base(screen)
@@ -202,44 +222,36 @@ def observable_diameter(
         witness = LipschitzWitness((base,) * n)
         return OdResult(value=_ZERO, witness=witness)
 
-    dmat = space.dist_matrix
-    width = screen.width if isinstance(screen, Interval) else None
-
-    # Common integer scale so Bellman-Ford runs on plain ints.
-    denominators = {d.denominator for row in dmat for d in row}
-    if width is not None:
-        denominators.add(width.denominator)
-    scale = lcm(*denominators)
-    dmat_scaled = [[int(d * scale) for d in row] for row in dmat]
-    width_scaled = int(width * scale) if width is not None else None
+    scale, dmat_scaled, width_scaled = _scaled(space, screen)
+    pick = [itemgetter(*subset) for subset in family]  # a subset's entries of a row
 
     # No image spreads a heavy subset wider than its diameter or the screen.
     diam_scaled = min(
-        max(dmat_scaled[i][j] for i in subset for j in subset) for subset in family
+        max(max(get(dmat_scaled[i])) for i in subset) for subset, get in zip(family, pick)
     )
-    upper = Fraction(diam_scaled, scale)
-    if width is not None and width < upper:
-        upper = width
+    upper = Fraction(
+        diam_scaled if width_scaled is None else min(diam_scaled, width_scaled), scale
+    )
 
+    # Seed the incumbent with the distance-to-anchor maps, scored on the
+    # integer distances; a witness is built only for a seed that improves.
     best = _ZERO
     best_witness = LipschitzWitness((base,) * n)
-    for seed_witness in _seed_witnesses(space, screen):
-        value = witness_partial_diameter(space, seed_witness, alpha)
+    for anchor in range(n):
+        value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
         if value > best:
-            best, best_witness = value, seed_witness
+            best, best_witness = value, _seed_witness(space, screen, anchor)
             if best == upper:
                 break
 
     if best == upper:
         orderings = ()  # a seed already meets the global bound
     else:
-        # Masses on a common integer scale for the remaining-mass bound.
-        mass_scale = lcm(alpha.denominator, *(m.denominator for m in space.masses))
-        weights = [int(m * mass_scale) for m in space.masses]
+        mass, alpha_w = subset_masses(space.masses, alpha)
         # the lambda reads ``best`` as the loop below raises it
         orderings = _pruned_orderings(
             n, family, dmat_scaled, width_scaled, scale, diam_scaled,
-            weights, int(alpha * mass_scale), lambda: best,
+            mass, alpha_w, lambda: best,
         )
     for perm, bound, spans in orderings:
         edges = _order_edges(n, perm, spans, dmat_scaled, width_scaled)
@@ -260,6 +272,21 @@ def observable_diameter(
     return OdResult(value=best, witness=best_witness)
 
 
+def _scaled(space: FiniteMMSpace, screen: Screen):
+    """``(scale, dmat_scaled, width_scaled)``: the distances and the screen
+    width (None on the full line) times the least common denominator
+    ``scale``, as ints, so the bounds and Bellman-Ford run on plain ints."""
+    dmat = space.dist_matrix
+    width = screen.width if isinstance(screen, Interval) else None
+    denominators = {d.denominator for row in dmat for d in row}
+    if width is not None:
+        denominators.add(width.denominator)
+    scale = lcm(*denominators)
+    dmat_scaled = [[d.numerator * (scale // d.denominator) for d in row] for row in dmat]
+    width_scaled = None if width is None else width.numerator * (scale // width.denominator)
+    return scale, dmat_scaled, width_scaled
+
+
 def _check_witness(space, witness, alpha, value) -> None:
     achieved = witness_partial_diameter(space, witness, alpha)
     if achieved != value:
@@ -270,7 +297,7 @@ def _check_witness(space, witness, alpha, value) -> None:
 
 
 def _pruned_orderings(
-    n, family, dmat_scaled, width_scaled, scale, diam_scaled, weights, alpha_w, incumbent
+    n, family, dmat_scaled, width_scaled, scale, diam_scaled, mass, alpha_w, incumbent
 ):
     """Orderings of range(n) in lexicographic order, minus whole subtrees of
     prefixes whose bound cannot beat ``incumbent()``.
@@ -278,17 +305,14 @@ def _pruned_orderings(
     Yields ``(perm, bound, spans)``: the ordering, a ``Fraction`` at least its
     exact optimum, and its minimal heavy spans in ``_order_edges`` order
     (first slot descending).  A prefix's bound is the least of
-    ``diam_scaled``, the chain-Lipschitz bound (B1) and the remaining-mass
-    bound (B2) of every prefix on its path, all over ``scale``; the module
-    docstring proves both.  ``weights`` and ``alpha_w`` are the point masses
-    and the level on one integer scale.  ``incumbent`` is read again after
-    every yield, so it may rise while the caller consumes the orderings.
+    ``diam_scaled``, the chain-Lipschitz bound (B1), the remaining-mass
+    bound (B2) and the ball-mass bound (B3) of every prefix on its path, all
+    over ``scale``; the module docstring proves them.  ``mass`` and
+    ``alpha_w`` are ``subset_masses``' table and level.  ``incumbent`` is
+    read again after every yield, so it may rise while the caller consumes
+    the orderings.
     """
     full = (1 << n) - 1
-    mass = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        mass[mask] = mass[mask ^ low] + weights[low.bit_length() - 1]
     beta = max(w for w in mass if w < alpha_w)  # heaviest non-heavy set
     # windows[mask]: heavy windows that fit end to end after the points in
     # ``mask`` in every completion (B2's k)
@@ -305,7 +329,13 @@ def _pruned_orderings(
         sorted(((row[q], 1 << q) for q in range(n) if q != p), reverse=True)
         for p, row in enumerate(dmat_scaled)
     ]
+    # point -> (distance, bit, mass) of the other points, nearest first (B3)
+    nearest = [
+        sorted((row[q], 1 << q, mass[1 << q]) for q in range(n) if q != p)
+        for p, row in enumerate(dmat_scaled)
+    ]
     perm = []
+    before = [0]  # before[a]: mass of the points at slots < a
     chains = [None] * n  # chains[b][a] = E(a, b) for the placed slots
     spans = []  # minimal spans of the prefix, first slot ascending
 
@@ -363,7 +393,27 @@ def _pruned_orderings(
                 b_num, b_den = reach, stack
             if b_num * den <= limit * b_den:
                 continue
+            if child != full:
+                # B3: slots a..slot plus the unplaced points nearest perm[a]
+                # out to radius d are heavy, so t <= d
+                held = mass[child]
+                for a in range(slot, -1, -1):
+                    need = alpha_w - held + before[a]
+                    if need <= 0:
+                        break  # slots a..slot are heavy: B1 covers them
+                    for d, near_bit, w in nearest[perm[a] if a < slot else p]:
+                        if child & near_bit:
+                            continue
+                        if d * b_den >= b_num:
+                            break
+                        need -= w
+                        if need <= 0:
+                            b_num, b_den = d, 1
+                            break
+                if b_num * den <= limit * b_den:
+                    continue
             perm.append(p)
+            before.append(before[-1] + mass[bit])
             chains[slot] = col
             if lo > top_lo:
                 spans.append((lo, slot))
@@ -385,28 +435,41 @@ def _pruned_orderings(
                 )
             if lo > top_lo:
                 spans.pop()
+            before.pop()
             perm.pop()
         return limit, den
 
     return extend(0, [-1] * n, 0, diam_scaled, 1, *floor())
 
 
-def _seed_witnesses(space: FiniteMMSpace, screen: Screen):
-    """Cheap feasible witnesses that give the enumeration a head start:
-    the distance-to-anchor maps, squeezed affinely when the screen is short."""
-    n = len(space)
+def _seed_value(pick, distances, scale, width_scaled) -> Fraction:
+    """Partial diameter of the distance-to-anchor seed, from the anchor's
+    scaled ``distances``; ``pick`` holds one ``itemgetter`` per minimal heavy
+    subset.
+
+    A set of image values is heavy exactly when its preimage is, and every
+    heavy preimage contains a minimal heavy subset, so the partial diameter
+    of an image is the least spread of a minimal heavy subset.  Squeezing the
+    seed onto a screen narrower than its spread multiplies every spread by
+    width / spread.
+    """
+    low = min(max(values) - min(values) for values in [get(distances) for get in pick])
+    spread = max(distances)
+    if width_scaled is not None and spread > width_scaled:
+        return Fraction(low * width_scaled, scale * spread)
+    return Fraction(low, scale)
+
+
+def _seed_witness(space: FiniteMMSpace, screen: Screen, anchor: int) -> LipschitzWitness:
+    """The distance-to-``anchor`` map, squeezed affinely when the screen is
+    short and shifted to the screen's left end."""
+    values = [space.dist(i, anchor) for i in range(len(space))]
+    spread = max(values)
+    if isinstance(screen, Interval) and spread > screen.width:
+        factor = screen.width / spread
+        values = [v * factor for v in values]
     base = _screen_base(screen)
-    width = screen.width if isinstance(screen, Interval) else None
-    yield LipschitzWitness((base,) * n)
-    for anchor in range(n):
-        values = [space.dist(i, anchor) for i in range(n)]
-        spread = max(values)
-        if spread == 0:
-            continue
-        if width is not None and spread > width:
-            factor = width / spread
-            values = [v * factor for v in values]
-        yield LipschitzWitness(tuple(v + base for v in values))
+    return LipschitzWitness(tuple(v + base for v in values))
 
 
 def _order_edges(n, perm, spans, dmat_scaled, width_scaled):

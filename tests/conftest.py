@@ -20,7 +20,7 @@ from obsdiam import (
     heavy_minimal_subsets,
     witness_partial_diameter,
 )
-from obsdiam.observable import _max_t_for_order, _order_edges, _seed_witnesses
+from obsdiam.observable import _max_t_for_order, _order_edges
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -145,6 +145,26 @@ def greedy_chain(spans) -> int:
     return count
 
 
+def seed_witnesses(space, screen):
+    """The engine's seed witnesses as explicit maps: the constant map, then
+    the distance-to-anchor maps, squeezed affinely when the screen is short.
+    The engine scores the anchor maps on integer distances and builds only
+    those that improve on its incumbent."""
+    n = len(space)
+    base = screen.a if isinstance(screen, Interval) else Fraction(0)
+    width = screen.width if isinstance(screen, Interval) else None
+    yield LipschitzWitness((base,) * n)
+    for anchor in range(n):
+        values = [space.dist(i, anchor) for i in range(n)]
+        spread = max(values)
+        if spread == 0:
+            continue
+        if width is not None and spread > width:
+            factor = width / spread
+            values = [v * factor for v in values]
+        yield LipschitzWitness(tuple(v + base for v in values))
+
+
 def od_permutation_oracle(space, screen, kappa):
     """Exact observable diameter by the plain sweep over all n!/2 orderings.
 
@@ -172,7 +192,7 @@ def od_permutation_oracle(space, screen, kappa):
 
     best = Fraction(0)
     best_witness = LipschitzWitness((base,) * n)
-    for seed_witness in _seed_witnesses(space, screen):
+    for seed_witness in seed_witnesses(space, screen):
         value = witness_partial_diameter(space, seed_witness, alpha)
         if value > best:
             best, best_witness = value, seed_witness

@@ -26,10 +26,10 @@ def space_file(tmp_path):
 
 @pytest.fixture
 def big_space_file(tmp_path):
-    # 9 points trips the exact-engine cap; the heavy first atom keeps any
+    # 11 points trips the exact-engine cap; the heavy first atom keeps any
     # raised-cap run instant (od = 0 by the singleton short-circuit)
     path = tmp_path / "big.json"
-    sp = FiniteMMSpace.line_space(range(9), masses=[F(9, 10)] + [F(1, 80)] * 8)
+    sp = FiniteMMSpace.line_space(range(11), masses=[F(9, 10)] + [F(1, 100)] * 10)
     sp.dump(path)
     return str(path)
 
@@ -256,10 +256,10 @@ def test_od_cap_exit_and_override(capsys, big_space_file):
         capsys, "od", big_space_file, "--screen", "fullline", "--kappa", "1/2"
     )
     assert code == 3
-    assert "grid" in err
+    assert "cap 10" in err
     code, out, _ = run(
         capsys,
-        "od", big_space_file, "--screen", "fullline", "--kappa", "1/2", "--cap-n", "9",
+        "od", big_space_file, "--screen", "fullline", "--kappa", "1/2", "--cap-n", "11",
     )
     assert code == 0
     assert out.splitlines()[0] == "0 (exact)"

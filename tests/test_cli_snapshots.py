@@ -24,9 +24,9 @@ def inputs(tmp_path, monkeypatch):
     FiniteMMSpace.line_space(
         [0, 1, 3, 4, 7], masses=[F(1, 8), F(1, 4), F(1, 8), F(3, 8), F(1, 8)]
     ).dump("s5.json")
-    # nine points trip both default caps; the heavy first atom keeps a
+    # eleven points trip both default caps; the heavy first atom keeps a
     # raised-cap run instant
-    FiniteMMSpace.line_space(range(9), masses=[F(9, 10)] + [F(1, 80)] * 8).dump("big.json")
+    FiniteMMSpace.line_space(range(11), masses=[F(9, 10)] + [F(1, 100)] * 10).dump("big.json")
     return tmp_path
 
 
@@ -244,11 +244,11 @@ witness: p0->2, p1->1, p2->-1, p3->-2, p4->1
         "",
     ),
     (
-        "od big.json --screen fullline --kappa 1/2 --cap-n 9",
+        "od big.json --screen fullline --kappa 1/2 --cap-n 11",
         0,
         """\
 0 (exact)
-witness: p0->0, p1->0, p2->0, p3->0, p4->0, p5->0, p6->0, p7->0, p8->0
+witness: p0->0, p1->0, p2->0, p3->0, p4->0, p5->0, p6->0, p7->0, p8->0, p9->0, p10->0
 """,
     ),
     (
@@ -464,7 +464,7 @@ n,kappa,radius,interval_lo,interval_hi,od_full_line,od_interval,ratio,revised_sc
 2,1/2,1,-1,1,1,2/3,3/2,4,2,exact
 3,2/3,1,-2,2,1,4/5,5/4,6,2,exact
 4,3/4,1,-3,3,1,6/7,7/6,8,2,exact
-5,4/5,1,-4,4,1,8/9,9/8,10,2,closed-form
+5,4/5,1,-4,4,1,8/9,9/8,10,2,exact
 """,
     ),
     (

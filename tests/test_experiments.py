@@ -86,7 +86,7 @@ def test_verify_out_of_window_kappa_is_flagged_not_rejected():
 
 def test_verify_respects_exact_cap():
     with pytest.raises(ResourceCapError):
-        verify_counterexample(5, 1)  # 10 points > default cap 8
+        verify_counterexample(6, 1)  # 12 points > default cap 10
 
 
 def test_counterexample_json_payload():
@@ -101,14 +101,15 @@ def test_counterexample_json_payload():
 
 
 def test_sharpness_rows_unit_radius():
-    rows = sharpness_sweep(1, 5)
-    assert [r.n_family for r in rows] == [2, 3, 4, 5]
-    assert [r.kappa for r in rows] == [F(1, 2), F(2, 3), F(3, 4), F(4, 5)]
-    assert [r.ratio for r in rows] == [F(3, 2), F(5, 4), F(7, 6), F(9, 8)]
-    assert [r.od_interval for r in rows] == [F(2, 3), F(4, 5), F(6, 7), F(8, 9)]
+    rows = sharpness_sweep(1, 6)
+    assert [r.n_family for r in rows] == [2, 3, 4, 5, 6]
+    assert [r.kappa for r in rows] == [F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(5, 6)]
+    assert [r.ratio for r in rows] == [F(3, 2), F(5, 4), F(7, 6), F(9, 8), F(11, 10)]
+    assert [r.od_interval for r in rows] == [F(2, 3), F(4, 5), F(6, 7), F(8, 9), F(10, 11)]
     assert all(r.od_full_line == 1 for r in rows)
     assert all(r.gap == 2 for r in rows)
-    assert [r.provenance for r in rows] == ["exact", "exact", "exact", "closed-form"]
+    # members with 2n <= 10 points are recomputed exactly
+    assert [r.provenance for r in rows] == ["exact"] * 4 + ["closed-form"]
     assert rows[0].revised_screen_width == 4
 
 

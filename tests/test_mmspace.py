@@ -187,3 +187,14 @@ def test_heavy_matches_bruteforce():
         alpha = random_alpha(rng)
         got = heavy_minimal_subsets(sp, alpha).minimal_subsets
         assert list(got) == heavy_subsets_bruteforce(sp, alpha)
+    # up to the heavy-family cap, with unequal masses on one denominator and
+    # a level whose prime denominator does not divide it
+    for n in range(7, 13):
+        for _ in range(3):
+            weights = [rng.randint(1, 9) for _ in range(n)]
+            total = sum(weights)
+            prime = rng.choice([p for p in (7, 11, 13, 17, 19, 23) if total % p])
+            alpha = F(rng.randint(1, prime - 1), prime)
+            sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
+            got = heavy_minimal_subsets(sp, alpha).minimal_subsets
+            assert list(got) == heavy_subsets_bruteforce(sp, alpha), (n, alpha)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import lcm
+from operator import itemgetter
 
 import pytest
 
@@ -20,7 +20,15 @@ from obsdiam import (
     verify_revised_inequality,
     witness_partial_diameter,
 )
-from obsdiam.observable import _max_t_for_order, _order_edges, _pruned_orderings
+from obsdiam.mmspace import subset_masses
+from obsdiam.observable import (
+    _max_t_for_order,
+    _order_edges,
+    _pruned_orderings,
+    _scaled,
+    _seed_value,
+    _seed_witness,
+)
 from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 
 from conftest import minimal_spans, od_permutation_oracle
@@ -98,6 +106,30 @@ def test_od_matches_permutation_oracle_value_and_witness(kind):
                 )
 
 
+def test_seed_values_match_their_witnesses():
+    """Each distance-to-anchor seed is scored on integer distances without
+    building its witness; the score must be the witness's partial diameter,
+    squeezed screens included."""
+    rng = random.Random("seed-values")
+    checked = 0
+    for _ in range(40):
+        sp = random_space(rng, min_points=2, max_points=7)
+        alpha = 1 - random_alpha(rng)
+        family = heavy_minimal_subsets(sp, alpha).minimal_subsets
+        if any(len(s) == 1 for s in family):
+            continue  # the engine returns 0 before seeding
+        pick = [itemgetter(*s) for s in family]
+        for screen in (FULL_LINE, Interval(-1, 1), Interval(0, F(1, 7))):
+            scale, dmat_scaled, width_scaled = _scaled(sp, screen)
+            for anchor in range(len(sp)):
+                value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
+                witness = _seed_witness(sp, screen, anchor)
+                witness.validate(sp, screen)
+                assert value == witness_partial_diameter(sp, witness, alpha)
+                checked += 1
+    assert checked >= 300
+
+
 def _check_prefix_bounds(space, screen, kappa) -> bool:
     """Run the prefix search at incumbents just below each ordering optimum
     and require it to yield every ordering that reaches that optimum, with a
@@ -114,15 +146,10 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     family = heavy_minimal_subsets(space, alpha).minimal_subsets
     if any(len(s) == 1 for s in family):
         return False
-    width = screen.width if isinstance(screen, Interval) else None
-    denominators = {d.denominator for row in space.dist_matrix for d in row}
-    scale = lcm(*denominators, width.denominator if width is not None else 1)
-    dmat_scaled = [[int(d * scale) for d in row] for row in space.dist_matrix]
-    width_scaled = None if width is None else int(width * scale)
+    scale, dmat_scaled, width_scaled = _scaled(space, screen)
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
-    upper = F(diam_scaled, scale) if width is None else min(F(diam_scaled, scale), width)
-    mass_scale = lcm(alpha.denominator, *(m.denominator for m in space.masses))
-    weights = [int(m * mass_scale) for m in space.masses]
+    upper = F(diam_scaled if width_scaled is None else min(diam_scaled, width_scaled), scale)
+    mass, alpha_w = subset_masses(space.masses, alpha)
 
     optimum, minimal = {}, {}
     for perm in permutations(range(n)):
@@ -144,7 +171,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
             perm: (bound, spans)
             for perm, bound, spans in _pruned_orderings(
                 n, family, dmat_scaled, width_scaled, scale, diam_scaled,
-                weights, int(alpha * mass_scale), lambda: level - eps,
+                mass, alpha_w, lambda: level - eps,
             )
         }
         for perm, value in optimum.items():
@@ -156,16 +183,29 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     return True
 
 
+def _skewed(space):
+    """The same metric with masses proportional to 1, 4, 9, ..., n^2."""
+    weights = [(i + 1) ** 2 for i in range(len(space))]
+    return FiniteMMSpace(
+        space.labels, space.dist_matrix, [F(w, sum(weights)) for w in weights]
+    )
+
+
 @pytest.mark.parametrize("kind", SPACE_KINDS)
 def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
     rng = random.Random(f"prefix-bounds/{kind}")
     checked = 0
     for n in (4, 5, 6):
         sp = random_space(rng, min_points=n, max_points=n, kind=kind)
-        for screen in (FULL_LINE, Interval(-1, 1)):
-            for kappa in (F(1, 4), F(1, 3), F(1, 2), F(3, 4)):
-                checked += _check_prefix_bounds(sp, screen, kappa)
-    assert checked >= 12
+        for space in (sp, _skewed(sp)):
+            for screen in (FULL_LINE, Interval(-1, 1)):
+                for kappa in (F(1, 4), F(1, 3), F(1, 2), F(3, 4)):
+                    checked += _check_prefix_bounds(space, screen, kappa)
+    # one n = 7 case takes about half a second, so two cases per kind
+    sp = random_space(rng, min_points=7, max_points=7, kind=kind)
+    checked += _check_prefix_bounds(sp, Interval(-1, 1), F(1, 3))
+    checked += _check_prefix_bounds(_skewed(sp), FULL_LINE, F(1, 2))
+    assert checked >= 32
 
 
 def test_od_never_exceeds_sound_upper_bounds():
@@ -240,15 +280,15 @@ def test_od_kappa_domain():
             observable_diameter(X2, FULL_LINE, bad)
 
 
-def test_od_cap_suggests_grid_fallback():
+def test_od_cap_names_cap_n():
     # heavy first atom keeps the cleared run cheap: the cap fires on point
     # count alone, before any mass is inspected
-    sp = FiniteMMSpace.line_space(range(9), masses=[F(9, 10)] + [F(1, 80)] * 8)
+    sp = FiniteMMSpace.line_space(range(11), masses=[F(9, 10)] + [F(1, 100)] * 10)
     with pytest.raises(ResourceCapError) as err:
         observable_diameter(sp, FULL_LINE, F(1, 2))
-    assert "grid" in str(err.value)
+    assert "cap 10" in str(err.value) and "raise cap_n" in str(err.value)
     # raising the cap clears it; the 9/10 atom alone is heavy, so od = 0
-    assert observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=9).value == 0
+    assert observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=11).value == 0
 
 
 # -- grid oracle ---------------------------------------------------------------------
