@@ -57,7 +57,7 @@ from .observable import (
     verify_revised_inequality,
     witness_partial_diameter,
 )
-from .plmaps import PiecewiseLinearMap, affine_map
+from .plmaps import PiecewiseLinearMap
 from .prokhorov import (
     MeasureCloud,
     TransferReport,
@@ -88,7 +88,6 @@ __all__ = [
     "push_forward",
     # piecewise-linear maps
     "PiecewiseLinearMap",
-    "affine_map",
     # compression
     "AnchorSequence",
     "anchor_sequence",

@@ -1,4 +1,4 @@
-"""Exact rational coercion and rendering helpers.
+"""Exact rational coercion and rendering helpers, and the JSON file format.
 
 All public entry points of the package funnel numeric input through
 ``to_fraction`` so that arithmetic stays exact end to end.  Floats are
@@ -17,16 +17,24 @@ more digits than a written-out number could carry; ``1e400`` is accepted.
 
 from __future__ import annotations
 
+import json
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import DomainError, ResourceCapError, ValidationError
 
-__all__ = ["to_fraction", "to_open_unit", "format_fraction", "fraction_text", "render_decimal"]
+__all__ = [
+    "ZERO", "ONE", "JsonFile", "to_fraction", "to_open_unit", "to_positive",
+    "format_fraction", "fraction_text", "render_decimal",
+]
 
 MAX_TEXT_LENGTH = 10_000  # two 4300-digit integers, a sign and a slash fit
 MAX_EXPONENT = 4300
+DECIMAL_DIGITS = 9  # significant digits of render_decimal
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def to_fraction(value, *, what: str = "value") -> Fraction:
@@ -63,6 +71,31 @@ def to_open_unit(value, *, what: str) -> Fraction:
     if not 0 < value < 1:
         raise DomainError(f"{what} must lie in (0, 1), got {fraction_text(value)}")
     return value
+
+
+def to_positive(value, *, what: str) -> Fraction:
+    """``to_fraction`` for a quantity that must be strictly positive."""
+    value = to_fraction(value, what=what)
+    if value <= 0:
+        raise DomainError(f"{what} must be positive, got {fraction_text(value)}")
+    return value
+
+
+class JsonFile:
+    """The one JSON file format: ``to_json_dict`` written with sorted keys,
+    two-space indents and a final newline, read back by ``from_json_dict``."""
+
+    __slots__ = ()
+
+    def dump(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json_dict(json.load(fh))
 
 
 def format_fraction(value: Fraction) -> str:
@@ -104,19 +137,19 @@ def _digits(number: int) -> int:
     return count + 1 if number >= 10**count else count
 
 
-def render_decimal(value: Fraction, digits: int = 9) -> str:
+def render_decimal(value: Fraction) -> str:
     """Human-oriented decimal rendering; display only, never fed back in.
 
     Values inside the float range render through ``float``.  Values past it,
     which would overflow or flush to zero, are divided out in ``Decimal`` at
-    ``digits`` significant digits instead, so every Fraction renders.
+    ``DECIMAL_DIGITS`` significant digits instead, so every Fraction renders.
     """
     try:
         approx = float(value)
     except OverflowError:
         approx = None
     if approx is None or (approx == 0 and value != 0):
-        context = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        context = Context(prec=DECIMAL_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
         quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
         approx = quotient.normalize(context)  # drop trailing zeros, as float's "g" does
-    return format(approx, f".{digits}g")
+    return format(approx, f".{DECIMAL_DIGITS}g")

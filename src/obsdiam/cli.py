@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from ._rational import format_fraction as fmt
-from ._rational import fraction_text, render_decimal, to_fraction
+from ._rational import render_decimal, to_fraction
 from .compression import clamp_construct
 from .errors import ContractError, DomainError, ResourceCapError, ValidationError, VerificationError
 from .experiments import (
@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .measures import DiscreteMeasure, partial_diameter, push_forward
 from .mmspace import FiniteMMSpace, parse_screen, screen_to_str
-from .observable import observable_diameter, od_grid_oracle, witness_partial_diameter
+from .observable import observable_diameter, od_grid_oracle
 from .prokhorov import prokhorov_onesided
 from .proptests import SUITE_NAMES, run_suite
 
@@ -53,9 +53,10 @@ def _cap(args, keyword: str = "cap_n") -> dict:
 
 
 def _csv_lines(columns, rows) -> list:
+    """CSV of the ``columns`` of each row's JSON dict, with a header line."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
+    writer = csv.DictWriter(buffer, columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue().splitlines()
 
@@ -94,9 +95,7 @@ def _cmd_compress(args):
     }
     ok = all(checks.values())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(f.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        f.dump(args.out)
     payload = {
         "alpha": fmt(alpha),
         "radius": fmt(radius),
@@ -138,15 +137,8 @@ def _cmd_od(args):
         }
         line = f"[{fmt(lower)}, {fmt(upper)}] (certified interval, grid step {fmt(step)})"
         return payload, [line], True
+    # the engine validates the witness and re-checks its value before returning
     result = observable_diameter(space, screen, kappa, **_cap(args))
-    # re-validate the witness before printing anything
-    result.witness.validate(space, screen)
-    achieved = witness_partial_diameter(space, result.witness, 1 - kappa)
-    if achieved != result.value:
-        raise VerificationError(
-            f"witness re-validation failed: pd {fraction_text(achieved)} "
-            f"!= reported {fraction_text(result.value)}"
-        )
     pairs = ", ".join(f"{lab}->{fmt(v)}" for lab, v in zip(space.labels, result.witness.values))
     lines = [f"{fmt(result.value)} (exact)", f"witness: {pairs}"]
     return {**head, "certified": "exact", **result.to_json_dict()}, lines, True
@@ -192,7 +184,11 @@ def _cmd_sharpness(args):
     rows = sharpness_sweep(radius, args.n_max, **_cap(args))
     payload = {"radius": fmt(radius), "rows": [r.to_json_dict() for r in rows], "ok": True}
     if args.format == "csv":
-        return payload, _csv_lines(SHARPNESS_CSV_COLUMNS, [r.to_csv_row() for r in rows]), True
+        table = [
+            {**row, "interval_lo": fmt(r.interval.a), "interval_hi": fmt(r.interval.b)}
+            for row, r in zip(payload["rows"], rows)
+        ]
+        return payload, _csv_lines(SHARPNESS_CSV_COLUMNS, table), True
     lines = [
         f"n={r.n_family} kappa={fmt(r.kappa)} od_full={fmt(r.od_full_line)} "
         f"od_interval={fmt(r.od_interval)} ratio={fmt(r.ratio)} gap={fmt(r.gap)} "
@@ -213,8 +209,7 @@ def _cmd_profile(args):
     ok = profile.monotone_nonincreasing and profile.right_continuous
     payload = {**profile.to_json_dict(), "ok": ok}
     if args.format == "csv":
-        rows = [r.to_csv_row() for r in profile.rows]
-        return payload, _csv_lines(SEMICONTINUITY_CSV_COLUMNS, rows), ok
+        return payload, _csv_lines(SEMICONTINUITY_CSV_COLUMNS, payload["rows"]), ok
     lines = [
         f"kappa={fmt(r.kappa)} od={fmt(r.od_value)} "
         f"constant on [{fmt(r.kappa)}, {fmt(r.constant_until)}) "

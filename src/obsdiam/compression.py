@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import fraction_text, to_fraction, to_open_unit
-from .errors import ContractError, DomainError, VerificationError
+from ._rational import ZERO, fraction_text, to_open_unit, to_positive
+from .errors import ContractError, VerificationError
 from .measures import DiscreteMeasure, partial_diameter, push_forward
 from .plmaps import PiecewiseLinearMap
 
@@ -36,8 +36,6 @@ __all__ = [
     "build_compression",
     "clamp_construct",
 ]
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
 
     # x_infinity: first atom position p_i such that the mass strictly right of
     # p_i falls below alpha.
-    suffix = [Fraction(0)] * (n + 1)
+    suffix = [ZERO] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + atoms[i][1]
     x_inf = None
@@ -99,7 +97,7 @@ def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
         # reaching alpha once q itself is about to be passed; concretely the
         # first q where the cumulative mass strictly between prev and just
         # beyond q hits alpha.
-        acc = Fraction(0)
+        acc = ZERO
         hit = None
         for pos, m in atoms:
             if prev is not None and pos <= prev:
@@ -114,11 +112,11 @@ def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
             break
         prev = nxt
         if len(anchors) > int(1 / alpha) + 1:
-            raise AssertionError("anchor walk failed to terminate within 1/alpha steps")
+            raise VerificationError("anchor walk failed to terminate within 1/alpha steps")
 
     count = len(anchors)
     if Fraction(count) * alpha > 1:
-        raise AssertionError("anchor count exceeded 1/alpha despite unit partial diameter")
+        raise VerificationError("anchor count exceeded 1/alpha despite unit partial diameter")
 
     region = _merge_open_intervals([(a - 1, a + 1) for a in anchors])
     return AnchorSequence(x_infinity=x_inf, anchors=tuple(anchors), region=region)
@@ -164,9 +162,7 @@ def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     """1-Lipschitz map into [-R/alpha, R/alpha] whose image measure has
     partial diameter exactly min(R, pd(mu, alpha))."""
     alpha = to_open_unit(alpha, what="alpha")
-    radius = to_fraction(radius, what="radius")
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
+    radius = to_positive(radius, what="radius")
     r = partial_diameter(mu, alpha).value
     if r == 0:
         return PiecewiseLinearMap.constant(0)

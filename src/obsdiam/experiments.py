@@ -11,20 +11,22 @@ the family's screen comes to the screen of the corrected inequality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._rational import (
+    ONE,
     format_fraction,
     fraction_text,
     render_decimal,
-    to_fraction,
     to_open_unit,
+    to_positive,
 )
 from .errors import DomainError, VerificationError
-from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str
-from .observable import DEFAULT_EXACT_CAP, observable_diameter
+from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str, subset_masses
+from .observable import DEFAULT_EXACT_CAP, check_exact_cap, observable_diameter
 
 __all__ = [
     "counterexample_space",
@@ -40,13 +42,23 @@ __all__ = [
 ]
 
 
-def counterexample_space(n_family: int, radius) -> FiniteMMSpace:
-    """The 2N evenly spaced points {R, 2R, ..., 2NR} with uniform masses."""
+def _check_member(n_family: int, radius) -> Fraction:
+    """The validated radius of family member ``n_family``."""
     if n_family < 2:
         raise DomainError(f"family index must be >= 2, got {n_family}")
-    radius = to_fraction(radius, what="radius")
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
+    return to_positive(radius, what="radius")
+
+
+def _family_screen(n_family: int, radius: Fraction) -> tuple[Interval, Fraction]:
+    """The family screen [-(N-1)R, (N-1)R] and c = 2(N-1)/(2N-1), the
+    closed-form od on it over R."""
+    half_width = (n_family - 1) * radius
+    return Interval(-half_width, half_width), Fraction(2 * (n_family - 1), 2 * n_family - 1)
+
+
+def counterexample_space(n_family: int, radius) -> FiniteMMSpace:
+    """The 2N evenly spaced points {R, 2R, ..., 2NR} with uniform masses."""
+    radius = _check_member(n_family, radius)
     return FiniteMMSpace.line_space([radius * k for k in range(1, 2 * n_family + 1)])
 
 
@@ -101,19 +113,18 @@ def verify_counterexample(
 
     kappa defaults to 1 - 3/(4N), the midpoint-ish interior of the validity
     window; an out-of-window kappa is reported as such, values still computed.
+    The 2N points are checked against ``cap_n`` before the space is built.
     """
-    space = counterexample_space(n_family, radius)
-    radius = to_fraction(radius, what="radius")
+    radius = _check_member(n_family, radius)
     if kappa is None:
         kappa = 1 - Fraction(3, 4 * n_family)
-    else:
-        kappa = to_fraction(kappa, what="kappa")
+    kappa = to_open_unit(kappa, what="kappa")
+    check_exact_cap(2 * n_family, cap_n)
+    space = counterexample_space(n_family, radius)
     in_window = (1 - Fraction(1, n_family)) <= kappa < (1 - Fraction(1, 2 * n_family))
-    half_width = (n_family - 1) * radius
-    interval = Interval(-half_width, half_width)
+    interval, expected_c = _family_screen(n_family, radius)
     od_full = observable_diameter(space, FULL_LINE, kappa, cap_n=cap_n)
     od_int = observable_diameter(space, interval, kappa, cap_n=cap_n)
-    expected_c = Fraction(2 * (n_family - 1), 2 * n_family - 1)
     matches = od_full.value == radius and od_int.value == expected_c * radius
     original_refuted = None
     if n_family == 2:
@@ -186,62 +197,37 @@ class SharpnessRow:
             "provenance": self.provenance,
         }
 
-    def to_csv_row(self) -> list:
-        return [
-            self.n_family,
-            format_fraction(self.kappa),
-            format_fraction(self.radius),
-            format_fraction(self.interval.a),
-            format_fraction(self.interval.b),
-            format_fraction(self.od_full_line),
-            format_fraction(self.od_interval),
-            format_fraction(self.ratio),
-            format_fraction(self.revised_screen_width),
-            format_fraction(self.gap),
-            self.provenance,
-        ]
-
 
 def sharpness_sweep(
     radius, n_max: int, *, cap_n: int = DEFAULT_EXACT_CAP
 ) -> tuple[SharpnessRow, ...]:
     """Rows for n = 2..n_max at kappa_n = 1 - 1/n.
 
-    Family members with 2n <= cap_n are recomputed with the exact engine and
-    cross-checked against the closed forms; larger ones carry the closed-form
-    values with an explicit provenance flag, never silently mixed.
+    Family members with 2n <= cap_n are recomputed by
+    ``verify_counterexample`` and must match the closed forms; larger ones
+    carry the closed-form values with an explicit provenance flag, never
+    silently mixed.  kappa_n is the left end of the validity window.
     """
-    radius = to_fraction(radius, what="radius")
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
+    radius = to_positive(radius, what="radius")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     rows = []
     for n in range(2, n_max + 1):
         kappa = 1 - Fraction(1, n)
-        half_width = (n - 1) * radius
-        interval = Interval(-half_width, half_width)
-        c = Fraction(2 * (n - 1), 2 * n - 1)
+        interval, c = _family_screen(n, radius)
+        od_full, od_int, provenance = radius, c * radius, "closed-form"
         if 2 * n <= cap_n:
-            od_full = observable_diameter(
-                counterexample_space(n, radius), FULL_LINE, kappa, cap_n=cap_n
-            ).value
-            od_int = observable_diameter(
-                counterexample_space(n, radius), interval, kappa, cap_n=cap_n
-            ).value
-            if (od_full, od_int) != (radius, c * radius):
+            report = verify_counterexample(n, radius, kappa, cap_n=cap_n)
+            if not report.matches:
                 raise VerificationError(
-                    f"n={n}: od {fraction_text(od_full)}, {fraction_text(od_int)} != closed forms "
-                    f"{fraction_text(radius)}, {fraction_text(c * radius)}"
+                    f"n={n}: od {fraction_text(report.od_full_line)}, "
+                    f"{fraction_text(report.od_interval)} != closed forms "
+                    f"{fraction_text(od_full)}, {fraction_text(od_int)}"
                 )
             provenance = "exact"
-        else:
-            od_full = radius
-            od_int = c * radius
-            provenance = "closed-form"
         ratio = od_full / od_int
         revised_width = 2 * radius / (1 - kappa)
-        gap = revised_width - 2 * half_width
+        gap = revised_width - interval.width
         if not (ratio > 1 and gap == 2 * radius):
             raise VerificationError(
                 f"n={n}: ratio {fraction_text(ratio)} must exceed 1 "
@@ -307,17 +293,6 @@ class SemicontinuityRow:
             "right_continuous": self.right_continuous,
         }
 
-    def to_csv_row(self) -> list:
-        return [
-            format_fraction(self.kappa),
-            format_fraction(self.alpha),
-            format_fraction(self.od_value),
-            format_fraction(self.constant_until),
-            format_fraction(self.probe_kappa),
-            format_fraction(self.probe_od),
-            str(self.right_continuous),
-        ]
-
 
 @dataclass(frozen=True)
 class SemicontinuityProfile:
@@ -352,15 +327,14 @@ def semicontinuity_profile(
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
     grid = sorted({to_open_unit(k, what="kappa") for k in kappa_grid})
-    # The engine checks cap_n first, before the up to 2^n subset sums exist.
+    # The engine checks cap_n first, before the 2^n subset masses exist.
     ods = [observable_diameter(space, screen, kappa, cap_n=cap_n).value for kappa in grid]
-    subset_sums = {Fraction(0)}
-    for m in space.masses:
-        subset_sums |= {s + m for s in subset_sums}
+    table, scale = subset_masses(space.masses, ONE)  # mass 1 is ``scale``
+    sums = sorted(set(table))
     rows = []
     for kappa, od in zip(grid, ods):
         alpha = 1 - kappa
-        below = max((s for s in subset_sums if s < alpha), default=Fraction(0))
+        below = Fraction(sums[bisect_left(sums, alpha * scale) - 1], scale)
         constant_until = 1 - below  # od constant on [kappa, constant_until)
         probe_alpha = (alpha + below) / 2
         probe_kappa = 1 - probe_alpha

@@ -10,12 +10,11 @@ level.  Everything here is exact: positions, masses, and results are
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from ._rational import format_fraction, fraction_text, to_fraction
+from ._rational import ONE, ZERO, JsonFile, format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ValidationError, VerificationError
 
 __all__ = [
@@ -27,11 +26,8 @@ __all__ = [
     "push_forward",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-class DiscreteMeasure:
+class DiscreteMeasure(JsonFile):
     """A probability measure with finitely many atoms on the rational line.
 
     Atoms are stored canonically: positions strictly increasing, equal input
@@ -53,7 +49,7 @@ class DiscreteMeasure:
                     f"atom mass must be positive, got {fraction_text(mass)} "
                     f"at {fraction_text(pos)}"
                 )
-            merged[pos] = merged.get(pos, _ZERO) + mass
+            merged[pos] = merged.get(pos, ZERO) + mass
             count += 1
         if count == 0:
             raise ValidationError("a measure needs at least one atom")
@@ -76,7 +72,7 @@ class DiscreteMeasure:
 
     @classmethod
     def point_mass(cls, position) -> "DiscreteMeasure":
-        return cls([(position, _ONE)])
+        return cls([(position, ONE)])
 
     # -- inspection ------------------------------------------------------------
 
@@ -111,7 +107,7 @@ class DiscreteMeasure:
         """Mass of [lo, hi] (closed) or (lo, hi) (open)."""
         lo = to_fraction(lo, what="interval end")
         hi = to_fraction(hi, what="interval end")
-        acc = _ZERO
+        acc = ZERO
         for p, m in self._atoms:
             if closed:
                 if lo <= p <= hi:
@@ -145,16 +141,6 @@ class DiscreteMeasure:
             pairs.append((entry["pos"], entry["mass"]))
         return cls(pairs)
 
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "DiscreteMeasure":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 class PartialDiameter(NamedTuple):
     """A partial-diameter value together with its witness window.
@@ -179,11 +165,11 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     if alpha > 1:
         raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
     if alpha <= 0:
-        return PartialDiameter(_ZERO, None)
+        return PartialDiameter(ZERO, None)
     atoms = mu.atoms
     best: Fraction | None = None
     window: tuple | None = None
-    acc = _ZERO
+    acc = ZERO
     i = 0
     # Classic two-pointer sweep: for each right end j, shrink the left end i
     # as far as the mass level allows; masses are positive so i never backs up.
@@ -242,7 +228,7 @@ class PdProfile:
         if alpha > 1:
             raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
         if alpha <= 0:
-            return _ZERO
+            return ZERO
         thresholds = [t for t, _ in self._steps]
         k = bisect_left(thresholds, alpha)
         return self._steps[k][1]
@@ -269,7 +255,7 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
     """
     atoms = mu.atoms
     n = len(atoms)
-    prefix = [_ZERO]
+    prefix = [ZERO]
     for _, m in atoms:
         prefix.append(prefix[-1] + m)
     best_mass: dict[Fraction, Fraction] = {}
@@ -281,7 +267,7 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
             if cur is None or mass > cur:
                 best_mass[width] = mass
     steps = []
-    reached = _ZERO
+    reached = ZERO
     for width in sorted(best_mass):
         mass = best_mass[width]
         if mass > reached:

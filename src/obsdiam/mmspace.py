@@ -9,13 +9,12 @@ are the combinatorial core of every observable-diameter computation here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
 
-from ._rational import format_fraction, fraction_text, to_fraction
+from ._rational import ZERO, JsonFile, format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ResourceCapError, ValidationError
 from .measures import DiscreteMeasure
 
@@ -35,7 +34,7 @@ __all__ = [
 DEFAULT_HEAVY_CAP = 12
 
 
-class FiniteMMSpace:
+class FiniteMMSpace(JsonFile):
     """Points with a rational metric and a probability mass on each point."""
 
     __slots__ = ("_labels", "_dist", "_mass")
@@ -122,11 +121,11 @@ class FiniteMMSpace:
         n = len(self._labels)
         return max(
             (self._dist[i][j] for i in range(n) for j in range(i + 1, n)),
-            default=Fraction(0),
+            default=ZERO,
         )
 
     def mass_of(self, indices: Iterable[int]) -> Fraction:
-        return sum((self._mass[i] for i in indices), Fraction(0))
+        return sum((self._mass[i] for i in indices), ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMMSpace):
@@ -160,16 +159,6 @@ class FiniteMMSpace:
             return cls(payload["labels"], payload["dist"], payload["mass"])
         except KeyError as exc:
             raise ValidationError(f"space JSON missing field {exc}") from exc
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "FiniteMMSpace":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -123,16 +123,16 @@ from math import lcm
 from operator import itemgetter
 
 from ._rational import (
+    ZERO,
     format_fraction,
     fraction_text,
     render_decimal,
-    to_fraction,
     to_open_unit,
+    to_positive,
 )
 from .errors import DomainError, ResourceCapError, VerificationError
 from .measures import partial_diameter
 from .mmspace import (
-    DEFAULT_HEAVY_CAP,
     FULL_LINE,
     FiniteMMSpace,
     FullLine,
@@ -140,7 +140,6 @@ from .mmspace import (
     LipschitzWitness,
     Screen,
     heavy_minimal_subsets,
-    screen_to_str,
     subset_masses,
 )
 
@@ -156,8 +155,6 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 10
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,16 @@ def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, al
     return partial_diameter(witness.pushforward(space), alpha).value
 
 
+def check_exact_cap(n: int, cap_n: int) -> None:
+    """Raise ResourceCapError when ``n`` points exceed the exact engine's cap."""
+    if n > cap_n:
+        raise ResourceCapError(
+            f"{n} points exceed the exact enumeration cap {cap_n}; raise cap_n to proceed"
+        )
+
+
 def _screen_base(screen: Screen) -> Fraction:
-    return screen.a if isinstance(screen, Interval) else _ZERO
+    return screen.a if isinstance(screen, Interval) else ZERO
 
 
 def observable_diameter(
@@ -203,24 +208,15 @@ def observable_diameter(
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     n = len(space)
-    if n > cap_n:
-        raise ResourceCapError(
-            f"{n} points exceed the exact enumeration cap {cap_n}; raise cap_n to proceed"
-        )
+    check_exact_cap(n, cap_n)
     alpha = 1 - kappa
     base = _screen_base(screen)
-    if n == 1:
-        witness = LipschitzWitness((base,))
-        return OdResult(value=_ZERO, witness=witness)
-
-    family = heavy_minimal_subsets(
-        space, alpha, cap=max(cap_n, DEFAULT_HEAVY_CAP)
-    ).minimal_subsets
+    family = heavy_minimal_subsets(space, alpha, cap=cap_n).minimal_subsets
     if any(len(s) == 1 for s in family):
         # Some single point already carries mass alpha, so every image measure
         # has a zero-diameter heavy set.
         witness = LipschitzWitness((base,) * n)
-        return OdResult(value=_ZERO, witness=witness)
+        return OdResult(value=ZERO, witness=witness)
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     pick = [itemgetter(*subset) for subset in family]  # a subset's entries of a row
@@ -235,7 +231,7 @@ def observable_diameter(
 
     # Seed the incumbent with the distance-to-anchor maps, scored on the
     # integer distances; a witness is built only for a seed that improves.
-    best = _ZERO
+    best = ZERO
     best_witness = LipschitzWitness((base,) * n)
     for anchor in range(n):
         value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
@@ -259,7 +255,7 @@ def observable_diameter(
         if result is None:
             continue
         t, potentials = result
-        values = [_ZERO] * n
+        values = [ZERO] * n
         shift = base - potentials[0]
         for slot in range(n):
             values[perm[slot]] = potentials[slot] + shift
@@ -589,18 +585,16 @@ def od_grid_oracle(
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, Interval):
         raise DomainError("the grid oracle needs a bounded interval screen")
-    step = to_fraction(grid_step, what="grid_step")
-    if step <= 0:
-        raise DomainError(f"grid_step must be positive, got {fraction_text(step)}")
+    step = to_positive(grid_step, what="grid_step")
     n = len(space)
     if n > cap_n:
         raise ResourceCapError(
             f"{n} points exceed the grid-oracle cap {cap_n}; raise cap_n to proceed"
         )
     alpha = 1 - kappa
-    family = heavy_minimal_subsets(space, alpha).minimal_subsets
-    if n == 1 or any(len(s) == 1 for s in family):
-        return _ZERO
+    family = heavy_minimal_subsets(space, alpha, cap=cap_n).minimal_subsets
+    if any(len(s) == 1 for s in family):
+        return ZERO
 
     span = screen.width / step
     top = span.numerator // span.denominator  # grid indices run 0..top
@@ -683,17 +677,6 @@ class RevisedInequalityReport:
     lhs: Fraction
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa": format_fraction(self.kappa),
-            "radius": format_fraction(self.radius),
-            "od_full_line": self.od_full.to_json_dict(),
-            "screen": screen_to_str(self.screen),
-            "od_screen": self.od_screen.to_json_dict(),
-            "lhs": format_fraction(self.lhs),
-            "holds": self.holds,
-        }
-
 
 def verify_revised_inequality(
     space: FiniteMMSpace, kappa, radius, *, cap_n: int = DEFAULT_EXACT_CAP
@@ -701,9 +684,7 @@ def verify_revised_inequality(
     """Check the screen-size correction: a radius-R budget survives on the
     screen [-R/(1-kappa), R/(1-kappa)]."""
     kappa = to_open_unit(kappa, what="kappa")
-    radius = to_fraction(radius, what="radius")
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
+    radius = to_positive(radius, what="radius")
     od_full = observable_diameter(space, FULL_LINE, kappa, cap_n=cap_n)
     reach = radius / (1 - kappa)
     screen = Interval(-reach, reach)

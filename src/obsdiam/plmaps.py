@@ -19,15 +19,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
-from ._rational import format_fraction, to_fraction
+from ._rational import ZERO, JsonFile, format_fraction, to_fraction
 from .errors import ValidationError
 
-__all__ = ["PiecewiseLinearMap", "affine_map"]
-
-_ZERO = Fraction(0)
+__all__ = ["PiecewiseLinearMap"]
 
 
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(JsonFile):
     __slots__ = ("_xs", "_ys", "_left", "_right", "_mids")
 
     def __init__(self, knots: Iterable[tuple], slope_left, slope_right):
@@ -56,7 +54,7 @@ class PiecewiseLinearMap:
         """x -> slope * x + intercept."""
         slope = to_fraction(slope, what="slope")
         intercept = to_fraction(intercept, what="intercept")
-        return cls([(_ZERO, intercept)], slope, slope)
+        return cls([(ZERO, intercept)], slope, slope)
 
     @classmethod
     def constant(cls, value) -> "PiecewiseLinearMap":
@@ -199,8 +197,8 @@ def _canonicalize(pts, left, right):
     keep = [i for i in range(len(pts)) if slopes[i] != slopes[i + 1]]
     if not keep:
         # Affine map: anchor it at x = 0 so equal functions compare equal.
-        value_at_zero = ys[0] + left * (_ZERO - xs[0])
-        return (_ZERO,), (value_at_zero,), ()
+        value_at_zero = ys[0] + left * (ZERO - xs[0])
+        return (ZERO,), (value_at_zero,), ()
     xs2 = tuple(xs[i] for i in keep)
     ys2 = tuple(ys[i] for i in keep)
     mids2 = tuple(
@@ -212,13 +210,8 @@ def _canonicalize(pts, left, right):
 def _ray_slope(outer: PiecewiseLinearMap, inner_slope: Fraction, *, leftward: bool):
     """Slope of outer∘inner on the far left (or right) ray."""
     if inner_slope == 0:
-        return _ZERO
+        return ZERO
     heads_down = (inner_slope > 0) == leftward
     # inner tends to -inf on this ray iff heads_down; pick outer's matching ray.
     outer_slope = outer._left if heads_down else outer._right
     return outer_slope * inner_slope
-
-
-def affine_map(slope, intercept) -> PiecewiseLinearMap:
-    """Convenience wrapper: the map x -> slope * x + intercept."""
-    return PiecewiseLinearMap.affine(slope, intercept)

@@ -73,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import format_fraction, fraction_text, to_fraction
+from ._rational import ONE, ZERO, format_fraction, fraction_text, to_fraction, to_positive
 from .errors import DomainError, ResourceCapError, ValidationError
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, Interval
@@ -91,9 +91,6 @@ __all__ = [
 
 DEFAULT_SUPPORT_CAP = 600  # 300 + 300 atoms within distance 1: under 1 s (README)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _check_cap(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int) -> None:
     combined = len(mu) + len(nu)
@@ -108,7 +105,7 @@ def _max_flow(mu_atoms: tuple, nu_atoms: tuple, reach: Fraction) -> Fraction:
     """Greedy maximum flow from nu's atoms to mu's atoms, each nu atom at y
     sending only to mu atoms in [y - reach, y + reach] (module docstring)."""
     capacity = [m for _, m in mu_atoms]
-    flow = _ZERO
+    flow = ZERO
     i = 0  # mu atoms before i are used up or left of every later window
     for y, need in nu_atoms:
         left, right = y - reach, y + reach
@@ -131,7 +128,7 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     # never stops.  Correctly rounded floats never invert an order, and exact
     # comparison breaks their ties, so the key sorts exactly.
     xs = mu.positions
-    stops = [_ZERO, _ONE]
+    stops = [ZERO, ONE]
     for y in nu.positions:
         near = xs[bisect_right(xs, y - 1) : bisect_left(xs, y + 1)]  # |x - y| < 1
         stops.extend(abs(x - y) for x in near)
@@ -140,7 +137,7 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     # deficiency is at most its right end.  The last stretch, past 1,
     # always qualifies and gives max(1, deficiency) = 1 for any deficiency.
     lo, hi = 0, len(stops) - 1
-    deficiency = _ZERO  # stands for the deficiency of stretch hi
+    deficiency = ZERO  # stands for the deficiency of stretch hi
     while lo < hi:
         mid = (lo + hi) // 2
         gap = 1 - _max_flow(mu.atoms, nu.atoms, stops[mid])
@@ -196,9 +193,7 @@ def check_pd_transfer(
     """Check pd(mu, alpha) <= pd(nu, alpha + epsilon) + 2 * epsilon whenever
     the one-sided distance from mu to nu is certified below epsilon."""
     alpha = to_fraction(alpha, what="alpha")
-    epsilon = to_fraction(epsilon, what="epsilon")
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {fraction_text(epsilon)}")
+    epsilon = to_positive(epsilon, what="epsilon")
     if alpha > 1:
         raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
     distance = prokhorov_onesided(mu, nu, cap=cap)
@@ -237,9 +232,6 @@ class MeasureCloud:
     def __len__(self) -> int:
         return len(self.members)
 
-    def to_json_list(self) -> list:
-        return [m.to_json_dict() for m in self.members]
-
 
 def hausdorff_prokhorov(
     cloud_a: MeasureCloud,
@@ -265,9 +257,7 @@ def measurement_cloud(
     images.  An inner approximation only: the true set of image measures is
     a continuum and the sup of any statistic over the cloud is a lower bound.
     """
-    radius = to_fraction(radius, what="radius")
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {fraction_text(radius)}")
+    radius = to_positive(radius, what="radius")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     screen = Interval(-radius, radius)

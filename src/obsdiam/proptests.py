@@ -15,7 +15,7 @@ from fractions import Fraction
 from .compression import anchor_sequence, clamp_construct
 from .errors import DomainError
 from .measures import partial_diameter, pd_profile, push_forward
-from .mmspace import FULL_LINE, Interval
+from .mmspace import Interval
 from .observable import (
     observable_diameter,
     od_grid_oracle,

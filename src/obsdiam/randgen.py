@@ -35,6 +35,9 @@ _AFFINE_SLOPES = [
 
 SPACE_KINDS = ("line", "two-row", "l1-grid")
 
+_MAX_INTERIOR = 4  # interior knots of random_lipschitz_pl
+_PAIR_ATOMS = 6  # atoms of jittered_pair's nu
+
 
 def _composition(rng: random.Random, n: int) -> list[Fraction]:
     """n positive rationals summing to exactly 1, shared denominator."""
@@ -61,9 +64,10 @@ def random_alpha(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, den - 1), den)
 
 
-def random_lipschitz_pl(rng: random.Random, *, max_interior: int = 4) -> PiecewiseLinearMap:
-    """A 1-Lipschitz piecewise-linear map with quarter-integer slopes."""
-    k = rng.randint(0, max_interior)
+def random_lipschitz_pl(rng: random.Random) -> PiecewiseLinearMap:
+    """A 1-Lipschitz piecewise-linear map with quarter-integer slopes and at
+    most ``_MAX_INTERIOR`` interior knots."""
+    k = rng.randint(0, _MAX_INTERIOR)
     if k == 0:
         f = PiecewiseLinearMap.affine(
             rng.choice(_LIP_SLOPES), Fraction(rng.randint(-16, 16), 2)
@@ -131,16 +135,14 @@ def random_space(
     return FiniteMMSpace([f"p{i}" for i in range(n)], dist, masses)
 
 
-def jittered_pair(
-    rng: random.Random, epsilon, *, max_atoms: int = 6
-) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+def jittered_pair(rng: random.Random, epsilon) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """(mu, nu) with the one-sided distance from mu to nu strictly below
     epsilon: mu is nu with every atom nudged by at most 7*epsilon/8.
 
-    max_atoms defaults to 6; changing it changes every seeded
+    nu has at most ``_PAIR_ATOMS`` atoms; changing that changes every seeded
     prokhorov-transfer case."""
     epsilon = Fraction(epsilon)
-    nu = random_measure(rng, max_atoms=max_atoms)
+    nu = random_measure(rng, max_atoms=_PAIR_ATOMS)
     moved = [
         (pos + epsilon * Fraction(rng.randint(-7, 7), 8), mass)
         for pos, mass in nu.atoms

@@ -16,7 +16,7 @@ from obsdiam import (
     DiscreteMeasure,
     FiniteMMSpace,
     Interval,
-    affine_map,
+    PiecewiseLinearMap,
     anchor_sequence,
     check_pd_transfer,
     clamp_construct,
@@ -115,7 +115,7 @@ def test_04_anchor_internals(corpus):
             r = partial_diameter(mu, alpha).value
             if r == 0:
                 continue  # nothing to normalize; the walk needs pd = 1
-            unit = push_forward(mu, affine_map(1 / r, 0))
+            unit = push_forward(mu, PiecewiseLinearMap.affine(1 / r, 0))
             seq = anchor_sequence(unit, alpha)
             checked += 1
             if len(seq.anchors) * alpha > 1:

@@ -251,6 +251,20 @@ def test_od_grid_requires_interval_screen(capsys, space_file):
     assert code == 2
 
 
+def test_od_grid_cap_n_also_raises_the_heavy_subset_cap(capsys, tmp_path):
+    # 13 points pass the default heavy-subset cap of 12 only through --cap-n;
+    # the heavy first atom ends the run before any grid search
+    path = tmp_path / "big13.json"
+    FiniteMMSpace.line_space(range(13), masses=[F(9, 10)] + [F(1, 120)] * 12).dump(path)
+    code, out, err = run(
+        capsys,
+        "od", str(path), "--screen", "interval:0:4", "--kappa", "1/2",
+        "--grid-step", "1/2", "--cap-n", "13",
+    )
+    assert (code, err) == (0, "")
+    assert out == "[0, 6] (certified interval, grid step 1/2)\n"
+
+
 def test_od_cap_exit_and_override(capsys, big_space_file):
     code, _, err = run(
         capsys, "od", big_space_file, "--screen", "fullline", "--kappa", "1/2"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from obsdiam import PiecewiseLinearMap, ValidationError, affine_map
+from obsdiam import PiecewiseLinearMap, ValidationError
 from obsdiam.randgen import random_affine, random_lipschitz_pl
 
 PLM = PiecewiseLinearMap
@@ -49,7 +49,7 @@ def test_redundant_knots_collapse():
 
 def test_affine_normal_form_comparison():
     assert PLM([(5, 13)], 2, 2) == PLM.affine(2, 3)
-    assert affine_map(0, 4) == PLM.constant(4)
+    assert PLM.affine(0, 4) == PLM.constant(4)
 
 
 def test_distinct_maps_differ():
