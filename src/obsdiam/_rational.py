@@ -95,7 +95,11 @@ class JsonFile:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except RecursionError as exc:
+                raise ValidationError(f"{path}: JSON nested too deeply to read") from exc
+        return cls.from_json_dict(payload)
 
 
 def format_fraction(value: Fraction) -> str:

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from ._rational import format_fraction as fmt
 from ._rational import render_decimal, to_fraction
@@ -156,20 +155,19 @@ def _cmd_prokhorov(args):
 def _cmd_counterexample(args):
     report = verify_counterexample(args.n_family, args.radius, args.kappa, **_cap(args))
     ok = report.matches and (report.original_refuted is not False)
-    n = report.n_family
-    window = f"[{fmt(1 - Fraction(1, n))}, {fmt(1 - Fraction(1, 2 * n))})"
+    lo, hi = report.window
     lines = [
-        f"family N={n}, R={fmt(report.radius)}, kappa={fmt(report.kappa)} "
-        f"(window {window}: {'inside' if report.in_window else 'OUTSIDE'})",
+        f"family N={report.n_family}, R={fmt(report.radius)}, kappa={fmt(report.kappa)} "
+        f"(window [{fmt(lo)}, {fmt(hi)}): {'inside' if report.in_window else 'OUTSIDE'})",
         f"od full line = {fmt(report.od_full_line)} (expected {fmt(report.radius)})",
         f"od {screen_to_str(report.interval)} = {fmt(report.od_interval)} "
         f"(expected {fmt(report.expected_c * report.radius)})",
     ]
     if report.original_refuted is not None:
-        lhs = min(2 * report.radius, report.od_full_line)
         verdict = "REFUTED" if report.original_refuted else "NOT refuted"
         lines.append(
-            f"uncorrected bound min{{2R, od}} = {fmt(lhs)} vs {fmt(report.od_interval)}: {verdict}"
+            f"uncorrected bound min{{2R, od}} = {fmt(report.uncorrected_lhs)} "
+            f"vs {fmt(report.od_interval)}: {verdict}"
         )
     if report.in_window:
         lines.append("PASS" if ok else "FAIL")
@@ -203,8 +201,6 @@ def _cmd_profile(args):
     space = FiniteMMSpace.load(args.space)
     screen = parse_screen(args.screen)
     kappas = [part.strip() for part in args.kappas.split(",") if part.strip()]
-    if not kappas:
-        raise DomainError("--kappas needs at least one value")
     profile = semicontinuity_profile(space, screen, kappas, **_cap(args))
     ok = profile.monotone_nonincreasing and profile.right_continuous
     payload = {**profile.to_json_dict(), "ok": ok}

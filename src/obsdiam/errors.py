@@ -25,6 +25,14 @@ class ResourceCapError(ObsdiamError):
     """An enumeration cap would be exceeded; raise the cap explicitly to proceed."""
 
 
+def check_cap(count: int, cap: int, what: str, *, keyword: str = "cap_n") -> None:
+    """Raise ResourceCapError when ``count`` exceeds ``cap``.  ``what`` reads
+    "<items> exceed the <name> cap"; the library keyword ``keyword`` and the
+    CLI's ``--cap-n`` raise the cap."""
+    if count > cap:
+        raise ResourceCapError(f"{count} {what} {cap}; raise {keyword} (--cap-n) to proceed")
+
+
 class VerificationError(ObsdiamError):
     """A computed result failed its own certificate check.
 

@@ -24,9 +24,9 @@ from ._rational import (
     to_open_unit,
     to_positive,
 )
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, check_cap
 from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str, subset_masses
-from .observable import DEFAULT_EXACT_CAP, check_exact_cap, observable_diameter
+from .observable import DEFAULT_EXACT_CAP, observable_diameter
 
 __all__ = [
     "counterexample_space",
@@ -70,18 +70,21 @@ class CounterexampleReport:
     True when kappa lies in the validity window.  ``original_refuted`` is the
     N = 2 check that the uncorrected bound min{2R, od_full} exceeds the od
     seen through [-R, R]; None for other N, where [-R, R] is not the family
-    screen.
+    screen.  ``window`` holds the window's ends and ``uncorrected_lhs`` is
+    min{2R, od_full}; both are for display and stay out of the JSON.
     """
 
     n_family: int
     radius: Fraction
     kappa: Fraction
+    window: tuple
     in_window: bool
     interval: Interval
     od_full_line: Fraction
     od_interval: Fraction
     expected_c: Fraction
     matches: bool
+    uncorrected_lhs: Fraction
     original_refuted: Optional[bool]
 
     def to_json_dict(self) -> dict:
@@ -119,28 +122,31 @@ def verify_counterexample(
     if kappa is None:
         kappa = 1 - Fraction(3, 4 * n_family)
     kappa = to_open_unit(kappa, what="kappa")
-    check_exact_cap(2 * n_family, cap_n)
+    check_cap(2 * n_family, cap_n, "points exceed the exact enumeration cap")
     space = counterexample_space(n_family, radius)
-    in_window = (1 - Fraction(1, n_family)) <= kappa < (1 - Fraction(1, 2 * n_family))
+    window = (1 - Fraction(1, n_family), 1 - Fraction(1, 2 * n_family))
     interval, expected_c = _family_screen(n_family, radius)
     od_full = observable_diameter(space, FULL_LINE, kappa, cap_n=cap_n)
     od_int = observable_diameter(space, interval, kappa, cap_n=cap_n)
     matches = od_full.value == radius and od_int.value == expected_c * radius
+    uncorrected_lhs = min(2 * radius, od_full.value)
     original_refuted = None
     if n_family == 2:
         # the family screen IS [-R, R] here, so this directly contradicts
         # the uncorrected bound
-        original_refuted = min(2 * radius, od_full.value) > od_int.value
+        original_refuted = uncorrected_lhs > od_int.value
     return CounterexampleReport(
         n_family=n_family,
         radius=radius,
         kappa=kappa,
-        in_window=in_window,
+        window=window,
+        in_window=window[0] <= kappa < window[1],
         interval=interval,
         od_full_line=od_full.value,
         od_interval=od_int.value,
         expected_c=expected_c,
         matches=matches,
+        uncorrected_lhs=uncorrected_lhs,
         original_refuted=original_refuted,
     )
 

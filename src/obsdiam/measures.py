@@ -103,19 +103,11 @@ class DiscreteMeasure(JsonFile):
         inner = ", ".join(f"{p}:{m}" for p, m in self._atoms)
         return f"DiscreteMeasure({inner})"
 
-    def mass_of_interval(self, lo, hi, *, closed: bool = True) -> Fraction:
-        """Mass of [lo, hi] (closed) or (lo, hi) (open)."""
+    def mass_of_interval(self, lo, hi) -> Fraction:
+        """Mass of the closed interval [lo, hi]."""
         lo = to_fraction(lo, what="interval end")
         hi = to_fraction(hi, what="interval end")
-        acc = ZERO
-        for p, m in self._atoms:
-            if closed:
-                if lo <= p <= hi:
-                    acc += m
-            else:
-                if lo < p < hi:
-                    acc += m
-        return acc
+        return sum((m for p, m in self._atoms if lo <= p <= hi), ZERO)
 
     # -- serialization -----------------------------------------------------------
 

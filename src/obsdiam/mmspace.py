@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Union
 
 from ._rational import ZERO, JsonFile, format_fraction, fraction_text, to_fraction
@@ -31,13 +32,13 @@ __all__ = [
     "heavy_minimal_subsets",
 ]
 
-DEFAULT_HEAVY_CAP = 12
+SUBSET_TABLE_CEILING = 22  # 2^22 subset masses: about 7 s and 280 MB (README)
 
 
 class FiniteMMSpace(JsonFile):
     """Points with a rational metric and a probability mass on each point."""
 
-    __slots__ = ("_labels", "_dist", "_mass")
+    __slots__ = ("_labels", "_dist", "_mass", "_scale", "_dist_int")
 
     def __init__(self, labels: Iterable[str], dist, mass):
         labels = tuple(str(x) for x in labels)
@@ -56,31 +57,38 @@ class FiniteMMSpace(JsonFile):
             raise ValidationError("all masses must be positive")
         if sum(masses) != 1:
             raise ValidationError(f"masses must sum to 1 exactly, got {fraction_text(sum(masses))}")
+        # the checks below run on one integer matrix, the distances times
+        # their least common denominator
+        scale = lcm(*{d.denominator for row in rows for d in row})
+        ints = tuple(tuple(d.numerator * (scale // d.denominator) for d in row) for row in rows)
         for i in range(n):
-            if rows[i][i] != 0:
+            if ints[i][i] != 0:
                 raise ValidationError(f"distance ({labels[i]}, {labels[i]}) must be 0")
             for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
+                if ints[i][j] != ints[j][i]:
                     raise ValidationError(
                         f"distance matrix not symmetric at ({labels[i]}, {labels[j]})"
                     )
-                if rows[i][j] <= 0:
+                if ints[i][j] <= 0:
                     raise ValidationError(
                         f"off-diagonal distance ({labels[i]}, {labels[j]}) must be positive"
                     )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rows[i][j] > rows[i][k] + rows[k][j]:
-                        raise ValidationError(
-                            "triangle inequality fails at triple "
-                            f"({labels[i]}, {labels[j]}, {labels[k]}): "
-                            f"{fraction_text(rows[i][j])} > {fraction_text(rows[i][k])} "
-                            f"+ {fraction_text(rows[k][j])}"
-                        )
+        for i, row in enumerate(ints):
+            for j, d in enumerate(row):
+                # column j is row j, as the matrix is symmetric
+                if min(map(add, row, ints[j])) < d:
+                    k = next(k for k in range(n) if row[k] + ints[j][k] < d)
+                    raise ValidationError(
+                        "triangle inequality fails at triple "
+                        f"({labels[i]}, {labels[j]}, {labels[k]}): "
+                        f"{fraction_text(rows[i][j])} > {fraction_text(rows[i][k])} "
+                        f"+ {fraction_text(rows[k][j])}"
+                    )
         self._labels = labels
         self._dist = tuple(tuple(r) for r in rows)
         self._mass = masses
+        self._scale = scale
+        self._dist_int = ints
 
     @classmethod
     def line_space(cls, positions, masses=None, labels=None) -> "FiniteMMSpace":
@@ -117,12 +125,14 @@ class FiniteMMSpace(JsonFile):
         return self._dist
 
     @property
+    def scaled_dist(self) -> tuple:
+        """``(scale, rows)``: the distances times their least common
+        denominator ``scale``, as tuples of ints."""
+        return self._scale, self._dist_int
+
+    @property
     def diameter(self) -> Fraction:
-        n = len(self._labels)
-        return max(
-            (self._dist[i][j] for i in range(n) for j in range(i + 1, n)),
-            default=ZERO,
-        )
+        return Fraction(max(map(max, self._dist_int)), self._scale)
 
     def mass_of(self, indices: Iterable[int]) -> Fraction:
         return sum((self._mass[i] for i in indices), ZERO)
@@ -156,9 +166,13 @@ class FiniteMMSpace(JsonFile):
         if not isinstance(payload, dict):
             raise ValidationError("space JSON must be an object")
         try:
-            return cls(payload["labels"], payload["dist"], payload["mass"])
+            labels, dist, mass = payload["labels"], payload["dist"], payload["mass"]
         except KeyError as exc:
             raise ValidationError(f"space JSON missing field {exc}") from exc
+        rows_ok = isinstance(dist, list) and all(isinstance(r, list) for r in dist)
+        if not (rows_ok and isinstance(labels, list) and isinstance(mass, list)):
+            raise ValidationError("space JSON needs lists for labels, mass and dist and its rows")
+        return cls(labels, dist, mass)
 
 
 @dataclass(frozen=True)
@@ -213,8 +227,7 @@ def parse_screen(text: str) -> Screen:
         return FULL_LINE
     parts = text.split(":")
     if len(parts) == 3 and parts[0].lower() == "interval":
-        return Interval(to_fraction(parts[1], what="screen endpoint"),
-                        to_fraction(parts[2], what="screen endpoint"))
+        return Interval(parts[1], parts[2])  # the endpoints are parsed there
     raise ValidationError(f"cannot parse screen {text!r}; use fullline or interval:a:b")
 
 
@@ -268,9 +281,7 @@ class HeavyFamily:
     minimal_subsets: tuple  # tuple of sorted index tuples
 
 
-def heavy_minimal_subsets(
-    space: FiniteMMSpace, alpha, *, cap: int = DEFAULT_HEAVY_CAP
-) -> HeavyFamily:
+def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
     """Enumerate the minimal heavy subsets, smallest first and in
     lexicographic order within a size.
 
@@ -283,10 +294,6 @@ def heavy_minimal_subsets(
     if not (0 < alpha <= 1):
         raise DomainError(f"alpha must lie in (0, 1], got {fraction_text(alpha)}")
     n = len(space)
-    if n > cap:
-        raise ResourceCapError(
-            f"{n} points exceed the subset-enumeration cap {cap}; raise cap= to proceed"
-        )
     table, level = subset_masses(space.masses, alpha)
     bits = [1 << i for i in range(n)]
     out = [
@@ -303,10 +310,19 @@ def subset_masses(masses, alpha) -> tuple[list, int]:
     ``alpha``, all on one integer scale.  ``table[mask]`` is the mass of the
     points whose bits are set in ``mask``; each entry adds one point's mass
     to an earlier entry, so the 2^n sums cost one integer add each.
+
+    Past ``SUBSET_TABLE_CEILING`` points the table is refused before it is
+    allocated; no cap keyword raises this ceiling.
     """
+    n = len(masses)
+    if n > SUBSET_TABLE_CEILING:
+        raise ResourceCapError(
+            f"{n} points exceed the subset-table ceiling {SUBSET_TABLE_CEILING} "
+            f"(2^{n} subset masses); --cap-n cannot raise it"
+        )
     scale = lcm(alpha.denominator, *(m.denominator for m in masses))
     weights = [m.numerator * (scale // m.denominator) for m in masses]
-    table = [0] * (1 << len(masses))
+    table = [0] * (1 << n)
     for mask in range(1, len(table)):
         low = mask & -mask
         table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]

@@ -119,7 +119,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, gcd
 from operator import itemgetter
 
 from ._rational import (
@@ -130,7 +130,7 @@ from ._rational import (
     to_open_unit,
     to_positive,
 )
-from .errors import DomainError, ResourceCapError, VerificationError
+from .errors import DomainError, VerificationError, check_cap
 from .measures import partial_diameter
 from .mmspace import (
     FULL_LINE,
@@ -179,14 +179,6 @@ def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, al
     return partial_diameter(witness.pushforward(space), alpha).value
 
 
-def check_exact_cap(n: int, cap_n: int) -> None:
-    """Raise ResourceCapError when ``n`` points exceed the exact engine's cap."""
-    if n > cap_n:
-        raise ResourceCapError(
-            f"{n} points exceed the exact enumeration cap {cap_n}; raise cap_n to proceed"
-        )
-
-
 def _screen_base(screen: Screen) -> Fraction:
     return screen.a if isinstance(screen, Interval) else ZERO
 
@@ -202,16 +194,17 @@ def observable_diameter(
 
     Raises ResourceCapError above ``cap_n`` points, before any subset is
     enumerated.  The search's worst case grows like n!, so a larger space
-    needs ``cap_n`` raised explicitly.
+    needs ``cap_n`` raised explicitly; past ``SUBSET_TABLE_CEILING`` points
+    the heavy family's subset table is refused whatever ``cap_n`` says.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     n = len(space)
-    check_exact_cap(n, cap_n)
+    check_cap(n, cap_n, "points exceed the exact enumeration cap")
     alpha = 1 - kappa
     base = _screen_base(screen)
-    family = heavy_minimal_subsets(space, alpha, cap=cap_n).minimal_subsets
+    family = heavy_minimal_subsets(space, alpha).minimal_subsets
     if any(len(s) == 1 for s in family):
         # Some single point already carries mass alpha, so every image measure
         # has a zero-diameter heavy set.
@@ -272,15 +265,14 @@ def _scaled(space: FiniteMMSpace, screen: Screen):
     """``(scale, dmat_scaled, width_scaled)``: the distances and the screen
     width (None on the full line) times the least common denominator
     ``scale``, as ints, so the bounds and Bellman-Ford run on plain ints."""
-    dmat = space.dist_matrix
-    width = screen.width if isinstance(screen, Interval) else None
-    denominators = {d.denominator for row in dmat for d in row}
-    if width is not None:
-        denominators.add(width.denominator)
-    scale = lcm(*denominators)
-    dmat_scaled = [[d.numerator * (scale // d.denominator) for d in row] for row in dmat]
-    width_scaled = None if width is None else width.numerator * (scale // width.denominator)
-    return scale, dmat_scaled, width_scaled
+    scale, dmat_scaled = space.scaled_dist
+    if not isinstance(screen, Interval):
+        return scale, dmat_scaled, None
+    width = screen.width
+    factor = width.denominator // gcd(scale, width.denominator)  # lcm(scale, den) / scale
+    scale *= factor
+    dmat_scaled = tuple(tuple(d * factor for d in row) for row in dmat_scaled)
+    return scale, dmat_scaled, width.numerator * (scale // width.denominator)
 
 
 def _check_witness(space, witness, alpha, value) -> None:
@@ -587,23 +579,14 @@ def od_grid_oracle(
         raise DomainError("the grid oracle needs a bounded interval screen")
     step = to_positive(grid_step, what="grid_step")
     n = len(space)
-    if n > cap_n:
-        raise ResourceCapError(
-            f"{n} points exceed the grid-oracle cap {cap_n}; raise cap_n to proceed"
-        )
+    check_cap(n, cap_n, "points exceed the grid-oracle cap")
     alpha = 1 - kappa
-    family = heavy_minimal_subsets(space, alpha, cap=cap_n).minimal_subsets
+    family = heavy_minimal_subsets(space, alpha).minimal_subsets
     if any(len(s) == 1 for s in family):
         return ZERO
 
-    span = screen.width / step
-    top = span.numerator // span.denominator  # grid indices run 0..top
-    bound = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                q = space.dist(i, j) / step
-                bound[i][j] = q.numerator // q.denominator
+    top = floor(screen.width / step)  # grid indices run 0..top
+    bound = [[floor(d / step) for d in row] for row in space.dist_matrix]
 
     completed_at: list[list[tuple]] = [[] for _ in range(n)]
     for subset in family:

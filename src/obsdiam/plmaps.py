@@ -151,6 +151,8 @@ class PiecewiseLinearMap(JsonFile):
             base_y = to_fraction(payload["base_y"], what="base_y")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed piecewise-linear map payload: {exc}") from exc
+        if not (isinstance(raw_bps, list) and isinstance(raw_slopes, list)):
+            raise ValidationError("breakpoints and slopes must be lists")
         bps = [to_fraction(b, what="breakpoint") for b in raw_bps]
         slopes = [to_fraction(s, what="slope") for s in raw_slopes]
         if len(slopes) != len(bps) + 1:

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import ONE, ZERO, format_fraction, fraction_text, to_fraction, to_positive
-from .errors import DomainError, ResourceCapError, ValidationError
+from .errors import DomainError, ValidationError, check_cap
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, Interval
 from .observable import random_lipschitz_map
@@ -90,15 +90,6 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_CAP = 600  # 300 + 300 atoms within distance 1: under 1 s (README)
-
-
-def _check_cap(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int) -> None:
-    combined = len(mu) + len(nu)
-    if combined > cap:
-        raise ResourceCapError(
-            f"combined support {combined} exceeds the Prokhorov support cap {cap} "
-            f"(up to {len(mu)} x {len(nu)} atom distances to sort); raise cap= to proceed"
-        )
 
 
 def _max_flow(mu_atoms: tuple, nu_atoms: tuple, reach: Fraction) -> Fraction:
@@ -123,7 +114,8 @@ def _max_flow(mu_atoms: tuple, nu_atoms: tuple, reach: Fraction) -> Fraction:
 
 def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
     """inf of eps > 0 with mu(U_eps(A)) >= nu(A) - eps for all Borel A."""
-    _check_cap(mu, nu, cap)
+    what = "atoms of combined support exceed the Prokhorov support cap"
+    check_cap(len(mu) + len(nu), cap, what, keyword="cap")
     # Every eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances past 1 are
     # never stops.  Correctly rounded floats never invert an order, and exact
     # comparison breaks their ties, so the key sorts exactly.

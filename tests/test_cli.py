@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import obsdiam
 import obsdiam.cli as cli
+import obsdiam.proptests as proptests
 from obsdiam import DiscreteMeasure, FiniteMMSpace, PiecewiseLinearMap, VerificationError
 from obsdiam._rational import render_decimal
 from obsdiam.experiments import SHARPNESS_CSV_COLUMNS
@@ -252,7 +257,8 @@ def test_od_grid_requires_interval_screen(capsys, space_file):
 
 
 def test_od_grid_cap_n_also_raises_the_heavy_subset_cap(capsys, tmp_path):
-    # 13 points pass the default heavy-subset cap of 12 only through --cap-n;
+    # 13 points pass the grid oracle's default cap of 4 only through --cap-n,
+    # which is the only cap on the run: the heavy family has none of its own;
     # the heavy first atom ends the run before any grid search
     path = tmp_path / "big13.json"
     FiniteMMSpace.line_space(range(13), masses=[F(9, 10)] + [F(1, 120)] * 12).dump(path)
@@ -279,11 +285,79 @@ def test_od_cap_exit_and_override(capsys, big_space_file):
     assert out.splitlines()[0] == "0 (exact)"
 
 
+# runs the CLI with its address space capped at 1 GiB
+MEMORY_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from obsdiam.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["od", "s30.json", "--screen", "fullline", "--kappa", "1/2", "--cap-n", "64"],
+        ["counterexample", "15", "1", "--cap-n", "30"],
+    ],
+)
+def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
+    # a raised --cap-n lets 30 points past the exact cap, and the 2^30
+    # subset table would not fit in 1 GiB: the ceiling refuses it first
+    pytest.importorskip("resource")
+    FiniteMMSpace.line_space(range(30)).dump(tmp_path / "s30.json")
+    src = os.path.dirname(os.path.dirname(obsdiam.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-c", MEMORY_LIMITED_CLI, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert child.returncode == 3, child.stderr
+    assert "30 points exceed the subset-table ceiling 22" in child.stderr
+    assert "--cap-n cannot raise it" in child.stderr
+    assert elapsed < 2
+
+
 def test_od_backwards_interval_rejected(capsys, space_file):
     code, _, _ = run(
         capsys, "od", space_file, "--screen", "interval:2:1", "--kappa", "1/2"
     )
     assert code == 2
+
+
+# -- malformed input files -------------------------------------------------------------
+
+SPACE2 = {"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "mass": ["1/2", "1/2"]}
+REST = {
+    "od": ["--screen", "fullline", "--kappa", "1/2"],
+    "pd": ["--alpha", "1/2"],
+    "profile": ["--screen", "fullline", "--kappas", ","],
+}
+# case -> (command, file content, part of the message); each exits 2
+MALFORMED = {
+    "dist-rows-are-strings": ("od", {**SPACE2, "dist": ["01", "10"]}, "needs lists"),
+    "labels-object": ("od", {**SPACE2, "labels": {"a": 1, "b": 2}}, "needs lists"),
+    "nested-too-deep": ("od", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "space-not-object": ("od", [], "space JSON must be an object"),
+    "measure-not-object": ("pd", "3", "measure JSON must be an object"),
+    "missing-field": ("od", {"labels": ["a"], "dist": [["0"]]}, "missing field 'mass'"),
+    "atoms-not-list": ("pd", {"atoms": {"pos": "0", "mass": "1"}}, "'atoms' must be a list"),
+    "atom-without-mass": ("pd", {"atoms": [{"pos": "0"}]}, "needs 'pos' and 'mass'"),
+    "matrix-shape": ("od", {**SPACE2, "dist": [["0", "1"]]}, "must be 2x2"),
+    "mass-count": ("od", {**SPACE2, "mass": ["1"]}, "one mass per point"),
+    "empty-kappa-grid": ("profile", SPACE2, "kappa grid must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("command, content, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_exit_two(capsys, tmp_path, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run(capsys, command, str(path), *REST[command])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 # -- prokhorov ----------------------------------------------------------------------
@@ -439,6 +513,23 @@ def test_proptest_all(capsys):
     payload = json.loads(out)
     assert len(payload["suites"]) == 9
     assert all(s["ok"] for s in payload["suites"])
+
+
+def test_proptest_failures_are_reported(capsys, monkeypatch):
+    monkeypatch.setitem(proptests._SUITES, "profiles", lambda rng: "planted failure")
+    report = proptests.run_suite("profiles", seed=0, count=2)
+    assert (report.passed, report.ok) == (0, False)
+    assert report.to_json_dict()["failures"] == [
+        {"index": 0, "detail": "planted failure"},
+        {"index": 1, "detail": "planted failure"},
+    ]
+    code, out, _ = run(capsys, "proptest", "profiles", "--count", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "profiles: 0/2 FAIL",
+        "  case 0: planted failure",
+        "  case 1: planted failure",
+    ]
 
 
 def test_proptest_unknown_suite_is_usage_error(capsys):

@@ -78,7 +78,6 @@ def test_format_fraction_past_the_digit_limit_is_a_resource_cap():
 def test_mass_of_interval():
     mu = DiscreteMeasure.uniform([0, 1, 2, 3])
     assert mu.mass_of_interval(1, 2) == F(1, 2)
-    assert mu.mass_of_interval(1, 2, closed=False) == 0
     assert mu.mass_of_interval(F(1, 2), 10) == F(3, 4)
 
 

@@ -175,8 +175,10 @@ def test_heavy_alpha_domain():
 
 
 def test_heavy_cap():
-    sp = FiniteMMSpace.line_space(range(13))
-    with pytest.raises(ResourceCapError):
+    # the 2^n subset table has a fixed ceiling of 22 points, checked before
+    # the table is allocated
+    sp = FiniteMMSpace.line_space(range(23))
+    with pytest.raises(ResourceCapError, match="23 points exceed the subset-table ceiling 22"):
         heavy_minimal_subsets(sp, F(1, 2))
 
 
@@ -187,7 +189,7 @@ def test_heavy_matches_bruteforce():
         alpha = random_alpha(rng)
         got = heavy_minimal_subsets(sp, alpha).minimal_subsets
         assert list(got) == heavy_subsets_bruteforce(sp, alpha)
-    # up to the heavy-family cap, with unequal masses on one denominator and
+    # up to 12 points, with unequal masses on one denominator and
     # a level whose prime denominator does not divide it
     for n in range(7, 13):
         for _ in range(3):

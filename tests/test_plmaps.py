@@ -157,3 +157,13 @@ def test_json_round_trip_affine():
 def test_json_rejects_malformed():
     with pytest.raises((ValidationError, KeyError, TypeError)):
         PLM.from_json_dict({"breakpoints": ["0"], "slopes": []})
+
+
+@pytest.mark.parametrize("field", ["breakpoints", "slopes"])
+def test_json_requires_lists(field):
+    # a string would otherwise be read one character per entry
+    payload = {"breakpoints": ["1", "2"], "slopes": ["0", "1", "0"], "base_x": "1", "base_y": "0"}
+    PLM.from_json_dict(payload)
+    payload[field] = "12" if field == "breakpoints" else "010"
+    with pytest.raises(ValidationError, match="must be lists"):
+        PLM.from_json_dict(payload)
