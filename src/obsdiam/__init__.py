@@ -8,7 +8,9 @@ from .compression import (
     AnchorSequence,
     anchor_sequence,
     build_compression,
+    ClampReport,
     clamp_construct,
+    verify_clamp,
 )
 from .errors import (
     ContractError,
@@ -93,6 +95,8 @@ __all__ = [
     "anchor_sequence",
     "build_compression",
     "clamp_construct",
+    "ClampReport",
+    "verify_clamp",
     # spaces and screens
     "FiniteMMSpace",
     "Interval",

@@ -21,7 +21,7 @@ import sys
 
 from ._rational import format_fraction as fmt
 from ._rational import render_decimal, to_fraction
-from .compression import clamp_construct
+from .compression import verify_clamp
 from .errors import ContractError, DomainError, ResourceCapError, ValidationError, VerificationError
 from .experiments import (
     SEMICONTINUITY_CSV_COLUMNS,
@@ -30,7 +30,7 @@ from .experiments import (
     sharpness_sweep,
     verify_counterexample,
 )
-from .measures import DiscreteMeasure, partial_diameter, push_forward
+from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, parse_screen, screen_to_str
 from .observable import observable_diameter, od_grid_oracle
 from .prokhorov import prokhorov_onesided
@@ -81,34 +81,25 @@ def _cmd_compress(args):
     mu = DiscreteMeasure.load(args.measure)
     alpha = to_fraction(args.alpha, what="alpha")
     radius = to_fraction(args.radius, what="radius")
-    f = clamp_construct(mu, alpha, radius)
-    source_pd = partial_diameter(mu, alpha).value
-    image_pd = partial_diameter(push_forward(mu, f), alpha).value
-    expected = min(radius, source_pd)
-    limit = radius / alpha
-    lo, hi = f.bounds()
-    checks = {
-        "one_lipschitz": f.is_one_lipschitz(),
-        "range_within_budget": lo is not None and hi is not None and -limit <= lo and hi <= limit,
-        "pd_equality": image_pd == expected,
-    }
+    report = verify_clamp(mu, alpha, radius)
+    checks, limit = report.checks, report.range_limit
     ok = all(checks.values())
     if args.out:
-        f.dump(args.out)
+        report.clamp.dump(args.out)
     payload = {
         "alpha": fmt(alpha),
         "radius": fmt(radius),
-        "map": f.to_json_dict(),
-        "source_pd": fmt(source_pd),
-        "image_pd": fmt(image_pd),
-        "expected_pd": fmt(expected),
+        "map": report.clamp.to_json_dict(),
+        "source_pd": fmt(report.source_pd),
+        "image_pd": fmt(report.image_pd),
+        "expected_pd": fmt(report.expected_pd),
         "range_limit": fmt(limit),
         "checks": checks,
         "ok": ok,
     }
     lines = [
-        f"pd(source) = {fmt(source_pd)}",
-        f"pd(image) = {fmt(image_pd)} = min{{{fmt(radius)}, {fmt(source_pd)}}}: "
+        f"pd(source) = {fmt(report.source_pd)}",
+        f"pd(image) = {fmt(report.image_pd)} = min{{{fmt(radius)}, {fmt(report.source_pd)}}}: "
         + _verdict(checks["pd_equality"]),
         f"1-Lipschitz: {_verdict(checks['one_lipschitz'])}",
         f"range within [-{fmt(limit)}, {fmt(limit)}]: {_verdict(checks['range_within_budget'])}",
@@ -125,8 +116,7 @@ def _cmd_od(args):
     head = {"screen": screen_to_str(screen), "kappa": fmt(kappa)}
     if args.grid_step is not None:
         step = to_fraction(args.grid_step, what="grid step")
-        lower = od_grid_oracle(space, screen, kappa, step, **_cap(args))
-        upper = lower + (len(space) - 1) * step  # proved in od_grid_oracle's docstring
+        lower, upper = od_grid_oracle(space, screen, kappa, step, **_cap(args))
         payload = {
             **head,
             "certified": "interval",

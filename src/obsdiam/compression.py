@@ -17,7 +17,8 @@ image measure still has partial diameter exactly 1 at level ``alpha``.
 ``clamp_construct`` handles a general measure and a radius budget R: rescale
 so the partial diameter r becomes 1, compress, then multiply by min(R, r).
 The composite is 1-Lipschitz, lands in [-R/alpha, R/alpha], and its image
-measure has partial diameter exactly min(R, r).
+measure has partial diameter exactly min(R, r).  ``verify_clamp`` builds the
+map and checks those three facts.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "anchor_sequence",
     "build_compression",
     "clamp_construct",
+    "ClampReport",
+    "verify_clamp",
 ]
 
 
@@ -174,3 +177,37 @@ def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     squeeze = build_compression(unit_measure, alpha)
     expand = PiecewiseLinearMap.affine(min(radius, r), 0)
     return expand.after(squeeze).after(rescale)
+
+
+@dataclass(frozen=True)
+class ClampReport:
+    """A clamping map, the values its contract names, and the contract's
+    checks by name (see ``verify_clamp``)."""
+
+    clamp: PiecewiseLinearMap
+    source_pd: Fraction
+    image_pd: Fraction
+    expected_pd: Fraction  # min(R, source_pd)
+    range_limit: Fraction  # R/alpha
+    checks: dict
+
+
+def verify_clamp(mu: DiscreteMeasure, alpha, radius) -> ClampReport:
+    """Build ``clamp_construct``'s map and check its contract: the map is
+    1-Lipschitz (``one_lipschitz``), its range lies in [-R/alpha, R/alpha]
+    (``range_within_budget``), and its image pd is min(R, source pd)
+    (``pd_equality``)."""
+    alpha = to_open_unit(alpha, what="alpha")
+    radius = to_positive(radius, what="radius")
+    f = clamp_construct(mu, alpha, radius)
+    source_pd = partial_diameter(mu, alpha).value
+    image_pd = partial_diameter(push_forward(mu, f), alpha).value
+    expected = min(radius, source_pd)
+    limit = radius / alpha
+    lo, hi = f.bounds()
+    checks = {
+        "one_lipschitz": f.is_one_lipschitz(),
+        "range_within_budget": lo is not None and hi is not None and -limit <= lo and hi <= limit,
+        "pd_equality": image_pd == expected,
+    }
+    return ClampReport(f, source_pd, image_pd, expected, limit, checks)

@@ -9,7 +9,7 @@ are the combinatorial core of every observable-diameter computation here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -73,8 +73,9 @@ class FiniteMMSpace(JsonFile):
                     raise ValidationError(
                         f"off-diagonal distance ({labels[i]}, {labels[j]}) must be positive"
                     )
+        # (i, j) fails iff (j, i) does, and (i, i) never: check i < j only
         for i, row in enumerate(ints):
-            for j, d in enumerate(row):
+            for j, d in enumerate(row[i + 1 :], i + 1):
                 # column j is row j, as the matrix is symmetric
                 if min(map(add, row, ints[j])) < d:
                     k = next(k for k in range(n) if row[k] + ints[j][k] < d)
@@ -275,10 +276,13 @@ class LipschitzWitness:
 
 @dataclass(frozen=True)
 class HeavyFamily:
-    """Inclusion-minimal subsets of points with mass at least ``alpha``."""
+    """Inclusion-minimal subsets of points with mass at least ``alpha``;
+    ``table`` and ``level`` are the ``subset_masses`` they were read from."""
 
     alpha: Fraction
     minimal_subsets: tuple  # tuple of sorted index tuples
+    table: list = field(repr=False, compare=False)
+    level: int = field(repr=False, compare=False)
 
 
 def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
@@ -302,7 +306,7 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
         if total >= level and all(table[mask ^ bit] < level for bit in bits if mask & bit)
     ]
     out.sort(key=lambda combo: (len(combo), combo))
-    return HeavyFamily(alpha=alpha, minimal_subsets=tuple(out))
+    return HeavyFamily(alpha, tuple(out), table, level)
 
 
 def subset_masses(masses, alpha) -> tuple[list, int]:

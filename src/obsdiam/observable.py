@@ -130,7 +130,7 @@ from ._rational import (
     to_open_unit,
     to_positive,
 )
-from .errors import DomainError, VerificationError, check_cap
+from .errors import DomainError, ResourceCapError, VerificationError, check_cap
 from .measures import partial_diameter
 from .mmspace import (
     FULL_LINE,
@@ -140,7 +140,6 @@ from .mmspace import (
     LipschitzWitness,
     Screen,
     heavy_minimal_subsets,
-    subset_masses,
 )
 
 __all__ = [
@@ -155,6 +154,7 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 10
+GRID_CEILING = 22  # 2^22 grid assignments per anchor: about 10 s at 4 points (README)
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,6 @@ def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, al
     return partial_diameter(witness.pushforward(space), alpha).value
 
 
-def _screen_base(screen: Screen) -> Fraction:
-    return screen.a if isinstance(screen, Interval) else ZERO
-
-
 def observable_diameter(
     space: FiniteMMSpace,
     screen: Screen,
@@ -203,13 +199,14 @@ def observable_diameter(
     n = len(space)
     check_cap(n, cap_n, "points exceed the exact enumeration cap")
     alpha = 1 - kappa
-    base = _screen_base(screen)
-    family = heavy_minimal_subsets(space, alpha).minimal_subsets
+    base = screen.a if isinstance(screen, Interval) else ZERO
+    best, best_witness = ZERO, LipschitzWitness((base,) * n)
+    heavy = heavy_minimal_subsets(space, alpha)
+    family = heavy.minimal_subsets
     if any(len(s) == 1 for s in family):
         # Some single point already carries mass alpha, so every image measure
         # has a zero-diameter heavy set.
-        witness = LipschitzWitness((base,) * n)
-        return OdResult(value=ZERO, witness=witness)
+        return OdResult(value=best, witness=best_witness)
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     pick = [itemgetter(*subset) for subset in family]  # a subset's entries of a row
@@ -224,23 +221,21 @@ def observable_diameter(
 
     # Seed the incumbent with the distance-to-anchor maps, scored on the
     # integer distances; a witness is built only for a seed that improves.
-    best = ZERO
-    best_witness = LipschitzWitness((base,) * n)
     for anchor in range(n):
         value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
         if value > best:
-            best, best_witness = value, _seed_witness(space, screen, anchor)
+            witness = _seed_witness(dmat_scaled[anchor], scale, width_scaled, base)
+            best, best_witness = value, witness
             if best == upper:
                 break
 
     if best == upper:
         orderings = ()  # a seed already meets the global bound
     else:
-        mass, alpha_w = subset_masses(space.masses, alpha)
         # the lambda reads ``best`` as the loop below raises it
         orderings = _pruned_orderings(
             n, family, dmat_scaled, width_scaled, scale, diam_scaled,
-            mass, alpha_w, lambda: best,
+            heavy.table, heavy.level, lambda: best,
         )
     for perm, bound, spans in orderings:
         edges = _order_edges(n, perm, spans, dmat_scaled, width_scaled)
@@ -270,8 +265,9 @@ def _scaled(space: FiniteMMSpace, screen: Screen):
         return scale, dmat_scaled, None
     width = screen.width
     factor = width.denominator // gcd(scale, width.denominator)  # lcm(scale, den) / scale
-    scale *= factor
-    dmat_scaled = tuple(tuple(d * factor for d in row) for row in dmat_scaled)
+    if factor != 1:
+        scale *= factor
+        dmat_scaled = tuple(tuple(d * factor for d in row) for row in dmat_scaled)
     return scale, dmat_scaled, width.numerator * (scale // width.denominator)
 
 
@@ -296,9 +292,9 @@ def _pruned_orderings(
     ``diam_scaled``, the chain-Lipschitz bound (B1), the remaining-mass
     bound (B2) and the ball-mass bound (B3) of every prefix on its path, all
     over ``scale``; the module docstring proves them.  ``mass`` and
-    ``alpha_w`` are ``subset_masses``' table and level.  ``incumbent`` is
-    read again after every yield, so it may rise while the caller consumes
-    the orderings.
+    ``alpha_w`` are the heavy family's subset-mass table and level.
+    ``incumbent`` is read again after every yield, so it may rise while the
+    caller consumes the orderings.
     """
     full = (1 << n) - 1
     beta = max(w for w in mass if w < alpha_w)  # heaviest non-heavy set
@@ -312,12 +308,8 @@ def _pruned_orderings(
         for p in subset:
             members[p].append((index, mask))
     first = [0] * len(family)  # slot of each started subset's first point
-    # point -> (distance, bit) of the other points, farthest first
-    farthest = [
-        sorted(((row[q], 1 << q) for q in range(n) if q != p), reverse=True)
-        for p, row in enumerate(dmat_scaled)
-    ]
-    # point -> (distance, bit, mass) of the other points, nearest first (B3)
+    # point -> (distance, bit, mass) of the other points, nearest first
+    # (B3; reversed, B2's reach)
     nearest = [
         sorted((row[q], 1 << q, mass[1 << q]) for q in range(n) if q != p)
         for p, row in enumerate(dmat_scaled)
@@ -372,7 +364,7 @@ def _pruned_orderings(
             # from the first point to the farthest of them
             reach = width_scaled
             if child != full:
-                for d, far_bit in farthest[start]:
+                for d, far_bit, _ in reversed(nearest[start]):
                     if not child & far_bit:
                         if reach is None or d < reach:
                             reach = d
@@ -448,16 +440,13 @@ def _seed_value(pick, distances, scale, width_scaled) -> Fraction:
     return Fraction(low, scale)
 
 
-def _seed_witness(space: FiniteMMSpace, screen: Screen, anchor: int) -> LipschitzWitness:
-    """The distance-to-``anchor`` map, squeezed affinely when the screen is
-    short and shifted to the screen's left end."""
-    values = [space.dist(i, anchor) for i in range(len(space))]
-    spread = max(values)
-    if isinstance(screen, Interval) and spread > screen.width:
-        factor = screen.width / spread
-        values = [v * factor for v in values]
-    base = _screen_base(screen)
-    return LipschitzWitness(tuple(v + base for v in values))
+def _seed_witness(distances, scale, width_scaled, base) -> LipschitzWitness:
+    """The distance-to-anchor map from the anchor's scaled ``distances``,
+    squeezed affinely when the screen is short and shifted to ``base``."""
+    spread = max(distances)
+    if width_scaled is not None and spread > width_scaled:
+        scale, distances = scale * spread, [d * width_scaled for d in distances]
+    return LipschitzWitness(tuple(Fraction(d, scale) + base for d in distances))
 
 
 def _order_edges(n, perm, spans, dmat_scaled, width_scaled):
@@ -551,9 +540,11 @@ def od_grid_oracle(
     grid_step,
     *,
     cap_n: int = 4,
-) -> Fraction:
-    """Brute-force lower bound: best min-heavy-spread over all assignments of
-    grid values inside the screen that respect the Lipschitz bounds.
+) -> tuple:
+    """Brute-force enclosure ``(lower, upper)`` of the observable diameter.
+    ``lower`` is the best min-heavy-spread over all assignments of grid
+    values inside the screen that respect the Lipschitz bounds, and
+    ``upper = lower + (n - 1) * step``.
 
     Independent of the exact engine (no orderings, no constraint graphs), so
     it doubles as a cross-check oracle.  Enumerates with the smallest value
@@ -573,6 +564,10 @@ def od_grid_oracle(
     subset spans at most n - 1 gaps, so every heavy spread shrinks by less
     than (n - 1) * h, and g > od - (n - 1) * h.  The early return of 0 for
     a heavy singleton is exact, since that subset's spread is always 0.
+
+    The search meets (top + 1)^(n - 1) assignments per anchor at most, with
+    top = floor(width / step); past 2^``GRID_CEILING`` the grid is refused
+    before the search, and no cap keyword raises this ceiling.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, Interval):
@@ -582,10 +577,19 @@ def od_grid_oracle(
     check_cap(n, cap_n, "points exceed the grid-oracle cap")
     alpha = 1 - kappa
     family = heavy_minimal_subsets(space, alpha).minimal_subsets
+    slack = (n - 1) * step
     if any(len(s) == 1 for s in family):
-        return ZERO
+        return ZERO, slack
 
     top = floor(screen.width / step)  # grid indices run 0..top
+    # the first test keeps the power small when the step is tiny
+    if top >= 1 << GRID_CEILING or (top + 1) ** (n - 1) > 1 << GRID_CEILING:
+        raise ResourceCapError(
+            f"{n} points at grid step {fraction_text(step)} on a screen of width "
+            f"{fraction_text(screen.width)} exceed the grid ceiling of 2^{GRID_CEILING} "
+            "assignments per anchor; use a coarser --grid-step (grid_step in the "
+            "library); --cap-n cannot raise it"
+        )
     bound = [[floor(d / step) for d in row] for row in space.dist_matrix]
 
     completed_at: list[list[tuple]] = [[] for _ in range(n)]
@@ -620,7 +624,8 @@ def od_grid_oracle(
 
     for anchor in range(n):
         recurse(0, top, anchor)
-    return Fraction(best) * step
+    lower = Fraction(best) * step
+    return lower, lower + slack
 
 
 def random_lipschitz_map(space: FiniteMMSpace, screen: Screen, seed: int) -> LipschitzWitness:

@@ -73,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import ONE, ZERO, format_fraction, fraction_text, to_fraction, to_positive
+from ._rational import ONE, ZERO, fraction_text, to_fraction, to_positive
 from .errors import DomainError, ValidationError, check_cap
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, Interval
@@ -159,19 +159,6 @@ class TransferReport:
     rhs_pd: Fraction | None
     bound: Fraction | None
     holds: bool | None
-
-    def to_json_dict(self) -> dict:
-        opt = lambda v: None if v is None else format_fraction(v)  # noqa: E731
-        return {
-            "alpha": format_fraction(self.alpha),
-            "epsilon": format_fraction(self.epsilon),
-            "distance": format_fraction(self.distance),
-            "applicable": self.applicable,
-            "lhs": opt(self.lhs),
-            "rhs_pd": opt(self.rhs_pd),
-            "bound": opt(self.bound),
-            "holds": self.holds,
-        }
 
 
 def check_pd_transfer(

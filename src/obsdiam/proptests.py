@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compression import anchor_sequence, clamp_construct
+from .compression import anchor_sequence, verify_clamp
 from .errors import DomainError
 from .measures import partial_diameter, pd_profile, push_forward
 from .mmspace import Interval
@@ -112,17 +112,10 @@ def _case_clamp_equality(rng: random.Random):
     mu = random_measure(rng)
     alpha = random_alpha(rng)
     radius = rng.choice([Fraction(1, 2), Fraction(1), Fraction(10)])
-    f = clamp_construct(mu, alpha, radius)
-    if not f.is_one_lipschitz():
-        return f"clamp output not 1-Lipschitz: slopes {f.slopes()}"
-    lo, hi = f.bounds()
-    limit = radius / alpha
-    if lo is None or hi is None or lo < -limit or hi > limit:
-        return f"clamp range [{lo}, {hi}] escapes [-{limit}, {limit}]"
-    got = partial_diameter(push_forward(mu, f), alpha).value
-    want = min(radius, partial_diameter(mu, alpha).value)
-    if got != want:
-        return f"clamped pd {got} != min(R, pd) {want} (alpha={alpha}, R={radius})"
+    report = verify_clamp(mu, alpha, radius)
+    failed = [name for name, held in report.checks.items() if not held]
+    if failed:
+        return f"clamp checks failed: {', '.join(failed)} (alpha={alpha}, R={radius})"
     return None
 
 
@@ -168,10 +161,9 @@ def _case_oracle_agreement(rng: random.Random):
     kappa = random_alpha(rng)
     step = Fraction(1, 64)
     exact = observable_diameter(space, screen, kappa).value
-    grid = od_grid_oracle(space, screen, kappa, step)
-    slack = exact - grid
-    if slack < 0 or slack > 3 * step:
-        return f"grid oracle {grid} vs exact {exact}: slack {slack} outside [0, 3/64]"
+    lower, upper = od_grid_oracle(space, screen, kappa, step)
+    if not lower <= exact <= upper:
+        return f"exact od {exact} outside the grid enclosure [{lower}, {upper}]"
     return None
 
 

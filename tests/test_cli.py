@@ -9,6 +9,7 @@ import pytest
 
 import obsdiam
 import obsdiam.cli as cli
+import obsdiam.compression as compression
 import obsdiam.proptests as proptests
 from obsdiam import DiscreteMeasure, FiniteMMSpace, PiecewiseLinearMap, VerificationError
 from obsdiam._rational import render_decimal
@@ -177,6 +178,29 @@ def test_compress_alpha_at_one_rejected(capsys, measure_file):
     assert code == 2
 
 
+def test_compress_failed_check_exits_one(capsys, monkeypatch, measure_file):
+    # the identity's range is unbounded, so it escapes [-R/alpha, R/alpha];
+    # it is 1-Lipschitz and keeps pd, so only the range check fails
+    monkeypatch.setattr(
+        compression, "clamp_construct", lambda mu, alpha, radius: PiecewiseLinearMap.identity()
+    )
+    argv = ("compress", measure_file, "--alpha", "3/10", "--radius", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "range within [-10/3, 10/3]: FAIL" in out.splitlines()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert payload["checks"] == {
+        "one_lipschitz": True,
+        "range_within_budget": False,
+        "pd_equality": True,
+    }
+    report = proptests.run_suite("clamp-equality", 0, 1)
+    assert len(report.failures) == 1
+    assert "range_within_budget" in report.failures[0].detail
+
+
 # -- od ----------------------------------------------------------------------------
 
 
@@ -269,6 +293,18 @@ def test_od_grid_cap_n_also_raises_the_heavy_subset_cap(capsys, tmp_path):
     )
     assert (code, err) == (0, "")
     assert out == "[0, 6] (certified interval, grid step 1/2)\n"
+
+
+def test_od_grid_ceiling_exits_three_quickly(capsys, space_file):
+    # 8001^3 grid assignments per anchor, far past the 2^22 ceiling, which
+    # --cap-n cannot raise
+    argv = ("od", space_file, "--screen", "interval:0:4", "--kappa", "1/2")
+    for extra in ((), ("--cap-n", "4")):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv, "--grid-step", "1/2000", *extra)
+        assert time.process_time() - start < 2
+        assert (code, out) == (3, "")
+        assert "grid ceiling of 2^22" in err and "coarser --grid-step" in err
 
 
 def test_od_cap_exit_and_override(capsys, big_space_file):

@@ -20,6 +20,8 @@ from obsdiam import (
     verify_revised_inequality,
     witness_partial_diameter,
 )
+import obsdiam.mmspace as mmspace
+import obsdiam.observable as observable
 from obsdiam.mmspace import subset_masses
 from obsdiam.observable import (
     _max_t_for_order,
@@ -106,6 +108,27 @@ def test_od_matches_permutation_oracle_value_and_witness(kind):
                 )
 
 
+def test_searching_od_call_builds_one_subset_table(monkeypatch):
+    """The search reads the heavy family's subset-mass table instead of
+    building its own."""
+    calls = {"tables": 0, "searches": 0}
+
+    def counted_table(*args):
+        calls["tables"] += 1
+        return subset_masses(*args)
+
+    def counted_search(*args):
+        calls["searches"] += 1
+        return _pruned_orderings(*args)
+
+    monkeypatch.setattr(mmspace, "subset_masses", counted_table)
+    # a direct call from the engine would go through its own binding
+    monkeypatch.setattr(observable, "subset_masses", counted_table, raising=False)
+    monkeypatch.setattr(observable, "_pruned_orderings", counted_search)
+    assert observable_diameter(X2, Interval(-1, 1), F(3, 5)).value == F(2, 3)
+    assert calls == {"tables": 1, "searches": 1}
+
+
 def test_seed_values_match_their_witnesses():
     """Each distance-to-anchor seed is scored on integer distances without
     building its witness; the score must be the witness's partial diameter,
@@ -123,7 +146,8 @@ def test_seed_values_match_their_witnesses():
             scale, dmat_scaled, width_scaled = _scaled(sp, screen)
             for anchor in range(len(sp)):
                 value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
-                witness = _seed_witness(sp, screen, anchor)
+                base = screen.a if isinstance(screen, Interval) else 0
+                witness = _seed_witness(dmat_scaled[anchor], scale, width_scaled, base)
                 witness.validate(sp, screen)
                 assert value == witness_partial_diameter(sp, witness, alpha)
                 checked += 1
@@ -297,7 +321,8 @@ def test_od_cap_names_cap_n():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_grid_oracle_bounds_exact_from_below(n):
     """The enclosure proved in od_grid_oracle's docstring: the grid value
-    trails the exact one by at most (n - 1) steps."""
+    trails the exact one by at most (n - 1) steps, and the oracle returns
+    exactly that enclosure."""
     rng = random.Random(99)
     step = F(1, 64)
     for _ in range(30):
@@ -307,14 +332,15 @@ def test_grid_oracle_bounds_exact_from_below(n):
         lo = F(rng.randint(-32, 32), 16)
         screen = Interval(lo, lo + width)
         exact = observable_diameter(sp, screen, kappa).value
-        grid = od_grid_oracle(sp, screen, kappa, step)
-        assert 0 <= exact - grid <= (n - 1) * step
+        lower, upper = od_grid_oracle(sp, screen, kappa, step)
+        assert upper == lower + (n - 1) * step
+        assert lower <= exact <= upper
 
 
 def test_grid_oracle_exact_on_grid_aligned_instance():
     # X2 squeezed into [-1, 1]: the optimum 2/3 is off-grid at step 1/64,
     # so the oracle lands on the nearest achievable multiple below
-    grid = od_grid_oracle(X2, Interval(-1, 1), F(3, 5), F(1, 64))
+    grid, _ = od_grid_oracle(X2, Interval(-1, 1), F(3, 5), F(1, 64))
     exact = F(2, 3)
     assert grid <= exact < grid + 3 * F(1, 64)
     assert grid == F(42, 64)  # regression pin
@@ -334,7 +360,7 @@ def test_grid_oracle_cap():
     sp = FiniteMMSpace.line_space(range(5))
     with pytest.raises(ResourceCapError):
         od_grid_oracle(sp, Interval(0, 1), F(1, 2), F(1, 8))
-    assert od_grid_oracle(sp, Interval(0, 1), F(1, 2), F(1, 8), cap_n=5) >= 0
+    assert od_grid_oracle(sp, Interval(0, 1), F(1, 2), F(1, 8), cap_n=5)[0] >= 0
 
 
 # -- random witnesses ----------------------------------------------------------------

@@ -172,10 +172,10 @@ def test_transfer_domain_errors():
 def test_transfer_json_dict_uses_rational_strings():
     mu = DiscreteMeasure.uniform([1, 2, 3, 4])
     nu = DiscreteMeasure.uniform([F(9, 8), 2, 3, 4])
-    payload = check_pd_transfer(mu, nu, F(1, 2), F(1, 4)).to_json_dict()
-    assert payload["distance"] == "1/8"
-    assert payload["holds"] is True
-    assert payload["rhs_pd"] == "15/8"
+    report = check_pd_transfer(mu, nu, F(1, 2), F(1, 4))
+    assert report.distance == F(1, 8)
+    assert report.holds is True
+    assert report.rhs_pd == F(15, 8)
 
 
 # -- clouds ----------------------------------------------------------------------
