@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap.
 JSON reports carry "schema": 1 and are byte-identical for identical inputs
 (sorted keys, no timestamps).  Exact values print as rationals; the grid
-fallback prints a certified enclosure, never a rounded point.
+cross-check prints a certified enclosure, never a rounded point.
 
 Each ``_cmd_*`` computes its report and returns ``(payload, lines, ok)``:
 the JSON payload, the text (or CSV) lines, and whether every check the

@@ -1,24 +1,34 @@
 """Range-clamped 1-Lipschitz maps that preserve a partial diameter exactly.
 
-The construction runs in three stages.  For a measure whose partial diameter
-at level ``alpha`` equals 1, ``anchor_sequence`` walks the line left to right,
-placing an anchor each time the open interval since the previous anchor has
-soaked up mass at least ``alpha``; the walk is cut off at the rightmost point
-``x_infinity`` beyond which less than ``alpha`` mass remains.  Because no open
-unit interval can hold mass ``alpha`` (that would beat the partial diameter),
+The anchor walk (``_anchor_walk``) makes one left-to-right pass over the
+atoms.  It places an anchor at each atom where the mass gathered since the
+previous anchor reaches ``alpha``, and stops at ``x_infinity``, the leftmost
+atom with less than ``alpha`` mass strictly to its right.  ``anchor_sequence``
+is this walk on a measure with partial diameter 1 at level ``alpha``: no open
+unit interval holds mass ``alpha`` (that would beat the partial diameter), so
 consecutive anchors are at least 1 apart except possibly for the final step
 into ``x_infinity``, and there are at most 1/alpha anchors.
 
-``build_compression`` integrates the indicator of the union of open unit
-balls around the anchors, starting from the constant -N far to the left.  The
-result has slope 0 or 1 everywhere, range inside [-1/alpha, 1/alpha], and its
-image measure still has partial diameter exactly 1 at level ``alpha``.
+The walk is scale-free.  It compares sums of masses with ``alpha`` and reads
+a position only to report it as an anchor.  Scaling the line by 1/r (r > 0)
+keeps the atom order and merges no atoms, so the walk on mu stops at the
+same atoms as the walk on mu scaled to partial diameter 1, and its anchors
+are exactly r times the unit anchors.
 
-``clamp_construct`` handles a general measure and a radius budget R: rescale
-so the partial diameter r becomes 1, compress, then multiply by min(R, r).
-The composite is 1-Lipschitz, lands in [-R/alpha, R/alpha], and its image
-measure has partial diameter exactly min(R, r).  ``verify_clamp`` builds the
-map and checks those three facts.
+One builder (``_integrate``) turns anchors into a map.  For ball radius r and
+target s it starts from the constant -N*s far to the left (N anchors), has
+slope s/r on the union of the open balls (a - r, a + r) around the anchors,
+and is flat elsewhere.  At r = s = 1 it is ``build_compression``: slope 0 or
+1, range inside [-1/alpha, 1/alpha], and an image measure with partial
+diameter exactly 1 at level ``alpha``.
+
+``clamp_construct`` handles a general measure mu and a radius budget R.  With
+r = pd(mu, alpha) > 0 it runs the builder on mu's own anchors with
+s = min(R, r).  By the scale argument that map is x -> s * g(x / r), where g
+is ``build_compression`` of mu scaled to partial diameter 1, so it is
+1-Lipschitz, lands in [-R/alpha, R/alpha], and its image measure has partial
+diameter exactly min(R, r).  When r = 0 the map is the constant 0.
+``verify_clamp`` builds the map and checks those three facts.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import ZERO, fraction_text, to_open_unit, to_positive
+from ._rational import ONE, ZERO, fraction_text, to_open_unit, to_positive
 from .errors import ContractError, VerificationError
 from .measures import DiscreteMeasure, partial_diameter, push_forward
 from .plmaps import PiecewiseLinearMap
@@ -77,52 +87,32 @@ def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
             f"anchor_sequence requires partial diameter 1 at alpha={fraction_text(alpha)}, "
             f"got {fraction_text(pd)}"
         )
-    atoms = mu.atoms
-    n = len(atoms)
-
-    # x_infinity: first atom position p_i such that the mass strictly right of
-    # p_i falls below alpha.
-    suffix = [ZERO] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + atoms[i][1]
-    x_inf = None
-    for i in range(n):
-        if suffix[i + 1] < alpha:
-            x_inf = atoms[i][0]
-            break
-    if x_inf is None:  # unreachable: the last atom's suffix mass is 0 < alpha
-        raise VerificationError("no anchor limit found")
-
-    anchors: list[Fraction] = []
-    prev: Fraction | None = None  # None plays the role of -infinity
-    while True:
-        # Smallest atom q > prev with mass of the open interval (prev, q]
-        # reaching alpha once q itself is about to be passed; concretely the
-        # first q where the cumulative mass strictly between prev and just
-        # beyond q hits alpha.
-        acc = ZERO
-        hit = None
-        for pos, m in atoms:
-            if prev is not None and pos <= prev:
-                continue
-            acc += m
-            if acc >= alpha:
-                hit = pos
-                break
-        nxt = x_inf if hit is None else min(x_inf, hit)
-        anchors.append(nxt)
-        if nxt == x_inf:
-            break
-        prev = nxt
-        if len(anchors) > int(1 / alpha) + 1:
-            raise VerificationError("anchor walk failed to terminate within 1/alpha steps")
-
-    count = len(anchors)
-    if Fraction(count) * alpha > 1:
-        raise VerificationError("anchor count exceeded 1/alpha despite unit partial diameter")
-
+    anchors = _anchor_walk(mu.atoms, alpha)
     region = _merge_open_intervals([(a - 1, a + 1) for a in anchors])
-    return AnchorSequence(x_infinity=x_inf, anchors=tuple(anchors), region=region)
+    return AnchorSequence(x_infinity=anchors[-1], anchors=anchors, region=region)
+
+
+def _anchor_walk(atoms, alpha) -> tuple:
+    """The anchors of ``atoms`` at level ``alpha``, ending at x_infinity
+    (see the module docstring)."""
+    # x_infinity is atoms[last]: step left while the atom to the left also
+    # has less than alpha mass strictly to its right.
+    last = len(atoms) - 1
+    tail = ZERO
+    while last > 0 and tail + atoms[last][1] < alpha:
+        tail += atoms[last][1]
+        last -= 1
+    anchors = []
+    acc = ZERO
+    for pos, m in atoms[:last]:
+        acc += m
+        if acc >= alpha:
+            anchors.append(pos)
+            acc = ZERO
+    anchors.append(atoms[last][0])
+    if len(anchors) * alpha > 1:
+        raise VerificationError("anchor count exceeded 1/alpha despite unit partial diameter")
+    return tuple(anchors)
 
 
 def _merge_open_intervals(intervals):
@@ -141,24 +131,30 @@ def _merge_open_intervals(intervals):
     return tuple((a, b) for a, b in merged)
 
 
+def _integrate(anchors, r: Fraction, s: Fraction) -> PiecewiseLinearMap:
+    """Constant ``-N*s`` to the left (N = number of anchors), slope ``s/r`` on
+    the union of the open balls of radius ``r`` around the anchors, slope 0
+    in the gaps."""
+    slope = s / r
+    knots: list[tuple] = []
+    value = -len(anchors) * s
+    for a, b in _merge_open_intervals([(a - r, a + r) for a in anchors]):
+        if not knots or a > knots[-1][0]:
+            knots.append((a, value))
+        # a == last knot x happens when two open intervals touch; the slope
+        # just continues through the shared endpoint.
+        value += (b - a) * slope
+        knots.append((b, value))
+    return PiecewiseLinearMap(knots, 0, 0)
+
+
 def build_compression(mu: DiscreteMeasure, alpha) -> PiecewiseLinearMap:
     """Slope-0/1 map integrating the indicator of the anchor region.
 
     Constant ``-N`` to the left of the region (N = number of anchors), slope 1
     on the region, slope 0 in the gaps.
     """
-    seq = anchor_sequence(mu, alpha)
-    n_anchors = seq.count
-    knots: list[tuple] = []
-    value = Fraction(-n_anchors)
-    for a, b in seq.region:
-        if not knots or a > knots[-1][0]:
-            knots.append((a, value))
-        # a == last knot x happens when two open intervals touch; the slope
-        # just continues through the shared endpoint.
-        value += b - a
-        knots.append((b, value))
-    return PiecewiseLinearMap(knots, 0, 0)
+    return _integrate(anchor_sequence(mu, alpha).anchors, ONE, ONE)
 
 
 def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
@@ -166,17 +162,14 @@ def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     partial diameter exactly min(R, pd(mu, alpha))."""
     alpha = to_open_unit(alpha, what="alpha")
     radius = to_positive(radius, what="radius")
-    r = partial_diameter(mu, alpha).value
+    return _clamp_map(mu, alpha, radius, partial_diameter(mu, alpha).value)
+
+
+def _clamp_map(mu: DiscreteMeasure, alpha: Fraction, radius: Fraction, r: Fraction):
+    """``clamp_construct``'s map, given the partial diameter ``r`` of ``mu``."""
     if r == 0:
         return PiecewiseLinearMap.constant(0)
-    rescale = PiecewiseLinearMap.affine(Fraction(1, 1) / r, 0)
-    unit_measure = push_forward(mu, rescale)
-    # Scaling by 1/r multiplies every partial diameter by 1/r.
-    if partial_diameter(unit_measure, alpha).value != 1:
-        raise VerificationError("rescaled measure does not have partial diameter 1")
-    squeeze = build_compression(unit_measure, alpha)
-    expand = PiecewiseLinearMap.affine(min(radius, r), 0)
-    return expand.after(squeeze).after(rescale)
+    return _integrate(_anchor_walk(mu.atoms, alpha), r, min(radius, r))
 
 
 @dataclass(frozen=True)
@@ -199,8 +192,8 @@ def verify_clamp(mu: DiscreteMeasure, alpha, radius) -> ClampReport:
     (``pd_equality``)."""
     alpha = to_open_unit(alpha, what="alpha")
     radius = to_positive(radius, what="radius")
-    f = clamp_construct(mu, alpha, radius)
     source_pd = partial_diameter(mu, alpha).value
+    f = _clamp_map(mu, alpha, radius, source_pd)
     image_pd = partial_diameter(push_forward(mu, f), alpha).value
     expected = min(radius, source_pd)
     limit = radius / alpha

@@ -203,10 +203,9 @@ def _canonicalize(pts, left, right):
         return (ZERO,), (value_at_zero,), ()
     xs2 = tuple(xs[i] for i in keep)
     ys2 = tuple(ys[i] for i in keep)
-    mids2 = tuple(
-        (ys2[i + 1] - ys2[i]) / (xs2[i + 1] - xs2[i]) for i in range(len(xs2) - 1)
-    )
-    return xs2, ys2, mids2
+    # A dropped knot continues its left neighbour's slope, so the kept segment
+    # starting at knot keep[k] has slope mids[keep[k]] all the way across.
+    return xs2, ys2, tuple(mids[i] for i in keep[:-1])
 
 
 def _ray_slope(outer: PiecewiseLinearMap, inner_slope: Fraction, *, leftward: bool):

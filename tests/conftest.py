@@ -14,12 +14,20 @@ from math import lcm
 from hypothesis import strategies as st
 
 from obsdiam import (
+    AnchorSequence,
+    ContractError,
     DiscreteMeasure,
     Interval,
     LipschitzWitness,
+    PiecewiseLinearMap,
+    VerificationError,
     heavy_minimal_subsets,
+    partial_diameter,
+    push_forward,
     witness_partial_diameter,
 )
+from obsdiam._rational import ZERO, fraction_text, to_open_unit, to_positive
+from obsdiam.compression import _merge_open_intervals
 from obsdiam.observable import _max_t_for_order, _order_edges
 
 
@@ -227,6 +235,99 @@ def od_permutation_oracle(space, screen, kappa):
             values[perm[slot]] = potentials[slot] + shift
         best, best_witness = t, LipschitzWitness(tuple(values))
     return best, best_witness
+
+
+def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> AnchorSequence:
+    """Anchor walk for a measure with partial diameter exactly 1 at ``alpha``.
+
+    This is the walk the library's single pass replaced: x_infinity comes
+    from an n-entry suffix-mass list, and each anchor rescans the atoms from
+    the first one.
+    """
+    alpha = to_open_unit(alpha, what="alpha")
+    pd = partial_diameter(mu, alpha).value
+    if pd != 1:
+        raise ContractError(
+            f"anchor_sequence requires partial diameter 1 at alpha={fraction_text(alpha)}, "
+            f"got {fraction_text(pd)}"
+        )
+    atoms = mu.atoms
+    n = len(atoms)
+
+    # x_infinity: first atom position p_i such that the mass strictly right of
+    # p_i falls below alpha.
+    suffix = [ZERO] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + atoms[i][1]
+    x_inf = None
+    for i in range(n):
+        if suffix[i + 1] < alpha:
+            x_inf = atoms[i][0]
+            break
+    if x_inf is None:  # unreachable: the last atom's suffix mass is 0 < alpha
+        raise VerificationError("no anchor limit found")
+
+    anchors: list[Fraction] = []
+    prev: Fraction | None = None  # None plays the role of -infinity
+    while True:
+        # Smallest atom q > prev with mass of the open interval (prev, q]
+        # reaching alpha once q itself is about to be passed; concretely the
+        # first q where the cumulative mass strictly between prev and just
+        # beyond q hits alpha.
+        acc = ZERO
+        hit = None
+        for pos, m in atoms:
+            if prev is not None and pos <= prev:
+                continue
+            acc += m
+            if acc >= alpha:
+                hit = pos
+                break
+        nxt = x_inf if hit is None else min(x_inf, hit)
+        anchors.append(nxt)
+        if nxt == x_inf:
+            break
+        prev = nxt
+        if len(anchors) > int(1 / alpha) + 1:
+            raise VerificationError("anchor walk failed to terminate within 1/alpha steps")
+
+    count = len(anchors)
+    if Fraction(count) * alpha > 1:
+        raise VerificationError("anchor count exceeded 1/alpha despite unit partial diameter")
+
+    region = _merge_open_intervals([(a - 1, a + 1) for a in anchors])
+    return AnchorSequence(x_infinity=x_inf, anchors=tuple(anchors), region=region)
+
+
+def clamp_compose_oracle(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
+    """Clamping map by the construction the library's one-pass builder
+    replaced: rescale mu to partial diameter 1, compress with unit balls
+    around ``anchor_walk_oracle``'s anchors, multiply by min(R, r), and
+    compose the three maps symbolically with ``after``."""
+    alpha = to_open_unit(alpha, what="alpha")
+    radius = to_positive(radius, what="radius")
+    r = partial_diameter(mu, alpha).value
+    if r == 0:
+        return PiecewiseLinearMap.constant(0)
+    rescale = PiecewiseLinearMap.affine(Fraction(1, 1) / r, 0)
+    unit_measure = push_forward(mu, rescale)
+    # Scaling by 1/r multiplies every partial diameter by 1/r.
+    if partial_diameter(unit_measure, alpha).value != 1:
+        raise VerificationError("rescaled measure does not have partial diameter 1")
+    seq = anchor_walk_oracle(unit_measure, alpha)
+    n_anchors = seq.count
+    knots: list[tuple] = []
+    value = Fraction(-n_anchors)
+    for a, b in seq.region:
+        if not knots or a > knots[-1][0]:
+            knots.append((a, value))
+        # a == last knot x happens when two open intervals touch; the slope
+        # just continues through the shared endpoint.
+        value += b - a
+        knots.append((b, value))
+    squeeze = PiecewiseLinearMap(knots, 0, 0)
+    expand = PiecewiseLinearMap.affine(min(radius, r), 0)
+    return expand.after(squeeze).after(rescale)
 
 
 # -- hypothesis strategies -------------------------------------------------------

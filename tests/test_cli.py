@@ -182,7 +182,7 @@ def test_compress_failed_check_exits_one(capsys, monkeypatch, measure_file):
     # the identity's range is unbounded, so it escapes [-R/alpha, R/alpha];
     # it is 1-Lipschitz and keeps pd, so only the range check fails
     monkeypatch.setattr(
-        compression, "clamp_construct", lambda mu, alpha, radius: PiecewiseLinearMap.identity()
+        compression, "_integrate", lambda anchors, r, s: PiecewiseLinearMap.identity()
     )
     argv = ("compress", measure_file, "--alpha", "3/10", "--radius", "1")
     code, out, _ = run(capsys, *argv)

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import obsdiam.compression as compression
+from conftest import anchor_walk_oracle, clamp_compose_oracle
 from obsdiam import (
     ContractError,
     DiscreteMeasure,
@@ -13,6 +16,7 @@ from obsdiam import (
     clamp_construct,
     partial_diameter,
     push_forward,
+    verify_clamp,
 )
 from obsdiam.randgen import random_alpha, random_measure
 
@@ -183,3 +187,52 @@ def test_clamp_full_contract_random():
         assert hi is not None and hi <= limit
         want = min(radius, partial_diameter(mu, alpha).value)
         assert partial_diameter(push_forward(mu, f), alpha).value == want
+
+
+def test_single_pass_matches_rescanning_oracle():
+    """The one-pass walk on the source measure gives the rescanning walk's
+    anchors on the unit measure, and the one builder gives the rescale,
+    squeeze and expand composite map for map."""
+    radii = (F(1, 2), F(1), F(10))
+    edge = [
+        (DiscreteMeasure.point_mass(42), F(1, 2)),
+        (DiscreteMeasure([(0, F(3, 4)), (5, F(1, 4))]), F(1, 2)),  # heavy single atom
+        (DiscreteMeasure.uniform([-1, 0, 1, 2, 3]), F(2, 5)),  # touching unit balls
+        (DiscreteMeasure.uniform([-3, 0, 3, 6, 9]), F(2, 5)),  # touching balls of radius 3
+        (DiscreteMeasure.uniform([0, 1, 4, 5]), F(2, 5)),
+    ]
+    cases = [(mu, alpha, radius) for mu, alpha in edge for radius in radii]
+    rng = random.Random(1729)
+    for _ in range(2000):
+        cases.append((random_measure(rng, max_atoms=40), random_alpha(rng), rng.choice(radii)))
+    for mu, alpha, radius in cases:
+        if partial_diameter(mu, alpha).value > 0:
+            unit = _normalized(mu, alpha)
+            assert anchor_sequence(unit, alpha) == anchor_walk_oracle(unit, alpha)
+        f = clamp_construct(mu, alpha, radius)
+        want = clamp_compose_oracle(mu, alpha, radius)
+        assert f == want
+        assert f.to_json_dict() == want.to_json_dict()
+
+
+def test_clamp_pass_counts(monkeypatch):
+    """verify_clamp computes two partial diameters and one push-forward;
+    clamp_construct computes one partial diameter and composes nothing."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(compression, "partial_diameter", counted("pd", partial_diameter))
+    monkeypatch.setattr(compression, "push_forward", counted("push", push_forward))
+    monkeypatch.setattr(PiecewiseLinearMap, "after", counted("after", PiecewiseLinearMap.after))
+    mu = DiscreteMeasure.uniform([0, 1, 4, 5, 9, 11])
+    assert all(verify_clamp(mu, F(2, 5), 1).checks.values())
+    assert (calls["pd"], calls["push"], calls["after"]) == (2, 1, 0)
+    calls.clear()
+    clamp_construct(mu, F(2, 5), 1)
+    assert (calls["pd"], calls["push"], calls["after"]) == (1, 0, 0)
