@@ -4,14 +4,7 @@ All arithmetic is over fractions.Fraction; floats are rejected at the API
 boundary so every reported value and every verification is exact.
 """
 
-from .compression import (
-    AnchorSequence,
-    anchor_sequence,
-    build_compression,
-    ClampReport,
-    clamp_construct,
-    verify_clamp,
-)
+from .compression import ClampReport, anchor_walk, clamp_construct, verify_clamp
 from .errors import (
     ContractError,
     DomainError,
@@ -61,10 +54,8 @@ from .observable import (
 )
 from .plmaps import PiecewiseLinearMap
 from .prokhorov import (
-    MeasureCloud,
     TransferReport,
     check_pd_transfer,
-    hausdorff_prokhorov,
     measurement_cloud,
     prokhorov_onesided,
 )
@@ -91,9 +82,7 @@ __all__ = [
     # piecewise-linear maps
     "PiecewiseLinearMap",
     # compression
-    "AnchorSequence",
-    "anchor_sequence",
-    "build_compression",
+    "anchor_walk",
     "clamp_construct",
     "ClampReport",
     "verify_clamp",
@@ -120,8 +109,6 @@ __all__ = [
     "prokhorov_onesided",
     "TransferReport",
     "check_pd_transfer",
-    "MeasureCloud",
-    "hausdorff_prokhorov",
     "measurement_cloud",
     # experiments
     "counterexample_space",

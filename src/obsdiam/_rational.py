@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import DomainError, ResourceCapError, ValidationError
 
 __all__ = [
-    "ZERO", "ONE", "JsonFile", "to_fraction", "to_open_unit", "to_positive",
+    "ZERO", "ONE", "JsonFile", "read_json", "to_fraction", "to_open_unit", "to_positive",
     "format_fraction", "fraction_text", "render_decimal",
 ]
 
@@ -94,12 +94,17 @@ class JsonFile:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except RecursionError as exc:
-                raise ValidationError(f"{path}: JSON nested too deeply to read") from exc
-        return cls.from_json_dict(payload)
+        return cls.from_json_dict(read_json(path))
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; nesting too deep for the
+    parser is a ``ValidationError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValidationError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def format_fraction(value: Fraction) -> str:

@@ -20,9 +20,11 @@ import json
 import sys
 
 from ._rational import format_fraction as fmt
-from ._rational import render_decimal, to_fraction
+from ._rational import read_json, render_decimal, to_fraction
 from .compression import verify_clamp
-from .errors import ContractError, DomainError, ResourceCapError, ValidationError, VerificationError
+from .errors import (
+    ContractError, DomainError, ResourceCapError, ValidationError, VerificationError, check_cap,
+)
 from .experiments import (
     SEMICONTINUITY_CSV_COLUMNS,
     SHARPNESS_CSV_COLUMNS,
@@ -32,7 +34,7 @@ from .experiments import (
 )
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, parse_screen, screen_to_str
-from .observable import observable_diameter, od_grid_oracle
+from .observable import DEFAULT_EXACT_CAP, DEFAULT_GRID_CAP, observable_diameter, od_grid_oracle
 from .prokhorov import prokhorov_onesided
 from .proptests import SUITE_NAMES, run_suite
 
@@ -49,6 +51,17 @@ def _cap(args, keyword: str = "cap_n") -> dict:
     """``--cap-n`` as the library's cap keyword, only when given, so the
     library's defaults apply otherwise."""
     return {} if args.cap_n is None else {keyword: args.cap_n}
+
+
+def _load_space(args, default_cap: int, what: str) -> FiniteMMSpace:
+    """The space file, refused on its label count by the cap the command will
+    apply (``--cap-n`` or ``default_cap``) before its n^2 distances are
+    parsed.  ``what`` is the engine's own wording for that cap."""
+    payload = read_json(args.space)
+    labels = payload.get("labels") if isinstance(payload, dict) else None
+    if isinstance(labels, list):
+        check_cap(len(labels), default_cap if args.cap_n is None else args.cap_n, what)
+    return FiniteMMSpace.from_json_dict(payload)
 
 
 def _csv_lines(columns, rows) -> list:
@@ -110,7 +123,10 @@ def _cmd_compress(args):
 
 
 def _cmd_od(args):
-    space = FiniteMMSpace.load(args.space)
+    if args.grid_step is None:
+        space = _load_space(args, DEFAULT_EXACT_CAP, "points exceed the exact enumeration cap")
+    else:
+        space = _load_space(args, DEFAULT_GRID_CAP, "points exceed the grid-oracle cap")
     screen = parse_screen(args.screen)
     kappa = to_fraction(args.kappa, what="kappa")
     head = {"screen": screen_to_str(screen), "kappa": fmt(kappa)}
@@ -188,7 +204,7 @@ def _cmd_sharpness(args):
 
 
 def _cmd_profile(args):
-    space = FiniteMMSpace.load(args.space)
+    space = _load_space(args, DEFAULT_EXACT_CAP, "points exceed the exact enumeration cap")
     screen = parse_screen(args.screen)
     kappas = [part.strip() for part in args.kappas.split(",") if part.strip()]
     profile = semicontinuity_profile(space, screen, kappas, **_cap(args))

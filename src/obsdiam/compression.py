@@ -1,31 +1,35 @@
 """Range-clamped 1-Lipschitz maps that preserve a partial diameter exactly.
 
-The anchor walk (``_anchor_walk``) makes one left-to-right pass over the
-atoms.  It places an anchor at each atom where the mass gathered since the
-previous anchor reaches ``alpha``, and stops at ``x_infinity``, the leftmost
-atom with less than ``alpha`` mass strictly to its right.  ``anchor_sequence``
-is this walk on a measure with partial diameter 1 at level ``alpha``: no open
-unit interval holds mass ``alpha`` (that would beat the partial diameter), so
-consecutive anchors are at least 1 apart except possibly for the final step
-into ``x_infinity``, and there are at most 1/alpha anchors.
+``anchor_walk`` makes one left-to-right pass over the atoms of mu.  It
+places an anchor at each atom where the mass gathered since the previous
+anchor reaches ``alpha``, and stops at ``x_infinity``, the leftmost atom with
+less than ``alpha`` mass strictly to its right.  Each earlier anchor closes
+its own run of atoms, of mass at least ``alpha``, left of x_infinity, and
+x_infinity with the atoms right of it holds at least ``alpha`` unless it is
+the first atom, so there are at most 1/alpha anchors.
 
 The walk is scale-free.  It compares sums of masses with ``alpha`` and reads
 a position only to report it as an anchor.  Scaling the line by 1/r (r > 0)
 keeps the atom order and merges no atoms, so the walk on mu stops at the
 same atoms as the walk on mu scaled to partial diameter 1, and its anchors
-are exactly r times the unit anchors.
+are exactly r times the unit anchors.  Take r = pd(mu, alpha) > 0.  On the
+unit measure no open unit interval holds mass ``alpha`` (that would beat the
+partial diameter), so consecutive unit anchors are at least 1 apart except
+possibly for the final step into x_infinity.  On mu itself each step from an
+anchor a therefore reaches min(x_infinity, a + r).
 
 One builder (``_integrate``) turns anchors into a map.  For ball radius r and
 target s it starts from the constant -N*s far to the left (N anchors), has
 slope s/r on the union of the open balls (a - r, a + r) around the anchors,
-and is flat elsewhere.  At r = s = 1 it is ``build_compression``: slope 0 or
-1, range inside [-1/alpha, 1/alpha], and an image measure with partial
-diameter exactly 1 at level ``alpha``.
+and is flat elsewhere.  On a measure with partial diameter 1 at level
+``alpha`` and at r = s = 1 it is the compression map: slope 0 or 1, range
+inside [-1/alpha, 1/alpha], and an image measure with partial diameter
+exactly 1 at level ``alpha``.
 
 ``clamp_construct`` handles a general measure mu and a radius budget R.  With
-r = pd(mu, alpha) > 0 it runs the builder on mu's own anchors with
+r = pd(mu, alpha) > 0 it runs the builder on ``anchor_walk(mu, alpha)`` with
 s = min(R, r).  By the scale argument that map is x -> s * g(x / r), where g
-is ``build_compression`` of mu scaled to partial diameter 1, so it is
+is the compression map of mu scaled to partial diameter 1, so it is
 1-Lipschitz, lands in [-R/alpha, R/alpha], and its image measure has partial
 diameter exactly min(R, r).  When r = 0 the map is the constant 0.
 ``verify_clamp`` builds the map and checks those three facts.
@@ -36,65 +40,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import ONE, ZERO, fraction_text, to_open_unit, to_positive
-from .errors import ContractError, VerificationError
+from ._rational import ZERO, to_open_unit, to_positive
+from .errors import VerificationError
 from .measures import DiscreteMeasure, partial_diameter, push_forward
 from .plmaps import PiecewiseLinearMap
 
 __all__ = [
-    "AnchorSequence",
-    "anchor_sequence",
-    "build_compression",
+    "anchor_walk",
     "clamp_construct",
     "ClampReport",
     "verify_clamp",
 ]
 
 
-@dataclass(frozen=True)
-class AnchorSequence:
-    """Anchors of the compression walk plus the covered region.
-
-    ``anchors`` is strictly increasing and ends at ``x_infinity``;
-    ``region`` is the union of open unit balls around the anchors, stored as
-    maximal pairwise-disjoint open intervals.
-    """
-
-    x_infinity: Fraction
-    anchors: tuple
-    region: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.anchors)
-
-    def __post_init__(self):
-        if not self.anchors:
-            raise ContractError("anchor sequence cannot be empty")
-        if self.anchors[-1] != self.x_infinity:
-            raise ContractError("last anchor must equal x_infinity")
-        for a, b in zip(self.anchors, self.anchors[1:]):
-            if b <= a:
-                raise ContractError("anchors must strictly increase")
-
-
-def anchor_sequence(mu: DiscreteMeasure, alpha) -> AnchorSequence:
-    """Anchor walk for a measure with partial diameter exactly 1 at ``alpha``."""
+def anchor_walk(mu: DiscreteMeasure, alpha) -> tuple:
+    """The anchors of ``mu`` at level ``alpha``: strictly increasing and
+    ending at x_infinity (see the module docstring)."""
     alpha = to_open_unit(alpha, what="alpha")
-    pd = partial_diameter(mu, alpha).value
-    if pd != 1:
-        raise ContractError(
-            f"anchor_sequence requires partial diameter 1 at alpha={fraction_text(alpha)}, "
-            f"got {fraction_text(pd)}"
-        )
-    anchors = _anchor_walk(mu.atoms, alpha)
-    region = _merge_open_intervals([(a - 1, a + 1) for a in anchors])
-    return AnchorSequence(x_infinity=anchors[-1], anchors=anchors, region=region)
-
-
-def _anchor_walk(atoms, alpha) -> tuple:
-    """The anchors of ``atoms`` at level ``alpha``, ending at x_infinity
-    (see the module docstring)."""
+    atoms = mu.atoms
     # x_infinity is atoms[last]: step left while the atom to the left also
     # has less than alpha mass strictly to its right.
     last = len(atoms) - 1
@@ -111,7 +74,7 @@ def _anchor_walk(atoms, alpha) -> tuple:
             acc = ZERO
     anchors.append(atoms[last][0])
     if len(anchors) * alpha > 1:
-        raise VerificationError("anchor count exceeded 1/alpha despite unit partial diameter")
+        raise VerificationError("anchor count exceeded 1/alpha")
     return tuple(anchors)
 
 
@@ -148,15 +111,6 @@ def _integrate(anchors, r: Fraction, s: Fraction) -> PiecewiseLinearMap:
     return PiecewiseLinearMap(knots, 0, 0)
 
 
-def build_compression(mu: DiscreteMeasure, alpha) -> PiecewiseLinearMap:
-    """Slope-0/1 map integrating the indicator of the anchor region.
-
-    Constant ``-N`` to the left of the region (N = number of anchors), slope 1
-    on the region, slope 0 in the gaps.
-    """
-    return _integrate(anchor_sequence(mu, alpha).anchors, ONE, ONE)
-
-
 def clamp_construct(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     """1-Lipschitz map into [-R/alpha, R/alpha] whose image measure has
     partial diameter exactly min(R, pd(mu, alpha))."""
@@ -169,7 +123,7 @@ def _clamp_map(mu: DiscreteMeasure, alpha: Fraction, radius: Fraction, r: Fracti
     """``clamp_construct``'s map, given the partial diameter ``r`` of ``mu``."""
     if r == 0:
         return PiecewiseLinearMap.constant(0)
-    return _integrate(_anchor_walk(mu.atoms, alpha), r, min(radius, r))
+    return _integrate(anchor_walk(mu, alpha), r, min(radius, r))
 
 
 @dataclass(frozen=True)

@@ -151,9 +151,11 @@ __all__ = [
     "RevisedInequalityReport",
     "verify_revised_inequality",
     "DEFAULT_EXACT_CAP",
+    "DEFAULT_GRID_CAP",
 ]
 
 DEFAULT_EXACT_CAP = 10
+DEFAULT_GRID_CAP = 4
 GRID_CEILING = 22  # 2^22 grid assignments per anchor: about 10 s at 4 points (README)
 
 
@@ -539,7 +541,7 @@ def od_grid_oracle(
     kappa,
     grid_step,
     *,
-    cap_n: int = 4,
+    cap_n: int = DEFAULT_GRID_CAP,
 ) -> tuple:
     """Brute-force enclosure ``(lower, upper)`` of the observable diameter.
     ``lower`` is the best min-heavy-spread over all assignments of grid

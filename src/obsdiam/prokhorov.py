@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import ONE, ZERO, fraction_text, to_fraction, to_positive
-from .errors import DomainError, ValidationError, check_cap
+from .errors import DomainError, check_cap
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, Interval
 from .observable import random_lipschitz_map
@@ -83,8 +83,6 @@ __all__ = [
     "prokhorov_onesided",
     "TransferReport",
     "check_pd_transfer",
-    "MeasureCloud",
-    "hausdorff_prokhorov",
     "measurement_cloud",
     "DEFAULT_SUPPORT_CAP",
 ]
@@ -195,46 +193,16 @@ def check_pd_transfer(
     )
 
 
-@dataclass(frozen=True)
-class MeasureCloud:
-    """A nonempty collection of distinct measures, e.g. sampled screen images."""
-
-    members: tuple
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValidationError("a measure cloud cannot be empty")
-        for m in self.members:
-            if not isinstance(m, DiscreteMeasure):
-                raise ValidationError("cloud members must be DiscreteMeasure values")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def hausdorff_prokhorov(
-    cloud_a: MeasureCloud,
-    cloud_b: MeasureCloud,
-    *,
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> Fraction:
-    """Symmetrized Hausdorff distance between clouds, with member distances
-    measured by the Prokhorov distance."""
-    table = [[prokhorov_onesided(a, b, cap=cap) for b in cloud_b.members] for a in cloud_a.members]
-    forward = max(min(row) for row in table)
-    backward = max(min(column) for column in zip(*table))
-    return max(forward, backward)
-
-
 def measurement_cloud(
     space: FiniteMMSpace, radius, samples: int, seed: int
-) -> MeasureCloud:
+) -> tuple:
     """Sampled inner approximation of the image measures on [-R, R].
 
     Push the space's measure forward under ``samples`` seeded random
-    1-Lipschitz maps (sub-seeds seed, seed+1, ...), deduplicating equal
-    images.  An inner approximation only: the true set of image measures is
-    a continuum and the sup of any statistic over the cloud is a lower bound.
+    1-Lipschitz maps (sub-seeds seed, seed+1, ...) and return the distinct
+    images, in the order first seen, as a nonempty tuple.  An inner
+    approximation only: the true set of image measures is a continuum and
+    the sup of any statistic over the cloud is a lower bound.
     """
     radius = to_positive(radius, what="radius")
     if samples < 1:
@@ -248,4 +216,4 @@ def measurement_cloud(
         if image not in seen:
             seen.add(image)
             members.append(image)
-    return MeasureCloud(members=tuple(members))
+    return tuple(members)

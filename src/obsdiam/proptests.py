@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compression import anchor_sequence, verify_clamp
+from .compression import anchor_walk, verify_clamp
 from .errors import DomainError
 from .measures import partial_diameter, pd_profile, push_forward
 from .mmspace import Interval
@@ -21,7 +21,6 @@ from .observable import (
     od_grid_oracle,
     verify_revised_inequality,
 )
-from .plmaps import PiecewiseLinearMap
 from .prokhorov import check_pd_transfer, measurement_cloud
 from .randgen import (
     jittered_pair,
@@ -122,21 +121,21 @@ def _case_clamp_equality(rng: random.Random):
 def _case_anchor_internals(rng: random.Random):
     alpha = random_alpha(rng)
     mu = random_measure(rng)
+    r = partial_diameter(mu, alpha).value
     for _ in range(8):
-        if partial_diameter(mu, alpha).value > 0:
+        if r > 0:
             break
         mu = random_measure(rng)
-    r = partial_diameter(mu, alpha).value
+        r = partial_diameter(mu, alpha).value
     if r == 0:
         return None  # all draws were alpha-concentrated; nothing to check
-    unit = push_forward(mu, PiecewiseLinearMap.affine(Fraction(1) / r, 0))
-    seq = anchor_sequence(unit, alpha)
-    if seq.count * alpha > 1:
-        return f"{seq.count} anchors at alpha={alpha} break count*alpha <= 1"
-    xs = seq.anchors
+    # the walk is scale-free, so it runs on mu itself with unit steps scaled by r
+    xs = anchor_walk(mu, alpha)
+    if len(xs) * alpha > 1:
+        return f"{len(xs)} anchors at alpha={alpha} break count*alpha <= 1"
     for a, b in zip(xs, xs[1:]):
-        if min(seq.x_infinity, a + 1) > b:
-            return f"anchor step {a} -> {b} fell short of min(x_inf, {a}+1)"
+        if min(xs[-1], a + r) > b:
+            return f"anchor step {a} -> {b} fell short of min(x_inf, {a}+{r})"
     return None
 
 
@@ -177,7 +176,7 @@ def _case_cloud_bound(rng: random.Random):
     previous = Fraction(0)
     for samples in (4, 16, 64):
         cloud = measurement_cloud(space, radius, samples, base_seed)
-        best = max(partial_diameter(m, alpha).value for m in cloud.members)
+        best = max(partial_diameter(m, alpha).value for m in cloud)
         if best < previous:
             return f"cloud sup pd dropped from {previous} to {best} at {samples} samples"
         if best > od:

@@ -14,7 +14,6 @@ from math import lcm
 from hypothesis import strategies as st
 
 from obsdiam import (
-    AnchorSequence,
     ContractError,
     DiscreteMeasure,
     Interval,
@@ -237,8 +236,9 @@ def od_permutation_oracle(space, screen, kappa):
     return best, best_witness
 
 
-def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> AnchorSequence:
-    """Anchor walk for a measure with partial diameter exactly 1 at ``alpha``.
+def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> tuple:
+    """Anchors, ending at x_infinity, of a measure with partial diameter
+    exactly 1 at ``alpha``.
 
     This is the walk the library's single pass replaced: x_infinity comes
     from an n-entry suffix-mass list, and each anchor rescans the atoms from
@@ -248,7 +248,7 @@ def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> AnchorSequence:
     pd = partial_diameter(mu, alpha).value
     if pd != 1:
         raise ContractError(
-            f"anchor_sequence requires partial diameter 1 at alpha={fraction_text(alpha)}, "
+            f"anchor_walk_oracle requires partial diameter 1 at alpha={fraction_text(alpha)}, "
             f"got {fraction_text(pd)}"
         )
     atoms = mu.atoms
@@ -295,8 +295,7 @@ def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> AnchorSequence:
     if Fraction(count) * alpha > 1:
         raise VerificationError("anchor count exceeded 1/alpha despite unit partial diameter")
 
-    region = _merge_open_intervals([(a - 1, a + 1) for a in anchors])
-    return AnchorSequence(x_infinity=x_inf, anchors=tuple(anchors), region=region)
+    return tuple(anchors)
 
 
 def clamp_compose_oracle(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
@@ -314,11 +313,10 @@ def clamp_compose_oracle(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearM
     # Scaling by 1/r multiplies every partial diameter by 1/r.
     if partial_diameter(unit_measure, alpha).value != 1:
         raise VerificationError("rescaled measure does not have partial diameter 1")
-    seq = anchor_walk_oracle(unit_measure, alpha)
-    n_anchors = seq.count
+    anchors = anchor_walk_oracle(unit_measure, alpha)
     knots: list[tuple] = []
-    value = Fraction(-n_anchors)
-    for a, b in seq.region:
+    value = Fraction(-len(anchors))
+    for a, b in _merge_open_intervals([(a - 1, a + 1) for a in anchors]):
         if not knots or a > knots[-1][0]:
             knots.append((a, value))
         # a == last knot x happens when two open intervals touch; the slope

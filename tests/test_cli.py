@@ -321,6 +321,33 @@ def test_od_cap_exit_and_override(capsys, big_space_file):
     assert out.splitlines()[0] == "0 (exact)"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["od", "--screen", "fullline", "--kappa", "1/2"], "exact enumeration cap 10"),
+        (["od", "--screen", "interval:0:1", "--kappa", "1/2", "--grid-step", "1/4"],
+         "grid-oracle cap 4"),
+        (["od", "--screen", "fullline", "--kappa", "1/2", "--cap-n", "12"],
+         "exact enumeration cap 12"),
+        (["profile", "--screen", "fullline", "--kappas", "1/2"], "exact enumeration cap 10"),
+    ],
+)
+def test_oversized_space_file_exits_before_its_matrix_is_parsed(capsys, tmp_path, argv, message):
+    # parsing and checking the 360 000 distances would take seconds; the
+    # label count alone trips the cap, with the engine's own message
+    n = 600
+    path = tmp_path / "s600.json"
+    dist = [[str(abs(i - j)) for j in range(n)] for i in range(n)]
+    payload = {"labels": [f"p{i}" for i in range(n)], "dist": dist, "mass": [f"1/{n}"] * n}
+    path.write_text(json.dumps(payload))
+    start = time.monotonic()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    elapsed = time.monotonic() - start
+    assert (code, out) == (3, "")
+    assert err == f"resource cap: 600 points exceed the {message}; raise cap_n (--cap-n) to proceed\n"
+    assert elapsed < 1
+
+
 # runs the CLI with its address space capped at 1 GiB
 MEMORY_LIMITED_CLI = """
 import resource, sys

@@ -7,12 +7,10 @@ import pytest
 import obsdiam.compression as compression
 from conftest import anchor_walk_oracle, clamp_compose_oracle
 from obsdiam import (
-    ContractError,
     DiscreteMeasure,
     DomainError,
     PiecewiseLinearMap,
-    anchor_sequence,
-    build_compression,
+    anchor_walk,
     clamp_construct,
     partial_diameter,
     push_forward,
@@ -32,47 +30,28 @@ def _normalized(mu, alpha):
 
 
 def test_anchors_uniform_four():
-    seq = anchor_sequence(DiscreteMeasure.uniform([0, 1, 2, 3]), F(3, 10))
-    assert seq.x_infinity == 2
-    assert seq.anchors == (F(1), F(2))
-    assert seq.region == ((F(0), F(3)),)
-    assert seq.count == 2
+    assert anchor_walk(DiscreteMeasure.uniform([0, 1, 2, 3]), F(3, 10)) == (F(1), F(2))
 
 
 def test_anchors_two_points():
-    seq = anchor_sequence(DiscreteMeasure.uniform([0, 1]), F(3, 5))
-    assert seq.x_infinity == 0
-    assert seq.anchors == (F(0),)
-    assert seq.region == ((F(-1), F(1)),)
+    assert anchor_walk(DiscreteMeasure.uniform([0, 1]), F(3, 5)) == (F(0),)
 
 
 def test_anchors_touching_balls_stay_separate():
     # consecutive anchors exactly 2 apart: the two unit balls share only the
-    # boundary point, which carries no length
-    seq = anchor_sequence(DiscreteMeasure.uniform([-1, 0, 1, 2, 3]), F(2, 5))
-    assert seq.anchors == (F(0), F(2))
-    assert seq.region == ((F(-1), F(1)), (F(1), F(3)))
+    # boundary point, and the map's knots below run straight through it
+    assert anchor_walk(DiscreteMeasure.uniform([-1, 0, 1, 2, 3]), F(2, 5)) == (F(0), F(2))
 
 
 def test_anchors_with_gap():
-    seq = anchor_sequence(DiscreteMeasure.uniform([0, 1, 4, 5]), F(2, 5))
-    assert seq.x_infinity == 4
-    assert seq.anchors == (F(1), F(4))
-    assert seq.region == ((F(0), F(2)), (F(3), F(5)))
-
-
-def test_anchor_requires_unit_pd():
-    mu = DiscreteMeasure.uniform([0, 2, 4, 6])  # pd at 3/10 is 2, not 1
-    with pytest.raises(ContractError) as err:
-        anchor_sequence(mu, F(3, 10))
-    assert "2" in str(err.value)
+    assert anchor_walk(DiscreteMeasure.uniform([0, 1, 4, 5]), F(2, 5)) == (F(1), F(4))
 
 
 def test_anchor_alpha_domain():
-    mu = _normalized(DiscreteMeasure.uniform([0, 1, 2, 3]), F(3, 10))
+    mu = DiscreteMeasure.uniform([0, 1, 2, 3])
     for bad in (0, 1, F(7, 5)):
         with pytest.raises(DomainError):
-            anchor_sequence(mu, bad)
+            anchor_walk(mu, bad)
 
 
 def test_anchor_count_and_gap_properties():
@@ -81,31 +60,32 @@ def test_anchor_count_and_gap_properties():
     while checked < 200:
         alpha = random_alpha(rng)
         mu = random_measure(rng, max_atoms=10)
-        if partial_diameter(mu, alpha).value == 0:
+        r = partial_diameter(mu, alpha).value
+        if r == 0:
             continue
-        seq = anchor_sequence(_normalized(mu, alpha), alpha)
-        assert seq.count * alpha <= 1
-        for a, b in zip(seq.anchors, seq.anchors[1:]):
-            assert min(seq.x_infinity, a + 1) <= b
+        xs = anchor_walk(mu, alpha)
+        assert len(xs) * alpha <= 1
+        for a, b in zip(xs, xs[1:]):
+            assert min(xs[-1], a + r) <= b
         checked += 1
 
 
-# -- compression map ----------------------------------------------------------------
+# -- compression map: clamp_construct at radius 1 on a unit measure -----------------
 
 
 def test_compression_map_uniform_four():
-    f = build_compression(DiscreteMeasure.uniform([0, 1, 2, 3]), F(3, 10))
+    f = clamp_construct(DiscreteMeasure.uniform([0, 1, 2, 3]), F(3, 10), 1)
     assert f == PiecewiseLinearMap([(0, -2), (3, 1)], 0, 0)
 
 
 def test_compression_map_merges_touching_stretch():
     # the two touching balls integrate to one straight slope-1 stretch
-    f = build_compression(DiscreteMeasure.uniform([-1, 0, 1, 2, 3]), F(2, 5))
+    f = clamp_construct(DiscreteMeasure.uniform([-1, 0, 1, 2, 3]), F(2, 5), 1)
     assert f == PiecewiseLinearMap([(-1, -2), (3, 2)], 0, 0)
 
 
 def test_compression_map_flat_over_gap():
-    f = build_compression(DiscreteMeasure.uniform([0, 1, 4, 5]), F(2, 5))
+    f = clamp_construct(DiscreteMeasure.uniform([0, 1, 4, 5]), F(2, 5), 1)
     assert f == PiecewiseLinearMap([(0, -2), (2, 0), (3, 0), (5, 2)], 0, 0)
     assert f(F(5, 2)) == 0  # constant across the dead zone
 
@@ -121,7 +101,7 @@ def test_compression_image_has_unit_pd():
         if partial_diameter(mu, alpha).value == 0:
             continue
         unit = _normalized(mu, alpha)
-        f = build_compression(unit, alpha)
+        f = clamp_construct(unit, alpha, 1)
         assert f.is_one_lipschitz()
         lo, hi = f.bounds()
         assert lo is not None and hi is not None
@@ -135,7 +115,7 @@ def test_no_short_window_reaches_alpha_after_compression():
     in the compressed image, whichever regime it falls in: inside a ball,
     spanning a gap, or hanging off either end."""
     mu = _normalized(DiscreteMeasure.uniform([0, 1, 4, 5]), F(2, 5))
-    image = push_forward(mu, build_compression(mu, F(2, 5)))
+    image = push_forward(mu, clamp_construct(mu, F(2, 5), 1))
     eps = F(1, 1000)
     starts = [p for p, _ in image.atoms] + [p - 1 + eps for p, _ in image.atoms]
     for lo in starts:
@@ -190,9 +170,9 @@ def test_clamp_full_contract_random():
 
 
 def test_single_pass_matches_rescanning_oracle():
-    """The one-pass walk on the source measure gives the rescanning walk's
-    anchors on the unit measure, and the one builder gives the rescale,
-    squeeze and expand composite map for map."""
+    """The one-pass walk on the source measure gives r times the rescanning
+    walk's anchors on the measure scaled to partial diameter r = 1, and the
+    one builder gives the rescale, squeeze and expand composite map for map."""
     radii = (F(1, 2), F(1), F(10))
     edge = [
         (DiscreteMeasure.point_mass(42), F(1, 2)),
@@ -206,9 +186,10 @@ def test_single_pass_matches_rescanning_oracle():
     for _ in range(2000):
         cases.append((random_measure(rng, max_atoms=40), random_alpha(rng), rng.choice(radii)))
     for mu, alpha, radius in cases:
-        if partial_diameter(mu, alpha).value > 0:
+        r = partial_diameter(mu, alpha).value
+        if r > 0:
             unit = _normalized(mu, alpha)
-            assert anchor_sequence(unit, alpha) == anchor_walk_oracle(unit, alpha)
+            assert anchor_walk(mu, alpha) == tuple(r * a for a in anchor_walk_oracle(unit, alpha))
         f = clamp_construct(mu, alpha, radius)
         want = clamp_compose_oracle(mu, alpha, radius)
         assert f == want

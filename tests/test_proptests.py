@@ -1,6 +1,11 @@
+from collections import Counter
+
 import pytest
 
-from obsdiam import SUITE_NAMES, DomainError, run_suite
+import obsdiam.compression as compression
+import obsdiam.proptests as proptests
+from obsdiam import SUITE_NAMES, DomainError, partial_diameter, push_forward, run_suite
+from obsdiam.randgen import random_measure
 
 
 def test_suite_registry_is_stable():
@@ -23,6 +28,28 @@ def test_every_suite_passes_a_short_run(name):
     assert report.ok, report.failures
     assert report.passed == 25
     assert report.suite == name
+
+
+def test_anchor_internals_pass_counts(monkeypatch):
+    """anchor-internals computes one partial diameter per drawn measure and
+    walks the measure itself, with no push-forward."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (proptests, compression):
+        monkeypatch.setattr(module, "partial_diameter", counted("pd", partial_diameter))
+        monkeypatch.setattr(module, "push_forward", counted("push", push_forward))
+    monkeypatch.setattr(proptests, "random_measure", counted("draw", random_measure))
+    report = run_suite("anchor-internals", 0, 100)
+    assert report.ok, report.failures
+    assert calls["draw"] >= 100
+    assert (calls["pd"], calls["push"]) == (calls["draw"], 0)
 
 
 def test_run_suite_is_deterministic():
