@@ -9,14 +9,17 @@ x_infinity with the atoms right of it holds at least ``alpha`` unless it is
 the first atom, so there are at most 1/alpha anchors.
 
 The walk is scale-free.  It compares sums of masses with ``alpha`` and reads
-a position only to report it as an anchor.  Scaling the line by 1/r (r > 0)
-keeps the atom order and merges no atoms, so the walk on mu stops at the
-same atoms as the walk on mu scaled to partial diameter 1, and its anchors
-are exactly r times the unit anchors.  Take r = pd(mu, alpha) > 0.  On the
-unit measure no open unit interval holds mass ``alpha`` (that would beat the
-partial diameter), so consecutive unit anchors are at least 1 apart except
-possibly for the final step into x_infinity.  On mu itself each step from an
-anchor a therefore reaches min(x_infinity, a + r).
+a position only to report it as an anchor.  The sums are integer weight
+sums from ``DiscreteMeasure.scaled_masses``, which reach ``alpha`` exactly
+when they reach ``scaled_level(alpha, scale)`` (``measures`` docstring).
+Scaling the line by 1/r (r > 0) keeps the atom order and merges no atoms,
+so the walk on mu stops at the same atoms as the walk on mu scaled to
+partial diameter 1, and its anchors are exactly r times the unit anchors.
+Take r = pd(mu, alpha) > 0.  On the unit measure no open unit interval holds
+mass ``alpha`` (that would beat the partial diameter), so consecutive unit
+anchors are at least 1 apart except possibly for the final step into
+x_infinity.  On mu itself each step from an anchor a therefore reaches
+min(x_infinity, a + r).
 
 One builder (``_integrate``) turns anchors into a map.  For ball radius r and
 target s it starts from the constant -N*s far to the left (N anchors), has
@@ -40,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import ZERO, to_open_unit, to_positive
+from ._rational import to_open_unit, to_positive
 from .errors import VerificationError
-from .measures import DiscreteMeasure, partial_diameter, push_forward
+from .measures import DiscreteMeasure, partial_diameter, push_forward, scaled_level
 from .plmaps import PiecewiseLinearMap
 
 __all__ = [
@@ -58,20 +61,23 @@ def anchor_walk(mu: DiscreteMeasure, alpha) -> tuple:
     ending at x_infinity (see the module docstring)."""
     alpha = to_open_unit(alpha, what="alpha")
     atoms = mu.atoms
+    scale, weights = mu.scaled_masses
+    # an integer weight sum w has mass below alpha exactly when w < level
+    level = scaled_level(alpha, scale)
     # x_infinity is atoms[last]: step left while the atom to the left also
     # has less than alpha mass strictly to its right.
     last = len(atoms) - 1
-    tail = ZERO
-    while last > 0 and tail + atoms[last][1] < alpha:
-        tail += atoms[last][1]
+    tail = 0
+    while last > 0 and tail + weights[last] < level:
+        tail += weights[last]
         last -= 1
     anchors = []
-    acc = ZERO
-    for pos, m in atoms[:last]:
-        acc += m
-        if acc >= alpha:
+    acc = 0
+    for (pos, _), weight in zip(atoms[:last], weights):
+        acc += weight
+        if acc >= level:
             anchors.append(pos)
-            acc = ZERO
+            acc = 0
     anchors.append(atoms[last][0])
     if len(anchors) * alpha > 1:
         raise VerificationError("anchor count exceeded 1/alpha")

@@ -6,16 +6,52 @@ line an optimal set can always be taken to be a closed interval, so the value
 is the width of the cheapest contiguous window of atoms whose mass reaches the
 level.  Everything here is exact: positions, masses, and results are
 ``fractions.Fraction``.
+
+Integer view.  A measure also keeps ``scaled_masses = (scale, weights)``:
+``scale`` is the least common multiple of the mass denominators and
+``weights[k] = masses[k] * scale``, integers summing to ``scale``.  The
+sweeps below add and compare these integers instead of Fractions, and build
+a Fraction only for what they return.  Three facts make that exact.
+
+1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
+   its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
+   an integer, that holds exactly when acc >= ceil(alpha * scale), computed
+   as ``-(-alpha.numerator * scale // alpha.denominator)`` on integers.
+2. Widths.  For positions p = a/b and q = c/d with b, d > 0 the width is
+   q - p = (c*b - a*d) / (b*d), a numerator over a positive denominator.  Two
+   such widths u/v and x/y compare as u*y and x*v do, since multiplying both
+   sides by v*y > 0 keeps the order.
+3. Order.  Atoms are sorted by the key (float(p), p).  Integer true division
+   rounds correctly, and correct rounding is monotone: p < q gives
+   float(p) <= float(q).  A position past the float range raises
+   ``OverflowError`` and is keyed +-inf, which keeps that order, since a
+   value that overflows upward exceeds every value that converts, and
+   likewise downward.  So float(p) < float(q) implies p < q, and equal
+   floats (say 2^60 and 2^60 + 1, or two positions that underflow to 0.0)
+   fall through to the exact comparison of p and q.  The key order is the
+   exact order; ``pd_profile`` sorts its widths by the same key.
+
+Each weight is at most ``scale``, so the view costs n integers no larger
+than ``scale``.  With a shared mass denominator, as in ``uniform``, ``scale``
+is that denominator.  Masses whose denominators share few factors can make
+``scale`` long even when every running Fraction total of them is short: the
+k pairs 1/(k*d_i) and (d_i - 1)/(k*d_i) sum to 1, yet ``scale`` is
+k*d_1*...*d_k when the d_i are pairwise coprime and coprime to k.  So n
+times the bit length of ``scale`` has a fixed ceiling of
+2^``WEIGHT_CEILING`` bits, checked as ``scale`` is built and before any
+weight exists; past it construction raises ``ResourceCapError``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, inf, lcm
 from typing import Iterable, NamedTuple
 
 from ._rational import ONE, ZERO, JsonFile, format_fraction, fraction_text, to_fraction
-from .errors import DomainError, ValidationError, VerificationError
+from .errors import DomainError, ResourceCapError, ValidationError, VerificationError
 
 __all__ = [
     "DiscreteMeasure",
@@ -26,6 +62,24 @@ __all__ = [
     "push_forward",
 ]
 
+WEIGHT_CEILING = 28  # 2^28 bits of integer weights, 32 MiB; 10^5 atoms need about 2^21
+
+
+def _order_key(pair: tuple) -> tuple:
+    """Sort key of a pair by its first entry, a rational, in exact order
+    (module docstring, fact 3)."""
+    p = pair[0]
+    try:
+        return p.numerator / p.denominator, p
+    except OverflowError:
+        return (inf if p > 0 else -inf), p
+
+
+def scaled_level(alpha: Fraction, scale: int) -> int:
+    """ceil(alpha * scale): a weight sum reaches mass ``alpha`` exactly when
+    it reaches this integer (module docstring, fact 1)."""
+    return -(-alpha.numerator * scale // alpha.denominator)
+
 
 class DiscreteMeasure(JsonFile):
     """A probability measure with finitely many atoms on the rational line.
@@ -35,30 +89,61 @@ class DiscreteMeasure(JsonFile):
     masses summing to exactly 1.
     """
 
-    __slots__ = ("_atoms",)
+    __slots__ = ("_atoms", "_scale", "_weights")
 
     def __init__(self, atoms: Iterable[tuple, ]):
         merged: dict[Fraction, Fraction] = {}
-        count = 0
-        for entry in atoms:
-            pos, mass = entry
+        for pos, mass in atoms:
             pos = to_fraction(pos, what="atom position")
             mass = to_fraction(mass, what="atom mass")
-            if mass <= 0:
+            if mass.numerator <= 0:  # the denominator is positive
                 raise ValidationError(
                     f"atom mass must be positive, got {fraction_text(mass)} "
                     f"at {fraction_text(pos)}"
                 )
-            merged[pos] = merged.get(pos, ZERO) + mass
-            count += 1
-        if count == 0:
+            known = len(merged)
+            before = merged.setdefault(pos, mass)  # one hash for a new position
+            if len(merged) == known:
+                merged[pos] = before + mass
+        if not merged:
             raise ValidationError("a measure needs at least one atom")
-        total = sum(merged.values())
-        if total != 1:
-            raise ValidationError(f"atom masses must sum to 1 exactly, got {fraction_text(total)}")
-        self._atoms = tuple(sorted(merged.items()))
+        n = len(merged)
+        scale = 1
+        for den in {m.denominator for m in merged.values()}:
+            scale = lcm(scale, den)
+            if n * scale.bit_length() > 1 << WEIGHT_CEILING:
+                raise ResourceCapError(
+                    f"{n} atoms with a common mass denominator of {scale.bit_length()} or "
+                    f"more bits exceed the integer-weight ceiling of 2^{WEIGHT_CEILING} bits"
+                )
+        total = sum(m.numerator * (scale // m.denominator) for m in merged.values())
+        if total != scale:
+            raise ValidationError(
+                f"atom masses must sum to 1 exactly, got {fraction_text(Fraction(total, scale))}"
+            )
+        self._atoms = tuple(sorted(merged.items(), key=_order_key))
+        self._scale = scale
+        self._weights = tuple(m.numerator * (scale // m.denominator) for _, m in self._atoms)
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def _from_weights(cls, merged: dict, scale: int) -> "DiscreteMeasure":
+        """The measure with mass w/scale at each position of ``merged``, whose
+        positive integer weights w sum to ``scale``.
+
+        The least common denominator of the masses w/scale is scale / g, with
+        g the gcd of scale and every w, which is the gcd of the weights alone
+        since they sum to scale.
+        """
+        g = gcd(*merged.values())
+        scale //= g
+        order = sorted(merged.items(), key=_order_key)
+        self = cls.__new__(cls)
+        self._scale = scale
+        self._weights = tuple(w // g for _, w in order)
+        self._atoms = tuple((p, Fraction(w, scale)) for (p, _), w in zip(order, self._weights))
+        return self
 
     @classmethod
     def uniform(cls, positions: Iterable) -> "DiscreteMeasure":
@@ -87,6 +172,12 @@ class DiscreteMeasure(JsonFile):
     @property
     def masses(self) -> tuple:
         return tuple(a[1] for a in self._atoms)
+
+    @property
+    def scaled_masses(self) -> tuple:
+        """``(scale, weights)``: the masses times their least common
+        denominator ``scale``, as a tuple of ints summing to ``scale``."""
+        return self._scale, self._weights
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -159,25 +250,31 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     if alpha <= 0:
         return PartialDiameter(ZERO, None)
     atoms = mu.atoms
-    best: Fraction | None = None
+    scale, weights = mu.scaled_masses
+    target = scaled_level(alpha, scale)
+    best: tuple | None = None  # (numerator, positive denominator) of the best width
     window: tuple | None = None
-    acc = ZERO
+    acc = 0
     i = 0
-    # Classic two-pointer sweep: for each right end j, shrink the left end i
-    # as far as the mass level allows; masses are positive so i never backs up.
-    for j, (pos_j, mass_j) in enumerate(atoms):
-        acc += mass_j
-        while acc - atoms[i][1] >= alpha:
-            acc -= atoms[i][1]
+    # Classic two-pointer sweep on the integer weights: for each right end j,
+    # shrink the left end i as far as the level allows; weights are positive
+    # so i never backs up.  Widths compare by cross-multiplication.
+    for j, weight in enumerate(weights):
+        acc += weight
+        if acc < target:
+            continue
+        while acc - weights[i] >= target:
+            acc -= weights[i]
             i += 1
-        if acc >= alpha:
-            width = pos_j - atoms[i][0]
-            if best is None or width < best:
-                best = width
-                window = (atoms[i][0], pos_j)
-    if best is None:  # unreachable: the total mass 1 reaches alpha
+        lo, hi = atoms[i][0], atoms[j][0]
+        num = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        den = hi.denominator * lo.denominator
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+            window = (lo, hi)
+    if best is None:  # unreachable: the total weight scale reaches the level
         raise VerificationError(f"no window reaches mass {fraction_text(alpha)}")
-    return PartialDiameter(best, window)
+    return PartialDiameter(Fraction(*best), window)
 
 
 class PdProfile:
@@ -221,9 +318,9 @@ class PdProfile:
             raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
         if alpha <= 0:
             return ZERO
-        thresholds = [t for t, _ in self._steps]
-        k = bisect_left(thresholds, alpha)
-        return self._steps[k][1]
+        # (alpha,) sorts before every step (alpha, v), so this is the first
+        # step whose threshold is at least alpha
+        return self._steps[bisect_left(self._steps, (alpha,))][1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PdProfile):
@@ -244,35 +341,50 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
     Every candidate value is the width of some window of atoms.  The profile
     is the lower staircase of (window width, window mass) pairs: sort widths
     ascending, keep each one only while it raises the best reachable mass.
+    Widths are keyed by their reduced (numerator, denominator) pair and
+    masses are integer weight sums; Fractions are built for the distinct
+    widths and the kept masses only.
     """
     atoms = mu.atoms
+    scale, weights = mu.scaled_masses
     n = len(atoms)
-    prefix = [ZERO]
-    for _, m in atoms:
-        prefix.append(prefix[-1] + m)
-    best_mass: dict[Fraction, Fraction] = {}
+    nums = [p.numerator for p, _ in atoms]
+    dens = [p.denominator for p, _ in atoms]
+    prefix = list(accumulate(weights, initial=0))
+    best_mass: dict[tuple, int] = {}
+    get = best_mass.get
     for i in range(n):
+        num_i, den_i, below = nums[i], dens[i], prefix[i]
         for j in range(i, n):
-            width = atoms[j][0] - atoms[i][0]
-            mass = prefix[j + 1] - prefix[i]
-            cur = best_mass.get(width)
-            if cur is None or mass > cur:
+            num = nums[j] * den_i - num_i * dens[j]
+            den = dens[j] * den_i
+            g = gcd(num, den)
+            width = (num // g, den // g)
+            mass = prefix[j + 1] - below
+            if get(width, 0) < mass:
                 best_mass[width] = mass
     steps = []
-    reached = ZERO
-    for width in sorted(best_mass):
-        mass = best_mass[width]
+    reached = 0
+    for width, mass in sorted(
+        ((Fraction(*width), mass) for width, mass in best_mass.items()), key=_order_key
+    ):
         if mass > reached:
-            steps.append((mass, width))
+            steps.append((Fraction(mass, scale), width))
             reached = mass
-    if reached != 1:
-        raise VerificationError(f"profile steps reach mass {fraction_text(reached)}, not 1")
+    if reached != scale:
+        raise VerificationError(
+            f"profile steps reach mass {fraction_text(Fraction(reached, scale))}, not 1"
+        )
     return PdProfile(steps)
 
 
 def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
     """Image measure of ``mu`` under ``f`` (any exact callable, e.g. a
-    PiecewiseLinearMap).  Atoms landing on the same point are merged."""
-    return DiscreteMeasure(
-        (to_fraction(f(p), what="image position"), m) for p, m in mu.atoms
-    )
+    PiecewiseLinearMap).  Atoms landing on the same point are merged by
+    adding their integer weights, which need no re-validation."""
+    scale, weights = mu.scaled_masses
+    merged: dict[Fraction, int] = {}
+    for (pos, _), weight in zip(mu.atoms, weights):
+        image = to_fraction(f(pos), what="image position")
+        merged[image] = merged.get(image, 0) + weight
+    return DiscreteMeasure._from_weights(merged, scale)

@@ -316,14 +316,10 @@ def subset_masses(masses, alpha) -> tuple[list, int]:
     to an earlier entry, so the 2^n sums cost one integer add each.
 
     Past ``SUBSET_TABLE_CEILING`` points the table is refused before it is
-    allocated; no cap keyword raises this ceiling.
+    allocated (``check_subset_table``).
     """
     n = len(masses)
-    if n > SUBSET_TABLE_CEILING:
-        raise ResourceCapError(
-            f"{n} points exceed the subset-table ceiling {SUBSET_TABLE_CEILING} "
-            f"(2^{n} subset masses); --cap-n cannot raise it"
-        )
+    check_subset_table(n)
     scale = lcm(alpha.denominator, *(m.denominator for m in masses))
     weights = [m.numerator * (scale // m.denominator) for m in masses]
     table = [0] * (1 << n)
@@ -331,3 +327,13 @@ def subset_masses(masses, alpha) -> tuple[list, int]:
         low = mask & -mask
         table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
     return table, alpha.numerator * (scale // alpha.denominator)
+
+
+def check_subset_table(n: int) -> None:
+    """Raise ResourceCapError when a 2^n subset table would pass
+    ``SUBSET_TABLE_CEILING`` points; no cap keyword raises this ceiling."""
+    if n > SUBSET_TABLE_CEILING:
+        raise ResourceCapError(
+            f"{n} points exceed the subset-table ceiling {SUBSET_TABLE_CEILING} "
+            f"(2^{n} subset masses); --cap-n cannot raise it"
+        )

@@ -19,13 +19,14 @@ from obsdiam import (
     Interval,
     LipschitzWitness,
     PiecewiseLinearMap,
+    ValidationError,
     VerificationError,
     heavy_minimal_subsets,
     partial_diameter,
     push_forward,
     witness_partial_diameter,
 )
-from obsdiam._rational import ZERO, fraction_text, to_open_unit, to_positive
+from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
 from obsdiam.compression import _merge_open_intervals
 from obsdiam.observable import _max_t_for_order, _order_edges
 
@@ -51,6 +52,71 @@ def pd_window_scan(mu: DiscreteMeasure, alpha) -> Fraction:
                 break  # wider windows from this i are never better
     assert best is not None
     return best
+
+
+def measure_atoms_oracle(atoms) -> tuple:
+    """Canonical atoms of a measure by the Fraction construction the integer
+    view replaced: merge equal positions by adding Fraction masses, check the
+    Fraction total, and sort the (position, mass) pairs directly."""
+    merged: dict[Fraction, Fraction] = {}
+    count = 0
+    for pos, mass in atoms:
+        pos = to_fraction(pos, what="atom position")
+        mass = to_fraction(mass, what="atom mass")
+        if mass <= 0:
+            raise ValidationError(f"atom mass must be positive, got {fraction_text(mass)}")
+        merged[pos] = merged.get(pos, ZERO) + mass
+        count += 1
+    if count == 0:
+        raise ValidationError("a measure needs at least one atom")
+    total = sum(merged.values())
+    if total != 1:
+        raise ValidationError(f"atom masses must sum to 1 exactly, got {fraction_text(total)}")
+    return tuple(sorted(merged.items()))
+
+
+def pd_sweep_oracle(atoms, alpha) -> tuple:
+    """``(value, window)`` by the Fraction two-pointer sweep the integer sweep
+    replaced, on canonical atoms and 0 < alpha <= 1: the first narrowest
+    window in order of its right end."""
+    best = window = None
+    acc = ZERO
+    i = 0
+    for j, (pos_j, mass_j) in enumerate(atoms):
+        acc += mass_j
+        while acc - atoms[i][1] >= alpha:
+            acc -= atoms[i][1]
+            i += 1
+        if acc >= alpha:
+            width = pos_j - atoms[i][0]
+            if best is None or width < best:
+                best = width
+                window = (atoms[i][0], pos_j)
+    return best, window
+
+
+def pd_profile_oracle(atoms) -> tuple:
+    """Profile steps by the Fraction construction the integer one replaced:
+    every window's Fraction width and mass, the best mass per width, and the
+    lower staircase in order of width."""
+    n = len(atoms)
+    prefix = [ZERO]
+    for _, m in atoms:
+        prefix.append(prefix[-1] + m)
+    best_mass: dict[Fraction, Fraction] = {}
+    for i in range(n):
+        for j in range(i, n):
+            width = atoms[j][0] - atoms[i][0]
+            mass = prefix[j + 1] - prefix[i]
+            if width not in best_mass or mass > best_mass[width]:
+                best_mass[width] = mass
+    steps = []
+    reached = ZERO
+    for width in sorted(best_mass):
+        if best_mass[width] > reached:
+            reached = best_mass[width]
+            steps.append((reached, width))
+    return tuple(steps)
 
 
 def heavy_subsets_bruteforce(space, alpha):

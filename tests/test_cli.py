@@ -335,17 +335,46 @@ def test_od_cap_exit_and_override(capsys, big_space_file):
 def test_oversized_space_file_exits_before_its_matrix_is_parsed(capsys, tmp_path, argv, message):
     # parsing and checking the 360 000 distances would take seconds; the
     # label count alone trips the cap, with the engine's own message
-    n = 600
-    path = tmp_path / "s600.json"
-    dist = [[str(abs(i - j)) for j in range(n)] for i in range(n)]
-    payload = {"labels": [f"p{i}" for i in range(n)], "dist": dist, "mass": [f"1/{n}"] * n}
-    path.write_text(json.dumps(payload))
+    path = _line_space_file(tmp_path, 600)
     start = time.monotonic()
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     elapsed = time.monotonic() - start
     assert (code, out) == (3, "")
     assert err == f"resource cap: 600 points exceed the {message}; raise cap_n (--cap-n) to proceed\n"
     assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["od", "--screen", "fullline", "--kappa", "1/2"],
+        ["od", "--screen", "interval:0:1", "--kappa", "1/2", "--grid-step", "1/4"],
+        ["profile", "--screen", "fullline", "--kappas", "1/2"],
+    ],
+)
+def test_space_file_past_the_subset_table_ceiling_exits_before_parsing(capsys, tmp_path, argv):
+    # --cap-n 600 lets the label count past the command's cap, but every
+    # engine behind od and profile builds the 2^n subset table, whose
+    # ceiling of 22 points refuses the file before its distances are parsed
+    path = _line_space_file(tmp_path, 600)
+    start = time.monotonic()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--cap-n", "600")
+    elapsed = time.monotonic() - start
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: 600 points exceed the subset-table ceiling 22 "
+        "(2^600 subset masses); --cap-n cannot raise it\n"
+    )
+    assert elapsed < 1
+
+
+def _line_space_file(tmp_path, n):
+    """A space file of n unit-spaced points on the line, uniform masses."""
+    path = tmp_path / f"s{n}.json"
+    dist = [[str(abs(i - j)) for j in range(n)] for i in range(n)]
+    payload = {"labels": [f"p{i}" for i in range(n)], "dist": dist, "mass": [f"1/{n}"] * n}
+    path.write_text(json.dumps(payload))
+    return path
 
 
 # runs the CLI with its address space capped at 1 GiB

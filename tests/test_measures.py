@@ -1,9 +1,19 @@
 import json
 import random
+import time
 from fractions import Fraction as F
+from itertools import accumulate
+from math import lcm
 
 import pytest
-from conftest import alphas, pd_window_scan, rational_measures
+from conftest import (
+    alphas,
+    measure_atoms_oracle,
+    pd_profile_oracle,
+    pd_sweep_oracle,
+    pd_window_scan,
+    rational_measures,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +29,18 @@ from obsdiam import (
 )
 from obsdiam._rational import format_fraction
 from obsdiam.randgen import random_lipschitz_pl, random_measure
+
+# Position pools for the integer-view oracle test.  Each pool holds distinct
+# rationals that a float cannot tell apart (2^60 + k, 1/3 + k/10^30), that
+# overflow the float range (+-10^400 + k) or that underflow it (k/10^400).
+POSITION_POOLS = (
+    [F(k, 4) for k in range(-12, 13)],
+    [F(2**60 + k) for k in range(-3, 4)] + [F(-(2**60) - k) for k in range(3)],
+    [F(1, 3) + F(k, 10**30) for k in range(-3, 4)] + [F(-1, 3), F(0)],
+    [F(10**400 + k) for k in range(3)] + [F(-(10**400) - k) for k in range(3)] + [F(0), F(1)],
+    [F(k, 10**400) for k in range(-3, 4)] + [F(-1, 7), F(1, 7)],
+)
+MASS_DENOMINATORS = (1, 2, 3, 5, 7, 12)
 
 
 # -- construction ---------------------------------------------------------------
@@ -73,6 +95,25 @@ def test_format_fraction_past_the_digit_limit_is_a_resource_cap():
     with pytest.raises(ResourceCapError, match="4300 digits"):
         format_fraction(tiny)
     assert format_fraction(F(1, 10**4299)) == "1/1" + "0" * 4299
+
+
+def test_weight_ceiling_refuses_a_long_common_denominator():
+    # each pair 1/(k d) and (d - 1)/(k d) sums to 1/k, so a Fraction total of
+    # the masses stays short, but their common denominator grows by about
+    # 13 300 bits per pair: 2 000 atoms pass 2^28 bits of weights after about
+    # 10 pairs, before any weight is built
+    k = 1000
+    atoms = []
+    for i in range(k):
+        d = 10**4000 + 2 * i + 1
+        atoms += [(2 * i, F(1, k * d)), (2 * i + 1, F(d - 1, k * d))]
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match="integer-weight ceiling of 2\\^28 bits"):
+        DiscreteMeasure(atoms)
+    assert time.process_time() - start < 1
+    # the same shape with short denominators stays well inside the ceiling
+    atoms = [(2 * i + j, F(m, k * (i + 2))) for i in range(k) for j, m in ((0, 1), (1, i + 1))]
+    assert DiscreteMeasure(atoms).scaled_masses[0] == lcm(*(k * (i + 2) for i in range(k)))
 
 
 def test_mass_of_interval():
@@ -141,6 +182,54 @@ def test_pd_monotone_in_alpha(mu, a1, a2):
 def test_pd_never_grows_under_one_lipschitz_maps(mu, alpha, seed):
     f = random_lipschitz_pl(random.Random(seed))
     assert partial_diameter(push_forward(mu, f), alpha).value <= partial_diameter(mu, alpha).value
+
+
+def _oracle_case(rng):
+    """Raw atoms drawn from one position pool, with repeats (merges) and
+    masses of mixed denominators normalised to total 1."""
+    pool = rng.choice(POSITION_POOLS)
+    size = 1 if rng.random() < 0.1 else rng.randint(2, 12)
+    raw = [F(rng.randint(1, 9), rng.choice(MASS_DENOMINATORS)) for _ in range(size)]
+    total = sum(raw)
+    return [(rng.choice(pool), m / total) for m in raw]
+
+
+def _repr_of(atoms) -> str:
+    return "DiscreteMeasure(" + ", ".join(f"{p}:{m}" for p, m in atoms) + ")"
+
+
+def test_integer_view_matches_fraction_oracles():
+    """Atoms, repr, scaled masses, pd value and window, profile steps and
+    push-forward agree with the Fraction constructions they replaced."""
+    rng = random.Random(20240)
+    for _ in range(2000):
+        raw = _oracle_case(rng)
+        mu = DiscreteMeasure(raw)
+        atoms = measure_atoms_oracle(raw)
+        assert mu.atoms == atoms
+        assert repr(mu) == _repr_of(atoms)
+        scale = lcm(*(m.denominator for _, m in atoms))
+        assert mu.scaled_masses == (scale, tuple(int(m * scale) for _, m in atoms))
+        # at a window mass alpha * scale is an integer; just below one, and
+        # at 1/10^9, the ceiling rounds up
+        masses = list(accumulate(m for _, m in atoms))
+        levels = sorted({b - a for a in [F(0)] + masses for b in masses if b > a})
+        probes = rng.sample(levels, min(4, len(levels))) + [F(1)]
+        probes += [rng.choice(levels) - F(1, 10**6), F(1, 10**9)]
+        for alpha in probes:
+            got = partial_diameter(mu, alpha)
+            assert got == pd_sweep_oracle(atoms, alpha)
+            assert got.value == pd_window_scan(mu, alpha)
+        assert pd_profile(mu).steps == pd_profile_oracle(atoms)
+        f = random_lipschitz_pl(rng)
+        image = push_forward(mu, f)
+        image_atoms = measure_atoms_oracle((f(p), m) for p, m in atoms)
+        assert image.atoms == image_atoms
+        assert repr(image) == _repr_of(image_atoms)
+        image_scale = lcm(*(m.denominator for _, m in image_atoms))
+        assert image.scaled_masses == (
+            image_scale, tuple(int(m * image_scale) for _, m in image_atoms)
+        )
 
 
 # -- pushforward -------------------------------------------------------------------
