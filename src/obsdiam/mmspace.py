@@ -252,21 +252,36 @@ class LipschitzWitness:
         )
 
     def validate(self, space: FiniteMMSpace, screen: Screen) -> None:
+        """Raise ValidationError unless the values fit the space, lie on the
+        screen and are 1-Lipschitz; the first failing check is reported, and
+        pairs (i, j) with i < j are checked in lexicographic order.
+
+        The Lipschitz pairs are compared on one integer scale,
+        ``den = lcm(distance scale, value denominators)``.  Every value and
+        every distance times ``den`` is an integer, and multiplying both
+        sides of ``|v_i - v_j| > d(i, j)`` by the positive ``den`` keeps the
+        comparison, so each pair fails exactly when it does on fractions.
+        """
+        values = self.values
         n = len(space)
-        if len(self.values) != n:
+        if len(values) != n:
             raise ValidationError(
-                f"witness has {len(self.values)} values for a {n}-point space"
+                f"witness has {len(values)} values for a {n}-point space"
             )
-        for v in self.values:
+        for v in values:
             if not screen.contains(v):
                 raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
-        for i in range(n):
+        scale, rows = space.scaled_dist
+        den = lcm(scale, *(v.denominator for v in values))
+        per_dist = den // scale
+        ints = [v.numerator * (den // v.denominator) for v in values]
+        for i, (vi, row) in enumerate(zip(ints, rows)):
             for j in range(i + 1, n):
-                if abs(self.values[i] - self.values[j]) > space.dist(i, j):
+                if abs(vi - ints[j]) > row[j] * per_dist:
                     raise ValidationError(
                         "witness is not 1-Lipschitz between "
                         f"{space.labels[i]} and {space.labels[j]}: "
-                        f"|{fraction_text(self.values[i])} - {fraction_text(self.values[j])}| "
+                        f"|{fraction_text(values[i])} - {fraction_text(values[j])}| "
                         f"> {fraction_text(space.dist(i, j))}"
                     )
 

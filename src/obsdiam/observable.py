@@ -119,7 +119,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from operator import itemgetter
 
 from ._rational import (
@@ -156,7 +156,7 @@ __all__ = [
 
 DEFAULT_EXACT_CAP = 10
 DEFAULT_GRID_CAP = 4
-GRID_CEILING = 22  # 2^22 grid assignments per anchor: about 10 s at 4 points (README)
+GRID_CEILING = 22  # 2^22 grid assignments per anchor: about 2 s at 4 points (README)
 
 
 @dataclass(frozen=True)
@@ -594,35 +594,43 @@ def od_grid_oracle(
         )
     bound = [[floor(d / step) for d in row] for row in space.dist_matrix]
 
-    completed_at: list[list[tuple]] = [[] for _ in range(n)]
+    # a minimal subset completes at its last point; keep the others, whose
+    # values are already placed when that point's value is chosen
+    rests: list[list[tuple]] = [[] for _ in range(n)]
     for subset in family:
-        completed_at[max(subset)].append(subset)
+        rests[subset[-1]].append(subset[:-1])
 
     ks = [0] * n
     best = 0
 
     def recurse(var: int, cap: int, anchor: int) -> None:
         nonlocal best
-        if var == n:
-            best = cap
-            return
         lo, hi = 0, top
-        for i in range(var):
-            b = bound[i][var]
-            lo = max(lo, ks[i] - b)
-            hi = min(hi, ks[i] + b)
+        # bound is symmetric, so row var lists the bounds to the placed points
+        for b, placed in zip(bound[var][:var], ks):
+            lo = max(lo, placed - b)
+            hi = min(hi, placed + b)
         if var == anchor:
             lo, hi = max(lo, 0), min(hi, 0)
+        # a completing subset whose other values span [low, high] spreads
+        # max(high, k) - min(low, k) when its last point takes value k
+        ranges = []
+        for rest in rests[var]:
+            vals = [ks[i] for i in rest]
+            ranges.append((min(vals), max(vals)))
+        leaf = var == n - 1
         for k in range(lo, hi + 1):
-            ks[var] = k
             cap_here = cap
-            for subset in completed_at[var]:
-                vals = [ks[i] for i in subset]
-                spread = max(vals) - min(vals)
+            for low, high in ranges:
+                spread = (high if high > k else k) - (low if low < k else k)
                 if spread < cap_here:
                     cap_here = spread
             if cap_here > best:
-                recurse(var + 1, cap_here, anchor)
+                if leaf:
+                    best = cap_here
+                else:
+                    ks[var] = k
+                    recurse(var + 1, cap_here, anchor)
 
     for anchor in range(n):
         recurse(0, top, anchor)
@@ -633,24 +641,38 @@ def od_grid_oracle(
 def random_lipschitz_map(space: FiniteMMSpace, screen: Screen, seed: int) -> LipschitzWitness:
     """Seeded random 1-Lipschitz witness: lower envelope of cones over random
     anchors, clipped to the screen.  Both steps preserve the Lipschitz bound,
-    and a fixed seed reproduces the witness exactly."""
+    and a fixed seed reproduces the witness exactly.
+
+    The anchors are ``lo + (hi - lo) * r / 64`` for ``r = randint(0, 64)``,
+    one draw per point in point order, where ``[lo, hi]`` is the screen
+    widened by the space's diameter on both sides (``[-diam, diam]`` on the
+    full line).  All of it runs on one integer scale,
+    ``den = 64 * lcm(distance scale, screen-end denominators)``: the screen
+    ends and every distance times ``den`` are integer multiples of 64, so
+    ``(hi - lo) / 64`` is an integer step on that scale and each anchor is
+    exact.  Sums, minima and the clamp commute with multiplying by the
+    positive ``den``, so each value is the integer result over ``den``, the
+    same rational the arithmetic on fractions gives.
+    """
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     rng = random.Random(seed)
     n = len(space)
-    diam = space.diameter
-    if isinstance(screen, Interval):
-        lo, hi = screen.a - diam, screen.b + diam
-    else:
-        lo, hi = -diam, diam
-    span = hi - lo
-    anchors = [lo + span * Fraction(rng.randint(0, 64), 64) for _ in range(n)]
+    scale, rows = space.scaled_dist
+    ends = (screen.a, screen.b) if isinstance(screen, Interval) else (ZERO, ZERO)
+    den = 64 * lcm(scale, *(e.denominator for e in ends))
+    per_dist = den // scale
+    a, b = (e.numerator * (den // e.denominator) for e in ends)
+    diam = max(map(max, rows)) * per_dist
+    lo, hi = a - diam, b + diam
+    step = (hi - lo) // 64
+    anchors = [lo + step * rng.randint(0, 64) for _ in range(n)]
     values = [
-        min(anchors[j] + space.dist(i, j) for j in range(n)) for i in range(n)
+        min(anchor + d * per_dist for anchor, d in zip(anchors, row)) for row in rows
     ]
     if isinstance(screen, Interval):
-        values = [min(screen.b, max(screen.a, v)) for v in values]
-    witness = LipschitzWitness(tuple(values))
+        values = [min(b, max(a, v)) for v in values]
+    witness = LipschitzWitness(tuple(Fraction(v, den) for v in values))
     witness.validate(space, screen)
     return witness
 

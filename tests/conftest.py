@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import floor, lcm
 
 from hypothesis import strategies as st
 
@@ -300,6 +300,98 @@ def od_permutation_oracle(space, screen, kappa):
             values[perm[slot]] = potentials[slot] + shift
         best, best_witness = t, LipschitzWitness(tuple(values))
     return best, best_witness
+
+
+def grid_oracle_reference(space, screen, kappa, step) -> tuple:
+    """``(lower, upper)`` by the grid enumeration the library's oracle
+    replaced: the same assignments, anchors and pruning, but each value k
+    lists every completing subset's placed values and takes max - min.  No
+    caps or ceilings; callers keep the grid small."""
+    kappa = Fraction(kappa)
+    step = Fraction(step)
+    n = len(space)
+    family = heavy_minimal_subsets(space, 1 - kappa).minimal_subsets
+    slack = (n - 1) * step
+    if any(len(s) == 1 for s in family):
+        return Fraction(0), slack
+    top = floor(screen.width / step)
+    bound = [[floor(d / step) for d in row] for row in space.dist_matrix]
+    completed_at: list[list[tuple]] = [[] for _ in range(n)]
+    for subset in family:
+        completed_at[max(subset)].append(subset)
+    ks = [0] * n
+    best = 0
+
+    def recurse(var: int, cap: int, anchor: int) -> None:
+        nonlocal best
+        if var == n:
+            best = cap
+            return
+        lo, hi = 0, top
+        for i in range(var):
+            b = bound[i][var]
+            lo = max(lo, ks[i] - b)
+            hi = min(hi, ks[i] + b)
+        if var == anchor:
+            lo, hi = max(lo, 0), min(hi, 0)
+        for k in range(lo, hi + 1):
+            ks[var] = k
+            cap_here = cap
+            for subset in completed_at[var]:
+                vals = [ks[i] for i in subset]
+                spread = max(vals) - min(vals)
+                if spread < cap_here:
+                    cap_here = spread
+            if cap_here > best:
+                recurse(var + 1, cap_here, anchor)
+
+    for anchor in range(n):
+        recurse(0, top, anchor)
+    lower = Fraction(best) * step
+    return lower, lower + slack
+
+
+def random_lipschitz_map_oracle(space, screen, rng) -> LipschitzWitness:
+    """The random witness by the Fraction arithmetic the integer scale
+    replaced, drawing from ``rng`` (the library seeds ``random.Random(seed)``):
+    anchors ``lo + span * r / 64`` on the screen widened by the diameter, the
+    lower envelope of their cones, then the clamp onto an interval screen."""
+    n = len(space)
+    diam = space.diameter
+    if isinstance(screen, Interval):
+        lo, hi = screen.a - diam, screen.b + diam
+    else:
+        lo, hi = -diam, diam
+    span = hi - lo
+    anchors = [lo + span * Fraction(rng.randint(0, 64), 64) for _ in range(n)]
+    values = [min(anchors[j] + space.dist(i, j) for j in range(n)) for i in range(n)]
+    if isinstance(screen, Interval):
+        values = [min(screen.b, max(screen.a, v)) for v in values]
+    witness = LipschitzWitness(tuple(values))
+    lipschitz_validate_oracle(witness, space, screen)
+    return witness
+
+
+def lipschitz_validate_oracle(witness: LipschitzWitness, space, screen) -> None:
+    """``LipschitzWitness.validate`` by Fraction comparisons, as before the
+    common integer scale: length, then the screen, then the pairs (i, j)
+    with i < j in order, raising the same messages."""
+    values = witness.values
+    n = len(space)
+    if len(values) != n:
+        raise ValidationError(f"witness has {len(values)} values for a {n}-point space")
+    for v in values:
+        if not screen.contains(v):
+            raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) > space.dist(i, j):
+                raise ValidationError(
+                    "witness is not 1-Lipschitz between "
+                    f"{space.labels[i]} and {space.labels[j]}: "
+                    f"|{fraction_text(values[i])} - {fraction_text(values[j])}| "
+                    f"> {fraction_text(space.dist(i, j))}"
+                )
 
 
 def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> tuple:

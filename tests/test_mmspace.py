@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import heavy_subsets_bruteforce
+from conftest import heavy_subsets_bruteforce, lipschitz_validate_oracle
 
 from obsdiam import (
     FULL_LINE,
@@ -15,6 +15,7 @@ from obsdiam import (
     ValidationError,
     heavy_minimal_subsets,
     parse_screen,
+    random_lipschitz_map,
     screen_to_str,
 )
 from obsdiam.randgen import random_alpha, random_space
@@ -137,6 +138,62 @@ def test_witness_length_checked():
     sp = FiniteMMSpace.line_space([0, 1])
     with pytest.raises(ValidationError):
         LipschitzWitness((F(0),)).validate(sp, FULL_LINE)
+
+
+def _complaint(check):
+    """The ValidationError message a check raises, or None when it passes."""
+    try:
+        check()
+    except ValidationError as err:
+        return str(err)
+    return None
+
+
+def test_witness_equality_at_the_lipschitz_boundary_is_accepted():
+    # distances on thirds, values on sevenths: the common scale is 21
+    sp = FiniteMMSpace.line_space([0, F(1, 3), F(2, 3)])
+    w = LipschitzWitness((F(1, 7), F(1, 7) + F(1, 3), F(1, 7) + F(2, 3)))
+    w.validate(sp, FULL_LINE)  # every pair sits exactly on its distance
+
+
+def test_witness_violation_by_one_unit_of_the_common_scale():
+    sp = FiniteMMSpace.line_space([0, F(1, 3), F(2, 3), 1])
+    # pair (1, 2) is off by 1/21; pair (1, 3) fails by more, but later
+    w = LipschitzWitness((F(0), F(1, 7), F(1, 7) + F(8, 21), F(1)))
+    with pytest.raises(ValidationError) as err:
+        w.validate(sp, FULL_LINE)
+    message = "witness is not 1-Lipschitz between p1 and p2: |1/7 - 11/21| > 1/3"
+    assert str(err.value) == message
+    assert _complaint(lambda: lipschitz_validate_oracle(w, sp, FULL_LINE)) == message
+
+
+def test_witness_off_screen_is_reported_before_any_lipschitz_pair():
+    sp = FiniteMMSpace.line_space([0, 1, 2])
+    w = LipschitzWitness((F(0), F(4), F(9, 2)))  # pair (0, 1) fails too
+    with pytest.raises(ValidationError) as err:
+        w.validate(sp, Interval(-5, F(17, 4)))
+    assert str(err.value) == "witness value 9/2 escapes the screen"
+
+
+def test_witness_validate_matches_fraction_oracle_on_coprime_denominators():
+    """Values whose denominators are coprime to the distance scale, nudged
+    across the Lipschitz boundary, pass or fail with the same message as the
+    Fraction comparisons."""
+    rng = random.Random(77)
+    failures = 0
+    for _ in range(300):
+        sp = random_space(rng, min_points=2, max_points=6)
+        screen = Interval(F(-6), F(6))
+        values = list(random_lipschitz_map(sp, screen, rng.randint(0, 10**6)).values)
+        den = rng.choice([3, 5, 7, 9, 11, 13])
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(values))
+            values[i] += F(rng.randint(-2, 2), den)
+        w = LipschitzWitness(tuple(values))
+        got = _complaint(lambda: w.validate(sp, screen))
+        assert got == _complaint(lambda: lipschitz_validate_oracle(w, sp, screen))
+        failures += got is not None
+    assert 50 < failures < 250  # both outcomes are exercised
 
 
 def test_witness_pushforward_merges():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd
 from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,7 @@ from obsdiam import (
     Interval,
     ResourceCapError,
     heavy_minimal_subsets,
+    measurement_cloud,
     observable_diameter,
     od_grid_oracle,
     partial_diameter,
@@ -33,7 +36,12 @@ from obsdiam.observable import (
 )
 from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 
-from conftest import minimal_spans, od_permutation_oracle
+from conftest import (
+    grid_oracle_reference,
+    minimal_spans,
+    od_permutation_oracle,
+    random_lipschitz_map_oracle,
+)
 
 X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
 
@@ -346,6 +354,20 @@ def test_grid_oracle_exact_on_grid_aligned_instance():
     assert grid == F(42, 64)  # regression pin
 
 
+@pytest.mark.parametrize("step", [F(1, 4), F(1, 8), F(1, 16)])
+def test_grid_oracle_matches_per_k_reference(step):
+    """The precomputed (min, max) of each completing subset gives the same
+    enclosure as listing the subset's values at every grid value."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        sp = random_space(rng, min_points=2, max_points=4)
+        kappa = random_alpha(rng)
+        lo = F(rng.randint(-32, 32), 16)
+        screen = Interval(lo, lo + F(rng.randint(8, 96), 64))
+        want = grid_oracle_reference(sp, screen, kappa, step)
+        assert od_grid_oracle(sp, screen, kappa, step) == want
+
+
 def test_grid_oracle_rejects_full_line():
     with pytest.raises(DomainError):
         od_grid_oracle(X2, FULL_LINE, F(1, 2), F(1, 8))
@@ -376,6 +398,57 @@ def test_random_lipschitz_map_deterministic_and_valid():
     assert a.values != c.values or True  # different seeds usually differ; no guarantee
     a.validate(sp, screen)
     c.validate(sp, screen)
+
+
+def _coprime_interval(rng, scale):
+    """A screen whose end denominators are odd primes not dividing ``scale``,
+    drawn separately for each end."""
+    dens = [d for d in (3, 5, 7, 11, 13) if gcd(d, scale) == 1]
+    a = F(rng.randint(-40, 40), rng.choice(dens))
+    return Interval(a, a + F(rng.randint(1, 60), rng.choice(dens)))
+
+
+def test_random_lipschitz_map_matches_fraction_oracle(monkeypatch):
+    """The integer scale gives the Fraction construction's witness and leaves
+    the generator in the same state, so the same draws were made."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(observable, "random", SimpleNamespace(Random=Recording))
+    rng = random.Random(2718)
+    cases = 0
+    for n in range(1, 8):
+        for _ in range(75):
+            sp = random_space(rng, min_points=n, max_points=n)
+            scale, _ = sp.scaled_dist
+            for screen in (FULL_LINE, _coprime_interval(rng, scale)):
+                seed = rng.randint(0, 10**6)
+                got = random_lipschitz_map(sp, screen, seed)
+                oracle_rng = random.Random(seed)
+                assert got == random_lipschitz_map_oracle(sp, screen, oracle_rng)
+                assert made.pop().getstate() == oracle_rng.getstate()
+                cases += 1
+    assert cases >= 1000
+
+
+def test_measurement_cloud_images_match_fraction_oracle():
+    rng = random.Random(31)
+    for _ in range(20):
+        sp = random_space(rng, min_points=2, max_points=5)
+        radius = F(rng.randint(1, 9), rng.choice([1, 3, 7]))
+        seed = rng.randint(0, 10**6)
+        screen = Interval(-radius, radius)
+        want = []
+        for i in range(16):
+            witness = random_lipschitz_map_oracle(sp, screen, random.Random(seed + i))
+            image = witness.pushforward(sp)
+            if image not in want:
+                want.append(image)
+        assert measurement_cloud(sp, radius, 16, seed) == tuple(want)
 
 
 # -- revised inequality --------------------------------------------------------------
