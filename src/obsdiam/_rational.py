@@ -26,6 +26,7 @@ from .errors import DomainError, ResourceCapError, ValidationError
 
 __all__ = [
     "ZERO", "ONE", "JsonFile", "read_json", "to_fraction", "to_open_unit", "to_positive",
+    "to_at_most_one",
     "format_fraction", "fraction_text", "render_decimal",
 ]
 
@@ -78,6 +79,14 @@ def to_positive(value, *, what: str) -> Fraction:
     value = to_fraction(value, what=what)
     if value <= 0:
         raise DomainError(f"{what} must be positive, got {fraction_text(value)}")
+    return value
+
+
+def to_at_most_one(value, *, what: str) -> Fraction:
+    """``to_fraction`` for a mass level, which no set can pass above 1."""
+    value = to_fraction(value, what=what)
+    if value > 1:
+        raise DomainError(f"{what} must be <= 1, got {fraction_text(value)}")
     return value
 
 

@@ -85,15 +85,15 @@ def anchor_walk(mu: DiscreteMeasure, alpha) -> tuple:
 
 
 def _merge_open_intervals(intervals):
-    """Union of open intervals as maximal disjoint open intervals.
+    """Union of open intervals as maximal open intervals, up to endpoints.
 
-    Only genuinely overlapping intervals merge; two intervals that merely
-    touch at an endpoint stay separate, since their union as open sets is not
-    an interval.  (The integral of the indicator does not care either way.)
+    Intervals that overlap or merely touch at an endpoint merge, so the
+    result may also cover a shared endpoint; the integral of the indicator
+    does not see a single point.
     """
     merged: list[list[Fraction]] = []
     for a, b in sorted(intervals):
-        if merged and a < merged[-1][1]:
+        if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
         else:
             merged.append([a, b])
@@ -108,10 +108,7 @@ def _integrate(anchors, r: Fraction, s: Fraction) -> PiecewiseLinearMap:
     knots: list[tuple] = []
     value = -len(anchors) * s
     for a, b in _merge_open_intervals([(a - r, a + r) for a in anchors]):
-        if not knots or a > knots[-1][0]:
-            knots.append((a, value))
-        # a == last knot x happens when two open intervals touch; the slope
-        # just continues through the shared endpoint.
+        knots.append((a, value))
         value += (b - a) * slope
         knots.append((b, value))
     return PiecewiseLinearMap(knots, 0, 0)

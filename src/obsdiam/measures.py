@@ -50,8 +50,10 @@ from itertools import accumulate
 from math import gcd, inf, lcm
 from typing import Iterable, NamedTuple
 
-from ._rational import ONE, ZERO, JsonFile, format_fraction, fraction_text, to_fraction
-from .errors import DomainError, ResourceCapError, ValidationError, VerificationError
+from ._rational import (
+    ONE, ZERO, JsonFile, format_fraction, fraction_text, to_at_most_one, to_fraction,
+)
+from .errors import ResourceCapError, ValidationError, VerificationError
 
 __all__ = [
     "DiscreteMeasure",
@@ -244,9 +246,7 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     by convention) and raises DomainError for alpha > 1, where no set can
     reach the level.
     """
-    alpha = to_fraction(alpha, what="alpha")
-    if alpha > 1:
-        raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
+    alpha = to_at_most_one(alpha, what="alpha")
     if alpha <= 0:
         return PartialDiameter(ZERO, None)
     atoms = mu.atoms
@@ -313,9 +313,7 @@ class PdProfile:
         return self._steps
 
     def evaluate(self, alpha) -> Fraction:
-        alpha = to_fraction(alpha, what="alpha")
-        if alpha > 1:
-            raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
+        alpha = to_at_most_one(alpha, what="alpha")
         if alpha <= 0:
             return ZERO
         # (alpha,) sorts before every step (alpha, v), so this is the first

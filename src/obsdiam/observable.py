@@ -67,10 +67,10 @@ only when it improves on the incumbent:
     ``m >= k = ceil(mass(T) / beta) - 1``.  Each window holds a heavy
     subset, hence a span of spread ``>= t``, and the windows lie end to end
     after f.  So ``t * (E(0, s) + k) <= y_{n-1} - y_0 <= W``, where W is the
-    screen width and, while points are unplaced, also the largest distance
-    from ``perm[0]`` to one of them, which is at least
-    ``d(perm[0], perm[n-1])``; on the full line that is the only W.  With
-    ``k = 0``, B2 is the width over the greedy chain.
+    screen width (``diam X`` on the full line, see ``_scaled``) and, while
+    points are unplaced, also the largest distance from ``perm[0]`` to one
+    of them, which is at least ``d(perm[0], perm[n-1])``.  With ``k = 0``,
+    B2 is the width over the greedy chain.
   - **(B3) Ball mass.**  Take a placed slot ``a <= s`` whose slots
     ``a..s`` are not heavy, and let r be the least radius such that those
     points together with the unplaced points within r of ``perm[a]`` are
@@ -217,9 +217,7 @@ def observable_diameter(
     diam_scaled = min(
         max(max(get(dmat_scaled[i])) for i in subset) for subset, get in zip(family, pick)
     )
-    upper = Fraction(
-        diam_scaled if width_scaled is None else min(diam_scaled, width_scaled), scale
-    )
+    upper = Fraction(min(diam_scaled, width_scaled), scale)
 
     # Seed the incumbent with the distance-to-anchor maps, scored on the
     # integer distances; a witness is built only for a seed that improves.
@@ -260,11 +258,33 @@ def observable_diameter(
 
 def _scaled(space: FiniteMMSpace, screen: Screen):
     """``(scale, dmat_scaled, width_scaled)``: the distances and the screen
-    width (None on the full line) times the least common denominator
-    ``scale``, as ints, so the bounds and Bellman-Ford run on plain ints."""
+    width times the least common denominator ``scale``, as ints, so the
+    bounds and Bellman-Ford run on plain ints.
+
+    The full line is searched as the screen ``[0, diam X]``: its width is
+    the largest distance.  That changes no value: a 1-Lipschitz image
+    spreads at most ``diam X``, so a translate of it lies in ``[0, diam X]``,
+    and translation keeps every spread.  It changes no witness either.  The
+    seeds spread at most ``diam X``, so none is squeezed, and ``UB`` already
+    sits below ``diam X``.  In ``_order_edges`` the width edge
+    ``(0, n - 1)`` comes right after the Lipschitz edges, the one between
+    the same slots among them, and no Lipschitz edge ends at slot 0, so none
+    lowers ``dist[0]`` in between.  Hence whenever a Bellman-Ford sweep
+    reaches the width edge,
+    ``dist[n - 1] <= dist[0] + d(perm[0], perm[n - 1]) * t_den``, and the
+    width edge, of weight ``W * t_den >= d(perm[0], perm[n - 1]) * t_den``,
+    never relaxes: the potentials, the predecessors and every negative cycle
+    are those of the graph without it.  In the prefix search W enters only
+    B2.  Before a leaf the farthest unplaced point is at most ``diam X``
+    away, so B2 reads the same; at a leaf it may now tighten the bound, but
+    not below the ordering's optimum, since ``y_{n-1} - y_0 <= diam X``.  A
+    leaf it cuts could not beat the incumbent, and otherwise the solve's
+    probes stay above the optimum until the first feasible one, which is the
+    optimum itself, on the same graph with the same potentials.
+    """
     scale, dmat_scaled = space.scaled_dist
     if not isinstance(screen, Interval):
-        return scale, dmat_scaled, None
+        return scale, dmat_scaled, max(map(max, dmat_scaled))
     width = screen.width
     factor = width.denominator // gcd(scale, width.denominator)  # lcm(scale, den) / scale
     if factor != 1:
@@ -320,19 +340,17 @@ def _pruned_orderings(
     before = [0]  # before[a]: mass of the points at slots < a
     chains = [None] * n  # chains[b][a] = E(a, b) for the placed slots
     spans = []  # minimal spans of the prefix, first slot ascending
+    best = incumbent()
+    limit, den = best.numerator * scale, best.denominator  # the incumbent, on the bounds' scale
 
-    def floor():
-        best = incumbent()
-        return best.numerator * scale, best.denominator
-
-    def extend(placed, lo_max, before_frontier, bound, count, limit, den):
-        """Yield the surviving completions of ``perm``; return the incumbent
-        as (numerator * scale, denominator), refreshed after every yield.
+    def extend(placed, lo_max, before_frontier, bound, count):
+        """Yield the surviving completions of ``perm``.
 
         ``lo_max[q]`` is the largest first slot of a subset that q would
         close; ``before_frontier`` the points before the greedy chain's
         frontier; ``bound / (count * scale)`` the prefix's bound.
         """
+        nonlocal limit, den
         slot = len(perm)
         top_lo = spans[-1][0] if spans else -1
         prev = chains[slot - 1] if slot else ()
@@ -368,10 +386,10 @@ def _pruned_orderings(
             if child != full:
                 for d, far_bit, _ in reversed(nearest[start]):
                     if not child & far_bit:
-                        if reach is None or d < reach:
+                        if d < reach:
                             reach = d
                         break
-            if stack and reach is not None and reach * b_den < b_num * stack:
+            if stack and reach * b_den < b_num * stack:
                 b_num, b_den = reach, stack
             if b_num * den <= limit * b_den:
                 continue
@@ -401,7 +419,8 @@ def _pruned_orderings(
                 spans.append((lo, slot))
             if child == full:
                 yield tuple(perm), Fraction(b_num, b_den * scale), tuple(reversed(spans))
-                limit, den = floor()
+                best = incumbent()
+                limit, den = best.numerator * scale, best.denominator
             else:
                 lo_next = list(lo_max)
                 for index, mask in members[p]:
@@ -412,16 +431,13 @@ def _pruned_orderings(
                         q = rest.bit_length() - 1
                         if first[index] > lo_next[q]:
                             lo_next[q] = first[index]
-                limit, den = yield from extend(
-                    child, lo_next, frontier_mask, b_num, b_den, limit, den
-                )
+                yield from extend(child, lo_next, frontier_mask, b_num, b_den)
             if lo > top_lo:
                 spans.pop()
             before.pop()
             perm.pop()
-        return limit, den
 
-    return extend(0, [-1] * n, 0, diam_scaled, 1, *floor())
+    return extend(0, [-1] * n, 0, diam_scaled, 1)
 
 
 def _seed_value(pick, distances, scale, width_scaled) -> Fraction:
@@ -437,7 +453,7 @@ def _seed_value(pick, distances, scale, width_scaled) -> Fraction:
     """
     low = min(max(values) - min(values) for values in [get(distances) for get in pick])
     spread = max(distances)
-    if width_scaled is not None and spread > width_scaled:
+    if spread > width_scaled:
         return Fraction(low * width_scaled, scale * spread)
     return Fraction(low, scale)
 
@@ -446,7 +462,7 @@ def _seed_witness(distances, scale, width_scaled, base) -> LipschitzWitness:
     """The distance-to-anchor map from the anchor's scaled ``distances``,
     squeezed affinely when the screen is short and shifted to ``base``."""
     spread = max(distances)
-    if width_scaled is not None and spread > width_scaled:
+    if spread > width_scaled:
         scale, distances = scale * spread, [d * width_scaled for d in distances]
     return LipschitzWitness(tuple(Fraction(d, scale) + base for d in distances))
 
@@ -461,8 +477,7 @@ def _order_edges(n, perm, spans, dmat_scaled, width_scaled):
         row = dmat_scaled[perm[p]]
         for q in range(p + 1, n):
             edges.append((p, q, row[perm[q]], 0))  # Lipschitz, other side implied
-    if width_scaled is not None:
-        edges.append((0, n - 1, width_scaled, 0))
+    edges.append((0, n - 1, width_scaled, 0))
     for lo, hi in spans:
         edges.append((hi, lo, 0, 1))  # y_hi - y_lo >= t
     return edges

@@ -73,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import ONE, ZERO, fraction_text, to_fraction, to_positive
+from ._rational import ONE, ZERO, to_at_most_one, to_positive
 from .errors import DomainError, check_cap
 from .measures import DiscreteMeasure, partial_diameter
 from .mmspace import FiniteMMSpace, Interval
@@ -169,10 +169,8 @@ def check_pd_transfer(
 ) -> TransferReport:
     """Check pd(mu, alpha) <= pd(nu, alpha + epsilon) + 2 * epsilon whenever
     the one-sided distance from mu to nu is certified below epsilon."""
-    alpha = to_fraction(alpha, what="alpha")
+    alpha = to_at_most_one(alpha, what="alpha")
     epsilon = to_positive(epsilon, what="epsilon")
-    if alpha > 1:
-        raise DomainError(f"alpha must be <= 1, got {fraction_text(alpha)}")
     distance = prokhorov_onesided(mu, nu, cap=cap)
     if distance >= epsilon:
         return TransferReport(

@@ -27,8 +27,7 @@ from obsdiam import (
     witness_partial_diameter,
 )
 from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
-from obsdiam.compression import _merge_open_intervals
-from obsdiam.observable import _max_t_for_order, _order_edges
+from obsdiam.observable import _max_t_for_order
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -244,8 +243,10 @@ def od_permutation_oracle(space, screen, kappa):
     This is the enumerator the engine's pruned prefix search replaced.  It
     visits every ordering in ``itertools.permutations`` order and shares only
     the per-ordering constraint solve with the engine, so agreement on value
-    *and* witness checks the search order and every cut.  Returns
-    ``(value, witness)``.
+    *and* witness checks the search order and every cut.  On the full line
+    its constraint graphs have no width edge, where the engine searches the
+    screen ``[0, diam X]``, so agreement there also checks that the two
+    give the same answers.  Returns ``(value, witness)``.
     """
     kappa = Fraction(kappa)
     alpha = 1 - kappa
@@ -289,7 +290,7 @@ def od_permutation_oracle(space, screen, kappa):
             ub = min(ub, width / greedy_chain(kept))
         if ub <= best:
             continue
-        edges = _order_edges(n, perm, kept, dmat_scaled, width_scaled)
+        edges = _oracle_order_edges(n, perm, kept, dmat_scaled, width_scaled)
         result = _max_t_for_order(edges, n, scale, ub, best)
         if result is None:
             continue
@@ -300,6 +301,24 @@ def od_permutation_oracle(space, screen, kappa):
             values[perm[slot]] = potentials[slot] + shift
         best, best_witness = t, LipschitzWitness(tuple(values))
     return best, best_witness
+
+
+def _oracle_order_edges(n, perm, spans, dmat_scaled, width_scaled):
+    """Difference-constraint edges (src, dst, const_scaled, t_count) meaning
+    y[dst] - y[src] <= const - t * t_count, on slot variables; no width edge
+    when ``width_scaled`` is None (the full line)."""
+    edges = []
+    for k in range(n - 1):
+        edges.append((k + 1, k, 0, 0))  # y_k <= y_{k+1}
+    for p in range(n):
+        row = dmat_scaled[perm[p]]
+        for q in range(p + 1, n):
+            edges.append((p, q, row[perm[q]], 0))  # Lipschitz, other side implied
+    if width_scaled is not None:
+        edges.append((0, n - 1, width_scaled, 0))
+    for lo, hi in spans:
+        edges.append((hi, lo, 0, 1))  # y_hi - y_lo >= t
+    return edges
 
 
 def grid_oracle_reference(space, screen, kappa, step) -> tuple:
@@ -456,11 +475,25 @@ def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> tuple:
     return tuple(anchors)
 
 
+def _merge_overlapping(intervals):
+    """Union of open intervals as maximal disjoint open intervals: only
+    overlapping intervals merge, and touching ones stay separate."""
+    merged: list[list[Fraction]] = []
+    for a, b in sorted(intervals):
+        if merged and a < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
 def clamp_compose_oracle(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearMap:
     """Clamping map by the construction the library's one-pass builder
     replaced: rescale mu to partial diameter 1, compress with unit balls
     around ``anchor_walk_oracle``'s anchors, multiply by min(R, r), and
-    compose the three maps symbolically with ``after``."""
+    compose the three maps symbolically with ``after``.  Balls that only
+    touch stay separate here and meet at a shared knot, where the library
+    merges them."""
     alpha = to_open_unit(alpha, what="alpha")
     radius = to_positive(radius, what="radius")
     r = partial_diameter(mu, alpha).value
@@ -474,7 +507,7 @@ def clamp_compose_oracle(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearM
     anchors = anchor_walk_oracle(unit_measure, alpha)
     knots: list[tuple] = []
     value = Fraction(-len(anchors))
-    for a, b in _merge_open_intervals([(a - 1, a + 1) for a in anchors]):
+    for a, b in _merge_overlapping([(a - 1, a + 1) for a in anchors]):
         if not knots or a > knots[-1][0]:
             knots.append((a, value))
         # a == last knot x happens when two open intervals touch; the slope

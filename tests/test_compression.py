@@ -39,7 +39,7 @@ def test_anchors_two_points():
 
 def test_anchors_touching_balls_stay_separate():
     # consecutive anchors exactly 2 apart: the two unit balls share only the
-    # boundary point, and the map's knots below run straight through it
+    # boundary point, and the map below integrates them as one stretch
     assert anchor_walk(DiscreteMeasure.uniform([-1, 0, 1, 2, 3]), F(2, 5)) == (F(0), F(2))
 
 

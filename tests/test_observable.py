@@ -116,6 +116,29 @@ def test_od_matches_permutation_oracle_value_and_witness(kind):
                 )
 
 
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_full_line_matches_every_screen_of_width_at_least_the_diameter(kind):
+    """Every 1-Lipschitz image spreads at most diam X, so od on the full line
+    equals od on any screen [c, c + w] with w >= diam X, and the engine finds
+    the same witness there, shifted by c."""
+    rng = random.Random(f"full-line-screens/{kind}")
+    for n in range(2, 9):
+        sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+        diam = max(map(max, sp.dist_matrix))
+        screens = [
+            (c, Interval(c, c + w))
+            for c, w in ((F(0), diam), (F(-5, 3), diam + F(1, 7)), (F(2, 9), 2 * diam + 1))
+        ]
+        for kappa in (F(1, 3), F(1, 2), F(3, 4)):
+            full = observable_diameter(sp, FULL_LINE, kappa)
+            for c, screen in screens:
+                got = observable_diameter(sp, screen, kappa)
+                assert got.value == full.value, (n, screen, kappa)
+                assert got.witness.values == tuple(v + c for v in full.witness.values), (
+                    n, screen, kappa
+                )
+
+
 def test_searching_od_call_builds_one_subset_table(monkeypatch):
     """The search reads the heavy family's subset-mass table instead of
     building its own."""
@@ -180,7 +203,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
         return False
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
-    upper = F(diam_scaled if width_scaled is None else min(diam_scaled, width_scaled), scale)
+    upper = F(min(diam_scaled, width_scaled), scale)
     mass, alpha_w = subset_masses(space.masses, alpha)
 
     optimum, minimal = {}, {}
@@ -395,7 +418,7 @@ def test_random_lipschitz_map_deterministic_and_valid():
     b = random_lipschitz_map(sp, screen, seed=11)
     c = random_lipschitz_map(sp, screen, seed=12)
     assert a.values == b.values
-    assert a.values != c.values or True  # different seeds usually differ; no guarantee
+    assert a.values != c.values
     a.validate(sp, screen)
     c.validate(sp, screen)
 

@@ -12,6 +12,8 @@ from obsdiam import (
     counterexample_space,
     measurement_cloud,
     od_grid_oracle,
+    partial_diameter,
+    pd_profile,
     sharpness_sweep,
     verify_counterexample,
     verify_revised_inequality,
@@ -38,3 +40,18 @@ POSITIVE_ARGUMENTS = [
 def test_positive_arguments_reject_zero_and_negatives(call, what, value):
     with pytest.raises(DomainError, match=f"^{what} must be positive, got {value}$"):
         call(value)
+
+
+# entry points whose level alpha may not pass 1
+AT_MOST_ONE_ARGUMENTS = [
+    lambda value: partial_diameter(MU, value),
+    lambda value: pd_profile(MU).evaluate(value),
+    lambda value: check_pd_transfer(MU, MU, value, F(1, 2)),
+]
+
+
+@pytest.mark.parametrize("call", AT_MOST_ONE_ARGUMENTS)
+def test_levels_above_one_are_refused(call):
+    with pytest.raises(DomainError, match=r"^alpha must be <= 1, got 5/4$"):
+        call(F(5, 4))
+    call(1)  # the whole mass is a level every measure reaches
