@@ -60,25 +60,25 @@ def anchor_walk(mu: DiscreteMeasure, alpha) -> tuple:
     """The anchors of ``mu`` at level ``alpha``: strictly increasing and
     ending at x_infinity (see the module docstring)."""
     alpha = to_open_unit(alpha, what="alpha")
-    atoms = mu.atoms
+    positions = mu.positions
     scale, weights = mu.scaled_masses
     # an integer weight sum w has mass below alpha exactly when w < level
     level = scaled_level(alpha, scale)
-    # x_infinity is atoms[last]: step left while the atom to the left also
+    # x_infinity is positions[last]: step left while the atom to the left also
     # has less than alpha mass strictly to its right.
-    last = len(atoms) - 1
+    last = len(positions) - 1
     tail = 0
     while last > 0 and tail + weights[last] < level:
         tail += weights[last]
         last -= 1
     anchors = []
     acc = 0
-    for (pos, _), weight in zip(atoms[:last], weights):
+    for pos, weight in zip(positions[:last], weights):
         acc += weight
         if acc >= level:
             anchors.append(pos)
             acc = 0
-    anchors.append(atoms[last][0])
+    anchors.append(positions[last])
     if len(anchors) * alpha > 1:
         raise VerificationError("anchor count exceeded 1/alpha")
     return tuple(anchors)

@@ -24,7 +24,7 @@ from ._rational import (
     to_open_unit,
     to_positive,
 )
-from .errors import DomainError, VerificationError, check_cap
+from .errors import DomainError, ResourceCapError, VerificationError, check_cap
 from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str, subset_masses
 from .observable import DEFAULT_EXACT_CAP, observable_diameter
 
@@ -40,6 +40,9 @@ __all__ = [
     "SHARPNESS_CSV_COLUMNS",
     "SEMICONTINUITY_CSV_COLUMNS",
 ]
+
+
+SHARPNESS_ROW_CEILING = 10_000  # 10^4 rows: about 0.6 s and 3.8 MB of JSON (README)
 
 
 def _check_member(n_family: int, radius) -> Fraction:
@@ -213,10 +216,18 @@ def sharpness_sweep(
     ``verify_counterexample`` and must match the closed forms; larger ones
     carry the closed-form values with an explicit provenance flag, never
     silently mixed.  kappa_n is the left end of the validity window.
+
+    Past ``SHARPNESS_ROW_CEILING`` the sweep is refused before any row is
+    built; no cap keyword raises this ceiling.
     """
     radius = to_positive(radius, what="radius")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
+    if n_max > SHARPNESS_ROW_CEILING:
+        raise ResourceCapError(
+            f"n_max {n_max} exceeds the sharpness row ceiling {SHARPNESS_ROW_CEILING}; "
+            "--cap-n cannot raise it"
+        )
     rows = []
     for n in range(2, n_max + 1):
         kappa = 1 - Fraction(1, n)

@@ -4,14 +4,17 @@ The partial diameter of a measure at level ``alpha`` is the smallest diameter
 of a Borel set carrying mass at least ``alpha``.  For a finite measure on the
 line an optimal set can always be taken to be a closed interval, so the value
 is the width of the cheapest contiguous window of atoms whose mass reaches the
-level.  Everything here is exact: positions, masses, and results are
-``fractions.Fraction``.
+level.  Everything here is exact: positions and results are
+``fractions.Fraction``, and masses are exact integer weights.
 
-Integer view.  A measure also keeps ``scaled_masses = (scale, weights)``:
-``scale`` is the least common multiple of the mass denominators and
-``weights[k] = masses[k] * scale``, integers summing to ``scale``.  The
-sweeps below add and compare these integers instead of Fractions, and build
-a Fraction only for what they return.  Three facts make that exact.
+Stored form.  A measure stores its sorted positions and
+``scaled_masses = (scale, weights)``: ``scale`` is the least common multiple
+of the mass denominators and ``weights[k] = masses[k] * scale``, integers
+summing to ``scale``.  ``masses`` and ``atoms`` build their Fractions
+``w / scale`` from the weights on each call.  The sweeps below add and
+compare these integers instead of Fractions, and build a Fraction only for
+what they return.  Three facts make that exact, and a fourth makes the
+stored form canonical.
 
 1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
    its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
@@ -30,6 +33,19 @@ a Fraction only for what they return.  Three facts make that exact.
    floats (say 2^60 and 2^60 + 1, or two positions that underflow to 0.0)
    fall through to the exact comparison of p and q.  The key order is the
    exact order; ``pd_profile`` sorts its widths by the same key.
+4. Canonical form.  The constructor sets ``scale`` to the lcm of the
+   reduced mass denominators.  ``_from_weights`` gets weights w_k summing to
+   some S and divides S and every w_k by g = gcd(w_1, ..., w_n), which is
+   also gcd(w_1, ..., w_n, S) since the w_k sum to S.  The reduced
+   denominator of w_k / S is S / gcd(w_k, S), and for each prime p the
+   largest exponent of p among these is v_p(S) - min(v_p(S), min_k v_p(w_k)),
+   the exponent of p in S / g.  So S / g is again the lcm of the reduced
+   mass denominators.  Either way ``scale`` is a function of the masses, and
+   so are the weights, masses times ``scale``.  Two measures therefore have
+   equal atoms exactly when they have equal positions and weights (the
+   weights give back ``scale`` as their sum, hence the masses), whichever
+   path built them; ``__eq__`` and ``__hash__`` read those two tuples, and
+   the dedup in ``prokhorov.measurement_cloud`` relies on it.
 
 Each weight is at most ``scale``, so the view costs n integers no larger
 than ``scale``.  With a shared mass denominator, as in ``uniform``, ``scale``
@@ -86,12 +102,13 @@ def scaled_level(alpha: Fraction, scale: int) -> int:
 class DiscreteMeasure(JsonFile):
     """A probability measure with finitely many atoms on the rational line.
 
-    Atoms are stored canonically: positions strictly increasing, equal input
-    positions merged by summing their masses, every mass positive, and the
-    masses summing to exactly 1.
+    Atoms are stored canonically, as positions and integer weights (module
+    docstring): positions strictly increasing, equal input positions merged
+    by summing their masses, every mass positive, and the masses summing to
+    exactly 1.
     """
 
-    __slots__ = ("_atoms", "_scale", "_weights")
+    __slots__ = ("_positions", "_scale", "_weights")
 
     def __init__(self, atoms: Iterable[tuple, ]):
         merged: dict[Fraction, Fraction] = {}
@@ -123,9 +140,10 @@ class DiscreteMeasure(JsonFile):
             raise ValidationError(
                 f"atom masses must sum to 1 exactly, got {fraction_text(Fraction(total, scale))}"
             )
-        self._atoms = tuple(sorted(merged.items(), key=_order_key))
+        order = sorted(merged.items(), key=_order_key)
+        self._positions = tuple(p for p, _ in order)
         self._scale = scale
-        self._weights = tuple(m.numerator * (scale // m.denominator) for _, m in self._atoms)
+        self._weights = tuple(m.numerator * (scale // m.denominator) for _, m in order)
 
     # -- construction helpers -------------------------------------------------
 
@@ -135,16 +153,14 @@ class DiscreteMeasure(JsonFile):
         positive integer weights w sum to ``scale``.
 
         The least common denominator of the masses w/scale is scale / g, with
-        g the gcd of scale and every w, which is the gcd of the weights alone
-        since they sum to scale.
+        g the gcd of the weights (module docstring, fact 4).
         """
         g = gcd(*merged.values())
-        scale //= g
         order = sorted(merged.items(), key=_order_key)
         self = cls.__new__(cls)
-        self._scale = scale
+        self._positions = tuple(p for p, _ in order)
+        self._scale = scale // g
         self._weights = tuple(w // g for _, w in order)
-        self._atoms = tuple((p, Fraction(w, scale)) for (p, _), w in zip(order, self._weights))
         return self
 
     @classmethod
@@ -165,15 +181,18 @@ class DiscreteMeasure(JsonFile):
 
     @property
     def atoms(self) -> tuple:
-        return self._atoms
+        """``(position, mass)`` pairs, built from the weights on each call."""
+        return tuple(zip(self._positions, self.masses))
 
     @property
     def positions(self) -> tuple:
-        return tuple(a[0] for a in self._atoms)
+        return self._positions
 
     @property
     def masses(self) -> tuple:
-        return tuple(a[1] for a in self._atoms)
+        """The masses ``w / scale``, built from the weights on each call."""
+        scale = self._scale
+        return tuple(Fraction(w, scale) for w in self._weights)
 
     @property
     def scaled_masses(self) -> tuple:
@@ -182,25 +201,27 @@ class DiscreteMeasure(JsonFile):
         return self._scale, self._weights
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._positions)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        return self._atoms == other._atoms
+        # canonical (module docstring, fact 4): equal atoms, equal tuples
+        return self._positions == other._positions and self._weights == other._weights
 
     def __hash__(self) -> int:
-        return hash(self._atoms)
+        return hash((self._positions, self._weights))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p}:{m}" for p, m in self._atoms)
+        inner = ", ".join(f"{p}:{m}" for p, m in self.atoms)
         return f"DiscreteMeasure({inner})"
 
     def mass_of_interval(self, lo, hi) -> Fraction:
         """Mass of the closed interval [lo, hi]."""
         lo = to_fraction(lo, what="interval end")
         hi = to_fraction(hi, what="interval end")
-        return sum((m for p, m in self._atoms if lo <= p <= hi), ZERO)
+        inside = sum(w for p, w in zip(self._positions, self._weights) if lo <= p <= hi)
+        return Fraction(inside, self._scale)
 
     # -- serialization -----------------------------------------------------------
 
@@ -208,7 +229,7 @@ class DiscreteMeasure(JsonFile):
         return {
             "atoms": [
                 {"pos": format_fraction(p), "mass": format_fraction(m)}
-                for p, m in self._atoms
+                for p, m in self.atoms
             ]
         }
 
@@ -249,7 +270,7 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     alpha = to_at_most_one(alpha, what="alpha")
     if alpha <= 0:
         return PartialDiameter(ZERO, None)
-    atoms = mu.atoms
+    positions = mu.positions
     scale, weights = mu.scaled_masses
     target = scaled_level(alpha, scale)
     best: tuple | None = None  # (numerator, positive denominator) of the best width
@@ -266,7 +287,7 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
         while acc - weights[i] >= target:
             acc -= weights[i]
             i += 1
-        lo, hi = atoms[i][0], atoms[j][0]
+        lo, hi = positions[i], positions[j]
         num = hi.numerator * lo.denominator - lo.numerator * hi.denominator
         den = hi.denominator * lo.denominator
         if best is None or num * best[1] < best[0] * den:
@@ -343,11 +364,11 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
     masses are integer weight sums; Fractions are built for the distinct
     widths and the kept masses only.
     """
-    atoms = mu.atoms
+    positions = mu.positions
     scale, weights = mu.scaled_masses
-    n = len(atoms)
-    nums = [p.numerator for p, _ in atoms]
-    dens = [p.denominator for p, _ in atoms]
+    n = len(positions)
+    nums = [p.numerator for p in positions]
+    dens = [p.denominator for p in positions]
     prefix = list(accumulate(weights, initial=0))
     best_mass: dict[tuple, int] = {}
     get = best_mass.get
@@ -382,7 +403,7 @@ def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
     adding their integer weights, which need no re-validation."""
     scale, weights = mu.scaled_masses
     merged: dict[Fraction, int] = {}
-    for (pos, _), weight in zip(mu.atoms, weights):
+    for pos, weight in zip(mu.positions, weights):
         image = to_fraction(f(pos), what="image position")
         merged[image] = merged.get(image, 0) + weight
     return DiscreteMeasure._from_weights(merged, scale)

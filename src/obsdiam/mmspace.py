@@ -36,9 +36,14 @@ SUBSET_TABLE_CEILING = 22  # 2^22 subset masses: about 7 s and 280 MB (README)
 
 
 class FiniteMMSpace(JsonFile):
-    """Points with a rational metric and a probability mass on each point."""
+    """Points with a rational metric and a probability mass on each point.
 
-    __slots__ = ("_labels", "_dist", "_mass", "_scale", "_dist_int")
+    The metric is stored as one integer matrix, the distances times their
+    least common denominator (``scaled_dist``); ``dist`` and ``dist_matrix``
+    build Fractions from it on each call.
+    """
+
+    __slots__ = ("_labels", "_mass", "_scale", "_dist_int")
 
     def __init__(self, labels: Iterable[str], dist, mass):
         labels = tuple(str(x) for x in labels)
@@ -57,8 +62,9 @@ class FiniteMMSpace(JsonFile):
             raise ValidationError("all masses must be positive")
         if sum(masses) != 1:
             raise ValidationError(f"masses must sum to 1 exactly, got {fraction_text(sum(masses))}")
-        # the checks below run on one integer matrix, the distances times
-        # their least common denominator
+        # the checks below run on the stored integer matrix, the distances
+        # times their least common denominator; the parsed rows serve only
+        # the triangle-inequality message
         scale = lcm(*{d.denominator for row in rows for d in row})
         ints = tuple(tuple(d.numerator * (scale // d.denominator) for d in row) for row in rows)
         for i in range(n):
@@ -86,7 +92,6 @@ class FiniteMMSpace(JsonFile):
                         f"+ {fraction_text(rows[k][j])}"
                     )
         self._labels = labels
-        self._dist = tuple(tuple(r) for r in rows)
         self._mass = masses
         self._scale = scale
         self._dist_int = ints
@@ -119,16 +124,19 @@ class FiniteMMSpace(JsonFile):
         return len(self._labels)
 
     def dist(self, i: int, j: int) -> Fraction:
-        return self._dist[i][j]
+        return Fraction(self._dist_int[i][j], self._scale)
 
     @property
     def dist_matrix(self) -> tuple:
-        return self._dist
+        """The distances as Fraction rows, built from ``scaled_dist`` on each
+        call."""
+        scale = self._scale
+        return tuple(tuple(Fraction(d, scale) for d in row) for row in self._dist_int)
 
     @property
     def scaled_dist(self) -> tuple:
-        """``(scale, rows)``: the distances times their least common
-        denominator ``scale``, as tuples of ints."""
+        """``(scale, rows)``, the stored form of the metric: the distances
+        times their least common denominator ``scale``, as tuples of ints."""
         return self._scale, self._dist_int
 
     @property
@@ -141,14 +149,18 @@ class FiniteMMSpace(JsonFile):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMMSpace):
             return NotImplemented
+        # the scale is the lcm of the reduced distance denominators, so equal
+        # metrics have equal (scale, rows); rows alone would equate the
+        # metrics {0, 1/2} and {0, 1/3}
         return (
             self._labels == other._labels
-            and self._dist == other._dist
+            and self._scale == other._scale
+            and self._dist_int == other._dist_int
             and self._mass == other._mass
         )
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._dist, self._mass))
+        return hash((self._labels, self._scale, self._dist_int, self._mass))
 
     def __repr__(self) -> str:
         return f"FiniteMMSpace(n={len(self._labels)}, diam={self.diameter})"
@@ -158,7 +170,7 @@ class FiniteMMSpace(JsonFile):
     def to_json_dict(self) -> dict:
         return {
             "labels": list(self._labels),
-            "dist": [[format_fraction(v) for v in row] for row in self._dist],
+            "dist": [[format_fraction(v) for v in row] for row in self.dist_matrix],
             "mass": [format_fraction(m) for m in self._mass],
         }
 
@@ -195,9 +207,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.b - self.a
 
-    def contains(self, x: Fraction) -> bool:
-        return self.a <= x <= self.b
-
 
 class FullLine:
     """The unbounded screen; a singleton."""
@@ -208,9 +217,6 @@ class FullLine:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def contains(self, x) -> bool:  # noqa: ARG002 - uniform interface
-        return True
 
     def __repr__(self) -> str:
         return "FullLine"
@@ -256,11 +262,13 @@ class LipschitzWitness:
         screen and are 1-Lipschitz; the first failing check is reported, and
         pairs (i, j) with i < j are checked in lexicographic order.
 
-        The Lipschitz pairs are compared on one integer scale,
-        ``den = lcm(distance scale, value denominators)``.  Every value and
-        every distance times ``den`` is an integer, and multiplying both
-        sides of ``|v_i - v_j| > d(i, j)`` by the positive ``den`` keeps the
-        comparison, so each pair fails exactly when it does on fractions.
+        The screen and the Lipschitz pairs are compared on one integer scale,
+        ``den = lcm(distance scale, value denominators, screen-end
+        denominators)``.  Every value, every distance and each screen end
+        times ``den`` is an integer, and multiplying both sides of
+        ``a <= v <= b`` or ``|v_i - v_j| > d(i, j)`` by the positive ``den``
+        keeps the comparison, so each check fails exactly when it does on
+        fractions.
         """
         values = self.values
         n = len(space)
@@ -268,13 +276,16 @@ class LipschitzWitness:
             raise ValidationError(
                 f"witness has {len(values)} values for a {n}-point space"
             )
-        for v in values:
-            if not screen.contains(v):
-                raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
         scale, rows = space.scaled_dist
-        den = lcm(scale, *(v.denominator for v in values))
+        ends = (screen.a, screen.b) if isinstance(screen, Interval) else ()
+        den = lcm(scale, *(v.denominator for v in values), *(e.denominator for e in ends))
         per_dist = den // scale
         ints = [v.numerator * (den // v.denominator) for v in values]
+        if ends:
+            a, b = (e.numerator * (den // e.denominator) for e in ends)
+            for v, k in zip(values, ints):
+                if not a <= k <= b:
+                    raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
         for i, (vi, row) in enumerate(zip(ints, rows)):
             for j in range(i + 1, n):
                 if abs(vi - ints[j]) > row[j] * per_dist:

@@ -607,7 +607,11 @@ def od_grid_oracle(
             "assignments per anchor; use a coarser --grid-step (grid_step in the "
             "library); --cap-n cannot raise it"
         )
-    bound = [[floor(d / step) for d in row] for row in space.dist_matrix]
+    # floor(d / step) on integers: d = dd / scale and step = p / q give
+    # d / step = dd * q / (scale * p), with dd >= 0 and a positive divisor
+    scale, rows = space.scaled_dist
+    per_step = scale * step.numerator
+    bound = [[d * step.denominator // per_step for d in row] for row in rows]
 
     # a minimal subset completes at its last point; keep the others, whose
     # values are already placed when that point's value is chosen

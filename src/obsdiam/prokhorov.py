@@ -54,8 +54,12 @@ algorithm with no subset enumeration.
    repeats change nothing.
 
 With n and m atoms, finding and sorting the distances below 1 costs at most
-O(nm log nm) comparisons, and each of the O(log nm) flows O(n + m) steps,
-all in exact ``Fraction`` arithmetic.
+O(nm log nm) comparisons, and each of the O(log nm) flows O(n + m) steps.
+The distances are exact ``Fraction``s.  The flows run on integers: both
+measures' masses are put on the pair's common scale lcm(mu scale, nu scale)
+(``DiscreteMeasure.scaled_masses``), so every capacity is an integer weight,
+the greedy flow adds and compares integers, and the deficiency 1 - F_k is
+exactly (scale - flow) / scale.
 
 There is no separate symmetric variant, because on probability measures the
 two directions agree (Strassen 1965; Dudley, *Real Analysis and
@@ -72,6 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ._rational import ONE, ZERO, to_at_most_one, to_positive
 from .errors import DomainError, check_cap
@@ -90,17 +95,19 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 600  # 300 + 300 atoms within distance 1: under 1 s (README)
 
 
-def _max_flow(mu_atoms: tuple, nu_atoms: tuple, reach: Fraction) -> Fraction:
-    """Greedy maximum flow from nu's atoms to mu's atoms, each nu atom at y
-    sending only to mu atoms in [y - reach, y + reach] (module docstring)."""
-    capacity = [m for _, m in mu_atoms]
-    flow = ZERO
+def _max_flow(xs: tuple, supply: list, ys: tuple, demand: list, reach: Fraction) -> int:
+    """Greedy maximum flow from nu's atoms (positions ``ys``, integer weights
+    ``demand``) to mu's atoms (``xs``, ``supply``), both weights on one
+    scale, each nu atom at y sending only to mu atoms in [y - reach,
+    y + reach] (module docstring)."""
+    capacity = supply[:]
+    flow = 0
     i = 0  # mu atoms before i are used up or left of every later window
-    for y, need in nu_atoms:
+    for y, need in zip(ys, demand):
         left, right = y - reach, y + reach
-        while i < len(mu_atoms) and mu_atoms[i][0] < left:
+        while i < len(xs) and xs[i] < left:
             i += 1
-        while need and i < len(mu_atoms) and mu_atoms[i][0] <= right:
+        while need and i < len(xs) and xs[i] <= right:
             sent = min(need, capacity[i])
             capacity[i] -= sent
             need -= sent
@@ -117,9 +124,14 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     # Every eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances past 1 are
     # never stops.  Correctly rounded floats never invert an order, and exact
     # comparison breaks their ties, so the key sorts exactly.
-    xs = mu.positions
+    xs, ys = mu.positions, nu.positions
+    mu_scale, mu_weights = mu.scaled_masses
+    nu_scale, nu_weights = nu.scaled_masses
+    scale = lcm(mu_scale, nu_scale)
+    supply = [w * (scale // mu_scale) for w in mu_weights]
+    demand = [w * (scale // nu_scale) for w in nu_weights]
     stops = [ZERO, ONE]
-    for y in nu.positions:
+    for y in ys:
         near = xs[bisect_right(xs, y - 1) : bisect_left(xs, y + 1)]  # |x - y| < 1
         stops.extend(abs(x - y) for x in near)
     stops.sort(key=lambda d: (float(d), d))
@@ -130,7 +142,7 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     deficiency = ZERO  # stands for the deficiency of stretch hi
     while lo < hi:
         mid = (lo + hi) // 2
-        gap = 1 - _max_flow(mu.atoms, nu.atoms, stops[mid])
+        gap = Fraction(scale - _max_flow(xs, supply, ys, demand, stops[mid]), scale)
         if gap <= stops[mid + 1]:
             hi, deficiency = mid, gap
         else:

@@ -400,7 +400,7 @@ def lipschitz_validate_oracle(witness: LipschitzWitness, space, screen) -> None:
     if len(values) != n:
         raise ValidationError(f"witness has {len(values)} values for a {n}-point space")
     for v in values:
-        if not screen.contains(v):
+        if isinstance(screen, Interval) and not screen.a <= v <= screen.b:
             raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
     for i in range(n):
         for j in range(i + 1, n):

@@ -539,6 +539,15 @@ def test_sharpness_json_deterministic(capsys):
     assert [r["ratio"] for r in rows] == ["3/2", "5/4"]
 
 
+def test_sharpness_past_the_row_ceiling_exits_three_quickly(capsys):
+    for argv in (("1", "10001"), ("1", "1000000000", "--cap-n", "100")):
+        start = time.process_time()
+        code, out, err = run(capsys, "sharpness", *argv, "--format", "json")
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert "sharpness row ceiling 10000" in err
+
+
 def test_sharpness_internal_failure_maps_to_exit_one(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise VerificationError("closed form mismatch (forced by test)")

@@ -131,6 +131,15 @@ def test_sharpness_validation():
         sharpness_sweep(0, 3)
 
 
+def test_sharpness_row_ceiling():
+    # refused before a row is built, whatever the cap; 10^4 rows are allowed
+    for cap in ({}, {"cap_n": 10**6}):
+        with pytest.raises(ResourceCapError, match="sharpness row ceiling 10000; --cap-n cannot"):
+            sharpness_sweep(1, experiments.SHARPNESS_ROW_CEILING + 1, **cap)
+    with pytest.raises(ResourceCapError):
+        sharpness_sweep(1, 10**9)
+
+
 # -- semicontinuity ----------------------------------------------------------------
 
 

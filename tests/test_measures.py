@@ -323,3 +323,20 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != DiscreteMeasure.uniform([0, 2])
+    # a push-forward stores merged weights divided by their gcd, the
+    # constructor reduced masses times their lcd: the stored forms agree
+    pairs = push_forward(DiscreteMeasure.uniform([0, 1, 2, 3]), lambda x: x // 2)
+    assert pairs.scaled_masses == (2, (1, 1)) == DiscreteMeasure.uniform([0, 1]).scaled_masses
+    rng = random.Random(15)
+    collapse = (abs, lambda x: min(max(x, -1), 1), lambda x: F(0))
+    for trial in range(300):
+        mu = random_measure(rng, max_atoms=8)
+        f = random_lipschitz_pl(rng) if trial % 2 else rng.choice(collapse)
+        image = push_forward(mu, f)
+        for twin in (
+            DiscreteMeasure(image.atoms),
+            DiscreteMeasure.from_json_dict(json.loads(json.dumps(image.to_json_dict()))),
+        ):
+            assert twin == image and image == twin
+            assert hash(twin) == hash(image)
+            assert twin.scaled_masses == image.scaled_masses

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from obsdiam import (
     random_lipschitz_map,
     screen_to_str,
 )
+from obsdiam._rational import fraction_text
 from obsdiam.randgen import random_alpha, random_space
 
 
@@ -80,24 +82,31 @@ def test_json_round_trip(tmp_path):
     assert FiniteMMSpace.load(path) == sp
 
 
+def test_equality_and_hash_read_the_integer_matrix():
+    rng = random.Random(15)
+    for _ in range(200):
+        sp = random_space(rng, max_points=6)
+        twin = FiniteMMSpace.from_json_dict(json.loads(json.dumps(sp.to_json_dict())))
+        assert twin == sp and hash(twin) == hash(sp)
+        assert twin.scaled_dist == sp.scaled_dist
+    # both metrics store the integer rows ((0, 1), (1, 0)); only the scale differs
+    half, third = FiniteMMSpace.line_space([0, F(1, 2)]), FiniteMMSpace.line_space([0, F(1, 3)])
+    assert half.scaled_dist[1] == third.scaled_dist[1]
+    assert half != third
+    assert half.dist_matrix == ((0, F(1, 2)), (F(1, 2), 0))
+    assert half.dist(0, 1) == F(1, 2) and type(half.dist(0, 1)) is F
+
+
 # -- screens -----------------------------------------------------------------------
 
 
-def test_interval_contains():
-    band = Interval(-1, F(3, 2))
-    assert band.contains(-1) and band.contains(F(3, 2)) and band.contains(0)
-    assert not band.contains(-2)
-    assert band.width == F(5, 2)
+def test_interval_width():
+    assert Interval(-1, F(3, 2)).width == F(5, 2)
 
 
 def test_interval_requires_order():
     with pytest.raises(ValidationError):
         Interval(2, 2)
-
-
-def test_full_line_contains_everything():
-    assert FULL_LINE.contains(10**9)
-    assert FULL_LINE.contains(F(-10**9, 7))
 
 
 def test_screen_parsing_round_trip():
@@ -173,6 +182,58 @@ def test_witness_off_screen_is_reported_before_any_lipschitz_pair():
     with pytest.raises(ValidationError) as err:
         w.validate(sp, Interval(-5, F(17, 4)))
     assert str(err.value) == "witness value 9/2 escapes the screen"
+
+
+# The screen ends go on the witness's integer scale.  The space has
+# distances in thirds (|p0 p1| = 1/3, |p0 p2| = 2, |p1 p2| = 5/3) and the
+# screen [-1/7, 5/3] an end in sevenths; TINY moves a value off the screen by
+# far less than one unit of the scale built from the distances alone.
+THIRDS = (0, F(1, 3), 2)
+TINY = F(1, 10**30)
+SCREEN = Interval(F(-1, 7), F(5, 3))
+
+
+def test_witness_values_at_both_screen_ends_pass():
+    sp = FiniteMMSpace.line_space(THIRDS)
+    w = LipschitzWitness((F(-1, 7), F(4, 21), F(5, 3)))
+    w.validate(sp, SCREEN)  # should not raise
+    assert _complaint(lambda: lipschitz_validate_oracle(w, sp, SCREEN)) is None
+
+
+@pytest.mark.parametrize(
+    "values, escaping",
+    [
+        ((F(-1, 7), F(4, 21), F(5, 3) + TINY), F(5, 3) + TINY),
+        ((F(-1, 7) - TINY, F(4, 21), F(5, 3)), F(-1, 7) - TINY),
+    ],
+    ids=["above", "below"],
+)
+def test_witness_value_just_off_a_screen_end_fails(values, escaping):
+    sp = FiniteMMSpace.line_space(THIRDS)
+    w = LipschitzWitness(values)
+    message = f"witness value {fraction_text(escaping)} escapes the screen"
+    assert _complaint(lambda: w.validate(sp, SCREEN)) == message
+    assert _complaint(lambda: lipschitz_validate_oracle(w, sp, SCREEN)) == message
+
+
+def test_witness_reports_the_first_escaping_value_in_point_order():
+    low, high = F(-1, 7) - TINY, F(5, 3) + TINY
+    # the same three positions listed in both orders; both values escape
+    for positions, values, first in (
+        (THIRDS, (low, F(1, 10), high), low),
+        (THIRDS[::-1], (high, F(1, 10), low), high),
+    ):
+        sp = FiniteMMSpace.line_space(positions)
+        w = LipschitzWitness(values)
+        message = f"witness value {fraction_text(first)} escapes the screen"
+        assert _complaint(lambda: w.validate(sp, SCREEN)) == message
+        assert _complaint(lambda: lipschitz_validate_oracle(w, sp, SCREEN)) == message
+
+
+def test_full_line_accepts_any_value():
+    sp = FiniteMMSpace.line_space([0, 2 * 10**9])
+    LipschitzWitness((F(-(10**9)), F(10**9))).validate(sp, FULL_LINE)  # should not raise
+    LipschitzWitness((F(10**9), F(-(10**9)))).validate(sp, FULL_LINE)
 
 
 def test_witness_validate_matches_fraction_oracle_on_coprime_denominators():

@@ -391,6 +391,21 @@ def test_grid_oracle_matches_per_k_reference(step):
         assert od_grid_oracle(sp, screen, kappa, step) == want
 
 
+@pytest.mark.parametrize("step", [F(1, 3), F(2, 7), F(3, 10)])
+def test_grid_oracle_floors_distances_off_the_step(step):
+    """Steps that divide no quarter distance: the integer floor of d / step
+    gives the enclosure of the Fraction floor in the reference."""
+    rng = random.Random(4343)
+    for _ in range(60):
+        sp = random_space(rng, min_points=2, max_points=4)
+        kappa = random_alpha(rng)
+        lo = F(rng.randint(-32, 32), 16)
+        screen = Interval(lo, lo + F(rng.randint(32, 128), 64))
+        assert od_grid_oracle(sp, screen, kappa, step) == grid_oracle_reference(
+            sp, screen, kappa, step
+        )
+
+
 def test_grid_oracle_rejects_full_line():
     with pytest.raises(DomainError):
         od_grid_oracle(X2, FULL_LINE, F(1, 2), F(1, 8))
