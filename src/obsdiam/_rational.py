@@ -40,6 +40,8 @@ ONE = Fraction(1)
 
 def to_fraction(value, *, what: str = "value") -> Fraction:
     """Coerce ``value`` to an exact Fraction, refusing lossy inputs."""
+    if type(value) is Fraction:  # the common case; never a bool or a float
+        return value
     if isinstance(value, bool):
         raise DomainError(f"{what} must be a rational number, got a bool")
     if isinstance(value, float):

@@ -11,10 +11,15 @@ Stored form.  A measure stores its sorted positions and
 ``scaled_masses = (scale, weights)``: ``scale`` is the least common multiple
 of the mass denominators and ``weights[k] = masses[k] * scale``, integers
 summing to ``scale``.  ``masses`` and ``atoms`` build their Fractions
-``w / scale`` from the weights on each call.  The sweeps below add and
-compare these integers instead of Fractions, and build a Fraction only for
-what they return.  Three facts make that exact, and a fourth makes the
-stored form canonical.
+``w / scale`` from the weights on each call.  Every measure is built one
+way: the constructor and ``push_forward`` merge atoms in a dict keyed by the
+position's integer pair ``p.as_integer_ratio()``, which hashes and compares
+in C where a Fraction does not, add the masses at a position as integer
+numerators over a denominator, and hand the merged entries to one finisher,
+``DiscreteMeasure._store``, which reduces, scales, sorts and stores them.
+The sweeps below add and compare the weights instead of Fractions, and
+build a Fraction only for what they return.  Three facts make that exact,
+and a fourth makes the stored form canonical.
 
 1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
    its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
@@ -24,35 +29,46 @@ stored form canonical.
    q - p = (c*b - a*d) / (b*d), a numerator over a positive denominator.  Two
    such widths u/v and x/y compare as u*y and x*v do, since multiplying both
    sides by v*y > 0 keeps the order.
-3. Order.  Atoms are sorted by the key (float(p), p).  Integer true division
-   rounds correctly, and correct rounding is monotone: p < q gives
-   float(p) <= float(q).  A position past the float range raises
-   ``OverflowError`` and is keyed +-inf, which keeps that order, since a
-   value that overflows upward exceeds every value that converts, and
-   likewise downward.  So float(p) < float(q) implies p < q, and equal
-   floats (say 2^60 and 2^60 + 1, or two positions that underflow to 0.0)
-   fall through to the exact comparison of p and q.  The key order is the
-   exact order; ``pd_profile`` sorts its widths by the same key.
-4. Canonical form.  The constructor sets ``scale`` to the lcm of the
-   reduced mass denominators.  ``_from_weights`` gets weights w_k summing to
-   some S and divides S and every w_k by g = gcd(w_1, ..., w_n), which is
-   also gcd(w_1, ..., w_n, S) since the w_k sum to S.  The reduced
-   denominator of w_k / S is S / gcd(w_k, S), and for each prime p the
-   largest exponent of p among these is v_p(S) - min(v_p(S), min_k v_p(w_k)),
-   the exponent of p in S / g.  So S / g is again the lcm of the reduced
-   mass denominators.  Either way ``scale`` is a function of the masses, and
-   so are the weights, masses times ``scale``.  Two measures therefore have
-   equal atoms exactly when they have equal positions and weights (the
-   weights give back ``scale`` as their sum, hence the masses), whichever
-   path built them; ``__eq__`` and ``__hash__`` read those two tuples, and
-   the dedup in ``prokhorov.measurement_cloud`` relies on it.
+3. Order.  Atoms are in the order of the key (float(p), p), where float(p)
+   is ``_float_key(p)``.  Integer true division rounds correctly, and
+   correct rounding is monotone: p < q gives float(p) <= float(q).  A
+   position past the float range raises ``OverflowError`` and is keyed
+   +-inf, which keeps that order, since a value that overflows upward
+   exceeds every value that converts, and likewise downward.  So
+   float(p) < float(q) implies p < q, and equal floats (say 2^60 and
+   2^60 + 1, or two positions that underflow to 0.0) fall through to the
+   exact comparison of p and q.  The key order is the exact order;
+   ``pd_profile`` sorts its widths by the same key.  The finisher sorts
+   twice, by float(p) alone and then by the whole key.  The second sort
+   alone gives the key order from any input order, so the result is exact;
+   the first only makes it fast.  After it the atoms are out of key order
+   only inside runs of equal floats, so the second sort, a merge sort that
+   detects sorted runs, takes close to one comparison per atom when few
+   positions share a float.  The first sort alone is not enough: a sort is
+   stable, so positions with equal floats keep their input order, and
+   2^60 + 1 given before 2^60 would stay before it.
+4. Canonical form.  On every path ``scale`` is the lcm of the reduced
+   merged denominators.  Each merge entry holds the exact total mass at its
+   position as an integer fraction: the constructor adds a mass with the
+   entry's denominator to its numerator, and one with another denominator
+   on the lcm of the two, reduced by their gcd at once so that the integers
+   stay as short as the Fraction sum would be; ``push_forward`` adds the
+   source weights at an image point over the source's ``scale``.  The
+   finisher reduces each entry by one gcd and takes the lcm of the reduced
+   denominators.  So ``scale`` is a function of the masses, and so are the
+   weights, masses times ``scale``.  Two measures therefore have equal
+   atoms exactly when they have equal positions and weights (the weights
+   give back ``scale`` as their sum, hence the masses), whichever path built
+   them; ``__eq__`` and ``__hash__`` read those two tuples, and the dedup in
+   ``prokhorov.measurement_cloud`` relies on it.
 
 Each weight is at most ``scale``, so the view costs n integers no larger
 than ``scale``.  With a shared mass denominator, as in ``uniform``, ``scale``
 is that denominator.  Masses whose denominators share few factors can make
 ``scale`` long even when every running Fraction total of them is short: the
-k pairs 1/(k*d_i) and (d_i - 1)/(k*d_i) sum to 1, yet ``scale`` is
-k*d_1*...*d_k when the d_i are pairwise coprime and coprime to k.  So n
+k pairs 1/(k*d_i) and (d_i - 1)/(k*d_i) at 2k distinct positions sum to 1,
+yet ``scale`` is k*d_1*...*d_k when the d_i are pairwise coprime and
+coprime to k.  (At shared positions each pair merges to 1/k first.)  So n
 times the bit length of ``scale`` has a fixed ceiling of
 2^``WEIGHT_CEILING`` bits, checked as ``scale`` is built and before any
 weight exists; past it construction raises ``ResourceCapError``.
@@ -64,6 +80,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from ._rational import (
@@ -83,14 +100,20 @@ __all__ = [
 WEIGHT_CEILING = 28  # 2^28 bits of integer weights, 32 MiB; 10^5 atoms need about 2^21
 
 
+def _float_key(p: Fraction) -> float:
+    """The correctly rounded float of ``p``, or +-inf past the float range:
+    a sort key that keeps the exact order (module docstring, fact 3)."""
+    try:
+        return p.numerator / p.denominator
+    except OverflowError:
+        return inf if p > 0 else -inf
+
+
 def _order_key(pair: tuple) -> tuple:
     """Sort key of a pair by its first entry, a rational, in exact order
     (module docstring, fact 3)."""
     p = pair[0]
-    try:
-        return p.numerator / p.denominator, p
-    except OverflowError:
-        return (inf if p > 0 else -inf), p
+    return _float_key(p), p
 
 
 def scaled_level(alpha: Fraction, scale: int) -> int:
@@ -111,57 +134,80 @@ class DiscreteMeasure(JsonFile):
     __slots__ = ("_positions", "_scale", "_weights")
 
     def __init__(self, atoms: Iterable[tuple, ]):
-        merged: dict[Fraction, Fraction] = {}
+        # entries [position, mass numerator, mass denominator, float key],
+        # keyed by the position's integer pair, which hashes in C
+        merged: dict[tuple, list] = {}
+        get = merged.get
         for pos, mass in atoms:
             pos = to_fraction(pos, what="atom position")
             mass = to_fraction(mass, what="atom mass")
-            if mass.numerator <= 0:  # the denominator is positive
+            num, den = mass.as_integer_ratio()
+            if num <= 0:  # the denominator is positive
                 raise ValidationError(
                     f"atom mass must be positive, got {fraction_text(mass)} "
                     f"at {fraction_text(pos)}"
                 )
-            known = len(merged)
-            before = merged.setdefault(pos, mass)  # one hash for a new position
-            if len(merged) == known:
-                merged[pos] = before + mass
+            key = pos.as_integer_ratio()
+            entry = get(key)
+            if entry is None:
+                merged[key] = [pos, num, den, _float_key(pos)]
+            elif entry[2] == den:
+                entry[1] += num
+            else:
+                # reduce at once: unreduced sums of coprime denominators grow
+                # with every merge
+                common = lcm(entry[2], den)
+                total = entry[1] * (common // entry[2]) + num * (common // den)
+                g = gcd(total, common)
+                entry[1], entry[2] = total // g, common // g
         if not merged:
             raise ValidationError("a measure needs at least one atom")
-        n = len(merged)
+        self._store(merged)
+
+    def _store(self, merged: dict) -> None:
+        """Store the measure whose atoms are the values of ``merged``, one
+        entry ``[position, mass numerator, mass denominator, float key]`` per
+        distinct position.
+
+        The one finisher of every measure: it reduces each mass, sets
+        ``scale`` to the lcm of the reduced denominators under the weight
+        ceiling, checks that the masses sum to 1 and sorts the atoms into
+        exact order (module docstring, facts 3 and 4).  It empties
+        ``merged``.
+        """
+        entries = list(merged.values())
+        merged.clear()  # free the keys before the sort
+        for entry in entries:
+            g = gcd(entry[1], entry[2])
+            if g != 1:
+                entry[1] //= g
+                entry[2] //= g
+        n = len(entries)
         scale = 1
-        for den in {m.denominator for m in merged.values()}:
+        for den in {entry[2] for entry in entries}:
             scale = lcm(scale, den)
             if n * scale.bit_length() > 1 << WEIGHT_CEILING:
                 raise ResourceCapError(
                     f"{n} atoms with a common mass denominator of {scale.bit_length()} or "
                     f"more bits exceed the integer-weight ceiling of 2^{WEIGHT_CEILING} bits"
                 )
-        total = sum(m.numerator * (scale // m.denominator) for m in merged.values())
+        total = 0
+        for entry in entries:
+            entry[1] *= scale // entry[2]  # the weight, mass times scale
+            total += entry[1]
         if total != scale:
             raise ValidationError(
                 f"atom masses must sum to 1 exactly, got {fraction_text(Fraction(total, scale))}"
             )
-        order = sorted(merged.items(), key=_order_key)
-        self._positions = tuple(p for p, _ in order)
+        # the second sort alone gives the exact order; the first leaves it
+        # sorted runs to merge (module docstring, fact 3)
+        entries.sort(key=itemgetter(3))
+        entries.sort(key=itemgetter(3, 0))
+        self._positions = tuple(map(itemgetter(0), entries))
         self._scale = scale
-        self._weights = tuple(m.numerator * (scale // m.denominator) for _, m in order)
+        self._weights = tuple(map(itemgetter(1), entries))
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def _from_weights(cls, merged: dict, scale: int) -> "DiscreteMeasure":
-        """The measure with mass w/scale at each position of ``merged``, whose
-        positive integer weights w sum to ``scale``.
-
-        The least common denominator of the masses w/scale is scale / g, with
-        g the gcd of the weights (module docstring, fact 4).
-        """
-        g = gcd(*merged.values())
-        order = sorted(merged.items(), key=_order_key)
-        self = cls.__new__(cls)
-        self._positions = tuple(p for p, _ in order)
-        self._scale = scale // g
-        self._weights = tuple(w // g for _, w in order)
-        return self
 
     @classmethod
     def uniform(cls, positions: Iterable) -> "DiscreteMeasure":
@@ -402,8 +448,16 @@ def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
     PiecewiseLinearMap).  Atoms landing on the same point are merged by
     adding their integer weights, which need no re-validation."""
     scale, weights = mu.scaled_masses
-    merged: dict[Fraction, int] = {}
+    merged: dict[tuple, list] = {}  # keyed as in the constructor
+    get = merged.get
     for pos, weight in zip(mu.positions, weights):
         image = to_fraction(f(pos), what="image position")
-        merged[image] = merged.get(image, 0) + weight
-    return DiscreteMeasure._from_weights(merged, scale)
+        key = image.as_integer_ratio()
+        entry = get(key)
+        if entry is None:
+            merged[key] = [image, weight, scale, _float_key(image)]
+        else:
+            entry[1] += weight
+    measure = DiscreteMeasure.__new__(DiscreteMeasure)
+    measure._store(merged)
+    return measure

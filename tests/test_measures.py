@@ -232,6 +232,128 @@ def test_integer_view_matches_fraction_oracles():
         )
 
 
+def _oracle_view(atoms) -> tuple:
+    """``(scale, weights)`` of canonical Fraction atoms."""
+    scale = lcm(*(m.denominator for _, m in atoms))
+    return scale, tuple(int(m * scale) for _, m in atoms)
+
+
+def test_merge_matches_fraction_oracle_at_benchmark_shape():
+    """10^4 raw atoms on a quarter grid narrow enough that positions repeat,
+    with masses w / total reducing to several denominators."""
+    rng = random.Random(16)
+    size = 10**4
+    weights = [rng.randint(1, 16) for _ in range(size)]
+    weights[-1] += -sum(weights) % 840  # total divisible by 2, 3, 5 and 7
+    total = sum(weights)
+    raw = [(F(rng.randint(-size // 2, size // 2), 4), F(w, total)) for w in weights]
+    assert len({m.denominator for _, m in raw}) >= 8
+    mu = DiscreteMeasure(raw)
+    atoms = measure_atoms_oracle(raw)
+    assert len(atoms) < size
+    assert mu.atoms == atoms
+    assert mu.scaled_masses == _oracle_view(atoms)
+    assert repr(mu) == _repr_of(atoms)
+    assert hash(mu) == hash((tuple(p for p, _ in atoms), _oracle_view(atoms)[1]))
+    f = random_lipschitz_pl(rng)
+    image = push_forward(mu, f)
+    assert image.atoms == measure_atoms_oracle((f(p), m) for p, m in atoms)
+    twin = DiscreteMeasure(image.atoms)
+    assert twin == image
+    assert hash(twin) == hash(image)
+    assert twin.scaled_masses == image.scaled_masses
+
+
+def test_merge_adds_masses_of_different_denominators():
+    raw = [(0, F(1, 6)), (0, F(1, 10)), (0, F(1, 15)), (1, F(2, 3))]
+    for atoms in (raw, raw[::-1]):
+        mu = DiscreteMeasure(atoms)
+        assert mu.atoms == measure_atoms_oracle(atoms) == ((F(0), F(1, 3)), (F(1), F(2, 3)))
+        assert mu.scaled_masses == (3, (1, 2))
+
+
+def test_order_is_exact_where_floats_tie():
+    # 2^60 + 1 and 2^60 round to one float; 10^400 overflows and 1/10^400
+    # underflows.  A stable float-only sort would keep 2^60 + 1 first.
+    descending = [F(10**400), F(2**60 + 1), F(2**60), F(1, 10**400), F(-(2**60))]
+    mu = DiscreteMeasure((p, F(1, 5)) for p in descending)
+    assert mu.positions == tuple(sorted(descending))
+    # the push-forward path: negation hands the finisher descending images
+    image = push_forward(mu, lambda x: -x)
+    assert image.positions == tuple(sorted(-p for p in descending))
+
+
+@pytest.mark.parametrize(
+    ("atoms", "error", "message"),
+    [
+        ([(0.5, 1)], DomainError,
+         "atom position must be exact; pass a Fraction, an int, or a string "
+         "like '3/10' instead of the float 0.5"),
+        ([(0, 1.0)], DomainError,
+         "atom mass must be exact; pass a Fraction, an int, or a string "
+         "like '3/10' instead of the float 1.0"),
+        ([(True, 1)], DomainError, "atom position must be a rational number, got a bool"),
+        ([(0, True)], DomainError, "atom mass must be a rational number, got a bool"),
+        ([(0, F(1)), (1, 0)], ValidationError, "atom mass must be positive, got 0 at 1"),
+        ([(0, F(3, 2)), (1, F(-1, 2))], ValidationError,
+         "atom mass must be positive, got -1/2 at 1"),
+        ([], ValidationError, "a measure needs at least one atom"),
+        ([("1/x", 1)], ValidationError,
+         "cannot parse atom position from '1/x': Invalid literal for Fraction: '1/x'"),
+        ([(0, F(1, 3)), (1, F(1, 3))], ValidationError,
+         "atom masses must sum to 1 exactly, got 2/3"),
+        # the first bad atom in input order is the one reported
+        ([(0, F(1, 2)), (1, 0), (2, -1)], ValidationError,
+         "atom mass must be positive, got 0 at 1"),
+    ],
+)
+def test_construction_errors(atoms, error, message):
+    with pytest.raises(error) as info:
+        DiscreteMeasure(atoms)
+    assert str(info.value) == message
+
+
+def _cancelling_pairs(k: int) -> list:
+    """Masses 1/(k d_i) and (d_i - 1)/(k d_i), i < k, each pair summing to
+    1/k, with 300-digit d_i pairwise coprime and coprime to k = 401: d_i is
+    A (i + 1) + 1 with every prime up to 401 dividing A, so a common prime
+    factor of d_i and d_j would divide j - i but also leave remainder 1."""
+    primorial = 1
+    for p in range(2, 402):
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            primorial *= p
+    base = primorial * 10 ** (299 - len(str(primorial)))
+    masses = []
+    for i in range(k):
+        d = base * (i + 1) + 1
+        masses += [F(1, k * d), F(d - 1, k * d)]
+    return masses
+
+
+def test_merge_reduces_cancelling_masses_at_one_position():
+    # summed unreduced on the lcm, the 802 masses would carry a
+    # 400-fold product of 300-digit denominators through every merge
+    masses = _cancelling_pairs(401)
+    start = time.process_time()
+    mu = DiscreteMeasure((0, m) for m in masses)
+    assert time.process_time() - start < 0.5
+    assert mu.scaled_masses == (1, (1,))
+
+
+def test_weight_ceiling_reads_the_merged_masses():
+    masses = _cancelling_pairs(401)
+    # at 802 distinct positions the common denominator is 401 d_1 ... d_401
+    with pytest.raises(ResourceCapError) as info:
+        DiscreteMeasure((j, m) for j, m in enumerate(masses))
+    assert str(info.value) == (
+        "802 atoms with a common mass denominator of 334737 or more bits exceed "
+        "the integer-weight ceiling of 2^28 bits"
+    )
+    # each pair at a shared position merges to 1/401 before the ceiling is read
+    mu = DiscreteMeasure((j // 2, m) for j, m in enumerate(masses))
+    assert mu.scaled_masses == (401, (1,) * 401)
+
+
 # -- pushforward -------------------------------------------------------------------
 
 
@@ -323,8 +445,8 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != DiscreteMeasure.uniform([0, 2])
-    # a push-forward stores merged weights divided by their gcd, the
-    # constructor reduced masses times their lcd: the stored forms agree
+    # a push-forward merges weights on the source's scale, the constructor
+    # masses: both store reduced masses times their lcd, so the forms agree
     pairs = push_forward(DiscreteMeasure.uniform([0, 1, 2, 3]), lambda x: x // 2)
     assert pairs.scaled_masses == (2, (1, 1)) == DiscreteMeasure.uniform([0, 1]).scaled_masses
     rng = random.Random(15)
