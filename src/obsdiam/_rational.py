@@ -40,7 +40,7 @@ ONE = Fraction(1)
 
 def to_fraction(value, *, what: str = "value") -> Fraction:
     """Coerce ``value`` to an exact Fraction, refusing lossy inputs."""
-    if type(value) is Fraction:  # the common case; never a bool or a float
+    if isinstance(value, Fraction):  # never a bool or a float
         return value
     if isinstance(value, bool):
         raise DomainError(f"{what} must be a rational number, got a bool")
@@ -49,8 +49,6 @@ def to_fraction(value, *, what: str = "value") -> Fraction:
             f"{what} must be exact; pass a Fraction, an int, or a string "
             f"like '3/10' instead of the float {value!r}"
         )
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

@@ -446,7 +446,9 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
 def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
     """Image measure of ``mu`` under ``f`` (any exact callable, e.g. a
     PiecewiseLinearMap).  Atoms landing on the same point are merged by
-    adding their integer weights, which need no re-validation."""
+    adding their integer weights; the merged entries then go through the
+    constructor's finisher ``_store``, which reduces, scales, checks and
+    sorts them."""
     scale, weights = mu.scaled_masses
     merged: dict[tuple, list] = {}  # keyed as in the constructor
     get = merged.get

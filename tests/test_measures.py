@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from fractions import Fraction as F
 from itertools import accumulate
@@ -56,30 +57,56 @@ def test_uniform_and_point_mass():
     assert DiscreteMeasure.point_mass(F(7, 2)).atoms == ((F(7, 2), F(1)),)
 
 
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 def test_mass_must_sum_to_one():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=exactly("atom masses must sum to 1 exactly, got 1/2")):
         DiscreteMeasure([(0, F(1, 2))])
+    with pytest.raises(ValidationError, match=exactly("atom masses must sum to 1 exactly, got 2/3")):
+        DiscreteMeasure([(0, F(1, 3)), (1, F(1, 3))])
+    with pytest.raises(ValidationError, match=exactly("a measure needs at least one atom")):
+        DiscreteMeasure([])
 
 
 def test_nonpositive_mass_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=exactly("atom mass must be positive, got 0 at 0")):
         DiscreteMeasure([(0, F(0)), (1, F(1))])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=exactly("atom mass must be positive, got -1/2 at 0")):
         DiscreteMeasure([(0, F(-1, 2)), (1, F(3, 2))])
+    # the first bad atom in input order is the one reported
+    with pytest.raises(ValidationError, match=exactly("atom mass must be positive, got 0 at 1")):
+        DiscreteMeasure([(0, F(1, 2)), (1, 0), (2, -1)])
 
 
 def test_floats_rejected_everywhere():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=exactly(
+        "atom position must be exact; pass a Fraction, an int, or a string "
+        "like '3/10' instead of the float 0.5"
+    )):
         DiscreteMeasure([(0.5, F(1))])
+    with pytest.raises(DomainError, match=exactly(
+        "atom mass must be exact; pass a Fraction, an int, or a string "
+        "like '3/10' instead of the float 1.0"
+    )):
+        DiscreteMeasure([(0, 1.0)])
     with pytest.raises(DomainError):
         partial_diameter(DiscreteMeasure.point_mass(0), 0.3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=exactly("atom position must be a rational number, got a bool")):
         DiscreteMeasure([(True, F(1))])
+    with pytest.raises(DomainError, match=exactly("atom mass must be a rational number, got a bool")):
+        DiscreteMeasure([(0, True)])
 
 
 def test_string_rationals_parse_exactly():
     mu = DiscreteMeasure([("0.5", "1/2"), ("3/2", "0.5")])
     assert mu.atoms == ((F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)))
+    with pytest.raises(ValidationError, match=exactly(
+        "cannot parse atom position from '1/x': Invalid literal for Fraction: '1/x'"
+    )):
+        DiscreteMeasure([("1/x", 1)])
 
 
 def test_string_exponent_and_length_are_bounded():
@@ -95,6 +122,23 @@ def test_format_fraction_past_the_digit_limit_is_a_resource_cap():
     with pytest.raises(ResourceCapError, match="4300 digits"):
         format_fraction(tiny)
     assert format_fraction(F(1, 10**4299)) == "1/1" + "0" * 4299
+
+
+def _cancelling_pairs(k: int) -> list:
+    """Masses 1/(k d_i) and (d_i - 1)/(k d_i), i < k, each pair summing to
+    1/k, with 300-digit d_i pairwise coprime and coprime to k = 401: d_i is
+    A (i + 1) + 1 with every prime up to 401 dividing A, so a common prime
+    factor of d_i and d_j would divide j - i but also leave remainder 1."""
+    primorial = 1
+    for p in range(2, 402):
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            primorial *= p
+    base = primorial * 10 ** (299 - len(str(primorial)))
+    masses = []
+    for i in range(k):
+        d = base * (i + 1) + 1
+        masses += [F(1, k * d), F(d - 1, k * d)]
+    return masses
 
 
 def test_weight_ceiling_refuses_a_long_common_denominator():
@@ -114,6 +158,17 @@ def test_weight_ceiling_refuses_a_long_common_denominator():
     # the same shape with short denominators stays well inside the ceiling
     atoms = [(2 * i + j, F(m, k * (i + 2))) for i in range(k) for j, m in ((0, 1), (1, i + 1))]
     assert DiscreteMeasure(atoms).scaled_masses[0] == lcm(*(k * (i + 2) for i in range(k)))
+    # the ceiling reads the merged masses: at 802 distinct positions the
+    # common denominator of 401 cancelling pairs is 401 d_1 ... d_401 ...
+    masses = _cancelling_pairs(401)
+    with pytest.raises(ResourceCapError, match=exactly(
+        "802 atoms with a common mass denominator of 334737 or more bits exceed "
+        "the integer-weight ceiling of 2^28 bits"
+    )):
+        DiscreteMeasure((j, m) for j, m in enumerate(masses))
+    # ... but each pair at a shared position merges to 1/401 first
+    mu = DiscreteMeasure((j // 2, m) for j, m in enumerate(masses))
+    assert mu.scaled_masses == (401, (1,) * 401)
 
 
 def test_mass_of_interval():
@@ -283,53 +338,6 @@ def test_order_is_exact_where_floats_tie():
     assert image.positions == tuple(sorted(-p for p in descending))
 
 
-@pytest.mark.parametrize(
-    ("atoms", "error", "message"),
-    [
-        ([(0.5, 1)], DomainError,
-         "atom position must be exact; pass a Fraction, an int, or a string "
-         "like '3/10' instead of the float 0.5"),
-        ([(0, 1.0)], DomainError,
-         "atom mass must be exact; pass a Fraction, an int, or a string "
-         "like '3/10' instead of the float 1.0"),
-        ([(True, 1)], DomainError, "atom position must be a rational number, got a bool"),
-        ([(0, True)], DomainError, "atom mass must be a rational number, got a bool"),
-        ([(0, F(1)), (1, 0)], ValidationError, "atom mass must be positive, got 0 at 1"),
-        ([(0, F(3, 2)), (1, F(-1, 2))], ValidationError,
-         "atom mass must be positive, got -1/2 at 1"),
-        ([], ValidationError, "a measure needs at least one atom"),
-        ([("1/x", 1)], ValidationError,
-         "cannot parse atom position from '1/x': Invalid literal for Fraction: '1/x'"),
-        ([(0, F(1, 3)), (1, F(1, 3))], ValidationError,
-         "atom masses must sum to 1 exactly, got 2/3"),
-        # the first bad atom in input order is the one reported
-        ([(0, F(1, 2)), (1, 0), (2, -1)], ValidationError,
-         "atom mass must be positive, got 0 at 1"),
-    ],
-)
-def test_construction_errors(atoms, error, message):
-    with pytest.raises(error) as info:
-        DiscreteMeasure(atoms)
-    assert str(info.value) == message
-
-
-def _cancelling_pairs(k: int) -> list:
-    """Masses 1/(k d_i) and (d_i - 1)/(k d_i), i < k, each pair summing to
-    1/k, with 300-digit d_i pairwise coprime and coprime to k = 401: d_i is
-    A (i + 1) + 1 with every prime up to 401 dividing A, so a common prime
-    factor of d_i and d_j would divide j - i but also leave remainder 1."""
-    primorial = 1
-    for p in range(2, 402):
-        if all(p % q for q in range(2, int(p**0.5) + 1)):
-            primorial *= p
-    base = primorial * 10 ** (299 - len(str(primorial)))
-    masses = []
-    for i in range(k):
-        d = base * (i + 1) + 1
-        masses += [F(1, k * d), F(d - 1, k * d)]
-    return masses
-
-
 def test_merge_reduces_cancelling_masses_at_one_position():
     # summed unreduced on the lcm, the 802 masses would carry a
     # 400-fold product of 300-digit denominators through every merge
@@ -338,20 +346,6 @@ def test_merge_reduces_cancelling_masses_at_one_position():
     mu = DiscreteMeasure((0, m) for m in masses)
     assert time.process_time() - start < 0.5
     assert mu.scaled_masses == (1, (1,))
-
-
-def test_weight_ceiling_reads_the_merged_masses():
-    masses = _cancelling_pairs(401)
-    # at 802 distinct positions the common denominator is 401 d_1 ... d_401
-    with pytest.raises(ResourceCapError) as info:
-        DiscreteMeasure((j, m) for j, m in enumerate(masses))
-    assert str(info.value) == (
-        "802 atoms with a common mass denominator of 334737 or more bits exceed "
-        "the integer-weight ceiling of 2^28 bits"
-    )
-    # each pair at a shared position merges to 1/401 before the ceiling is read
-    mu = DiscreteMeasure((j // 2, m) for j, m in enumerate(masses))
-    assert mu.scaled_masses == (401, (1,) * 401)
 
 
 # -- pushforward -------------------------------------------------------------------
