@@ -56,9 +56,16 @@ def to_fraction(value, *, what: str = "value") -> Fraction:
         if len(text) > MAX_TEXT_LENGTH:
             raise ResourceCapError(f"{what} has {len(text)} characters, over {MAX_TEXT_LENGTH}")
         _, marker, exponent = text.lower().partition("e")
-        try:
-            if marker and abs(int(exponent)) > MAX_EXPONENT:
+        if marker:
+            # int() takes every digit run that Fraction takes as an exponent;
+            # text it refuses is no number, and Fraction's message names it
+            try:
+                exponent = int(exponent)
+            except ValueError:
+                exponent = 0
+            if abs(exponent) > MAX_EXPONENT:
                 raise ResourceCapError(f"{what} has an exponent beyond +-{MAX_EXPONENT}")
+        try:
             # Fraction parses both "3/4" and decimal strings like "0.75" exactly.
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -33,7 +33,7 @@ from .experiments import (
     verify_counterexample,
 )
 from .measures import DiscreteMeasure, partial_diameter
-from .mmspace import FiniteMMSpace, check_subset_table, parse_screen, screen_to_str
+from .mmspace import FiniteMMSpace, check_point_ceiling, parse_screen, screen_to_str
 from .observable import DEFAULT_EXACT_CAP, DEFAULT_GRID_CAP, observable_diameter, od_grid_oracle
 from .prokhorov import prokhorov_onesided
 from .proptests import SUITE_NAMES, run_suite
@@ -55,14 +55,15 @@ def _cap(args, keyword: str = "cap_n") -> dict:
 
 def _load_space(args, default_cap: int, what: str) -> FiniteMMSpace:
     """The space file, refused on its label count by the cap the command will
-    apply (``--cap-n`` or ``default_cap``) and by the subset-table ceiling,
-    which every engine behind ``od`` and ``profile`` meets, before its n^2
-    distances are parsed.  ``what`` is the engine's own wording for the cap."""
+    apply (``--cap-n`` or ``default_cap``) and by the point ceiling of the
+    heavy-subset search, which every engine behind ``od`` and ``profile``
+    runs, before its n^2 distances are parsed.  ``what`` is the engine's own
+    wording for the cap."""
     payload = read_json(args.space)
     labels = payload.get("labels") if isinstance(payload, dict) else None
     if isinstance(labels, list):
         check_cap(len(labels), default_cap if args.cap_n is None else args.cap_n, what)
-        check_subset_table(len(labels))
+        check_point_ceiling(len(labels))
     return FiniteMMSpace.from_json_dict(payload)
 
 

@@ -11,13 +11,11 @@ the family's screen comes to the screen of the corrected inequality.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._rational import (
-    ONE,
     format_fraction,
     fraction_text,
     render_decimal,
@@ -25,7 +23,14 @@ from ._rational import (
     to_positive,
 )
 from .errors import DomainError, ResourceCapError, VerificationError, check_cap
-from .mmspace import FULL_LINE, FiniteMMSpace, Interval, Screen, screen_to_str, subset_masses
+from .mmspace import (
+    FULL_LINE,
+    FiniteMMSpace,
+    Interval,
+    Screen,
+    heavy_minimal_subsets,
+    screen_to_str,
+)
 from .observable import DEFAULT_EXACT_CAP, observable_diameter
 
 __all__ = [
@@ -337,21 +342,21 @@ def semicontinuity_profile(
     """od over a kappa grid with monotonicity and right-continuity checks.
 
     The grid is sorted and deduplicated.  For each point, the largest subset
-    mass strictly below alpha = 1 - kappa bounds the stretch on which the
-    heavy family — hence od — must stay constant; od is re-evaluated at the
-    midpoint of that stretch as the certificate.
+    mass strictly below alpha = 1 - kappa (the heavy family's ``beta``)
+    bounds the stretch on which the heavy family — hence od — must stay
+    constant; od is re-evaluated at the midpoint of that stretch as the
+    certificate.
     """
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
     grid = sorted({to_open_unit(k, what="kappa") for k in kappa_grid})
-    # The engine checks cap_n first, before the 2^n subset masses exist.
+    # The engine checks cap_n first, before any heavy family is searched.
     ods = [observable_diameter(space, screen, kappa, cap_n=cap_n).value for kappa in grid]
-    table, scale = subset_masses(space.masses, ONE)  # mass 1 is ``scale``
-    sums = sorted(set(table))
     rows = []
     for kappa, od in zip(grid, ods):
         alpha = 1 - kappa
-        below = Fraction(sums[bisect_left(sums, alpha * scale) - 1], scale)
+        heavy = heavy_minimal_subsets(space, alpha)
+        below = Fraction(heavy.beta, sum(heavy.weights))  # the weights sum to mass 1
         constant_until = 1 - below  # od constant on [kappa, constant_until)
         probe_alpha = (alpha + below) / 2
         probe_kappa = 1 - probe_alpha

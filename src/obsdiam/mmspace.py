@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import add
 from typing import Iterable, Union
@@ -32,7 +33,7 @@ __all__ = [
     "heavy_minimal_subsets",
 ]
 
-SUBSET_TABLE_CEILING = 22  # 2^22 subset masses: about 7 s and 280 MB (README)
+POINT_CEILING = 22  # up to C(22, 11) = 705,432 minimal heavy subsets (README)
 
 
 class FiniteMMSpace(JsonFile):
@@ -302,64 +303,92 @@ class LipschitzWitness:
 
 @dataclass(frozen=True)
 class HeavyFamily:
-    """Inclusion-minimal subsets of points with mass at least ``alpha``;
-    ``table`` and ``level`` are the ``subset_masses`` they were read from."""
+    """Inclusion-minimal subsets of points with mass at least ``alpha``.
+
+    ``weights`` (one per point), ``level`` (``alpha``) and ``beta`` (the
+    mass of the heaviest set below the level) are on one integer scale, on
+    which the whole space weighs ``sum(weights)``."""
 
     alpha: Fraction
     minimal_subsets: tuple  # tuple of sorted index tuples
-    table: list = field(repr=False, compare=False)
+    weights: tuple = field(repr=False, compare=False)
     level: int = field(repr=False, compare=False)
+    beta: int = field(repr=False, compare=False)
 
 
 def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
     """Enumerate the minimal heavy subsets, smallest first and in
-    lexicographic order within a size.
+    lexicographic order within a size, and find ``beta``, the mass of the
+    heaviest light (non-heavy) set, in one depth-first search.
 
-    A heavy subset is minimal exactly when dropping any single point takes it
-    below the level, since all masses are positive.  Subset masses come from
-    the integer table of ``subset_masses``, which is in bitmask order, so
-    the family is sorted afterwards.
+    The search takes the points heaviest first, ties by index, and grows a
+    light set by one later point at a time.  A point that makes the set
+    heavy ends the branch: the set is reported and not grown.  A branch is
+    cut at the first point from which even all the remaining points cannot
+    lift the set to the level; the points after it weigh less still.
+
+    * Every set reported is minimal.  The point that made it heavy came
+      last, so it is the set's lightest.  Dropping any point takes off at
+      least that weight, which leaves at most the light set before it.
+    * Every minimal set M is reported.  Its proper prefixes in search order
+      are subsets of M, hence light, so the search grows each into the
+      next.  No cut stops that: the prefix plus all the points from M's next
+      point on include M, so they reach the level.
+    * ``beta`` is exact.  It is the largest mass among the light sets the
+      search visits and, at each cut, the light set of the branch plus all
+      the points from the cut on.  Take a light set L and its longest
+      prefix P in search order that the search visits (the empty set is
+      visited).  If P = L, L was visited.  Otherwise, L's next point q was
+      not grown from P, and L is light, so P plus q is light: the search cut
+      P's branch at or before q, and L lies inside that cut's set.
+
+    Past ``POINT_CEILING`` points the search is refused before it starts
+    (``check_point_ceiling``).
     """
     alpha = to_fraction(alpha, what="alpha")
     if not (0 < alpha <= 1):
         raise DomainError(f"alpha must lie in (0, 1], got {fraction_text(alpha)}")
     n = len(space)
-    table, level = subset_masses(space.masses, alpha)
-    bits = [1 << i for i in range(n)]
-    out = [
-        tuple(i for i in range(n) if mask & bits[i])
-        for mask, total in enumerate(table)
-        if total >= level and all(table[mask ^ bit] < level for bit in bits if mask & bit)
-    ]
-    out.sort(key=lambda combo: (len(combo), combo))
-    return HeavyFamily(alpha, tuple(out), table, level)
+    check_point_ceiling(n)
+    scale = lcm(alpha.denominator, *(m.denominator for m in space.masses))
+    weights = tuple(m.numerator * (scale // m.denominator) for m in space.masses)
+    level = alpha.numerator * (scale // alpha.denominator)
+    order = sorted(range(n), key=lambda p: -weights[p])  # stable: ties by index
+    weight = [weights[p] for p in order]
+    rest = [*accumulate(reversed(weight))][::-1]  # rest[j]: weight of order[j:]
+    found = []
+    chosen = []
+    beta = 0  # the empty set is light
+
+    def grow(start, held):
+        """Grow the light set ``chosen`` of mass ``held`` by each point of
+        ``order[start:]``."""
+        nonlocal beta
+        for j in range(start, n):
+            if held + weight[j] >= level:
+                found.append((*chosen, order[j]))
+                continue
+            if held + rest[j] < level:
+                beta = max(beta, held + rest[j])  # the cut's set is light
+                return
+            chosen.append(order[j])
+            beta = max(beta, held + weight[j])
+            grow(j + 1, held + weight[j])
+            chosen.pop()
+
+    grow(0, 0)
+    for k, subset in enumerate(found):  # in place: each old tuple goes at once
+        found[k] = tuple(sorted(subset))
+    found.sort()
+    found.sort(key=len)
+    return HeavyFamily(alpha, tuple(found), weights, level, beta)
 
 
-def subset_masses(masses, alpha) -> tuple[list, int]:
-    """``(table, level)``: the mass of every subset of points and the level
-    ``alpha``, all on one integer scale.  ``table[mask]`` is the mass of the
-    points whose bits are set in ``mask``; each entry adds one point's mass
-    to an earlier entry, so the 2^n sums cost one integer add each.
-
-    Past ``SUBSET_TABLE_CEILING`` points the table is refused before it is
-    allocated (``check_subset_table``).
-    """
-    n = len(masses)
-    check_subset_table(n)
-    scale = lcm(alpha.denominator, *(m.denominator for m in masses))
-    weights = [m.numerator * (scale // m.denominator) for m in masses]
-    table = [0] * (1 << n)
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
-    return table, alpha.numerator * (scale // alpha.denominator)
-
-
-def check_subset_table(n: int) -> None:
-    """Raise ResourceCapError when a 2^n subset table would pass
-    ``SUBSET_TABLE_CEILING`` points; no cap keyword raises this ceiling."""
-    if n > SUBSET_TABLE_CEILING:
+def check_point_ceiling(n: int) -> None:
+    """Raise ResourceCapError when a space passes ``POINT_CEILING`` points,
+    the ceiling of the heavy-subset search; no cap keyword raises it."""
+    if n > POINT_CEILING:
         raise ResourceCapError(
-            f"{n} points exceed the subset-table ceiling {SUBSET_TABLE_CEILING} "
-            f"(2^{n} subset masses); --cap-n cannot raise it"
+            f"{n} points exceed the heavy-family point ceiling {POINT_CEILING}; "
+            "--cap-n cannot raise it"
         )

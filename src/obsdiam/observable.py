@@ -88,12 +88,12 @@ only when it improves on the incumbent:
   A prefix's bound is the least of UB and every B1, B2 and B3 value along
   its path, so it only tightens as the prefix grows, and a prefix whose bound
   does not beat the incumbent cuts its whole subtree.  The bounds are kept
-  on integers: chain counts, a table of the 2^n subset masses on one
-  integer scale, a nearest-first list of the other points for each point,
-  and distances scaled as below.  A prefix whose first point exceeds every
-  unplaced point is cut too: each of its orderings ends below where it
-  starts, and negating values realizes the reversed ordering, which starts
-  lower.
+  on integers: chain counts, the point weights, the level and ``beta`` on
+  the heavy family's integer scale, the masses of the placed prefixes, a
+  nearest-first list of the other points for each point, and distances
+  scaled as below.  A prefix whose first point exceeds every unplaced point
+  is cut too: each of its orderings ends below where it starts, and
+  negating values realizes the reversed ordering, which starts lower.
 
 The search visits the surviving orderings in the lexicographic order of
 ``itertools.permutations`` and cuts only orderings whose optimum is at most
@@ -192,8 +192,8 @@ def observable_diameter(
 
     Raises ResourceCapError above ``cap_n`` points, before any subset is
     enumerated.  The search's worst case grows like n!, so a larger space
-    needs ``cap_n`` raised explicitly; past ``SUBSET_TABLE_CEILING`` points
-    the heavy family's subset table is refused whatever ``cap_n`` says.
+    needs ``cap_n`` raised explicitly; past ``POINT_CEILING`` points the
+    heavy family's search is refused whatever ``cap_n`` says.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, (Interval, FullLine)):
@@ -235,7 +235,7 @@ def observable_diameter(
         # the lambda reads ``best`` as the loop below raises it
         orderings = _pruned_orderings(
             n, family, dmat_scaled, width_scaled, scale, diam_scaled,
-            heavy.table, heavy.level, lambda: best,
+            heavy.weights, heavy.level, heavy.beta, lambda: best,
         )
     for perm, bound, spans in orderings:
         edges = _order_edges(n, perm, spans, dmat_scaled, width_scaled)
@@ -303,7 +303,7 @@ def _check_witness(space, witness, alpha, value) -> None:
 
 
 def _pruned_orderings(
-    n, family, dmat_scaled, width_scaled, scale, diam_scaled, mass, alpha_w, incumbent
+    n, family, dmat_scaled, width_scaled, scale, diam_scaled, weights, level, beta, incumbent
 ):
     """Orderings of range(n) in lexicographic order, minus whole subtrees of
     prefixes whose bound cannot beat ``incumbent()``.
@@ -313,16 +313,14 @@ def _pruned_orderings(
     (first slot descending).  A prefix's bound is the least of
     ``diam_scaled``, the chain-Lipschitz bound (B1), the remaining-mass
     bound (B2) and the ball-mass bound (B3) of every prefix on its path, all
-    over ``scale``; the module docstring proves them.  ``mass`` and
-    ``alpha_w`` are the heavy family's subset-mass table and level.
+    over ``scale``; the module docstring proves them.  ``weights``,
+    ``level`` and ``beta`` are the heavy family's point weights, level and
+    heaviest light mass, on one integer scale.
     ``incumbent`` is read again after every yield, so it may rise while the
     caller consumes the orderings.
     """
     full = (1 << n) - 1
-    beta = max(w for w in mass if w < alpha_w)  # heaviest non-heavy set
-    # windows[mask]: heavy windows that fit end to end after the points in
-    # ``mask`` in every completion (B2's k)
-    windows = [max(-(-(mass[full] - w) // beta) - 1, 0) for w in mass]
+    total = sum(weights)
     # point -> (index, mask) of each heavy subset containing it
     members = [[] for _ in range(n)]
     for index, subset in enumerate(family):
@@ -330,10 +328,10 @@ def _pruned_orderings(
         for p in subset:
             members[p].append((index, mask))
     first = [0] * len(family)  # slot of each started subset's first point
-    # point -> (distance, bit, mass) of the other points, nearest first
+    # point -> (distance, bit, weight) of the other points, nearest first
     # (B3; reversed, B2's reach)
     nearest = [
-        sorted((row[q], 1 << q, mass[1 << q]) for q in range(n) if q != p)
+        sorted((row[q], 1 << q, weights[q]) for q in range(n) if q != p)
         for p, row in enumerate(dmat_scaled)
     ]
     perm = []
@@ -347,13 +345,18 @@ def _pruned_orderings(
         """Yield the surviving completions of ``perm``.
 
         ``lo_max[q]`` is the largest first slot of a subset that q would
-        close; ``before_frontier`` the points before the greedy chain's
-        frontier; ``bound / (count * scale)`` the prefix's bound.
+        close; ``before_frontier`` the mass of the points before the greedy
+        chain's frontier; ``bound / (count * scale)`` the prefix's bound.
         """
         nonlocal limit, den
         slot = len(perm)
         top_lo = spans[-1][0] if spans else -1
         prev = chains[slot - 1] if slot else ()
+        # B2's k for the frontier where it is, and for the frontier moved
+        # to this slot: the heavy windows that fit end to end after it
+        placed_mass = before[slot]
+        stay = max(-(-(total - before_frontier) // beta) - 1, 0)
+        advance = max(-(-(total - placed_mass) // beta) - 1, 0)
         for p in range(n):
             bit = 1 << p
             if placed & bit:
@@ -376,10 +379,9 @@ def _pruned_orderings(
                 e = col[a]
                 if e and row[perm[a]] * b_den < b_num * e:
                     b_num, b_den = row[perm[a]], e
-            frontier_mask = before_frontier
+            frontier, stack = before_frontier, col[0] + stay  # B2's E(0, slot) + k
             if slot and col[0] > prev[0]:
-                frontier_mask = placed
-            stack = col[0] + windows[frontier_mask]  # B2's E(0, slot) + k
+                frontier, stack = placed_mass, col[0] + advance
             # B2's W: the width, and while points are unplaced the distance
             # from the first point to the farthest of them
             reach = width_scaled
@@ -396,9 +398,9 @@ def _pruned_orderings(
             if child != full:
                 # B3: slots a..slot plus the unplaced points nearest perm[a]
                 # out to radius d are heavy, so t <= d
-                held = mass[child]
+                held = placed_mass + weights[p]
                 for a in range(slot, -1, -1):
-                    need = alpha_w - held + before[a]
+                    need = level - held + before[a]
                     if need <= 0:
                         break  # slots a..slot are heavy: B1 covers them
                     for d, near_bit, w in nearest[perm[a] if a < slot else p]:
@@ -413,7 +415,7 @@ def _pruned_orderings(
                 if b_num * den <= limit * b_den:
                     continue
             perm.append(p)
-            before.append(before[-1] + mass[bit])
+            before.append(placed_mass + weights[p])
             chains[slot] = col
             if lo > top_lo:
                 spans.append((lo, slot))
@@ -431,7 +433,7 @@ def _pruned_orderings(
                         q = rest.bit_length() - 1
                         if first[index] > lo_next[q]:
                             lo_next[q] = first[index]
-                yield from extend(child, lo_next, frontier_mask, b_num, b_den)
+                yield from extend(child, lo_next, frontier, b_num, b_den)
             if lo > top_lo:
                 spans.pop()
             before.pop()

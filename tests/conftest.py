@@ -118,19 +118,35 @@ def pd_profile_oracle(atoms) -> tuple:
     return tuple(steps)
 
 
+def _every_subset_mass(space) -> dict:
+    """{index tuple: mass} for every subset of points, each sum one
+    ``Fraction`` add onto the sum of the tuple without its last point."""
+    n, masses = len(space), space.masses
+    mass = {(): ZERO}
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            mass[combo] = mass[combo[:-1]] + masses[combo[-1]]
+    return mass
+
+
 def heavy_subsets_bruteforce(space, alpha):
-    """All inclusion-minimal index subsets with mass >= alpha."""
-    n = len(space)
-    heavy = [
-        frozenset(combo)
-        for size in range(1, n + 1)
-        for combo in combinations(range(n), size)
-        if space.mass_of(combo) >= alpha
-    ]
+    """All inclusion-minimal index subsets with mass >= alpha.  Masses are
+    positive, so a heavy set has a heavy proper subset exactly when it has
+    one with a single point fewer."""
+    mass = _every_subset_mass(space)
     minimal = [
-        s for s in heavy if not any(other < s for other in heavy)
+        combo
+        for combo, m in mass.items()
+        if m >= alpha
+        and all(mass[combo[:i] + combo[i + 1:]] < alpha for i in range(len(combo)))
     ]
-    return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))
+    return sorted(minimal, key=lambda t: (len(t), t))
+
+
+def heaviest_light_bruteforce(space, alpha) -> Fraction:
+    """The largest mass of a subset of points below alpha (the empty set
+    weighs 0)."""
+    return max(m for m in _every_subset_mass(space).values() if m < alpha)
 
 
 def prokhorov_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: Fraction) -> bool:

@@ -354,7 +354,7 @@ def test_oversized_space_file_exits_before_its_matrix_is_parsed(capsys, tmp_path
 )
 def test_space_file_past_the_subset_table_ceiling_exits_before_parsing(capsys, tmp_path, argv):
     # --cap-n 600 lets the label count past the command's cap, but every
-    # engine behind od and profile builds the 2^n subset table, whose
+    # engine behind od and profile runs the heavy-subset search, whose
     # ceiling of 22 points refuses the file before its distances are parsed
     path = _line_space_file(tmp_path, 600)
     start = time.monotonic()
@@ -362,8 +362,8 @@ def test_space_file_past_the_subset_table_ceiling_exits_before_parsing(capsys, t
     elapsed = time.monotonic() - start
     assert (code, out) == (3, "")
     assert err == (
-        "resource cap: 600 points exceed the subset-table ceiling 22 "
-        "(2^600 subset masses); --cap-n cannot raise it\n"
+        "resource cap: 600 points exceed the heavy-family point ceiling 22; "
+        "--cap-n cannot raise it\n"
     )
     assert elapsed < 1
 
@@ -394,8 +394,9 @@ sys.exit(main(sys.argv[1:]))
     ],
 )
 def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
-    # a raised --cap-n lets 30 points past the exact cap, and the 2^30
-    # subset table would not fit in 1 GiB: the ceiling refuses it first
+    # a raised --cap-n lets 30 points past the exact cap, and the C(30, 15)
+    # minimal heavy subsets would not fit in 1 GiB: the ceiling refuses
+    # the search first
     pytest.importorskip("resource")
     FiniteMMSpace.line_space(range(30)).dump(tmp_path / "s30.json")
     src = os.path.dirname(os.path.dirname(obsdiam.__file__))
@@ -407,7 +408,7 @@ def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
     )
     elapsed = time.monotonic() - start
     assert child.returncode == 3, child.stderr
-    assert "30 points exceed the subset-table ceiling 22" in child.stderr
+    assert "30 points exceed the heavy-family point ceiling 22" in child.stderr
     assert "--cap-n cannot raise it" in child.stderr
     assert elapsed < 2
 

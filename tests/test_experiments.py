@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import heaviest_light_bruteforce
 
 import obsdiam.experiments as experiments
 from obsdiam import (
@@ -14,6 +16,7 @@ from obsdiam import (
     sharpness_sweep,
     verify_counterexample,
 )
+from obsdiam.randgen import random_space
 
 
 # -- family spaces ---------------------------------------------------------------
@@ -187,8 +190,23 @@ def test_semicontinuity_grid_validation():
         semicontinuity_profile(sp, FULL_LINE, [1])
 
 
+def test_semicontinuity_stretch_matches_bruteforce():
+    # kappa = 1 - (a subset's mass), so alpha sits exactly at a subset mass,
+    # which is heavy: the stretch ends at the heaviest mass strictly below it
+    rng = random.Random("semicontinuity-stretch")
+    for n in [*range(2, 9)] * 3:
+        sp = random_space(rng, min_points=n, max_points=n)
+        subsets = [rng.sample(range(n), rng.randint(1, n - 1)) for _ in range(3)]
+        kappas = {1 - sp.mass_of(subset) for subset in subsets}
+        profile = semicontinuity_profile(sp, Interval(-1, 1), sorted(kappas))
+        for row in profile.rows:
+            assert row.constant_until == 1 - heaviest_light_bruteforce(sp, row.alpha), (n, row)
+            assert row.kappa < row.probe_kappa < row.constant_until
+        assert profile.monotone_nonincreasing and profile.right_continuous
+
+
 def test_semicontinuity_checks_the_cap_before_the_subset_sums():
-    # 40 distinct masses would make 2^40 subset sums
+    # 40 points: the exact cap refuses them before any heavy family is searched
     sp = FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)])
     with pytest.raises(ResourceCapError):
         semicontinuity_profile(sp, FULL_LINE, [F(1, 2)])

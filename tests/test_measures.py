@@ -107,6 +107,12 @@ def test_string_rationals_parse_exactly():
         "cannot parse atom position from '1/x': Invalid literal for Fraction: '1/x'"
     )):
         DiscreteMeasure([("1/x", 1)])
+    # an "e" that starts no exponent leaves the text to Fraction's message
+    for text in ("one", "e", "2e", "seven"):
+        with pytest.raises(ValidationError, match=exactly(
+            f"cannot parse atom mass from {text!r}: Invalid literal for Fraction: {text!r}"
+        )):
+            DiscreteMeasure([(0, text)])
 
 
 def test_string_exponent_and_length_are_bounded():

@@ -3,7 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import heavy_subsets_bruteforce, lipschitz_validate_oracle
+from conftest import (
+    heaviest_light_bruteforce,
+    heavy_subsets_bruteforce,
+    lipschitz_validate_oracle,
+)
 
 from obsdiam import (
     FULL_LINE,
@@ -293,20 +297,27 @@ def test_heavy_alpha_domain():
 
 
 def test_heavy_cap():
-    # the 2^n subset table has a fixed ceiling of 22 points, checked before
-    # the table is allocated
+    # the heavy-subset search has a fixed ceiling of 22 points, checked
+    # before the search starts
     sp = FiniteMMSpace.line_space(range(23))
-    with pytest.raises(ResourceCapError, match="23 points exceed the subset-table ceiling 22"):
+    with pytest.raises(
+        ResourceCapError, match="23 points exceed the heavy-family point ceiling 22"
+    ):
         heavy_minimal_subsets(sp, F(1, 2))
+
+
+def _check_heavy(sp, alpha):
+    """The family and beta, the heaviest light mass, against brute force."""
+    heavy = heavy_minimal_subsets(sp, alpha)
+    assert list(heavy.minimal_subsets) == heavy_subsets_bruteforce(sp, alpha), alpha
+    assert F(heavy.beta, sum(heavy.weights)) == heaviest_light_bruteforce(sp, alpha), alpha
 
 
 def test_heavy_matches_bruteforce():
     rng = random.Random(8128)
     for _ in range(120):
         sp = random_space(rng, max_points=6)
-        alpha = random_alpha(rng)
-        got = heavy_minimal_subsets(sp, alpha).minimal_subsets
-        assert list(got) == heavy_subsets_bruteforce(sp, alpha)
+        _check_heavy(sp, random_alpha(rng))
     # up to 12 points, with unequal masses on one denominator and
     # a level whose prime denominator does not divide it
     for n in range(7, 13):
@@ -316,5 +327,12 @@ def test_heavy_matches_bruteforce():
             prime = rng.choice([p for p in (7, 11, 13, 17, 19, 23) if total % p])
             alpha = F(rng.randint(1, prime - 1), prime)
             sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
-            got = heavy_minimal_subsets(sp, alpha).minimal_subsets
-            assert list(got) == heavy_subsets_bruteforce(sp, alpha), (n, alpha)
+            _check_heavy(sp, alpha)
+    # up to 16 points with tied weights in a shuffled order, at a level some
+    # subset weighs exactly, where heavy (>=) and light (<) meet
+    for n in range(2, 17):
+        weights = [rng.choice((1, 2, 2, 3, 3, 3, 5)) for _ in range(n)]
+        total = sum(weights)
+        chosen = rng.sample(weights, rng.randint(1, n))
+        sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
+        _check_heavy(sp, F(sum(chosen), total))

@@ -25,7 +25,6 @@ from obsdiam import (
 )
 import obsdiam.mmspace as mmspace
 import obsdiam.observable as observable
-from obsdiam.mmspace import subset_masses
 from obsdiam.observable import (
     _max_t_for_order,
     _order_edges,
@@ -139,25 +138,25 @@ def test_full_line_matches_every_screen_of_width_at_least_the_diameter(kind):
                 )
 
 
-def test_searching_od_call_builds_one_subset_table(monkeypatch):
-    """The search reads the heavy family's subset-mass table instead of
-    building its own."""
-    calls = {"tables": 0, "searches": 0}
+def test_searching_od_call_runs_one_heavy_search(monkeypatch):
+    """The prefix search reads the weights, level and beta of the heavy
+    family the engine found, instead of searching subsets again."""
+    calls = {"families": 0, "searches": 0}
 
-    def counted_table(*args):
-        calls["tables"] += 1
-        return subset_masses(*args)
+    def counted_family(*args):
+        calls["families"] += 1
+        return heavy_minimal_subsets(*args)
 
     def counted_search(*args):
         calls["searches"] += 1
         return _pruned_orderings(*args)
 
-    monkeypatch.setattr(mmspace, "subset_masses", counted_table)
-    # a direct call from the engine would go through its own binding
-    monkeypatch.setattr(observable, "subset_masses", counted_table, raising=False)
+    monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
+    # the engine calls the search through its own binding
+    monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
     monkeypatch.setattr(observable, "_pruned_orderings", counted_search)
     assert observable_diameter(X2, Interval(-1, 1), F(3, 5)).value == F(2, 3)
-    assert calls == {"tables": 1, "searches": 1}
+    assert calls == {"families": 1, "searches": 1}
 
 
 def test_seed_values_match_their_witnesses():
@@ -198,13 +197,13 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     """
     n = len(space)
     alpha = 1 - kappa
-    family = heavy_minimal_subsets(space, alpha).minimal_subsets
+    heavy = heavy_minimal_subsets(space, alpha)
+    family = heavy.minimal_subsets
     if any(len(s) == 1 for s in family):
         return False
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
     upper = F(min(diam_scaled, width_scaled), scale)
-    mass, alpha_w = subset_masses(space.masses, alpha)
 
     optimum, minimal = {}, {}
     for perm in permutations(range(n)):
@@ -226,7 +225,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
             perm: (bound, spans)
             for perm, bound, spans in _pruned_orderings(
                 n, family, dmat_scaled, width_scaled, scale, diam_scaled,
-                mass, alpha_w, lambda: level - eps,
+                heavy.weights, heavy.level, heavy.beta, lambda: level - eps,
             )
         }
         for perm, value in optimum.items():
