@@ -6,7 +6,6 @@ boundary so every reported value and every verification is exact.
 
 from .compression import ClampReport, anchor_walk, clamp_construct, verify_clamp
 from .errors import (
-    ContractError,
     DomainError,
     ObsdiamError,
     ResourceCapError,
@@ -69,7 +68,6 @@ __all__ = [
     "ObsdiamError",
     "DomainError",
     "ValidationError",
-    "ContractError",
     "ResourceCapError",
     "VerificationError",
     # measures

@@ -22,9 +22,7 @@ import sys
 from ._rational import format_fraction as fmt
 from ._rational import read_json, render_decimal, to_fraction
 from .compression import verify_clamp
-from .errors import (
-    ContractError, DomainError, ResourceCapError, ValidationError, VerificationError, check_cap,
-)
+from .errors import DomainError, ResourceCapError, ValidationError, VerificationError
 from .experiments import (
     SEMICONTINUITY_CSV_COLUMNS,
     SHARPNESS_CSV_COLUMNS,
@@ -33,8 +31,8 @@ from .experiments import (
     verify_counterexample,
 )
 from .measures import DiscreteMeasure, partial_diameter
-from .mmspace import FiniteMMSpace, check_point_ceiling, parse_screen, screen_to_str
-from .observable import DEFAULT_EXACT_CAP, DEFAULT_GRID_CAP, observable_diameter, od_grid_oracle
+from .mmspace import FiniteMMSpace, parse_screen, screen_to_str
+from .observable import check_exact_size, check_grid_size, observable_diameter, od_grid_oracle
 from .prokhorov import prokhorov_onesided
 from .proptests import SUITE_NAMES, run_suite
 
@@ -53,17 +51,14 @@ def _cap(args, keyword: str = "cap_n") -> dict:
     return {} if args.cap_n is None else {keyword: args.cap_n}
 
 
-def _load_space(args, default_cap: int, what: str) -> FiniteMMSpace:
-    """The space file, refused on its label count by the cap the command will
-    apply (``--cap-n`` or ``default_cap``) and by the point ceiling of the
-    heavy-subset search, which every engine behind ``od`` and ``profile``
-    runs, before its n^2 distances are parsed.  ``what`` is the engine's own
-    wording for the cap."""
+def _load_space(args, check) -> FiniteMMSpace:
+    """The space file, refused on its label count by the engine's own size
+    check ``check`` (with ``--cap-n`` when given) before its n^2 distances
+    are parsed."""
     payload = read_json(args.space)
     labels = payload.get("labels") if isinstance(payload, dict) else None
     if isinstance(labels, list):
-        check_cap(len(labels), default_cap if args.cap_n is None else args.cap_n, what)
-        check_point_ceiling(len(labels))
+        check(len(labels), **_cap(args))
     return FiniteMMSpace.from_json_dict(payload)
 
 
@@ -126,10 +121,7 @@ def _cmd_compress(args):
 
 
 def _cmd_od(args):
-    if args.grid_step is None:
-        space = _load_space(args, DEFAULT_EXACT_CAP, "points exceed the exact enumeration cap")
-    else:
-        space = _load_space(args, DEFAULT_GRID_CAP, "points exceed the grid-oracle cap")
+    space = _load_space(args, check_exact_size if args.grid_step is None else check_grid_size)
     screen = parse_screen(args.screen)
     kappa = to_fraction(args.kappa, what="kappa")
     head = {"screen": screen_to_str(screen), "kappa": fmt(kappa)}
@@ -188,7 +180,7 @@ def _cmd_counterexample(args):
 
 def _cmd_sharpness(args):
     radius = to_fraction(args.radius, what="radius")
-    rows = sharpness_sweep(radius, args.n_max, **_cap(args))
+    rows = sharpness_sweep(radius, args.n_max)
     payload = {"radius": fmt(radius), "rows": [r.to_json_dict() for r in rows], "ok": True}
     if args.format == "csv":
         table = [
@@ -207,7 +199,7 @@ def _cmd_sharpness(args):
 
 
 def _cmd_profile(args):
-    space = _load_space(args, DEFAULT_EXACT_CAP, "points exceed the exact enumeration cap")
+    space = _load_space(args, check_exact_size)
     screen = parse_screen(args.screen)
     kappas = [part.strip() for part in args.kappas.split(",") if part.strip()]
     profile = semicontinuity_profile(space, screen, kappas, **_cap(args))
@@ -301,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kappa", nargs="?", default=None, help="default: 1 - 3/(4N)")
 
     p = command(
-        "sharpness", _cmd_sharpness, "sweep the family at kappa_n = 1 - 1/n", cap=True, csv=True
+        "sharpness", _cmd_sharpness, "sweep the family at kappa_n = 1 - 1/n", csv=True
     )
     p.add_argument("radius", help="spacing R > 0, rational")
     p.add_argument("n_max", type=int, help="last family index (rows n = 2..n_max)")
@@ -339,7 +331,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ValidationError, ContractError) as exc:
+    except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

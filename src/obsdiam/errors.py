@@ -17,10 +17,6 @@ class ValidationError(ObsdiamError):
     """Structured data violates an invariant (bad masses, broken metric, ...)."""
 
 
-class ContractError(ObsdiamError):
-    """A documented precondition of an operation does not hold."""
-
-
 class ResourceCapError(ObsdiamError):
     """An enumeration cap would be exceeded; raise the cap explicitly to proceed."""
 

@@ -22,16 +22,9 @@ from ._rational import (
     to_open_unit,
     to_positive,
 )
-from .errors import DomainError, ResourceCapError, VerificationError, check_cap
-from .mmspace import (
-    FULL_LINE,
-    FiniteMMSpace,
-    Interval,
-    Screen,
-    heavy_minimal_subsets,
-    screen_to_str,
-)
-from .observable import DEFAULT_EXACT_CAP, observable_diameter
+from .errors import DomainError, ResourceCapError, VerificationError
+from .mmspace import FULL_LINE, POINT_CEILING, FiniteMMSpace, Interval, Screen, screen_to_str
+from .observable import DEFAULT_EXACT_CAP, check_exact_size, observable_diameter
 
 __all__ = [
     "counterexample_space",
@@ -124,13 +117,13 @@ def verify_counterexample(
 
     kappa defaults to 1 - 3/(4N), the midpoint-ish interior of the validity
     window; an out-of-window kappa is reported as such, values still computed.
-    The 2N points are checked against ``cap_n`` before the space is built.
+    ``check_exact_size`` refuses the 2N points before the space is built.
     """
     radius = _check_member(n_family, radius)
     if kappa is None:
         kappa = 1 - Fraction(3, 4 * n_family)
     kappa = to_open_unit(kappa, what="kappa")
-    check_cap(2 * n_family, cap_n, "points exceed the exact enumeration cap")
+    check_exact_size(2 * n_family, cap_n)
     space = counterexample_space(n_family, radius)
     window = (1 - Fraction(1, n_family), 1 - Fraction(1, 2 * n_family))
     interval, expected_c = _family_screen(n_family, radius)
@@ -212,34 +205,32 @@ class SharpnessRow:
         }
 
 
-def sharpness_sweep(
-    radius, n_max: int, *, cap_n: int = DEFAULT_EXACT_CAP
-) -> tuple[SharpnessRow, ...]:
+def sharpness_sweep(radius, n_max: int) -> tuple[SharpnessRow, ...]:
     """Rows for n = 2..n_max at kappa_n = 1 - 1/n.
 
-    Family members with 2n <= cap_n are recomputed by
+    Family members with 2n <= ``POINT_CEILING`` (n <= 11) are recomputed by
     ``verify_counterexample`` and must match the closed forms; larger ones
     carry the closed-form values with an explicit provenance flag, never
-    silently mixed.  kappa_n is the left end of the validity window.
+    silently mixed.  kappa_n is the left end of the validity window, where
+    the heavy family is the n(2n - 1) pairs, so each exact row is cheap.
 
     Past ``SHARPNESS_ROW_CEILING`` the sweep is refused before any row is
-    built; no cap keyword raises this ceiling.
+    built.
     """
     radius = to_positive(radius, what="radius")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     if n_max > SHARPNESS_ROW_CEILING:
         raise ResourceCapError(
-            f"n_max {n_max} exceeds the sharpness row ceiling {SHARPNESS_ROW_CEILING}; "
-            "--cap-n cannot raise it"
+            f"n_max {n_max} exceeds the sharpness row ceiling {SHARPNESS_ROW_CEILING}"
         )
     rows = []
     for n in range(2, n_max + 1):
         kappa = 1 - Fraction(1, n)
         interval, c = _family_screen(n, radius)
         od_full, od_int, provenance = radius, c * radius, "closed-form"
-        if 2 * n <= cap_n:
-            report = verify_counterexample(n, radius, kappa, cap_n=cap_n)
+        if 2 * n <= POINT_CEILING:
+            report = verify_counterexample(n, radius, kappa, cap_n=2 * n)
             if not report.matches:
                 raise VerificationError(
                     f"n={n}: od {fraction_text(report.od_full_line)}, "
@@ -342,20 +333,20 @@ def semicontinuity_profile(
     """od over a kappa grid with monotonicity and right-continuity checks.
 
     The grid is sorted and deduplicated.  For each point, the largest subset
-    mass strictly below alpha = 1 - kappa (the heavy family's ``beta``)
-    bounds the stretch on which the heavy family — hence od — must stay
-    constant; od is re-evaluated at the midpoint of that stretch as the
-    certificate.
+    mass strictly below alpha = 1 - kappa (the ``beta`` of the heavy family
+    the engine searched) bounds the stretch on which the heavy family, hence
+    od, must stay constant; od is re-evaluated at the midpoint of that
+    stretch as the certificate.
     """
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
     grid = sorted({to_open_unit(k, what="kappa") for k in kappa_grid})
-    # The engine checks cap_n first, before any heavy family is searched.
-    ods = [observable_diameter(space, screen, kappa, cap_n=cap_n).value for kappa in grid]
+    check_exact_size(len(space), cap_n)
     rows = []
-    for kappa, od in zip(grid, ods):
+    for kappa in grid:
         alpha = 1 - kappa
-        heavy = heavy_minimal_subsets(space, alpha)
+        result = observable_diameter(space, screen, kappa, cap_n=cap_n)
+        heavy = result.heavy
         below = Fraction(heavy.beta, sum(heavy.weights))  # the weights sum to mass 1
         constant_until = 1 - below  # od constant on [kappa, constant_until)
         probe_alpha = (alpha + below) / 2
@@ -365,7 +356,7 @@ def semicontinuity_profile(
             SemicontinuityRow(
                 kappa=kappa,
                 alpha=alpha,
-                od_value=od,
+                od_value=result.value,
                 constant_until=constant_until,
                 probe_kappa=probe_kappa,
                 probe_od=probe_od,

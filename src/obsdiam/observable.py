@@ -117,7 +117,7 @@ reported value is re-checked against its witness with an explicit
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, gcd, lcm
 from operator import itemgetter
@@ -136,9 +136,11 @@ from .mmspace import (
     FULL_LINE,
     FiniteMMSpace,
     FullLine,
+    HeavyFamily,
     Interval,
     LipschitzWitness,
     Screen,
+    check_point_ceiling,
     heavy_minimal_subsets,
 )
 
@@ -150,6 +152,8 @@ __all__ = [
     "witness_partial_diameter",
     "RevisedInequalityReport",
     "verify_revised_inequality",
+    "check_exact_size",
+    "check_grid_size",
     "DEFAULT_EXACT_CAP",
     "DEFAULT_GRID_CAP",
 ]
@@ -159,12 +163,30 @@ DEFAULT_GRID_CAP = 4
 GRID_CEILING = 22  # 2^22 grid assignments per anchor: about 2 s at 4 points (README)
 
 
+def check_exact_size(n: int, cap_n: int = DEFAULT_EXACT_CAP) -> None:
+    """Refuse ``n`` points for the exact engine before any work: past
+    ``cap_n``, which a caller may raise, then past ``POINT_CEILING``, which
+    nothing raises."""
+    check_cap(n, cap_n, "points exceed the exact enumeration cap")
+    check_point_ceiling(n)
+
+
+def check_grid_size(n: int, cap_n: int = DEFAULT_GRID_CAP) -> None:
+    """``check_exact_size`` for the grid oracle, with its own cap."""
+    check_cap(n, cap_n, "points exceed the grid-oracle cap")
+    check_point_ceiling(n)
+
+
 @dataclass(frozen=True)
 class OdResult:
-    """An exact observable-diameter value with an achieving witness."""
+    """An exact observable-diameter value with an achieving witness.
+
+    ``heavy`` is the minimal heavy family the engine searched; it stays out
+    of ``repr``, equality and the JSON report."""
 
     value: Fraction
     witness: LipschitzWitness
+    heavy: HeavyFamily = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,16 +212,16 @@ def observable_diameter(
 ) -> OdResult:
     """Exact observable diameter with an achieving witness.
 
-    Raises ResourceCapError above ``cap_n`` points, before any subset is
-    enumerated.  The search's worst case grows like n!, so a larger space
-    needs ``cap_n`` raised explicitly; past ``POINT_CEILING`` points the
-    heavy family's search is refused whatever ``cap_n`` says.
+    ``check_exact_size`` refuses the space before any subset is
+    enumerated.  The search's worst case grows like n!, so a space above
+    ``cap_n`` points needs it raised explicitly; past ``POINT_CEILING``
+    points it is refused whatever ``cap_n`` says.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     n = len(space)
-    check_cap(n, cap_n, "points exceed the exact enumeration cap")
+    check_exact_size(n, cap_n)
     alpha = 1 - kappa
     base = screen.a if isinstance(screen, Interval) else ZERO
     best, best_witness = ZERO, LipschitzWitness((base,) * n)
@@ -208,7 +230,7 @@ def observable_diameter(
     if any(len(s) == 1 for s in family):
         # Some single point already carries mass alpha, so every image measure
         # has a zero-diameter heavy set.
-        return OdResult(value=best, witness=best_witness)
+        return OdResult(best, best_witness, heavy)
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     pick = [itemgetter(*subset) for subset in family]  # a subset's entries of a row
@@ -253,7 +275,7 @@ def observable_diameter(
 
     best_witness.validate(space, screen)
     _check_witness(space, best_witness, alpha, best)
-    return OdResult(value=best, witness=best_witness)
+    return OdResult(best, best_witness, heavy)
 
 
 def _scaled(space: FiniteMMSpace, screen: Screen):
@@ -593,7 +615,7 @@ def od_grid_oracle(
         raise DomainError("the grid oracle needs a bounded interval screen")
     step = to_positive(grid_step, what="grid_step")
     n = len(space)
-    check_cap(n, cap_n, "points exceed the grid-oracle cap")
+    check_grid_size(n, cap_n)
     alpha = 1 - kappa
     family = heavy_minimal_subsets(space, alpha).minimal_subsets
     slack = (n - 1) * step
@@ -711,17 +733,15 @@ class RevisedInequalityReport:
     holds: bool
 
 
-def verify_revised_inequality(
-    space: FiniteMMSpace, kappa, radius, *, cap_n: int = DEFAULT_EXACT_CAP
-) -> RevisedInequalityReport:
+def verify_revised_inequality(space: FiniteMMSpace, kappa, radius) -> RevisedInequalityReport:
     """Check the screen-size correction: a radius-R budget survives on the
     screen [-R/(1-kappa), R/(1-kappa)]."""
     kappa = to_open_unit(kappa, what="kappa")
     radius = to_positive(radius, what="radius")
-    od_full = observable_diameter(space, FULL_LINE, kappa, cap_n=cap_n)
+    od_full = observable_diameter(space, FULL_LINE, kappa)
     reach = radius / (1 - kappa)
     screen = Interval(-reach, reach)
-    od_screen = observable_diameter(space, screen, kappa, cap_n=cap_n)
+    od_screen = observable_diameter(space, screen, kappa)
     lhs = min(radius, od_full.value)
     return RevisedInequalityReport(
         kappa=kappa,

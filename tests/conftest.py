@@ -14,8 +14,8 @@ from math import floor, lcm
 from hypothesis import strategies as st
 
 from obsdiam import (
-    ContractError,
     DiscreteMeasure,
+    DomainError,
     Interval,
     LipschitzWitness,
     PiecewiseLinearMap,
@@ -440,7 +440,7 @@ def anchor_walk_oracle(mu: DiscreteMeasure, alpha) -> tuple:
     alpha = to_open_unit(alpha, what="alpha")
     pd = partial_diameter(mu, alpha).value
     if pd != 1:
-        raise ContractError(
+        raise DomainError(
             f"anchor_walk_oracle requires partial diameter 1 at alpha={fraction_text(alpha)}, "
             f"got {fraction_text(pd)}"
         )

@@ -391,13 +391,16 @@ sys.exit(main(sys.argv[1:]))
     [
         ["od", "s30.json", "--screen", "fullline", "--kappa", "1/2", "--cap-n", "64"],
         ["counterexample", "15", "1", "--cap-n", "30"],
+        ["counterexample", "1000", "1", "--cap-n", "100000"],
     ],
 )
 def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
     # a raised --cap-n lets 30 points past the exact cap, and the C(30, 15)
     # minimal heavy subsets would not fit in 1 GiB: the ceiling refuses
-    # the search first
+    # the search first; counterexample refuses its 2N points before it
+    # builds and triangle-checks the family
     pytest.importorskip("resource")
+    points = 2 * int(argv[1]) if argv[0] == "counterexample" else 30
     FiniteMMSpace.line_space(range(30)).dump(tmp_path / "s30.json")
     src = os.path.dirname(os.path.dirname(obsdiam.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -408,7 +411,7 @@ def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
     )
     elapsed = time.monotonic() - start
     assert child.returncode == 3, child.stderr
-    assert "30 points exceed the heavy-family point ceiling 22" in child.stderr
+    assert f"{points} points exceed the heavy-family point ceiling 22" in child.stderr
     assert "--cap-n cannot raise it" in child.stderr
     assert elapsed < 2
 
@@ -541,12 +544,14 @@ def test_sharpness_json_deterministic(capsys):
 
 
 def test_sharpness_past_the_row_ceiling_exits_three_quickly(capsys):
-    for argv in (("1", "10001"), ("1", "1000000000", "--cap-n", "100")):
+    for n_max in ("10001", "1000000000"):
         start = time.process_time()
-        code, out, err = run(capsys, "sharpness", *argv, "--format", "json")
+        code, out, err = run(capsys, "sharpness", "1", n_max, "--format", "json")
         assert time.process_time() - start < 1
         assert (code, out) == (3, "")
-        assert "sharpness row ceiling 10000" in err
+        assert err == f"resource cap: n_max {n_max} exceeds the sharpness row ceiling 10000\n"
+    # no flag raises the ceiling: sharpness has no --cap-n
+    assert run(capsys, "sharpness", "1", "3", "--cap-n", "100")[0] == 2
 
 
 def test_sharpness_internal_failure_maps_to_exit_one(capsys, monkeypatch):

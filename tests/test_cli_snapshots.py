@@ -468,12 +468,20 @@ n,kappa,radius,interval_lo,interval_hi,od_full_line,od_interval,ratio,revised_sc
 """,
     ),
     (
-        "sharpness 1 4 --cap-n 6",
+        "sharpness 1 12",
         0,
         """\
 n=2 kappa=1/2 od_full=1 od_interval=2/3 ratio=3/2 gap=2 (exact)
 n=3 kappa=2/3 od_full=1 od_interval=4/5 ratio=5/4 gap=2 (exact)
-n=4 kappa=3/4 od_full=1 od_interval=6/7 ratio=7/6 gap=2 (closed-form)
+n=4 kappa=3/4 od_full=1 od_interval=6/7 ratio=7/6 gap=2 (exact)
+n=5 kappa=4/5 od_full=1 od_interval=8/9 ratio=9/8 gap=2 (exact)
+n=6 kappa=5/6 od_full=1 od_interval=10/11 ratio=11/10 gap=2 (exact)
+n=7 kappa=6/7 od_full=1 od_interval=12/13 ratio=13/12 gap=2 (exact)
+n=8 kappa=7/8 od_full=1 od_interval=14/15 ratio=15/14 gap=2 (exact)
+n=9 kappa=8/9 od_full=1 od_interval=16/17 ratio=17/16 gap=2 (exact)
+n=10 kappa=9/10 od_full=1 od_interval=18/19 ratio=19/18 gap=2 (exact)
+n=11 kappa=10/11 od_full=1 od_interval=20/21 ratio=21/20 gap=2 (exact)
+n=12 kappa=11/12 od_full=1 od_interval=22/23 ratio=23/22 gap=2 (closed-form)
 all rows: ratio > 1 and gap = 2: OK
 """,
     ),

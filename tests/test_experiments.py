@@ -5,6 +5,7 @@ import pytest
 from conftest import heaviest_light_bruteforce
 
 import obsdiam.experiments as experiments
+import obsdiam.observable as observable
 from obsdiam import (
     FULL_LINE,
     DomainError,
@@ -12,6 +13,7 @@ from obsdiam import (
     Interval,
     ResourceCapError,
     counterexample_space,
+    heavy_minimal_subsets,
     semicontinuity_profile,
     sharpness_sweep,
     verify_counterexample,
@@ -108,15 +110,16 @@ def test_counterexample_json_payload():
 
 
 def test_sharpness_rows_unit_radius():
-    rows = sharpness_sweep(1, 6)
-    assert [r.n_family for r in rows] == [2, 3, 4, 5, 6]
-    assert [r.kappa for r in rows] == [F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(5, 6)]
-    assert [r.ratio for r in rows] == [F(3, 2), F(5, 4), F(7, 6), F(9, 8), F(11, 10)]
-    assert [r.od_interval for r in rows] == [F(2, 3), F(4, 5), F(6, 7), F(8, 9), F(10, 11)]
+    rows = sharpness_sweep(1, 12)
+    assert [r.n_family for r in rows] == [*range(2, 13)]
+    assert [r.kappa for r in rows] == [1 - F(1, n) for n in range(2, 13)]
+    assert [r.ratio for r in rows] == [F(2 * n - 1, 2 * n - 2) for n in range(2, 13)]
+    assert [r.od_interval for r in rows] == [F(2 * n - 2, 2 * n - 1) for n in range(2, 13)]
     assert all(r.od_full_line == 1 for r in rows)
     assert all(r.gap == 2 for r in rows)
-    # members with 2n <= 10 points are recomputed exactly
-    assert [r.provenance for r in rows] == ["exact"] * 4 + ["closed-form"]
+    # members with 2n <= 22 points, the heavy-family ceiling, are recomputed
+    # exactly (and must equal the closed forms to be returned at all)
+    assert [r.provenance for r in rows] == ["exact"] * 10 + ["closed-form"]
     assert rows[0].revised_screen_width == 4
 
 
@@ -135,10 +138,9 @@ def test_sharpness_validation():
 
 
 def test_sharpness_row_ceiling():
-    # refused before a row is built, whatever the cap; 10^4 rows are allowed
-    for cap in ({}, {"cap_n": 10**6}):
-        with pytest.raises(ResourceCapError, match="sharpness row ceiling 10000; --cap-n cannot"):
-            sharpness_sweep(1, experiments.SHARPNESS_ROW_CEILING + 1, **cap)
+    # refused before a row is built; 10^4 rows are allowed
+    with pytest.raises(ResourceCapError, match="^n_max 10001 exceeds the sharpness row ceiling 10000$"):
+        sharpness_sweep(1, experiments.SHARPNESS_ROW_CEILING + 1)
     with pytest.raises(ResourceCapError):
         sharpness_sweep(1, 10**9)
 
@@ -159,12 +161,23 @@ def test_semicontinuity_uniform_line_profile():
         assert r.kappa <= r.probe_kappa < r.constant_until
 
 
-def test_semicontinuity_constant_stretch_on_narrow_screen():
+def test_semicontinuity_constant_stretch_on_narrow_screen(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return heavy_minimal_subsets(*args)
+
+    for module in (observable, experiments):
+        monkeypatch.setattr(module, "heavy_minimal_subsets", counted, raising=False)
     sp = FiniteMMSpace.line_space([1, 2, 3, 4])
     profile = semicontinuity_profile(sp, Interval(-1, 1), [F(1, 2), F(5, 8), F(7, 10)])
     assert all(r.od_value == F(2, 3) for r in profile.rows)
     assert all(r.constant_until == F(3, 4) for r in profile.rows)
     assert profile.right_continuous
+    # one heavy search per engine run (grid point and probe): beta comes from
+    # the family the engine found
+    assert len(calls) == 6
 
 
 def test_semicontinuity_single_point_space():
