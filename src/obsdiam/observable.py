@@ -26,15 +26,23 @@ special handling because slot constraints are non-strict.
 
 Most orderings never reach that solve.  Cheap seed witnesses (constant and
 distance-to-anchor maps) set an incumbent first, and bounds then cut the
-orderings that cannot beat it.  A seed is scored on the scaled integer
-distances, as the least spread of a minimal heavy subset, times
-width / spread when it is squeezed onto a short screen; its witness is built
-only when it improves on the incumbent:
+orderings that cannot beat it.  A seed is scored without walking the heavy
+family: its scaled integer distances, sorted with the points' integer
+weights, give the narrowest heavy window of values by a two-pointer sweep,
+times width / spread when the seed is squeezed onto a short screen.  That
+width is the seed's partial diameter, the least spread of a minimal heavy
+subset S: a set of values is heavy exactly when its preimage is, so the
+window ``[min S, max S]`` is heavy and as wide as S spreads, and every heavy
+window holds a minimal heavy subset spreading at most its width.  Scores are
+compared as integer pairs; the first anchor to reach the best one wins, and
+its witness is the only one built:
 
 * **Global bound.**  No 1-Lipschitz image spreads a heavy subset S wider than
   its metric diameter, nor wider than the screen, so
-  ``UB = min(width, min over S of diam S)`` caps the answer.  When a seed
-  already reaches UB the search is skipped.  On a line space over the full
+  ``UB = min(width, min over S of diam S)`` caps the answer.  One scan over
+  the family finds the least diameter; it leaves a subset at its first pair
+  as far apart as the least diameter so far.  When a seed reaches UB the
+  seeding stops and the search is skipped.  On a line space over the full
   line the distance-to-leftmost-point seed is an isometry and always does.
 * **Prefix search.**  Orderings are built slot by slot, depth first.  Write
   ``y_0 <= ... <= y_{n-1}`` for the slot values and ``t`` for the smallest
@@ -120,7 +128,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, gcd, lcm
-from operator import itemgetter
 
 from ._rational import (
     ZERO,
@@ -233,23 +240,25 @@ def observable_diameter(
         return OdResult(best, best_witness, heavy)
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
-    pick = [itemgetter(*subset) for subset in family]  # a subset's entries of a row
-
     # No image spreads a heavy subset wider than its diameter or the screen.
-    diam_scaled = min(
-        max(max(get(dmat_scaled[i])) for i in subset) for subset, get in zip(family, pick)
-    )
-    upper = Fraction(min(diam_scaled, width_scaled), scale)
+    diam_scaled = _least_diameter(family, dmat_scaled)
+    upper_scaled = min(diam_scaled, width_scaled)
+    upper = Fraction(upper_scaled, scale)
 
-    # Seed the incumbent with the distance-to-anchor maps, scored on the
-    # integer distances; a witness is built only for a seed that improves.
+    # Seed the incumbent with the distance-to-anchor maps, scored as integer
+    # pairs; the first anchor to reach the best score gets the one witness.
+    best_num, best_den, winner = 0, 1, None
     for anchor in range(n):
-        value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
-        if value > best:
-            witness = _seed_witness(dmat_scaled[anchor], scale, width_scaled, base)
-            best, best_witness = value, witness
-            if best == upper:
+        num, den = _seed_value(
+            dmat_scaled[anchor], heavy.weights, heavy.level, scale, width_scaled
+        )
+        if num * best_den > best_num * den:
+            best_num, best_den, winner = num, den, anchor
+            if num * scale == upper_scaled * den:
                 break
+    if winner is not None:
+        best = Fraction(best_num, best_den)
+        best_witness = _seed_witness(dmat_scaled[winner], scale, width_scaled, base)
 
     if best == upper:
         orderings = ()  # a seed already meets the global bound
@@ -464,22 +473,62 @@ def _pruned_orderings(
     return extend(0, [-1] * n, 0, diam_scaled, 1)
 
 
-def _seed_value(pick, distances, scale, width_scaled) -> Fraction:
-    """Partial diameter of the distance-to-anchor seed, from the anchor's
-    scaled ``distances``; ``pick`` holds one ``itemgetter`` per minimal heavy
-    subset.
+def _least_diameter(family, dmat_scaled) -> int:
+    """The least scaled diameter of a subset in ``family``.  A subset's scan
+    stops at its first pair as far apart as the least diameter found so far,
+    since its own diameter cannot be smaller."""
+    least = None
+    for subset in family:
+        diam = 0
+        for k, i in enumerate(subset, 1):
+            row = dmat_scaled[i]
+            for j in subset[k:]:
+                if row[j] > diam:
+                    diam = row[j]
+                    if least is not None and diam >= least:
+                        break
+            else:
+                continue
+            break  # the subset is no narrower than ``least``
+        else:
+            least = diam
+    return least
 
-    A set of image values is heavy exactly when its preimage is, and every
-    heavy preimage contains a minimal heavy subset, so the partial diameter
-    of an image is the least spread of a minimal heavy subset.  Squeezing the
-    seed onto a screen narrower than its spread multiplies every spread by
-    width / spread.
+
+def _seed_value(distances, weights, level, scale, width_scaled) -> tuple:
+    """Partial diameter of the distance-to-anchor seed as an integer pair
+    ``(num, den)``, from the anchor's scaled ``distances`` and the heavy
+    family's integer point ``weights`` and ``level``.
+
+    It is the narrowest heavy window of values, by the two-pointer sweep of
+    ``measures.partial_diameter`` over the sorted distances.  That equals
+    the least spread of a minimal heavy subset S of points:
+
+    * a set of values is heavy exactly when its preimage is;
+    * the window ``[min S, max S]`` holds the values of S, so it is heavy
+      and exactly as wide as S spreads;
+    * every heavy window's preimage is heavy, so it holds a minimal heavy
+      subset, whose values lie in the window and spread at most its width.
+
+    Squeezing the seed onto a screen narrower than its spread multiplies
+    every spread by width / spread.
     """
-    low = min(max(values) - min(values) for values in [get(distances) for get in pick])
-    spread = max(distances)
+    placed = sorted(zip(distances, weights))
+    spread = placed[-1][0]
+    low = spread  # the whole space is heavy, and the anchor sits at 0
+    acc = i = 0
+    for d, w in placed:
+        acc += w
+        if acc < level:
+            continue
+        while acc - placed[i][1] >= level:
+            acc -= placed[i][1]
+            i += 1
+        if d - placed[i][0] < low:
+            low = d - placed[i][0]
     if spread > width_scaled:
-        return Fraction(low * width_scaled, scale * spread)
-    return Fraction(low, scale)
+        return low * width_scaled, scale * spread
+    return low, scale
 
 
 def _seed_witness(distances, scale, width_scaled, base) -> LipschitzWitness:

@@ -253,6 +253,20 @@ def seed_witnesses(space, screen):
         yield LipschitzWitness(tuple(v + base for v in values))
 
 
+def seed_value_oracle(family, distances, scale, width_scaled) -> Fraction:
+    """Partial diameter of the distance-to-anchor seed with the anchor's
+    scaled ``distances``: the least spread of a minimal heavy subset, scored
+    subset by subset, times width / spread when the screen squeezes it."""
+    low = min(
+        max(distances[i] for i in subset) - min(distances[i] for i in subset)
+        for subset in family
+    )
+    spread = max(distances)
+    if spread > width_scaled:
+        return Fraction(low * width_scaled, scale * spread)
+    return Fraction(low, scale)
+
+
 def od_permutation_oracle(space, screen, kappa):
     """Exact observable diameter by the plain sweep over all n!/2 orderings.
 

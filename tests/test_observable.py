@@ -1,8 +1,9 @@
+import hashlib
 import random
+import time
 from fractions import Fraction as F
 from itertools import permutations
 from math import gcd
-from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,7 @@ from obsdiam import (
 import obsdiam.mmspace as mmspace
 import obsdiam.observable as observable
 from obsdiam.observable import (
+    _least_diameter,
     _max_t_for_order,
     _order_edges,
     _pruned_orderings,
@@ -40,6 +42,7 @@ from conftest import (
     minimal_spans,
     od_permutation_oracle,
     random_lipschitz_map_oracle,
+    seed_value_oracle,
 )
 
 X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
@@ -160,28 +163,111 @@ def test_searching_od_call_runs_one_heavy_search(monkeypatch):
 
 
 def test_seed_values_match_their_witnesses():
-    """Each distance-to-anchor seed is scored on integer distances without
-    building its witness; the score must be the witness's partial diameter,
-    squeezed screens included."""
+    """Each distance-to-anchor seed is scored as an integer pair by a window
+    sweep, without building its witness.  The score must be the witness's
+    partial diameter and the per-subset least spread, squeezed screens
+    included.  Line spaces with equal gaps make windows tie, an anchor
+    inside them gives equal distances, and skewed masses make tied windows
+    differ in mass."""
     rng = random.Random("seed-values")
+    cases = [
+        (random_space(rng, min_points=2, max_points=7), 1 - random_alpha(rng))
+        for _ in range(40)
+    ]
+    for n in (3, 5, 8):
+        even = FiniteMMSpace.line_space(range(0, 2 * n, 2))
+        for space in (even, _skewed(even)):
+            cases += [(space, alpha) for alpha in (F(1, 3), F(1, 2), F(3, 4))]
     checked = 0
-    for _ in range(40):
-        sp = random_space(rng, min_points=2, max_points=7)
-        alpha = 1 - random_alpha(rng)
-        family = heavy_minimal_subsets(sp, alpha).minimal_subsets
+    for sp, alpha in cases:
+        heavy = heavy_minimal_subsets(sp, alpha)
+        family = heavy.minimal_subsets
         if any(len(s) == 1 for s in family):
             continue  # the engine returns 0 before seeding
-        pick = [itemgetter(*s) for s in family]
         for screen in (FULL_LINE, Interval(-1, 1), Interval(0, F(1, 7))):
             scale, dmat_scaled, width_scaled = _scaled(sp, screen)
-            for anchor in range(len(sp)):
-                value = _seed_value(pick, dmat_scaled[anchor], scale, width_scaled)
-                base = screen.a if isinstance(screen, Interval) else 0
-                witness = _seed_witness(dmat_scaled[anchor], scale, width_scaled, base)
+            base = screen.a if isinstance(screen, Interval) else 0
+            for distances in dmat_scaled:
+                num, den = _seed_value(
+                    distances, heavy.weights, heavy.level, scale, width_scaled
+                )
+                value = F(num, den)
+                witness = _seed_witness(distances, scale, width_scaled, base)
                 witness.validate(sp, screen)
                 assert value == witness_partial_diameter(sp, witness, alpha)
+                assert value == seed_value_oracle(family, distances, scale, width_scaled)
                 checked += 1
-    assert checked >= 300
+    assert checked >= 500
+
+
+def _clustered(n, k, first):
+    """n points on a line: k of them one apart, at the low indices when
+    ``first`` and at the high ones otherwise, and gaps of 10 elsewhere."""
+    gaps = [1] * (k - 1) + [10] * (n - k) if first else [10] * (n - k) + [1] * (k - 1)
+    positions = [0]
+    for gap in gaps:
+        positions.append(positions[-1] + gap)
+    return FiniteMMSpace.line_space(positions)
+
+
+def test_least_diameter_matches_brute_force():
+    """UB guards the seed loop's early exit: a UB below the least diameter
+    would stop at a seed short of the optimum, and that seed would still
+    pass the witness check.  Equal gaps tie many subsets at the least
+    diameter; a tight cluster at the first or the last points puts the one
+    least subset first or last in family order."""
+    rng = random.Random("least-diameter")
+    checked = 0
+    for n in range(2, 13):
+        k = (n + 1) // 2  # the size of a minimal heavy subset at alpha 1/2
+        cases = [(random_space(rng, min_points=n, max_points=n), None)]
+        cases.append((FiniteMMSpace.line_space(range(n)), None))
+        cases += [(_clustered(n, k, first), first) for first in (True, False)]
+        for sp, first in cases:
+            _, dmat_scaled, _ = _scaled(sp, FULL_LINE)
+            for alpha in (F(1, 3), F(1, 2), F(3, 4)):
+                family = heavy_minimal_subsets(sp, alpha).minimal_subsets
+                diams = [max(dmat_scaled[i][j] for i in s for j in s) for s in family]
+                assert _least_diameter(family, dmat_scaled) == min(diams), (n, alpha)
+                checked += 1
+            if first is not None and n > 2:
+                # at alpha 1/2 the cluster is the one least subset, at its end
+                family = heavy_minimal_subsets(sp, F(1, 2)).minimal_subsets
+                at = 0 if first else len(family) - 1
+                assert family[at] == tuple(range(k) if first else range(n - k, n))
+                others = family[:at] + family[at + 1:]
+                assert all(sp.dist(s[0], s[-1]) > k - 1 for s in others)
+    assert checked == 11 * 4 * 3
+
+
+def test_twenty_point_line_space_sets_up_in_time():
+    """On a line space over the full line the isometric seed meets UB, so
+    the call is the family and the set-up; neither the seeds nor UB may
+    walk the 184 756 minimal subsets once per anchor."""
+    sp = FiniteMMSpace.line_space(range(20))
+    start = time.process_time()
+    got = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=20)
+    elapsed = time.process_time() - start
+    assert got.value == 9
+    assert got.witness.values == tuple(range(20))
+    assert elapsed < 1.2, elapsed
+
+
+def test_od_values_and_witnesses_pinned_past_the_oracle():
+    """The permutation oracle stops at n = 7.  At n = 8 and 9 a digest of
+    ``repr(OdResult)`` pins every value and lexicographic witness, so a
+    change of either, or of the search order that picks the witness,
+    shows here."""
+    reprs = []
+    for n in (8, 9):
+        rng = random.Random(f"witness-identity/{n}")
+        for kind in SPACE_KINDS:
+            sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+            for screen in (FULL_LINE, Interval(-1, 1)):
+                for kappa in (F(1, 3), F(1, 2), F(3, 4)):
+                    reprs.append(repr(observable_diameter(sp, screen, kappa)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()[:16]
+    assert digest == "e9cb188e33457dcb"
 
 
 def _check_prefix_bounds(space, screen, kappa) -> bool:
