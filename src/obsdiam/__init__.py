@@ -55,7 +55,6 @@ from .plmaps import PiecewiseLinearMap
 from .prokhorov import (
     TransferReport,
     check_pd_transfer,
-    measurement_cloud,
     prokhorov_onesided,
 )
 from .proptests import SUITE_NAMES, SuiteReport, run_suite
@@ -107,7 +106,6 @@ __all__ = [
     "prokhorov_onesided",
     "TransferReport",
     "check_pd_transfer",
-    "measurement_cloud",
     # experiments
     "counterexample_space",
     "CounterexampleReport",

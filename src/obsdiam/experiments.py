@@ -341,7 +341,6 @@ def semicontinuity_profile(
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
     grid = sorted({to_open_unit(k, what="kappa") for k in kappa_grid})
-    check_exact_size(len(space), cap_n)
     rows = []
     for kappa in grid:
         alpha = 1 - kappa

@@ -59,8 +59,8 @@ and a fourth makes the stored form canonical.
    weights, masses times ``scale``.  Two measures therefore have equal
    atoms exactly when they have equal positions and weights (the weights
    give back ``scale`` as their sum, hence the masses), whichever path built
-   them; ``__eq__`` and ``__hash__`` read those two tuples, and the dedup in
-   ``prokhorov.measurement_cloud`` relies on it.
+   them; ``__eq__`` and ``__hash__`` read those two tuples, so equal
+   measures hash equal, as a set or dict key needs.
 
 Each weight is at most ``scale``, so the view costs n integers no larger
 than ``scale``.  With a shared mass denominator, as in ``uniform``, ``scale``

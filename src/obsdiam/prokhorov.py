@@ -1,4 +1,5 @@
-"""Prokhorov-type distances between finitely supported measures on the line.
+"""The one-sided Prokhorov distance between finitely supported measures on
+the line, and the partial-diameter transfer check built on it.
 
 The one-sided condition at tolerance ``eps`` asks that every Borel set A
 satisfy mu(U_eps(A)) >= nu(A) - eps, with U_eps the open eps-neighborhood.
@@ -79,16 +80,13 @@ from fractions import Fraction
 from math import lcm
 
 from ._rational import ONE, ZERO, to_at_most_one, to_positive
-from .errors import DomainError, check_cap
+from .errors import check_cap
 from .measures import DiscreteMeasure, partial_diameter
-from .mmspace import FiniteMMSpace, Interval
-from .observable import random_lipschitz_map
 
 __all__ = [
     "prokhorov_onesided",
     "TransferReport",
     "check_pd_transfer",
-    "measurement_cloud",
     "DEFAULT_SUPPORT_CAP",
 ]
 
@@ -202,28 +200,3 @@ def check_pd_transfer(
         applicable=True, lhs=lhs, rhs_pd=rhs_pd, bound=bound, holds=lhs <= bound,
     )
 
-
-def measurement_cloud(
-    space: FiniteMMSpace, radius, samples: int, seed: int
-) -> tuple:
-    """Sampled inner approximation of the image measures on [-R, R].
-
-    Push the space's measure forward under ``samples`` seeded random
-    1-Lipschitz maps (sub-seeds seed, seed+1, ...) and return the distinct
-    images, in the order first seen, as a nonempty tuple.  An inner
-    approximation only: the true set of image measures is a continuum and
-    the sup of any statistic over the cloud is a lower bound.
-    """
-    radius = to_positive(radius, what="radius")
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    screen = Interval(-radius, radius)
-    members: list[DiscreteMeasure] = []
-    seen = set()
-    for i in range(samples):
-        witness = random_lipschitz_map(space, screen, seed + i)
-        image = witness.pushforward(space)
-        if image not in seen:
-            seen.add(image)
-            members.append(image)
-    return tuple(members)

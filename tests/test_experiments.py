@@ -5,6 +5,7 @@ import pytest
 from conftest import heaviest_light_bruteforce
 
 import obsdiam.experiments as experiments
+import obsdiam.mmspace as mmspace
 import obsdiam.observable as observable
 from obsdiam import (
     FULL_LINE,
@@ -218,8 +219,18 @@ def test_semicontinuity_stretch_matches_bruteforce():
         assert profile.monotone_nonincreasing and profile.right_continuous
 
 
-def test_semicontinuity_checks_the_cap_before_the_subset_sums():
+def test_semicontinuity_checks_the_cap_before_the_subset_sums(monkeypatch):
     # 40 points: the exact cap refuses them before any heavy family is searched
+    calls = []
+
+    def counted_family(*args):
+        calls.append(args)
+        return heavy_minimal_subsets(*args)
+
+    monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
+    # the engine calls the search through its own binding
+    monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
     sp = FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)])
     with pytest.raises(ResourceCapError):
         semicontinuity_profile(sp, FULL_LINE, [F(1, 2)])
+    assert calls == []

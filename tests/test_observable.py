@@ -16,7 +16,6 @@ from obsdiam import (
     Interval,
     ResourceCapError,
     heavy_minimal_subsets,
-    measurement_cloud,
     observable_diameter,
     od_grid_oracle,
     partial_diameter,
@@ -556,22 +555,6 @@ def test_random_lipschitz_map_matches_fraction_oracle(monkeypatch):
                 assert made.pop().getstate() == oracle_rng.getstate()
                 cases += 1
     assert cases >= 1000
-
-
-def test_measurement_cloud_images_match_fraction_oracle():
-    rng = random.Random(31)
-    for _ in range(20):
-        sp = random_space(rng, min_points=2, max_points=5)
-        radius = F(rng.randint(1, 9), rng.choice([1, 3, 7]))
-        seed = rng.randint(0, 10**6)
-        screen = Interval(-radius, radius)
-        want = []
-        for i in range(16):
-            witness = random_lipschitz_map_oracle(sp, screen, random.Random(seed + i))
-            image = witness.pushforward(sp)
-            if image not in want:
-                want.append(image)
-        assert measurement_cloud(sp, radius, 16, seed) == tuple(want)
 
 
 # -- revised inequality --------------------------------------------------------------

@@ -1,4 +1,6 @@
 from collections import Counter
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,6 +52,29 @@ def test_anchor_internals_pass_counts(monkeypatch):
     assert report.ok, report.failures
     assert calls["draw"] >= 100
     assert (calls["pd"], calls["push"]) == (calls["draw"], 0)
+
+
+# Failing cases of run_suite("cloud-bound", 0, 25) when the engine reports
+# this share of the true od: a sampled map whose image pd exceeds the
+# understated value must fail its case.
+UNDERSTATED_CLOUD_FAILURES = {
+    F(1, 2): [0, 2, 4, 7, 8, 10, 11, 13, 15, 17, 18, 19, 24],
+    F(3, 4): [0, 2, 4, 8, 10, 11, 13, 15, 17, 18, 19, 24],
+    F(63, 64): [0, 2, 4, 8, 10, 11, 17, 18, 19, 24],
+}
+
+
+@pytest.mark.parametrize("share", UNDERSTATED_CLOUD_FAILURES)
+def test_cloud_bound_catches_an_understated_od(monkeypatch, share):
+    honest_od = proptests.observable_diameter
+
+    def understated(*args, **kwargs):
+        return SimpleNamespace(value=honest_od(*args, **kwargs).value * share)
+
+    monkeypatch.setattr(proptests, "observable_diameter", understated)
+    report = run_suite("cloud-bound", 0, 25)
+    assert [f.index for f in report.failures] == UNDERSTATED_CLOUD_FAILURES[share]
+    assert all("exceeds exact od" in f.detail for f in report.failures)
 
 
 def test_run_suite_is_deterministic():

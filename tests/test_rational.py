@@ -10,7 +10,6 @@ from obsdiam import (
     check_pd_transfer,
     clamp_construct,
     counterexample_space,
-    measurement_cloud,
     od_grid_oracle,
     partial_diameter,
     pd_profile,
@@ -31,7 +30,6 @@ POSITIVE_ARGUMENTS = [
     (lambda value: od_grid_oracle(SPACE, Interval(-1, 1), F(1, 2), value), "grid_step"),
     (lambda value: verify_revised_inequality(SPACE, F(1, 2), value), "radius"),
     (lambda value: check_pd_transfer(MU, MU, F(1, 2), value), "epsilon"),
-    (lambda value: measurement_cloud(SPACE, value, 3, 0), "radius"),
 ]
 
 

@@ -4,8 +4,9 @@ The engine re-checks every reported value against its witness, and the
 sharpness sweep checks its rows against the closed forms; both raise
 ``VerificationError`` when they disagree, and the CLI maps that to exit 1.
 The test runs in a ``-O`` child interpreter with the witness check patched
-to lie and the sweep's engine patched to be off by one, so a check written
-as ``assert`` would pass silently and fail here.
+to lie, the sweep's engine patched to be off by one and the cloud-bound
+suite's engine patched to understate od, so a check written as ``assert``
+would pass silently and fail here.
 """
 
 import os
@@ -18,6 +19,8 @@ from obsdiam import FiniteMMSpace
 
 CHILD = textwrap.dedent(
     """
+    import contextlib
+    import io
     import sys
     from fractions import Fraction
     from types import SimpleNamespace
@@ -25,6 +28,7 @@ CHILD = textwrap.dedent(
     import obsdiam.cli as cli
     import obsdiam.experiments as experiments
     import obsdiam.observable as observable
+    import obsdiam.proptests as proptests
     from obsdiam import FULL_LINE, FiniteMMSpace, VerificationError
 
     print("optimize", sys.flags.optimize)
@@ -40,6 +44,15 @@ CHILD = textwrap.dedent(
         print("sharpness passed")
     print("sharpness cli exit", cli.main(["sharpness", "1", "3"]))
     experiments.observable_diameter = honest_od
+
+    proptests.observable_diameter = lambda *args, **kwargs: SimpleNamespace(
+        value=honest_od(*args, **kwargs).value * Fraction(3, 4)
+    )
+    print("cloud-bound ok", proptests.run_suite("cloud-bound", 0, 25).ok)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["proptest", "cloud-bound", "--seed", "0", "--count", "25"])
+    print("cloud-bound cli exit", code)
+    proptests.observable_diameter = honest_od
 
     space = FiniteMMSpace.line_space([1, 2, 3, 4])
     print("honest", observable.observable_diameter(space, FULL_LINE, Fraction(3, 5)).value)
@@ -72,6 +85,8 @@ def test_witness_check_survives_python_O(tmp_path):
         "optimize 1",
         "sharpness VerificationError",
         "sharpness cli exit 1",
+        "cloud-bound ok False",
+        "cloud-bound cli exit 1",
         "honest 1",
         "engine VerificationError",
         "cli exit 1",
