@@ -56,14 +56,40 @@ its witness is the only one built:
     end) inside slots ``[a, b]``.  Their spreads stack, so
     ``t * E(a, b) <= y_b - y_a <= d(perm[a], perm[b])``.  In the constraint
     graph this is the cycle of those span edges closed by the Lipschitz edge
-    from slot a to slot b, and a cycle's ratio bounds ``t``.  When point p
-    fills slot s, the spans closing there belong to the subsets whose other
-    points are placed; the one with the largest first slot ``lo_max``
-    dominates, since ``E(a, lo)`` grows with ``lo``.  So
-    ``E(a, s) = max(E(a, s - 1), E(a, lo_max) + 1)`` for ``a <= lo_max``
-    and ``E(a, s - 1)`` otherwise.  ``lo_max`` of each unplaced point is
-    kept up to date as points are placed.  With ``E = 1``, B1 is the
-    first-to-last distance of each closed subset.
+    from slot a to slot b, and a cycle's ratio bounds ``t``.  With
+    ``E = 1``, B1 is the first-to-last distance of each closed subset.
+
+    The spans come from the prefix masses alone, by a *window lemma*.  Call
+    the slot window ``[a, b]`` heavy when the points at slots a..b are.
+    The inclusion-minimal closed spans are exactly the inclusion-minimal
+    heavy windows.  Indeed a closed span is a heavy window, since it holds
+    its subset, and a heavy window holds a minimal heavy subset, whose
+    closed span lies inside it.  So a heavy window inside a minimal span M
+    holds a span inside M, which is M; and a minimal heavy window W holds a
+    span, a heavy window inside W and so W itself, while any span inside W
+    is a heavy window inside W, hence W again.
+
+    When point p fills slot s, masses are positive, so ``[a, s]`` is heavy
+    exactly when ``a <= lo``, the last slot with
+    ``before[s] + w_p - before[a] >= level`` (``before[a]`` is the mass of
+    slots ``< a``; one ``bisect_right``; ``lo = -1`` when there is none,
+    and ``lo < s`` because no point is heavy alone).  Every span closing
+    at s is a heavy window ending at s, so it starts at or before lo, and
+    ``E(a, l)`` grows with l.  If ``[lo, s - 1]`` is not heavy, ``[lo, s]`` is
+    a minimal heavy window, hence a span, the one closing at s with the
+    largest first slot, and
+    ``E(a, s) = max(E(a, s - 1), E(a, lo) + 1)`` for ``a <= lo`` and
+    ``E(a, s - 1)`` otherwise.  If ``[lo, s - 1]`` is heavy, the window
+    ``[lo, s]`` is not minimal and changes nothing: ``[lo, s - 1]`` holds
+    a span ``[l, b]`` closed before s with ``l >= lo``, so
+    ``E(a, s - 1) >= E(a, l) + 1 >= E(a, lo) + 1`` already, and the same
+    update leaves ``E(a, s) = E(a, s - 1)``.  The minimal spans are kept
+    in a list, first slot ascending: the last one starts at ``top_lo``.
+    A minimal ``[lo, s]`` starts after every earlier minimal span, which it
+    would otherwise contain, so ``lo > top_lo`` and it is appended.  For a
+    non-minimal one, ``[lo, s - 1]`` holds a minimal span, listed before
+    s, that starts at or after lo, so ``top_lo >= lo`` and nothing is
+    appended.  At a leaf the list is the ordering's minimal spans.
   - **(B2) Remaining mass.**  Let f be the frontier of the longest chain
     from slot 0 (its ``E(0, s)`` spans end at f, or f = 0 when none has
     closed), T the points at slots ``>= f``, and ``beta`` the largest mass
@@ -79,19 +105,20 @@ its witness is the only one built:
     points are unplaced, also the largest distance from ``perm[0]`` to one
     of them, which is at least ``d(perm[0], perm[n-1])``.  With ``k = 0``,
     B2 is the width over the greedy chain.
-  - **(B3) Ball mass.**  Take a placed slot ``a <= s`` whose slots
-    ``a..s`` are not heavy, and let r be the least radius such that those
-    points together with the unplaced points within r of ``perm[a]`` are
-    heavy (the unplaced points are taken nearest first).  That set holds a
+  - **(B3) Ball mass.**  Take a placed slot a with ``lo < a <= s``, so
+    that slots ``a..s`` are not heavy, and let r be the least radius such
+    that those points together with the unplaced points within r of
+    ``perm[a]`` are heavy (the unplaced points are taken nearest first).  That set holds a
     minimal heavy subset, whose spread is at least t.  In every completion
     the unplaced points sit at slots after s, so the set's largest value is
     ``y_q`` for an unplaced q in it, and its least is at least ``y_a``.
     Hence ``t <= y_q - y_a <= d(perm[a], q) <= r``.  When slots ``a..s``
     are heavy on their own, a closed span lies inside them and B1 already
-    gives ``t <= d(perm[a], perm[s])``.  B3 is what cuts a prefix before
-    any span has closed: when heavy subsets hold most of the points, B1 and
-    B2 see nothing until deep in the search, while the ball around an early
-    point already fixes a radius.
+    gives ``t <= d(perm[a], perm[s])``, so the slots ``a <= lo`` need no
+    ball.  B3 is what cuts a prefix before any span has closed: when heavy
+    subsets hold most of the points, B1 and B2 see nothing until deep in
+    the search, while the ball around an early point already fixes a
+    radius.
 
   A prefix's bound is the least of UB and every B1, B2 and B3 value along
   its path, so it only tightens as the prefix grows, and a prefix whose bound
@@ -125,6 +152,7 @@ reported value is re-checked against its witness with an explicit
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -265,7 +293,7 @@ def observable_diameter(
     else:
         # the lambda reads ``best`` as the loop below raises it
         orderings = _pruned_orderings(
-            n, family, dmat_scaled, width_scaled, scale, diam_scaled,
+            n, dmat_scaled, width_scaled, scale, diam_scaled,
             heavy.weights, heavy.level, heavy.beta, lambda: best,
         )
     for perm, bound, spans in orderings:
@@ -334,7 +362,7 @@ def _check_witness(space, witness, alpha, value) -> None:
 
 
 def _pruned_orderings(
-    n, family, dmat_scaled, width_scaled, scale, diam_scaled, weights, level, beta, incumbent
+    n, dmat_scaled, width_scaled, scale, diam_scaled, weights, level, beta, incumbent
 ):
     """Orderings of range(n) in lexicographic order, minus whole subtrees of
     prefixes whose bound cannot beat ``incumbent()``.
@@ -346,19 +374,14 @@ def _pruned_orderings(
     bound (B2) and the ball-mass bound (B3) of every prefix on its path, all
     over ``scale``; the module docstring proves them.  ``weights``,
     ``level`` and ``beta`` are the heavy family's point weights, level and
-    heaviest light mass, on one integer scale.
+    heaviest light mass, on one integer scale; no point may weigh ``level``
+    alone.  The search reads no subset: by the module docstring's window
+    lemma, the spans come from the masses of the placed prefixes.
     ``incumbent`` is read again after every yield, so it may rise while the
     caller consumes the orderings.
     """
     full = (1 << n) - 1
     total = sum(weights)
-    # point -> (index, mask) of each heavy subset containing it
-    members = [[] for _ in range(n)]
-    for index, subset in enumerate(family):
-        mask = sum(1 << i for i in subset)
-        for p in subset:
-            members[p].append((index, mask))
-    first = [0] * len(family)  # slot of each started subset's first point
     # point -> (distance, bit, weight) of the other points, nearest first
     # (B3; reversed, B2's reach)
     nearest = [
@@ -372,12 +395,12 @@ def _pruned_orderings(
     best = incumbent()
     limit, den = best.numerator * scale, best.denominator  # the incumbent, on the bounds' scale
 
-    def extend(placed, lo_max, before_frontier, bound, count):
+    def extend(placed, before_frontier, bound, count):
         """Yield the surviving completions of ``perm``.
 
-        ``lo_max[q]`` is the largest first slot of a subset that q would
-        close; ``before_frontier`` the mass of the points before the greedy
-        chain's frontier; ``bound / (count * scale)`` the prefix's bound.
+        ``placed`` is the bit set of the placed points; ``before_frontier``
+        the mass of the points before the greedy chain's frontier;
+        ``bound / (count * scale)`` the prefix's bound.
         """
         nonlocal limit, den
         slot = len(perm)
@@ -396,7 +419,9 @@ def _pruned_orderings(
             start = perm[0] if slot else p
             if child != full and start > (full & ~child).bit_length() - 1:
                 continue  # every completion ends below its first point
-            lo = lo_max[p]
+            held = placed_mass + weights[p]
+            # the last first slot of a heavy window ending at this slot
+            lo = bisect_right(before, held - level) - 1
             col = [*prev, 0]
             if lo >= 0:
                 # E(a, slot) = max(E(a, slot - 1), E(a, lo) + 1) for a <= lo,
@@ -428,12 +453,10 @@ def _pruned_orderings(
                 continue
             if child != full:
                 # B3: slots a..slot plus the unplaced points nearest perm[a]
-                # out to radius d are heavy, so t <= d
-                held = placed_mass + weights[p]
-                for a in range(slot, -1, -1):
+                # out to radius d are heavy, so t <= d; slots lo..slot are
+                # heavy on their own, and B1 covers them
+                for a in range(slot, lo, -1):
                     need = level - held + before[a]
-                    if need <= 0:
-                        break  # slots a..slot are heavy: B1 covers them
                     for d, near_bit, w in nearest[perm[a] if a < slot else p]:
                         if child & near_bit:
                             continue
@@ -446,7 +469,7 @@ def _pruned_orderings(
                 if b_num * den <= limit * b_den:
                     continue
             perm.append(p)
-            before.append(placed_mass + weights[p])
+            before.append(held)
             chains[slot] = col
             if lo > top_lo:
                 spans.append((lo, slot))
@@ -455,22 +478,13 @@ def _pruned_orderings(
                 best = incumbent()
                 limit, den = best.numerator * scale, best.denominator
             else:
-                lo_next = list(lo_max)
-                for index, mask in members[p]:
-                    if not mask & placed:
-                        first[index] = slot
-                    rest = mask & ~child
-                    if rest and not rest & (rest - 1):
-                        q = rest.bit_length() - 1
-                        if first[index] > lo_next[q]:
-                            lo_next[q] = first[index]
-                yield from extend(child, lo_next, frontier, b_num, b_den)
+                yield from extend(child, frontier, b_num, b_den)
             if lo > top_lo:
                 spans.pop()
             before.pop()
             perm.pop()
 
-    return extend(0, [-1] * n, 0, diam_scaled, 1)
+    return extend(0, 0, diam_scaled, 1)
 
 
 def _least_diameter(family, dmat_scaled) -> int:

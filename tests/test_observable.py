@@ -309,7 +309,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
         yielded = {
             perm: (bound, spans)
             for perm, bound, spans in _pruned_orderings(
-                n, family, dmat_scaled, width_scaled, scale, diam_scaled,
+                n, dmat_scaled, width_scaled, scale, diam_scaled,
                 heavy.weights, heavy.level, heavy.beta, lambda: level - eps,
             )
         }
@@ -345,6 +345,64 @@ def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
     checked += _check_prefix_bounds(sp, Interval(-1, 1), F(1, 3))
     checked += _check_prefix_bounds(_skewed(sp), FULL_LINE, F(1, 2))
     assert checked >= 32
+
+
+def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
+    """The window lemma behind the prefix search: under any ordering, the
+    minimal spans of the minimal heavy subsets are the minimal slot windows
+    whose points are heavy, so the search reads them off the prefix masses.
+    Alpha is drawn at random and at a subset's mass, where a window reaches
+    the level exactly."""
+    rng = random.Random("window-lemma")
+    cases = 0
+    for n in [*range(2, 10)] * 6:
+        sp = random_space(rng, min_points=n, max_points=n)
+        subset = rng.sample(range(n), rng.randint(1, n - 1))
+        for alpha in (random_alpha(rng), sp.mass_of(subset)):
+            heavy = heavy_minimal_subsets(sp, alpha)
+            for _ in range(30):
+                perm = rng.sample(range(n), n)
+                slot_of = {point: slot for slot, point in enumerate(perm)}
+                spans = {
+                    (min(slot_of[i] for i in s), max(slot_of[i] for i in s))
+                    for s in heavy.minimal_subsets
+                }
+                windows = {
+                    (a, b)
+                    for a in range(n)
+                    for b in range(a, n)
+                    if sum(heavy.weights[p] for p in perm[a:b + 1]) >= heavy.level
+                }
+                assert minimal_spans(spans) == minimal_spans(windows), (perm, alpha)
+                cases += 1
+    assert cases == 2880
+
+
+def _relabelled(space, order):
+    """The same space with point i of the result being point order[i]."""
+    return FiniteMMSpace(
+        [space.labels[j] for j in order],
+        [[space.dist_matrix[i][j] for j in order] for i in order],
+        [space.masses[j] for j in order],
+    )
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_od_value_is_unchanged_by_relabelling(n):
+    """Past the oracles' reach, permuting the points must leave od as it is.
+    The window bisection, B3's slot range and the reversal cut depend on
+    slot order, so a relabelling sends the search down other prefixes.
+    Values only: the lexicographic witness may differ."""
+    rng = random.Random(f"relabelling/{n}")
+    for kind in SPACE_KINDS:
+        sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+        other = _relabelled(sp, rng.sample(range(n), n))
+        for screen in (FULL_LINE, Interval(-1, 1)):
+            for kappa in (F(1, 3), F(1, 2), F(3, 4)):
+                assert (
+                    observable_diameter(other, screen, kappa).value
+                    == observable_diameter(sp, screen, kappa).value
+                ), (kind, screen, kappa)
 
 
 def test_od_never_exceeds_sound_upper_bounds():
