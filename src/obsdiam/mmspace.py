@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from ._rational import ZERO, JsonFile, format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ResourceCapError, ValidationError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, scaled_level
 
 __all__ = [
     "FiniteMMSpace",
@@ -305,9 +305,12 @@ class LipschitzWitness:
 class HeavyFamily:
     """Inclusion-minimal subsets of points with mass at least ``alpha``.
 
-    ``weights`` (one per point), ``level`` (``alpha``) and ``beta`` (the
-    mass of the heaviest set below the level) are on one integer scale, on
-    which the whole space weighs ``sum(weights)``."""
+    ``weights`` (one per point) and ``beta`` (the mass of the heaviest set
+    below the level) are the masses times the lcm of their denominators, on
+    which scale the whole space weighs ``sum(weights)``.  ``level`` is
+    ``ceil(alpha * sum(weights))``: an integer weight sum reaches ``alpha``
+    exactly when it reaches ``level`` (``measures.scaled_level``).  These
+    raw integers stay out of ``repr`` and equality."""
 
     alpha: Fraction
     minimal_subsets: tuple  # tuple of sorted index tuples
@@ -350,9 +353,9 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
         raise DomainError(f"alpha must lie in (0, 1], got {fraction_text(alpha)}")
     n = len(space)
     check_point_ceiling(n)
-    scale = lcm(alpha.denominator, *(m.denominator for m in space.masses))
+    scale = lcm(*(m.denominator for m in space.masses))
     weights = tuple(m.numerator * (scale // m.denominator) for m in space.masses)
-    level = alpha.numerator * (scale // alpha.denominator)
+    level = scaled_level(alpha, scale)
     order = sorted(range(n), key=lambda p: -weights[p])  # stable: ties by index
     weight = [weights[p] for p in order]
     rest = [*accumulate(reversed(weight))][::-1]  # rest[j]: weight of order[j:]

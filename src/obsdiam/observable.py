@@ -42,8 +42,10 @@ its witness is the only one built:
   ``UB = min(width, min over S of diam S)`` caps the answer.  One scan over
   the family finds the least diameter; it leaves a subset at its first pair
   as far apart as the least diameter so far.  When a seed reaches UB the
-  seeding stops and the search is skipped.  On a line space over the full
-  line the distance-to-leftmost-point seed is an isometry and always does.
+  seeding stops, since no seed exceeds UB, and the prefix search cuts its
+  empty prefix, whose bound is UB, by the same test as every other prefix,
+  before it sets anything up.  On a line space over the full line the
+  distance-to-leftmost-point seed is an isometry and always reaches UB.
 * **Prefix search.**  Orderings are built slot by slot, depth first.  Write
   ``y_0 <= ... <= y_{n-1}`` for the slot values and ``t`` for the smallest
   spread of a heavy subset.  Once every point of a heavy subset is placed,
@@ -124,7 +126,7 @@ its witness is the only one built:
   its path, so it only tightens as the prefix grows, and a prefix whose bound
   does not beat the incumbent cuts its whole subtree.  The bounds are kept
   on integers: chain counts, the point weights, the level and ``beta`` on
-  the heavy family's integer scale, the masses of the placed prefixes, a
+  the masses' integer scale, the masses of the placed prefixes, a
   nearest-first list of the other points for each point, and distances
   scaled as below.  A prefix whose first point exceeds every unplaced point
   is cut too: each of its orderings ends below where it starts, and
@@ -135,12 +137,16 @@ The search visits the surviving orderings in the lexicographic order of
 their bound, which is at most the incumbent; B3 is no exception, since
 like B1 and B2 it bounds the optimum of every completion.  A plain sweep
 over all orderings gets no strict improvement from those either, so both
-meet the same improving orderings in the same order.  Each surviving ordering gets
-its bound and its minimal spans from the search.  Its solve starts from
-that bound instead of a weaker one; every cycle ratio is at least the
-optimum, so the first feasible probe is still the exact optimum, on the
-same constraint graph, with the same potentials.  The reported witness --
-the first ordering to reach the optimum -- is therefore the same.
+meet the same improving orderings in the same order.  The search calls a
+``leaf`` at each surviving ordering with its bound and its minimal spans;
+the leaf solves the ordering and hands the incumbent back for the cuts that
+follow.  The solve starts from that bound instead of a weaker one.  The
+bound is at least the ordering's optimum, UB included, since the width
+edge keeps every optimum at most the width, and every cycle ratio is at
+least the optimum, so the first feasible probe is still the exact optimum,
+on the same constraint graph, with the same potentials.  The reported
+witness -- the first ordering to reach the optimum -- is therefore the
+same.
 Distances are scaled to a common integer denominator once, so the bounds and
 Bellman-Ford run on plain ints.
 
@@ -269,9 +275,7 @@ def observable_diameter(
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     # No image spreads a heavy subset wider than its diameter or the screen.
-    diam_scaled = _least_diameter(family, dmat_scaled)
-    upper_scaled = min(diam_scaled, width_scaled)
-    upper = Fraction(upper_scaled, scale)
+    upper_scaled = min(_least_diameter(family, dmat_scaled), width_scaled)
 
     # Seed the incumbent with the distance-to-anchor maps, scored as integer
     # pairs; the first anchor to reach the best score gets the one witness.
@@ -283,32 +287,31 @@ def observable_diameter(
         if num * best_den > best_num * den:
             best_num, best_den, winner = num, den, anchor
             if num * scale == upper_scaled * den:
-                break
+                break  # no seed can score more
     if winner is not None:
         best = Fraction(best_num, best_den)
         best_witness = _seed_witness(dmat_scaled[winner], scale, width_scaled, base)
 
-    if best == upper:
-        orderings = ()  # a seed already meets the global bound
-    else:
-        # the lambda reads ``best`` as the loop below raises it
-        orderings = _pruned_orderings(
-            n, dmat_scaled, width_scaled, scale, diam_scaled,
-            heavy.weights, heavy.level, heavy.beta, lambda: best,
-        )
-    for perm, bound, spans in orderings:
+    def leaf(perm, bound, spans):
+        """Solve one surviving ordering; return the incumbent after it."""
+        nonlocal best, best_witness
         edges = _order_edges(n, perm, spans, dmat_scaled, width_scaled)
         result = _max_t_for_order(edges, n, scale, bound, best)
-        if result is None:
-            continue
-        t, potentials = result
-        values = [ZERO] * n
-        shift = base - potentials[0]
-        for slot in range(n):
-            values[perm[slot]] = potentials[slot] + shift
-        candidate = LipschitzWitness(tuple(values))
-        _check_witness(space, candidate, alpha, t)
-        best, best_witness = t, candidate
+        if result is not None:
+            t, potentials = result
+            values = [ZERO] * n
+            shift = base - potentials[0]
+            for slot in range(n):
+                values[perm[slot]] = potentials[slot] + shift
+            candidate = LipschitzWitness(tuple(values))
+            _check_witness(space, candidate, alpha, t)
+            best, best_witness = t, candidate
+        return best
+
+    _pruned_orderings(
+        n, dmat_scaled, width_scaled, scale, upper_scaled,
+        heavy.weights, heavy.level, heavy.beta, best, leaf,
+    )
 
     best_witness.validate(space, screen)
     _check_witness(space, best_witness, alpha, best)
@@ -362,24 +365,30 @@ def _check_witness(space, witness, alpha, value) -> None:
 
 
 def _pruned_orderings(
-    n, dmat_scaled, width_scaled, scale, diam_scaled, weights, level, beta, incumbent
+    n, dmat_scaled, width_scaled, scale, root, weights, level, beta, incumbent, leaf
 ):
-    """Orderings of range(n) in lexicographic order, minus whole subtrees of
-    prefixes whose bound cannot beat ``incumbent()``.
+    """Search the orderings of range(n) in lexicographic order, minus whole
+    subtrees of prefixes whose bound cannot beat the incumbent, and call
+    ``leaf(perm, bound, spans)`` at each surviving ordering.
 
-    Yields ``(perm, bound, spans)``: the ordering, a ``Fraction`` at least its
-    exact optimum, and its minimal heavy spans in ``_order_edges`` order
-    (first slot descending).  A prefix's bound is the least of
-    ``diam_scaled``, the chain-Lipschitz bound (B1), the remaining-mass
-    bound (B2) and the ball-mass bound (B3) of every prefix on its path, all
-    over ``scale``; the module docstring proves them.  ``weights``,
-    ``level`` and ``beta`` are the heavy family's point weights, level and
-    heaviest light mass, on one integer scale; no point may weigh ``level``
-    alone.  The search reads no subset: by the module docstring's window
-    lemma, the spans come from the masses of the placed prefixes.
-    ``incumbent`` is read again after every yield, so it may rise while the
-    caller consumes the orderings.
+    ``leaf`` gets the ordering, a ``Fraction`` at least its exact optimum,
+    and its minimal heavy spans in ``_order_edges`` order (first slot
+    descending); it solves the ordering and returns the incumbent after it,
+    which every later cut reads.  ``incumbent`` is the starting incumbent, a
+    ``Fraction``.  A prefix's bound is the least of ``root`` (UB) and the
+    chain-Lipschitz (B1), remaining-mass (B2) and ball-mass (B3) bounds of
+    every prefix on its path, all over ``scale``; the module docstring
+    proves them.  The empty prefix is cut by the same test as every other,
+    before any set-up, so when a seed already meets UB the search returns
+    at once.  ``weights``, ``level`` and ``beta`` are the heavy family's
+    point weights, level and heaviest light mass, on one integer scale; no
+    point may weigh ``level`` alone.  The search reads no subset: by the
+    module docstring's window lemma, the spans come from the masses of the
+    placed prefixes.
     """
+    limit, den = incumbent.numerator * scale, incumbent.denominator  # on the bounds' scale
+    if root * den <= limit:
+        return
     full = (1 << n) - 1
     total = sum(weights)
     # point -> (distance, bit, weight) of the other points, nearest first
@@ -392,11 +401,9 @@ def _pruned_orderings(
     before = [0]  # before[a]: mass of the points at slots < a
     chains = [None] * n  # chains[b][a] = E(a, b) for the placed slots
     spans = []  # minimal spans of the prefix, first slot ascending
-    best = incumbent()
-    limit, den = best.numerator * scale, best.denominator  # the incumbent, on the bounds' scale
 
     def extend(placed, before_frontier, bound, count):
-        """Yield the surviving completions of ``perm``.
+        """Search the completions of ``perm``.
 
         ``placed`` is the bit set of the placed points; ``before_frontier``
         the mass of the points before the greedy chain's frontier;
@@ -474,17 +481,16 @@ def _pruned_orderings(
             if lo > top_lo:
                 spans.append((lo, slot))
             if child == full:
-                yield tuple(perm), Fraction(b_num, b_den * scale), tuple(reversed(spans))
-                best = incumbent()
+                best = leaf(tuple(perm), Fraction(b_num, b_den * scale), tuple(reversed(spans)))
                 limit, den = best.numerator * scale, best.denominator
             else:
-                yield from extend(child, frontier, b_num, b_den)
+                extend(child, frontier, b_num, b_den)
             if lo > top_lo:
                 spans.pop()
             before.pop()
             perm.pop()
 
-    return extend(0, 0, diam_scaled, 1)
+    extend(0, 0, root, 1)
 
 
 def _least_diameter(family, dmat_scaled) -> int:

@@ -336,3 +336,13 @@ def test_heavy_matches_bruteforce():
         chosen = rng.sample(weights, rng.randint(1, n))
         sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
         _check_heavy(sp, F(sum(chosen), total))
+    # levels a hair below and above a subset's exact mass, on a denominator
+    # near 10^30: the level is rounded up onto the masses' own scale
+    hair = F(1, 10**30 + 57)
+    for n in (3, 6, 9, 12):
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        total = sum(weights)
+        mass = F(sum(rng.sample(weights, rng.randint(1, n - 1))), total)
+        sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
+        for alpha in (mass - hair, mass, mass + hair):
+            _check_heavy(sp, alpha)

@@ -142,8 +142,11 @@ def test_full_line_matches_every_screen_of_width_at_least_the_diameter(kind):
 
 def test_searching_od_call_runs_one_heavy_search(monkeypatch):
     """The prefix search reads the weights, level and beta of the heavy
-    family the engine found, instead of searching subsets again."""
-    calls = {"families": 0, "searches": 0}
+    family the engine found, instead of searching subsets again.  The
+    engine calls it even when a seed already meets UB; then the search cuts
+    its own empty prefix, no ordering is solved, and the seed's witness is
+    returned."""
+    calls = {"families": 0, "searches": 0, "solves": 0}
 
     def counted_family(*args):
         calls["families"] += 1
@@ -153,12 +156,30 @@ def test_searching_od_call_runs_one_heavy_search(monkeypatch):
         calls["searches"] += 1
         return _pruned_orderings(*args)
 
+    def counted_solve(*args):
+        calls["solves"] += 1
+        return _max_t_for_order(*args)
+
     monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
     # the engine calls the search through its own binding
     monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
     monkeypatch.setattr(observable, "_pruned_orderings", counted_search)
+    monkeypatch.setattr(observable, "_max_t_for_order", counted_solve)
     assert observable_diameter(X2, Interval(-1, 1), F(3, 5)).value == F(2, 3)
-    assert calls == {"families": 1, "searches": 1}
+    assert calls["families"] == calls["searches"] == 1
+    # here the seeds stay below UB and one ordering is solved
+    calls.update(families=0, searches=0, solves=0)
+    assert observable_diameter(X2, Interval(-1, 1), F(1, 3)).value == F(3, 2)
+    assert calls == {"families": 1, "searches": 1, "solves": 1}
+
+    # the distance-to-leftmost-point seed of a line space on the full line
+    # is an isometry, so it meets UB and the search cuts its root
+    calls.update(families=0, searches=0, solves=0)
+    line = FiniteMMSpace.line_space(range(8))
+    got = observable_diameter(line, FULL_LINE, F(1, 2))
+    assert calls == {"families": 1, "searches": 1, "solves": 0}
+    assert got.value == 3
+    assert got.witness.values == tuple(range(8))
 
 
 def test_seed_values_match_their_witnesses():
@@ -271,8 +292,9 @@ def test_od_values_and_witnesses_pinned_past_the_oracle():
 
 def _check_prefix_bounds(space, screen, kappa) -> bool:
     """Run the prefix search at incumbents just below each ordering optimum
-    and require it to yield every ordering that reaches that optimum, with a
-    bound at least the optimum and the ordering's minimal spans.
+    and require it to reach a leaf at every ordering that reaches that
+    optimum, with a bound at least the optimum and the ordering's minimal
+    spans.
 
     Each ordering's optimum is solved from the global bound with floor 0.
     A prefix whose bound is below the optimum of one of its completions
@@ -288,7 +310,8 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
         return False
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
-    upper = F(min(diam_scaled, width_scaled), scale)
+    upper_scaled = min(diam_scaled, width_scaled)
+    upper = F(upper_scaled, scale)
 
     optimum, minimal = {}, {}
     for perm in permutations(range(n)):
@@ -306,17 +329,20 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     # bounds and optima are ratios with denominators at most scale * (n + 1)
     eps = F(1, 2 * scale * (n + 1) ** 2)
     for level in sorted(set(optimum.values()) - {0}):
-        yielded = {
-            perm: (bound, spans)
-            for perm, bound, spans in _pruned_orderings(
-                n, dmat_scaled, width_scaled, scale, diam_scaled,
-                heavy.weights, heavy.level, heavy.beta, lambda: level - eps,
-            )
-        }
+        reached = {}
+
+        def leaf(perm, bound, spans):
+            reached[perm] = bound, spans
+            return level - eps  # the incumbent never rises
+
+        _pruned_orderings(
+            n, dmat_scaled, width_scaled, scale, upper_scaled,
+            heavy.weights, heavy.level, heavy.beta, level - eps, leaf,
+        )
         for perm, value in optimum.items():
             if value >= level:
-                assert perm in yielded, (perm, value)
-        for perm, (bound, spans) in yielded.items():
+                assert perm in reached, (perm, value)
+        for perm, (bound, spans) in reached.items():
             assert bound >= optimum[perm], (perm, bound, optimum[perm])
             assert spans == minimal[perm], perm
     return True
@@ -454,21 +480,44 @@ def test_od_monotone_in_screen():
         assert a <= b <= c
 
 
+def _scaled_metric(space, c):
+    """The same points and masses with every distance times ``c``."""
+    return FiniteMMSpace(
+        space.labels,
+        tuple(tuple(c * d for d in row) for row in space.dist_matrix),
+        space.masses,
+    )
+
+
 def test_od_scales_with_the_metric():
+    """od(cX; cS, kappa) = c * od(X; S, kappa), with the screen scaled by c.
+    Past the permutation oracle, at n = 8, 9 and 10, the witness values
+    scale by c as well."""
     rng = random.Random(321)
     for _ in range(20):
         sp = random_space(rng, min_points=2, max_points=5, kind="line")
         kappa = random_alpha(rng)
         scale = F(3, 2)
-        scaled = FiniteMMSpace(
-            sp.labels,
-            tuple(tuple(scale * d for d in row) for row in sp.dist_matrix),
-            sp.masses,
-        )
         assert (
-            observable_diameter(scaled, FULL_LINE, kappa).value
+            observable_diameter(_scaled_metric(sp, scale), FULL_LINE, kappa).value
             == scale * observable_diameter(sp, FULL_LINE, kappa).value
         )
+    rng = random.Random("od-scaling")
+    cases = 0
+    for n in (8, 9, 10):
+        for kind in SPACE_KINDS:
+            sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+            scaled = {c: _scaled_metric(sp, c) for c in (F(3, 2), F(1, 3))}
+            for screen in (FULL_LINE, Interval(-1, 1)):
+                for kappa in (F(1, 3), F(1, 2), F(3, 4)):
+                    want = observable_diameter(sp, screen, kappa)
+                    for c, scaled_sp in scaled.items():
+                        scaled_screen = FULL_LINE if screen == FULL_LINE else Interval(-c, c)
+                        got = observable_diameter(scaled_sp, scaled_screen, kappa)
+                        assert got.value == c * want.value, (n, kind, c, screen, kappa)
+                        assert got.witness.values == tuple(c * v for v in want.witness.values)
+                        cases += 1
+    assert cases == 108
 
 
 def test_od_kappa_domain():
