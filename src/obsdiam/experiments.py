@@ -333,10 +333,9 @@ def semicontinuity_profile(
     """od over a kappa grid with monotonicity and right-continuity checks.
 
     The grid is sorted and deduplicated.  For each point, the largest subset
-    mass strictly below alpha = 1 - kappa (the ``beta`` of the heavy family
-    the engine searched) bounds the stretch on which the heavy family, hence
-    od, must stay constant; od is re-evaluated at the midpoint of that
-    stretch as the certificate.
+    mass strictly below alpha = 1 - kappa (``OdResult.below``) bounds the
+    stretch on which the heavy family, hence od, must stay constant; od is
+    re-evaluated at the midpoint of that stretch as the certificate.
     """
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
@@ -345,8 +344,7 @@ def semicontinuity_profile(
     for kappa in grid:
         alpha = 1 - kappa
         result = observable_diameter(space, screen, kappa, cap_n=cap_n)
-        heavy = result.heavy
-        below = Fraction(heavy.beta, sum(heavy.weights))  # the weights sum to mass 1
+        below = result.below
         constant_until = 1 - below  # od constant on [kappa, constant_until)
         probe_alpha = (alpha + below) / 2
         probe_kappa = 1 - probe_alpha

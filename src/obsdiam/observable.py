@@ -24,12 +24,19 @@ lowers ``t`` to that cycle's exact rational ratio, and the first feasible
 ``t`` is the exact optimum for the ordering.  Ties between values need no
 special handling because slot constraints are non-strict.
 
-Most orderings never reach that solve.  Cheap seed witnesses (constant and
+When one point weighs the level on its own (its integer weight reaches
+``level``), every image has a heavy set of spread 0 and the answer is 0,
+read off the weights before anything else.  Otherwise no point is heavy
+alone, and the engine builds one neighbour table: for each point p, every
+point as ``(scaled distance, bit, weight)``, nearest first, with p itself
+first at distance 0.  The seeds and the prefix search both read it.
+
+Most orderings never reach the solve.  Cheap seed witnesses (constant and
 distance-to-anchor maps) set an incumbent first, and bounds then cut the
 orderings that cannot beat it.  A seed is scored without walking the heavy
-family: its scaled integer distances, sorted with the points' integer
-weights, give the narrowest heavy window of values by a two-pointer sweep,
-times width / spread when the seed is squeezed onto a short screen.  That
+family: the anchor's row of the neighbour table, already sorted, gives the
+narrowest heavy window of values by a two-pointer sweep, times
+width / spread when the seed is squeezed onto a short screen.  That
 width is the seed's partial diameter, the least spread of a minimal heavy
 subset S: a set of values is heavy exactly when its preimage is, so the
 window ``[min S, max S]`` is heavy and as wide as S spreads, and every heavy
@@ -41,10 +48,11 @@ its witness is the only one built:
   its metric diameter, nor wider than the screen, so
   ``UB = min(width, min over S of diam S)`` caps the answer.  One scan over
   the family finds the least diameter; it leaves a subset at its first pair
-  as far apart as the least diameter so far.  When a seed reaches UB the
+  as far apart as the least diameter so far.  That scan is the engine's
+  only read of the minimal heavy subsets.  When a seed reaches UB the
   seeding stops, since no seed exceeds UB, and the prefix search cuts its
   empty prefix, whose bound is UB, by the same test as every other prefix,
-  before it sets anything up.  On a line space over the full line the
+  so it places no point.  On a line space over the full line the
   distance-to-leftmost-point seed is an isometry and always reaches UB.
 * **Prefix search.**  Orderings are built slot by slot, depth first.  Write
   ``y_0 <= ... <= y_{n-1}`` for the slot values and ``t`` for the smallest
@@ -126,11 +134,11 @@ its witness is the only one built:
   its path, so it only tightens as the prefix grows, and a prefix whose bound
   does not beat the incumbent cuts its whole subtree.  The bounds are kept
   on integers: chain counts, the point weights, the level and ``beta`` on
-  the masses' integer scale, the masses of the placed prefixes, a
-  nearest-first list of the other points for each point, and distances
-  scaled as below.  A prefix whose first point exceeds every unplaced point
-  is cut too: each of its orderings ends below where it starts, and
-  negating values realizes the reversed ordering, which starts lower.
+  the masses' integer scale, the masses of the placed prefixes, the
+  neighbour table, and distances scaled as below.  A prefix whose first
+  point exceeds every unplaced point is cut too: each of its orderings ends
+  below where it starts, and negating values realizes the reversed
+  ordering, which starts lower.
 
 The search visits the surviving orderings in the lexicographic order of
 ``itertools.permutations`` and cuts only orderings whose optimum is at most
@@ -177,7 +185,6 @@ from .mmspace import (
     FULL_LINE,
     FiniteMMSpace,
     FullLine,
-    HeavyFamily,
     Interval,
     LipschitzWitness,
     Screen,
@@ -222,12 +229,14 @@ def check_grid_size(n: int, cap_n: int = DEFAULT_GRID_CAP) -> None:
 class OdResult:
     """An exact observable-diameter value with an achieving witness.
 
-    ``heavy`` is the minimal heavy family the engine searched; it stays out
-    of ``repr``, equality and the JSON report."""
+    ``below`` is the largest mass of a light set at the level searched, the
+    heavy family's ``beta`` as a mass: od stays constant while alpha moves
+    down to it (``experiments.semicontinuity_profile``).  It stays out of
+    ``repr``, equality and the JSON report; the family itself is not kept."""
 
     value: Fraction
     witness: LipschitzWitness
-    heavy: HeavyFamily = field(repr=False, compare=False)
+    below: Fraction = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,23 +276,29 @@ def observable_diameter(
     base = screen.a if isinstance(screen, Interval) else ZERO
     best, best_witness = ZERO, LipschitzWitness((base,) * n)
     heavy = heavy_minimal_subsets(space, alpha)
-    family = heavy.minimal_subsets
-    if any(len(s) == 1 for s in family):
+    weights, level = heavy.weights, heavy.level
+    below = Fraction(heavy.beta, sum(weights))  # the weights sum to mass 1
+    if max(weights) >= level:
         # Some single point already carries mass alpha, so every image measure
         # has a zero-diameter heavy set.
-        return OdResult(best, best_witness, heavy)
+        return OdResult(best, best_witness, below)
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     # No image spreads a heavy subset wider than its diameter or the screen.
-    upper_scaled = min(_least_diameter(family, dmat_scaled), width_scaled)
+    upper_scaled = min(_least_diameter(heavy.minimal_subsets, dmat_scaled), width_scaled)
+    # point -> (distance, bit, weight) of every point, nearest first, the
+    # point itself first at distance 0: the seeds' values and the search's
+    # balls (B3) and reach (B2, read in reverse)
+    nearest = [
+        sorted((d, 1 << q, w) for q, (d, w) in enumerate(zip(row, weights)))
+        for row in dmat_scaled
+    ]
 
     # Seed the incumbent with the distance-to-anchor maps, scored as integer
     # pairs; the first anchor to reach the best score gets the one witness.
     best_num, best_den, winner = 0, 1, None
     for anchor in range(n):
-        num, den = _seed_value(
-            dmat_scaled[anchor], heavy.weights, heavy.level, scale, width_scaled
-        )
+        num, den = _seed_value(nearest[anchor], level, scale, width_scaled)
         if num * best_den > best_num * den:
             best_num, best_den, winner = num, den, anchor
             if num * scale == upper_scaled * den:
@@ -309,13 +324,13 @@ def observable_diameter(
         return best
 
     _pruned_orderings(
-        n, dmat_scaled, width_scaled, scale, upper_scaled,
-        heavy.weights, heavy.level, heavy.beta, best, leaf,
+        n, dmat_scaled, nearest, width_scaled, scale, upper_scaled,
+        weights, level, heavy.beta, best, leaf,
     )
 
     best_witness.validate(space, screen)
     _check_witness(space, best_witness, alpha, best)
-    return OdResult(best, best_witness, heavy)
+    return OdResult(best, best_witness, below)
 
 
 def _scaled(space: FiniteMMSpace, screen: Screen):
@@ -365,7 +380,7 @@ def _check_witness(space, witness, alpha, value) -> None:
 
 
 def _pruned_orderings(
-    n, dmat_scaled, width_scaled, scale, root, weights, level, beta, incumbent, leaf
+    n, dmat_scaled, nearest, width_scaled, scale, root, weights, level, beta, incumbent, leaf
 ):
     """Search the orderings of range(n) in lexicographic order, minus whole
     subtrees of prefixes whose bound cannot beat the incumbent, and call
@@ -382,21 +397,18 @@ def _pruned_orderings(
     before any set-up, so when a seed already meets UB the search returns
     at once.  ``weights``, ``level`` and ``beta`` are the heavy family's
     point weights, level and heaviest light mass, on one integer scale; no
-    point may weigh ``level`` alone.  The search reads no subset: by the
-    module docstring's window lemma, the spans come from the masses of the
-    placed prefixes.
+    point may weigh ``level`` alone.  ``nearest[p]`` is the engine's
+    neighbour table: every point as ``(scaled distance, bit, weight)``,
+    nearest first, p itself first.  B3 reads it forward and B2's reach
+    backward, and both skip the placed points, p among them.  The search
+    reads no subset: by the module docstring's window lemma, the spans come
+    from the masses of the placed prefixes.
     """
     limit, den = incumbent.numerator * scale, incumbent.denominator  # on the bounds' scale
     if root * den <= limit:
         return
     full = (1 << n) - 1
     total = sum(weights)
-    # point -> (distance, bit, weight) of the other points, nearest first
-    # (B3; reversed, B2's reach)
-    nearest = [
-        sorted((row[q], 1 << q, weights[q]) for q in range(n) if q != p)
-        for p, row in enumerate(dmat_scaled)
-    ]
     perm = []
     before = [0]  # before[a]: mass of the points at slots < a
     chains = [None] * n  # chains[b][a] = E(a, b) for the placed slots
@@ -515,14 +527,20 @@ def _least_diameter(family, dmat_scaled) -> int:
     return least
 
 
-def _seed_value(distances, weights, level, scale, width_scaled) -> tuple:
+def _seed_value(nearest, level, scale, width_scaled) -> tuple:
     """Partial diameter of the distance-to-anchor seed as an integer pair
-    ``(num, den)``, from the anchor's scaled ``distances`` and the heavy
-    family's integer point ``weights`` and ``level``.
+    ``(num, den)``, from the anchor's row of the neighbour table: every
+    point as ``(scaled distance, bit, weight)``, nearest first, on the heavy
+    family's integer scale with its ``level``.
 
     It is the narrowest heavy window of values, by the two-pointer sweep of
-    ``measures.partial_diameter`` over the sorted distances.  That equals
-    the least spread of a minimal heavy subset S of points:
+    ``measures.partial_diameter`` over the row, which is already sorted.
+    The order among equal distances does not matter.  A window of the row
+    weighs at most the window of values between its ends, and the row's
+    window from the first point at one value to the last point at another
+    holds every point with a value between them.  So the least width is
+    the same in any order sorted by distance.  It equals the least spread
+    of a minimal heavy subset S of points:
 
     * a set of values is heavy exactly when its preimage is;
     * the window ``[min S, max S]`` holds the values of S, so it is heavy
@@ -533,19 +551,18 @@ def _seed_value(distances, weights, level, scale, width_scaled) -> tuple:
     Squeezing the seed onto a screen narrower than its spread multiplies
     every spread by width / spread.
     """
-    placed = sorted(zip(distances, weights))
-    spread = placed[-1][0]
+    spread = nearest[-1][0]
     low = spread  # the whole space is heavy, and the anchor sits at 0
     acc = i = 0
-    for d, w in placed:
+    for d, _, w in nearest:
         acc += w
         if acc < level:
             continue
-        while acc - placed[i][1] >= level:
-            acc -= placed[i][1]
+        while acc - nearest[i][2] >= level:
+            acc -= nearest[i][2]
             i += 1
-        if d - placed[i][0] < low:
-            low = d - placed[i][0]
+        if d - nearest[i][0] < low:
+            low = d - nearest[i][0]
     if spread > width_scaled:
         return low * width_scaled, scale * spread
     return low, scale
@@ -686,9 +703,9 @@ def od_grid_oracle(
     n = len(space)
     check_grid_size(n, cap_n)
     alpha = 1 - kappa
-    family = heavy_minimal_subsets(space, alpha).minimal_subsets
+    heavy = heavy_minimal_subsets(space, alpha)
     slack = (n - 1) * step
-    if any(len(s) == 1 for s in family):
+    if max(heavy.weights) >= heavy.level:
         return ZERO, slack
 
     top = floor(screen.width / step)  # grid indices run 0..top
@@ -709,7 +726,7 @@ def od_grid_oracle(
     # a minimal subset completes at its last point; keep the others, whose
     # values are already placed when that point's value is chosen
     rests: list[list[tuple]] = [[] for _ in range(n)]
-    for subset in family:
+    for subset in heavy.minimal_subsets:
         rests[subset[-1]].append(subset[:-1])
 
     ks = [0] * n

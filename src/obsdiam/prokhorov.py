@@ -81,7 +81,7 @@ from math import lcm
 
 from ._rational import ONE, ZERO, to_at_most_one, to_positive
 from .errors import check_cap
-from .measures import DiscreteMeasure, partial_diameter
+from .measures import DiscreteMeasure, _float_key, partial_diameter
 
 __all__ = [
     "prokhorov_onesided",
@@ -120,8 +120,8 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     what = "atoms of combined support exceed the Prokhorov support cap"
     check_cap(len(mu) + len(nu), cap, what, keyword="cap")
     # Every eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances past 1 are
-    # never stops.  Correctly rounded floats never invert an order, and exact
-    # comparison breaks their ties, so the key sorts exactly.
+    # never stops.  The key sorts them in exact order (``measures`` module
+    # docstring, fact 3).
     xs, ys = mu.positions, nu.positions
     mu_scale, mu_weights = mu.scaled_masses
     nu_scale, nu_weights = nu.scaled_masses
@@ -132,7 +132,7 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     for y in ys:
         near = xs[bisect_right(xs, y - 1) : bisect_left(xs, y + 1)]  # |x - y| < 1
         stops.extend(abs(x - y) for x in near)
-    stops.sort(key=lambda d: (float(d), d))
+    stops.sort(key=lambda d: (_float_key(d), d))
     # Binary search for the first stretch (stops[k], stops[k+1]] whose
     # deficiency is at most its right end.  The last stretch, past 1,
     # always qualifies and gives max(1, deficiency) = 1 for any deficiency.

@@ -7,6 +7,7 @@ against something naive.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import floor, lcm
@@ -28,6 +29,11 @@ from obsdiam import (
 )
 from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
 from obsdiam.observable import _max_t_for_order
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 # -- brute-force oracles -------------------------------------------------------

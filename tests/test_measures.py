@@ -1,6 +1,5 @@
 import json
 import random
-import re
 import time
 from fractions import Fraction as F
 from itertools import accumulate
@@ -9,6 +8,7 @@ from math import lcm
 import pytest
 from conftest import (
     alphas,
+    exactly,
     measure_atoms_oracle,
     pd_profile_oracle,
     pd_sweep_oracle,
@@ -55,11 +55,6 @@ def test_atoms_sorted_and_merged():
 def test_uniform_and_point_mass():
     assert DiscreteMeasure.uniform([2, 1]).masses == (F(1, 2), F(1, 2))
     assert DiscreteMeasure.point_mass(F(7, 2)).atoms == ((F(7, 2), F(1)),)
-
-
-def exactly(message: str) -> str:
-    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
-    return f"^{re.escape(message)}$"
 
 
 def test_mass_must_sum_to_one():

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
 from math import gcd
@@ -38,6 +40,7 @@ from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 
 from conftest import (
     grid_oracle_reference,
+    heaviest_light_bruteforce,
     minimal_spans,
     od_permutation_oracle,
     random_lipschitz_map_oracle,
@@ -74,6 +77,16 @@ def test_od_zero_when_one_point_carries_enough():
     sp = FiniteMMSpace.line_space([0, 10], masses=[F(2, 3), F(1, 3)])
     # alpha = 1 - kappa = 1/2 <= 2/3, so the heavy family contains a singleton
     assert observable_diameter(sp, FULL_LINE, F(1, 2)).value == 0
+    # the first point weighs the level exactly at kappa 1/2, and a hair
+    # below 1/2 it is light alone, so both engines search
+    sp = FiniteMMSpace.line_space([0, 1, 3], masses=[F(1, 2), F(1, 4), F(1, 4)])
+    for screen in (FULL_LINE, Interval(0, 3)):
+        got = observable_diameter(sp, screen, F(1, 2))
+        assert (got.value, got.below) == (0, F(1, 4))
+        got = observable_diameter(sp, screen, F(1, 2) - F(1, 10**6))
+        assert (got.value, got.below) == (1, F(1, 2))
+    assert od_grid_oracle(sp, Interval(0, 3), F(1, 2), 1) == (0, 2)
+    assert od_grid_oracle(sp, Interval(0, 3), F(1, 2) - F(1, 10**6), 1) == (1, 3)
 
 
 def test_od_single_point_space():
@@ -99,6 +112,25 @@ def test_reported_value_is_achieved_by_its_witness():
         got = observable_diameter(sp, screen, kappa)
         got.witness.validate(sp, screen)
         assert witness_partial_diameter(sp, got.witness, 1 - kappa) == got.value
+        assert got.below == heaviest_light_bruteforce(sp, 1 - kappa)
+
+
+def test_a_result_keeps_beta_not_the_heavy_family():
+    """A result holds its value, its witness and the heaviest light mass;
+    the 12 870 minimal heavy subsets of 16 points at alpha 1/2 (about
+    1.4 MB) are freed when the call returns."""
+    sp = FiniteMMSpace.line_space(range(16))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=16)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.value == 7
+    assert got.below == F(7, 16)
+    assert kept < 500_000, kept
 
 
 @pytest.mark.parametrize("kind", SPACE_KINDS)
@@ -207,10 +239,9 @@ def test_seed_values_match_their_witnesses():
         for screen in (FULL_LINE, Interval(-1, 1), Interval(0, F(1, 7))):
             scale, dmat_scaled, width_scaled = _scaled(sp, screen)
             base = screen.a if isinstance(screen, Interval) else 0
-            for distances in dmat_scaled:
-                num, den = _seed_value(
-                    distances, heavy.weights, heavy.level, scale, width_scaled
-                )
+            table = _neighbour_table(dmat_scaled, heavy.weights)
+            for distances, nearest in zip(dmat_scaled, table):
+                num, den = _seed_value(nearest, heavy.level, scale, width_scaled)
                 value = F(num, den)
                 witness = _seed_witness(distances, scale, width_scaled, base)
                 witness.validate(sp, screen)
@@ -218,6 +249,15 @@ def test_seed_values_match_their_witnesses():
                 assert value == seed_value_oracle(family, distances, scale, width_scaled)
                 checked += 1
     assert checked >= 500
+
+
+def _neighbour_table(dmat_scaled, weights):
+    """For each point, every point as ``(scaled distance, bit, weight)``,
+    nearest first, as the engine hands it to the seeds and the search."""
+    return [
+        sorted((d, 1 << q, w) for q, (d, w) in enumerate(zip(row, weights)))
+        for row in dmat_scaled
+    ]
 
 
 def _clustered(n, k, first):
@@ -312,6 +352,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
     upper_scaled = min(diam_scaled, width_scaled)
     upper = F(upper_scaled, scale)
+    nearest = _neighbour_table(dmat_scaled, heavy.weights)
 
     optimum, minimal = {}, {}
     for perm in permutations(range(n)):
@@ -336,7 +377,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
             return level - eps  # the incumbent never rises
 
         _pruned_orderings(
-            n, dmat_scaled, width_scaled, scale, upper_scaled,
+            n, dmat_scaled, nearest, width_scaled, scale, upper_scaled,
             heavy.weights, heavy.level, heavy.beta, level - eps, leaf,
         )
         for perm, value in optimum.items():

@@ -1,22 +1,31 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import exactly
 
 from obsdiam import (
     DiscreteMeasure,
     DomainError,
     FiniteMMSpace,
     Interval,
+    PdProfile,
+    PiecewiseLinearMap,
+    ValidationError,
     check_pd_transfer,
     clamp_construct,
     counterexample_space,
+    observable_diameter,
     od_grid_oracle,
     partial_diameter,
     pd_profile,
+    random_lipschitz_map,
     sharpness_sweep,
     verify_counterexample,
     verify_revised_inequality,
 )
+from obsdiam._rational import to_fraction
+from obsdiam.randgen import random_space
 
 MU = DiscreteMeasure.uniform([0, 1, 2, 3])
 SPACE = FiniteMMSpace.line_space([0, 1, 2])
@@ -53,3 +62,89 @@ def test_levels_above_one_are_refused(call):
     with pytest.raises(DomainError, match=r"^alpha must be <= 1, got 5/4$"):
         call(F(5, 4))
     call(1)  # the whole mass is a level every measure reaches
+
+
+# (input check, its error, its exact message)
+INPUT_CHECKS = {
+    "not a number": (
+        lambda: to_fraction(object()), DomainError, "value must be rational, got object"
+    ),
+    "uniform on nothing": (
+        lambda: DiscreteMeasure.uniform([]),
+        ValidationError,
+        "uniform measure needs at least one position",
+    ),
+    "uniform twice at one position": (
+        lambda: DiscreteMeasure.uniform([1, 1]),
+        ValidationError,
+        "uniform measure positions must be distinct",
+    ),
+    "profile without steps": (
+        lambda: PdProfile([]), ValidationError, "a profile needs at least one step"
+    ),
+    "profile threshold 0": (
+        lambda: PdProfile([(0, 0), (1, 1)]), ValidationError, "threshold 0 outside (0, 1]"
+    ),
+    "profile threshold above 1": (
+        lambda: PdProfile([(F(3, 2), 0)]), ValidationError, "threshold 3/2 outside (0, 1]"
+    ),
+    "profile value negative": (
+        lambda: PdProfile([(1, -1)]), ValidationError, "profile value -1 is negative"
+    ),
+    "profile values level": (
+        lambda: PdProfile([(F(1, 2), 1), (1, 1)]),
+        ValidationError,
+        "profile steps must strictly increase",
+    ),
+    "profile ends before 1": (
+        lambda: PdProfile([(F(1, 2), 0)]), ValidationError, "last threshold must be exactly 1"
+    ),
+    "space without points": (
+        lambda: FiniteMMSpace([], [], []), ValidationError, "a space needs at least one point"
+    ),
+    "od on a tuple screen": (
+        lambda: observable_diameter(SPACE, (-1, 1), F(1, 2)),
+        DomainError,
+        "screen must be an Interval or FULL_LINE, got (-1, 1)",
+    ),
+    "random map on a tuple screen": (
+        lambda: random_lipschitz_map(SPACE, (-1, 1), 0),
+        DomainError,
+        "screen must be an Interval or FULL_LINE, got (-1, 1)",
+    ),
+    "map without knots": (
+        lambda: PiecewiseLinearMap([], 1, 1),
+        ValidationError,
+        "a piecewise-linear map needs at least one knot",
+    ),
+    "map after a number": (
+        lambda: PiecewiseLinearMap.affine(1, 0).after(3),
+        ValidationError,
+        "after() composes two PiecewiseLinearMap values",
+    ),
+    "map payload with one slope too few": (
+        lambda: PiecewiseLinearMap.from_json_dict(
+            {"breakpoints": ["1"], "slopes": ["0"], "base_x": "1", "base_y": "0"}
+        ),
+        ValidationError,
+        "need exactly one slope per piece (breakpoints + 1)",
+    ),
+    "map payload based off its first breakpoint": (
+        lambda: PiecewiseLinearMap.from_json_dict(
+            {"breakpoints": ["1"], "slopes": ["0", "1"], "base_x": "0", "base_y": "0"}
+        ),
+        ValidationError,
+        "base point must sit on the first breakpoint",
+    ),
+    "unknown space kind": (
+        lambda: random_space(random.Random(0), kind="tree"),
+        ValidationError,
+        "unknown space kind 'tree'; choose from ('line', 'two-row', 'l1-grid')",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_checks_name_their_complaint(call, error, message):
+    with pytest.raises(error, match=exactly(message)):
+        call()
