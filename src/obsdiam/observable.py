@@ -208,7 +208,9 @@ __all__ = [
 
 DEFAULT_EXACT_CAP = 10
 DEFAULT_GRID_CAP = 4
-GRID_CEILING = 22  # 2^22 grid assignments per anchor: about 2 s at 4 points (README)
+# (top + 1)^(n - 1) grid assignments to the points besides a pinned one; the
+# oracle meets at most n times that many maps (README times a 4-point run)
+GRID_CEILING = 22
 
 
 def check_exact_size(n: int, cap_n: int = DEFAULT_EXACT_CAP) -> None:
@@ -674,9 +676,20 @@ def od_grid_oracle(
     ``upper = lower + (n - 1) * step``.
 
     Independent of the exact engine (no orderings, no constraint graphs), so
-    it doubles as a cross-check oracle.  Enumerates with the smallest value
-    pinned to the left screen end, which loses nothing since the objective
-    and all constraints are translation invariant on the grid.
+    it doubles as a cross-check oracle.
+
+    One search lists integer vectors k, in steps: point 0 is pinned at 0,
+    every value stays within top = floor(width / step) of every other (the
+    window [max - top, min + top] of the values placed so far), every pair
+    keeps its floored Lipschitz bound, and point 1 sits at or above point 0.
+    This loses nothing.  The translation k -> k - min k is a bijection from
+    the vectors with point 0 at 0 and spread at most top onto the grid maps
+    with minimum 0 inside [0, top], the maps of the screen up to a shift;
+    the objective and every constraint are translation invariant, so the
+    search over those vectors has the same best value.  Negation keeps point
+    0 at 0, and it keeps every floored Lipschitz bound (the bound matrix is
+    symmetric), the window and every spread, so the vectors with point 1
+    below point 0 add no value that their negations do not.
 
     Enclosure: for n points and step h the result g obeys
     g <= od <= g + (n - 1) * h.  The left side holds because each grid
@@ -687,14 +700,14 @@ def od_grid_oracle(
     most the floor of the sum, so k_l - k_j <= floor((f(p_l) - f(p_j)) / h)
     for j < l.  Hence the rounded map is 1-Lipschitz on the grid and spans
     at most floor(width / h) steps, so it stays inside the screen and the
-    search meets it.  Each floor loses less than one step and a heavy
+    search meets it up to translation and negation.  Each floor loses less than one step and a heavy
     subset spans at most n - 1 gaps, so every heavy spread shrinks by less
     than (n - 1) * h, and g > od - (n - 1) * h.  The early return of 0 for
     a heavy singleton is exact, since that subset's spread is always 0.
 
-    The search meets (top + 1)^(n - 1) assignments per anchor at most, with
-    top = floor(width / step); past 2^``GRID_CEILING`` the grid is refused
-    before the search, and no cap keyword raises this ceiling.
+    The search meets at most (top + 1)^n - top^n <= n * (top + 1)^(n - 1)
+    grid maps.  Once (top + 1)^(n - 1) passes 2^``GRID_CEILING`` the grid
+    is refused before the search, and no cap keyword raises this ceiling.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, Interval):
@@ -714,8 +727,8 @@ def od_grid_oracle(
         raise ResourceCapError(
             f"{n} points at grid step {fraction_text(step)} on a screen of width "
             f"{fraction_text(screen.width)} exceed the grid ceiling of 2^{GRID_CEILING} "
-            "assignments per anchor; use a coarser --grid-step (grid_step in the "
-            "library); --cap-n cannot raise it"
+            "assignments to the points besides a pinned one; use a coarser --grid-step "
+            "(grid_step in the library); --cap-n cannot raise it"
         )
     # floor(d / step) on integers: d = dd / scale and step = p / q give
     # d / step = dd * q / (scale * p), with dd >= 0 and a positive divisor
@@ -729,18 +742,19 @@ def od_grid_oracle(
     for subset in heavy.minimal_subsets:
         rests[subset[-1]].append(subset[:-1])
 
-    ks = [0] * n
+    ks = [0] * n  # point 0 stays pinned at 0
     best = 0
 
-    def recurse(var: int, cap: int, anchor: int) -> None:
+    def recurse(var: int, cap: int, least: int, most: int) -> None:
         nonlocal best
-        lo, hi = 0, top
+        # the placed values span [least, most]; the window keeps the spread <= top
+        lo, hi = most - top, least + top
+        if var == 1:
+            lo = 0  # the reflection: point 1 at or above point 0
         # bound is symmetric, so row var lists the bounds to the placed points
         for b, placed in zip(bound[var][:var], ks):
             lo = max(lo, placed - b)
             hi = min(hi, placed + b)
-        if var == anchor:
-            lo, hi = max(lo, 0), min(hi, 0)
         # a completing subset whose other values span [low, high] spreads
         # max(high, k) - min(low, k) when its last point takes value k
         ranges = []
@@ -759,10 +773,10 @@ def od_grid_oracle(
                     best = cap_here
                 else:
                     ks[var] = k
-                    recurse(var + 1, cap_here, anchor)
+                    recurse(var + 1, cap_here, min(least, k), max(most, k))
 
-    for anchor in range(n):
-        recurse(0, top, anchor)
+    # point 0 completes no subset: a heavy singleton has returned above
+    recurse(1, top, 0, 0)
     lower = Fraction(best) * step
     return lower, lower + slack
 

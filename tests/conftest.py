@@ -358,10 +358,12 @@ def _oracle_order_edges(n, perm, spans, dmat_scaled, width_scaled):
 
 
 def grid_oracle_reference(space, screen, kappa, step) -> tuple:
-    """``(lower, upper)`` by the grid enumeration the library's oracle
-    replaced: the same assignments, anchors and pruning, but each value k
-    lists every completing subset's placed values and takes max - min.  No
-    caps or ceilings; callers keep the grid small."""
+    """``(lower, upper)`` by the anchored search that ``od_grid_oracle``
+    replaced: one pass per anchor, which pins that point at 0 and lists
+    every other point over [0, top], so a grid map is met once for each
+    point at its minimum.  Each value k lists every completing subset's
+    placed values and takes max - min.  No caps or ceilings; callers keep
+    the grid small."""
     kappa = Fraction(kappa)
     step = Fraction(step)
     n = len(space)

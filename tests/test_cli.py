@@ -296,8 +296,8 @@ def test_od_grid_cap_n_also_raises_the_heavy_subset_cap(capsys, tmp_path):
 
 
 def test_od_grid_ceiling_exits_three_quickly(capsys, space_file):
-    # 8001^3 grid assignments per anchor, far past the 2^22 ceiling, which
-    # --cap-n cannot raise
+    # 8001^3 grid assignments to the points besides a pinned one, far past
+    # the 2^22 ceiling, which --cap-n cannot raise
     argv = ("od", space_file, "--screen", "interval:0:4", "--kappa", "1/2")
     for extra in ((), ("--cap-n", "4")):
         start = time.process_time()

@@ -581,13 +581,13 @@ def test_od_cap_names_cap_n():
 # -- grid oracle ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_grid_oracle_bounds_exact_from_below(n):
     """The enclosure proved in od_grid_oracle's docstring: the grid value
     trails the exact one by at most (n - 1) steps, and the oracle returns
-    exactly that enclosure."""
+    exactly that enclosure.  Five points run at a coarser step."""
     rng = random.Random(99)
-    step = F(1, 64)
+    step = F(1, 64) if n < 5 else F(1, 16)
     for _ in range(30):
         sp = random_space(rng, min_points=n, max_points=n)
         kappa = random_alpha(rng)
@@ -595,7 +595,7 @@ def test_grid_oracle_bounds_exact_from_below(n):
         lo = F(rng.randint(-32, 32), 16)
         screen = Interval(lo, lo + width)
         exact = observable_diameter(sp, screen, kappa).value
-        lower, upper = od_grid_oracle(sp, screen, kappa, step)
+        lower, upper = od_grid_oracle(sp, screen, kappa, step, cap_n=5)
         assert upper == lower + (n - 1) * step
         assert lower <= exact <= upper
 
@@ -609,33 +609,78 @@ def test_grid_oracle_exact_on_grid_aligned_instance():
     assert grid == F(42, 64)  # regression pin
 
 
+def _reference_cases(rng, min_width, max_width):
+    """60 random cases of 2 to 4 points, then 20 of 5 points."""
+    for count, min_points, max_points in ((60, 2, 4), (20, 5, 5)):
+        for _ in range(count):
+            sp = random_space(rng, min_points=min_points, max_points=max_points)
+            kappa = random_alpha(rng)
+            lo = F(rng.randint(-32, 32), 16)
+            yield sp, Interval(lo, lo + F(rng.randint(min_width, max_width), 64)), kappa
+
+
 @pytest.mark.parametrize("step", [F(1, 4), F(1, 8), F(1, 16)])
 def test_grid_oracle_matches_per_k_reference(step):
-    """The precomputed (min, max) of each completing subset gives the same
-    enclosure as listing the subset's values at every grid value."""
-    rng = random.Random(4242)
-    for _ in range(60):
-        sp = random_space(rng, min_points=2, max_points=4)
-        kappa = random_alpha(rng)
-        lo = F(rng.randint(-32, 32), 16)
-        screen = Interval(lo, lo + F(rng.randint(8, 96), 64))
+    """The one pinned and reflected search with precomputed (min, max) of
+    each completing subset gives the same enclosure as the anchored search
+    that lists the subset's values at every grid value."""
+    for sp, screen, kappa in _reference_cases(random.Random(4242), 8, 96):
         want = grid_oracle_reference(sp, screen, kappa, step)
-        assert od_grid_oracle(sp, screen, kappa, step) == want
+        assert od_grid_oracle(sp, screen, kappa, step, cap_n=5) == want
 
 
 @pytest.mark.parametrize("step", [F(1, 3), F(2, 7), F(3, 10)])
 def test_grid_oracle_floors_distances_off_the_step(step):
     """Steps that divide no quarter distance: the integer floor of d / step
     gives the enclosure of the Fraction floor in the reference."""
-    rng = random.Random(4343)
-    for _ in range(60):
-        sp = random_space(rng, min_points=2, max_points=4)
-        kappa = random_alpha(rng)
-        lo = F(rng.randint(-32, 32), 16)
-        screen = Interval(lo, lo + F(rng.randint(32, 128), 64))
-        assert od_grid_oracle(sp, screen, kappa, step) == grid_oracle_reference(
+    for sp, screen, kappa in _reference_cases(random.Random(4343), 32, 128):
+        assert od_grid_oracle(sp, screen, kappa, step, cap_n=5) == grid_oracle_reference(
             sp, screen, kappa, step
         )
+
+
+def test_grid_oracle_meets_a_screen_spanning_optimum_at_once():
+    """Uniform masses whose best map spans the whole screen.  Pinned by
+    translation alone, the search raises its incumbent one grid step per
+    leaf and takes 0.05-0.08 s; with point 1 at or above point 0 it meets
+    the optimum early and takes under 1 ms (CPython 3.11.7 on a shared
+    2-vCPU x86-64 VM)."""
+    sp = FiniteMMSpace.line_space([0, F(9, 4), 4, F(17, 4)])
+    screen = Interval(F(-107, 128), F(43, 128))
+    want = (F(75, 64), F(39, 32))
+    assert grid_oracle_reference(sp, screen, F(2, 5), F(1, 64)) == want
+    start = time.process_time()
+    assert od_grid_oracle(sp, screen, F(2, 5), F(1, 64)) == want
+    assert time.process_time() - start < 0.02
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_oracle_is_unchanged_by_relabelling(n):
+    """Permuting the points changes which point is pinned at 0 and which is
+    kept at or above it; the enclosure must stay the same."""
+    rng = random.Random(f"grid-relabelling/{n}")
+    step = F(1, 16)
+    for _ in range(12):
+        sp = random_space(rng, min_points=n, max_points=n)
+        kappa = random_alpha(rng)
+        lo = F(rng.randint(-32, 32), 16)
+        screen = Interval(lo, lo + F(rng.randint(8, 96), 64))
+        want = od_grid_oracle(sp, screen, kappa, step, cap_n=5)
+        for _ in range(3):
+            other = _relabelled(sp, rng.sample(range(n), n))
+            assert od_grid_oracle(other, screen, kappa, step, cap_n=5) == want
+
+
+def test_grid_oracle_four_wide_points_in_time():
+    """README's grid example: 161^3 assignments to the points besides a
+    pinned one.  The bound fails a search run once per anchor, which takes
+    1.6-2.6 s (CPython 3.11.7 on a shared 2-vCPU x86-64 VM)."""
+    sp = FiniteMMSpace.line_space([0, 10, 20, 30])
+    start = time.process_time()
+    got = od_grid_oracle(sp, Interval(0, 4), F(2, 3), F(1, 40))
+    elapsed = time.process_time() - start
+    assert got == (F(53, 40), F(7, 5))
+    assert elapsed < 1, elapsed
 
 
 def test_grid_oracle_rejects_full_line():
