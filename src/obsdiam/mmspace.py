@@ -9,6 +9,7 @@ are the combinatorial core of every observable-diameter computation here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -305,12 +306,8 @@ class LipschitzWitness:
 class HeavyFamily:
     """Inclusion-minimal subsets of points with mass at least ``alpha``.
 
-    ``weights`` (one per point) and ``beta`` (the mass of the heaviest set
-    below the level) are the masses times the lcm of their denominators, on
-    which scale the whole space weighs ``sum(weights)``.  ``level`` is
-    ``ceil(alpha * sum(weights))``: an integer weight sum reaches ``alpha``
-    exactly when it reaches ``level`` (``measures.scaled_level``).  These
-    raw integers stay out of ``repr`` and equality."""
+    ``weights``, ``level`` and ``beta`` are those of ``integer_masses``;
+    these raw integers stay out of ``repr`` and equality."""
 
     alpha: Fraction
     minimal_subsets: tuple  # tuple of sorted index tuples
@@ -319,10 +316,39 @@ class HeavyFamily:
     beta: int = field(repr=False, compare=False)
 
 
+def integer_masses(space: FiniteMMSpace, alpha: Fraction) -> tuple:
+    """``(weights, level, beta)``: the masses times the lcm of their
+    denominators, ``ceil(alpha * sum(weights))``, which an integer weight
+    sum reaches exactly when it reaches ``alpha`` (``measures.scaled_level``),
+    and the weight of the heaviest light (non-heavy) set.
+
+    ``beta`` comes from meeting in the middle.  Every set splits into its
+    points among the first ``n // 2`` and among the rest, so ``beta`` is the
+    largest ``s + h < level`` over the subset sums s of the first part and h
+    of the second; one bisection of the sorted second list finds the best h
+    for each s.  Callers check ``POINT_CEILING`` first.
+    """
+    scale = lcm(*(m.denominator for m in space.masses))
+    weights = tuple(m.numerator * (scale // m.denominator) for m in space.masses)
+    level = scaled_level(alpha, scale)
+    half = len(weights) // 2
+    firsts, seconds = _subset_sums(weights[:half]), sorted(_subset_sums(weights[half:]))
+    # the empty second part, seconds[0] = 0, joins every light first part
+    beta = max(s + seconds[bisect_left(seconds, level - s) - 1] for s in firsts if s < level)
+    return weights, level, beta
+
+
+def _subset_sums(weights) -> list:
+    """The weight of every subset of ``weights``, the empty one first."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
-    """Enumerate the minimal heavy subsets, smallest first and in
-    lexicographic order within a size, and find ``beta``, the mass of the
-    heaviest light (non-heavy) set, in one depth-first search.
+    """The minimal heavy subsets, smallest first and lexicographic within a
+    size, from one depth-first search on ``integer_masses``' weights.
 
     The search takes the points heaviest first, ties by index, and grows a
     light set by one later point at a time.  A point that makes the set
@@ -337,13 +363,6 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
       are subsets of M, hence light, so the search grows each into the
       next.  No cut stops that: the prefix plus all the points from M's next
       point on include M, so they reach the level.
-    * ``beta`` is exact.  It is the largest mass among the light sets the
-      search visits and, at each cut, the light set of the branch plus all
-      the points from the cut on.  Take a light set L and its longest
-      prefix P in search order that the search visits (the empty set is
-      visited).  If P = L, L was visited.  Otherwise, L's next point q was
-      not grown from P, and L is light, so P plus q is light: the search cut
-      P's branch at or before q, and L lies inside that cut's set.
 
     Past ``POINT_CEILING`` points the search is refused before it starts
     (``check_point_ceiling``).
@@ -353,29 +372,23 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
         raise DomainError(f"alpha must lie in (0, 1], got {fraction_text(alpha)}")
     n = len(space)
     check_point_ceiling(n)
-    scale = lcm(*(m.denominator for m in space.masses))
-    weights = tuple(m.numerator * (scale // m.denominator) for m in space.masses)
-    level = scaled_level(alpha, scale)
+    weights, level, beta = integer_masses(space, alpha)
     order = sorted(range(n), key=lambda p: -weights[p])  # stable: ties by index
     weight = [weights[p] for p in order]
     rest = [*accumulate(reversed(weight))][::-1]  # rest[j]: weight of order[j:]
     found = []
     chosen = []
-    beta = 0  # the empty set is light
 
     def grow(start, held):
         """Grow the light set ``chosen`` of mass ``held`` by each point of
         ``order[start:]``."""
-        nonlocal beta
         for j in range(start, n):
             if held + weight[j] >= level:
                 found.append((*chosen, order[j]))
                 continue
             if held + rest[j] < level:
-                beta = max(beta, held + rest[j])  # the cut's set is light
                 return
             chosen.append(order[j])
-            beta = max(beta, held + weight[j])
             grow(j + 1, held + weight[j])
             chosen.pop()
 
@@ -389,7 +402,8 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
 
 def check_point_ceiling(n: int) -> None:
     """Raise ResourceCapError when a space passes ``POINT_CEILING`` points,
-    the ceiling of the heavy-subset search; no cap keyword raises it."""
+    the ceiling of the heavy family and of the subset sums; no cap keyword
+    raises it."""
     if n > POINT_CEILING:
         raise ResourceCapError(
             f"{n} points exceed the heavy-family point ceiling {POINT_CEILING}; "

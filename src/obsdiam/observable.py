@@ -33,27 +33,25 @@ first at distance 0.  The seeds and the prefix search both read it.
 
 Most orderings never reach the solve.  Cheap seed witnesses (constant and
 distance-to-anchor maps) set an incumbent first, and bounds then cut the
-orderings that cannot beat it.  A seed is scored without walking the heavy
-family: the anchor's row of the neighbour table, already sorted, gives the
-narrowest heavy window of values by a two-pointer sweep, times
-width / spread when the seed is squeezed onto a short screen.  That
-width is the seed's partial diameter, the least spread of a minimal heavy
-subset S: a set of values is heavy exactly when its preimage is, so the
-window ``[min S, max S]`` is heavy and as wide as S spreads, and every heavy
-window holds a minimal heavy subset spreading at most its width.  Scores are
-compared as integer pairs; the first anchor to reach the best one wins, and
-its witness is the only one built:
+orderings that cannot beat it.  A seed is scored by a two-pointer sweep
+over its anchor's row of the neighbour table, which finds the narrowest
+heavy window of values, the seed's partial diameter (``_seed_value``).
+Scores are compared as integer pairs; the first anchor to reach the best
+one wins, and its witness is the only one built:
 
-* **Global bound.**  No 1-Lipschitz image spreads a heavy subset S wider than
-  its metric diameter, nor wider than the screen, so
-  ``UB = min(width, min over S of diam S)`` caps the answer.  One scan over
-  the family finds the least diameter; it leaves a subset at its first pair
-  as far apart as the least diameter so far.  That scan is the engine's
-  only read of the minimal heavy subsets.  When a seed reaches UB the
-  seeding stops, since no seed exceeds UB, and the prefix search cuts its
-  empty prefix, whose bound is UB, by the same test as every other prefix,
-  so it places no point.  On a line space over the full line the
-  distance-to-leftmost-point seed is an isometry and always reaches UB.
+* **Global bound.**  A 1-Lipschitz image spreads a heavy set S no wider than
+  its metric diameter or the screen, and the window of values it spans is
+  heavy, so ``UB = min(width, diam S)`` caps the answer for every heavy S.
+  From the width, each seed's sweep lowers UB to the diameter of each
+  minimal heavy window of its anchor's row (``_seed_value``), for every
+  anchor before UB is read.  UB may exceed the least diameter of a minimal
+  heavy subset; the arguments below need only ``UB >= od``.  On a line
+  space the leftmost point's row is in position order, and a heavy set's
+  interval ``[min, max]`` is as wide as the set and holds a minimal heavy
+  window of that row, so UB is the least heavy diameter; over the full line
+  the distance-to-leftmost-point seed, an isometry, reaches it.  When a
+  seed reaches UB the prefix search cuts its empty prefix, whose bound is
+  UB, by the same test as every other prefix, so it places no point.
 * **Prefix search.**  Orderings are built slot by slot, depth first.  Write
   ``y_0 <= ... <= y_{n-1}`` for the slot values and ``t`` for the smallest
   spread of a heavy subset.  Once every point of a heavy subset is placed,
@@ -103,10 +101,11 @@ its witness is the only one built:
   - **(B2) Remaining mass.**  Let f be the frontier of the longest chain
     from slot 0 (its ``E(0, s)`` spans end at f, or f = 0 when none has
     closed), T the points at slots ``>= f``, and ``beta`` the largest mass
-    of a non-heavy set.  In any completion, start at ``j_0 = f`` and let
-    ``j_{i+1}`` be the least slot with slots ``[j_i, j_{i+1}]`` heavy.  Each
-    chunk ``[j_i, j_{i+1})`` before a window end is non-heavy, so its mass is
-    at most ``beta``, and so is the tail after the last of the m windows.
+    of a non-heavy set (``mmspace.integer_masses``).  In any completion,
+    start at ``j_0 = f`` and let ``j_{i+1}`` be the least slot with slots
+    ``[j_i, j_{i+1}]`` heavy.  Each chunk ``[j_i, j_{i+1})`` before a
+    window end is non-heavy, so its mass is at most ``beta``, and so is the
+    tail after the last of the m windows.
     The chunks and the tail split T, so ``mass(T) <= (m + 1) * beta``, and
     ``m >= k = ceil(mass(T) / beta) - 1``.  Each window holds a heavy
     subset, hence a span of spread ``>= t``, and the windows lie end to end
@@ -190,6 +189,7 @@ from .mmspace import (
     Screen,
     check_point_ceiling,
     heavy_minimal_subsets,
+    integer_masses,
 )
 
 __all__ = [
@@ -231,10 +231,10 @@ def check_grid_size(n: int, cap_n: int = DEFAULT_GRID_CAP) -> None:
 class OdResult:
     """An exact observable-diameter value with an achieving witness.
 
-    ``below`` is the largest mass of a light set at the level searched, the
-    heavy family's ``beta`` as a mass: od stays constant while alpha moves
-    down to it (``experiments.semicontinuity_profile``).  It stays out of
-    ``repr``, equality and the JSON report; the family itself is not kept."""
+    ``below`` is the largest mass of a light set at the level searched,
+    ``mmspace.integer_masses``' ``beta`` as a mass: od stays constant while
+    alpha moves down to it (``experiments.semicontinuity_profile``).  It
+    stays out of ``repr``, equality and the JSON report."""
 
     value: Fraction
     witness: LipschitzWitness
@@ -277,17 +277,14 @@ def observable_diameter(
     alpha = 1 - kappa
     base = screen.a if isinstance(screen, Interval) else ZERO
     best, best_witness = ZERO, LipschitzWitness((base,) * n)
-    heavy = heavy_minimal_subsets(space, alpha)
-    weights, level = heavy.weights, heavy.level
-    below = Fraction(heavy.beta, sum(weights))  # the weights sum to mass 1
+    weights, level, beta = integer_masses(space, alpha)
+    below = Fraction(beta, sum(weights))  # the weights sum to mass 1
     if max(weights) >= level:
         # Some single point already carries mass alpha, so every image measure
         # has a zero-diameter heavy set.
         return OdResult(best, best_witness, below)
 
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
-    # No image spreads a heavy subset wider than its diameter or the screen.
-    upper_scaled = min(_least_diameter(heavy.minimal_subsets, dmat_scaled), width_scaled)
     # point -> (distance, bit, weight) of every point, nearest first, the
     # point itself first at distance 0: the seeds' values and the search's
     # balls (B3) and reach (B2, read in reverse)
@@ -298,13 +295,15 @@ def observable_diameter(
 
     # Seed the incumbent with the distance-to-anchor maps, scored as integer
     # pairs; the first anchor to reach the best score gets the one witness.
+    # Each sweep lowers UB, the width at first, by the heavy windows it meets.
     best_num, best_den, winner = 0, 1, None
+    upper_scaled = width_scaled
     for anchor in range(n):
-        num, den = _seed_value(nearest[anchor], level, scale, width_scaled)
+        num, den, upper_scaled = _seed_value(
+            nearest[anchor], dmat_scaled, level, scale, width_scaled, upper_scaled
+        )
         if num * best_den > best_num * den:
             best_num, best_den, winner = num, den, anchor
-            if num * scale == upper_scaled * den:
-                break  # no seed can score more
     if winner is not None:
         best = Fraction(best_num, best_den)
         best_witness = _seed_witness(dmat_scaled[winner], scale, width_scaled, base)
@@ -327,7 +326,7 @@ def observable_diameter(
 
     _pruned_orderings(
         n, dmat_scaled, nearest, width_scaled, scale, upper_scaled,
-        weights, level, heavy.beta, best, leaf,
+        weights, level, beta, best, leaf,
     )
 
     best_witness.validate(space, screen)
@@ -397,14 +396,13 @@ def _pruned_orderings(
     every prefix on its path, all over ``scale``; the module docstring
     proves them.  The empty prefix is cut by the same test as every other,
     before any set-up, so when a seed already meets UB the search returns
-    at once.  ``weights``, ``level`` and ``beta`` are the heavy family's
-    point weights, level and heaviest light mass, on one integer scale; no
-    point may weigh ``level`` alone.  ``nearest[p]`` is the engine's
-    neighbour table: every point as ``(scaled distance, bit, weight)``,
-    nearest first, p itself first.  B3 reads it forward and B2's reach
-    backward, and both skip the placed points, p among them.  The search
-    reads no subset: by the module docstring's window lemma, the spans come
-    from the masses of the placed prefixes.
+    at once.  ``weights``, ``level`` and ``beta`` come from
+    ``mmspace.integer_masses``; no point may weigh ``level`` alone.
+    ``nearest[p]`` is the engine's neighbour table: every point as ``(scaled
+    distance, bit, weight)``, nearest first, p itself first.  B3 reads it
+    forward and B2's reach backward, and both skip the placed points, p
+    among them.  The search reads no subset: by the module docstring's
+    window lemma, the spans come from the masses of the placed prefixes.
     """
     limit, den = incumbent.numerator * scale, incumbent.denominator  # on the bounds' scale
     if root * den <= limit:
@@ -507,42 +505,20 @@ def _pruned_orderings(
     extend(0, 0, root, 1)
 
 
-def _least_diameter(family, dmat_scaled) -> int:
-    """The least scaled diameter of a subset in ``family``.  A subset's scan
-    stops at its first pair as far apart as the least diameter found so far,
-    since its own diameter cannot be smaller."""
-    least = None
-    for subset in family:
-        diam = 0
-        for k, i in enumerate(subset, 1):
-            row = dmat_scaled[i]
-            for j in subset[k:]:
-                if row[j] > diam:
-                    diam = row[j]
-                    if least is not None and diam >= least:
-                        break
-            else:
-                continue
-            break  # the subset is no narrower than ``least``
-        else:
-            least = diam
-    return least
+def _seed_value(nearest_row, dmat_scaled, level, scale, width_scaled, upper) -> tuple:
+    """``(num, den, upper)``: the distance-to-anchor seed's partial diameter
+    ``num / den`` and ``upper`` lowered to the diameter of each minimal heavy
+    window of the anchor's row of the neighbour table: every point as
+    ``(scaled distance, bit, weight)``, nearest first, on ``level``'s scale.
 
-
-def _seed_value(nearest, level, scale, width_scaled) -> tuple:
-    """Partial diameter of the distance-to-anchor seed as an integer pair
-    ``(num, den)``, from the anchor's row of the neighbour table: every
-    point as ``(scaled distance, bit, weight)``, nearest first, on the heavy
-    family's integer scale with its ``level``.
-
-    It is the narrowest heavy window of values, by the two-pointer sweep of
-    ``measures.partial_diameter`` over the row, which is already sorted.
-    The order among equal distances does not matter.  A window of the row
-    weighs at most the window of values between its ends, and the row's
-    window from the first point at one value to the last point at another
-    holds every point with a value between them.  So the least width is
-    the same in any order sorted by distance.  It equals the least spread
-    of a minimal heavy subset S of points:
+    The seed's value is the narrowest heavy window of values, by the
+    two-pointer sweep of ``measures.partial_diameter`` over the row, which
+    is already sorted.  The order among equal distances does not matter.  A
+    window of the row weighs at most the window of values between its
+    ends, and the row's window from the first point at one value to the
+    last point at another holds every point with a value between them.  So
+    the least width is the same in any order sorted by distance.  It equals
+    the least spread of a minimal heavy subset S of points:
 
     * a set of values is heavy exactly when its preimage is;
     * the window ``[min S, max S]`` holds the values of S, so it is heavy
@@ -552,22 +528,31 @@ def _seed_value(nearest, level, scale, width_scaled) -> tuple:
 
     Squeezing the seed onto a screen narrower than its spread multiplies
     every spread by width / spread.
+
+    A minimal heavy window ``[i, j]`` (``[i + 1, j]`` and ``[i, j - 1]``
+    light) is a heavy set, so od is at most its diameter (the global
+    bound), which is at least ``d_j - d_i`` by the triangle inequality
+    through the anchor; a window with ``d_j - d_i >= upper`` is skipped.
     """
-    spread = nearest[-1][0]
+    spread = nearest_row[-1][0]
     low = spread  # the whole space is heavy, and the anchor sits at 0
     acc = i = 0
-    for d, _, w in nearest:
+    for j, (d, _, w) in enumerate(nearest_row):
         acc += w
         if acc < level:
             continue
-        while acc - nearest[i][2] >= level:
-            acc -= nearest[i][2]
+        while acc - nearest_row[i][2] >= level:
+            acc -= nearest_row[i][2]
             i += 1
-        if d - nearest[i][0] < low:
-            low = d - nearest[i][0]
+        gap = d - nearest_row[i][0]
+        if gap < low:
+            low = gap
+        if gap < upper and acc - w < level:
+            window = [bit.bit_length() - 1 for _, bit, _ in nearest_row[i : j + 1]]
+            upper = min(upper, max(dmat_scaled[p][q] for p in window for q in window))
     if spread > width_scaled:
-        return low * width_scaled, scale * spread
-    return low, scale
+        return low * width_scaled, scale * spread, upper
+    return low, scale, upper
 
 
 def _seed_witness(distances, scale, width_scaled, base) -> LipschitzWitness:

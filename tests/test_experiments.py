@@ -19,6 +19,7 @@ from obsdiam import (
     sharpness_sweep,
     verify_counterexample,
 )
+from obsdiam.mmspace import integer_masses
 from obsdiam.randgen import random_space
 
 
@@ -169,16 +170,16 @@ def test_semicontinuity_constant_stretch_on_narrow_screen(monkeypatch):
         calls.append(args)
         return heavy_minimal_subsets(*args)
 
-    for module in (observable, experiments):
+    for module in (mmspace, observable, experiments):
         monkeypatch.setattr(module, "heavy_minimal_subsets", counted, raising=False)
     sp = FiniteMMSpace.line_space([1, 2, 3, 4])
     profile = semicontinuity_profile(sp, Interval(-1, 1), [F(1, 2), F(5, 8), F(7, 10)])
     assert all(r.od_value == F(2, 3) for r in profile.rows)
     assert all(r.constant_until == F(3, 4) for r in profile.rows)
     assert profile.right_continuous
-    # one heavy search per engine run (grid point and probe): beta comes from
-    # the family the engine found
-    assert len(calls) == 6
+    # no heavy search in any engine run (grid point or probe): beta comes from
+    # the subset sums of mmspace.integer_masses
+    assert len(calls) == 0
 
 
 def test_semicontinuity_single_point_space():
@@ -220,16 +221,23 @@ def test_semicontinuity_stretch_matches_bruteforce():
 
 
 def test_semicontinuity_checks_the_cap_before_the_subset_sums(monkeypatch):
-    # 40 points: the exact cap refuses them before any heavy family is searched
+    # 40 points: the exact cap refuses them before any heavy family is
+    # searched or any subset sum is listed
     calls = []
 
     def counted_family(*args):
         calls.append(args)
         return heavy_minimal_subsets(*args)
 
+    def counted_masses(*args):
+        calls.append(args)
+        return integer_masses(*args)
+
     monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
-    # the engine calls the search through its own binding
+    monkeypatch.setattr(mmspace, "integer_masses", counted_masses)
+    # the engine calls both through its own bindings
     monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
+    monkeypatch.setattr(observable, "integer_masses", counted_masses)
     sp = FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)])
     with pytest.raises(ResourceCapError):
         semicontinuity_profile(sp, FULL_LINE, [F(1, 2)])

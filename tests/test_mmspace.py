@@ -24,6 +24,7 @@ from obsdiam import (
     screen_to_str,
 )
 from obsdiam._rational import fraction_text
+from obsdiam.mmspace import integer_masses
 from obsdiam.randgen import random_alpha, random_space
 
 
@@ -346,3 +347,23 @@ def test_heavy_matches_bruteforce():
         sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
         for alpha in (mass - hair, mass, mass + hair):
             _check_heavy(sp, alpha)
+
+
+def test_integer_masses_beta_matches_bruteforce():
+    """``beta`` from the two half-sum lists is the heaviest light mass: at
+    alpha 1 (everything but the whole space is light), at 10^-9 (only the
+    empty set is light), at 1/2, at a random level and at a subset's exact
+    mass, with weights up to 10^6 so that the sums rarely tie."""
+    rng = random.Random("integer-masses")
+    cases = 0
+    for n in range(1, 15):
+        weights = [rng.randint(1, 10**6) for _ in range(n)]
+        total = sum(weights)
+        sp = FiniteMMSpace.line_space(range(n), masses=[F(w, total) for w in weights])
+        subset_mass = F(sum(rng.sample(weights, rng.randint(1, n))), total)
+        for alpha in (F(1), F(1, 10**9), F(1, 2), random_alpha(rng), subset_mass):
+            got_weights, level, beta = integer_masses(sp, alpha)
+            assert F(beta, sum(got_weights)) == heaviest_light_bruteforce(sp, alpha), (n, alpha)
+            assert beta < level
+            cases += 1
+    assert cases == 14 * 5

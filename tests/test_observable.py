@@ -27,8 +27,8 @@ from obsdiam import (
 )
 import obsdiam.mmspace as mmspace
 import obsdiam.observable as observable
+from obsdiam.mmspace import integer_masses
 from obsdiam.observable import (
-    _least_diameter,
     _max_t_for_order,
     _order_edges,
     _pruned_orderings,
@@ -41,6 +41,7 @@ from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 from conftest import (
     grid_oracle_reference,
     heaviest_light_bruteforce,
+    heavy_subsets_bruteforce,
     minimal_spans,
     od_permutation_oracle,
     random_lipschitz_map_oracle,
@@ -115,24 +116,6 @@ def test_reported_value_is_achieved_by_its_witness():
         assert got.below == heaviest_light_bruteforce(sp, 1 - kappa)
 
 
-def test_a_result_keeps_beta_not_the_heavy_family():
-    """A result holds its value, its witness and the heaviest light mass;
-    the 12 870 minimal heavy subsets of 16 points at alpha 1/2 (about
-    1.4 MB) are freed when the call returns."""
-    sp = FiniteMMSpace.line_space(range(16))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        got = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=16)
-        gc.collect()
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got.value == 7
-    assert got.below == F(7, 16)
-    assert kept < 500_000, kept
-
-
 @pytest.mark.parametrize("kind", SPACE_KINDS)
 def test_od_matches_permutation_oracle_value_and_witness(kind):
     """The pruned prefix search meets the same improving orderings in the
@@ -172,12 +155,12 @@ def test_full_line_matches_every_screen_of_width_at_least_the_diameter(kind):
                 )
 
 
-def test_searching_od_call_runs_one_heavy_search(monkeypatch):
-    """The prefix search reads the weights, level and beta of the heavy
-    family the engine found, instead of searching subsets again.  The
-    engine calls it even when a seed already meets UB; then the search cuts
-    its own empty prefix, no ordering is solved, and the seed's witness is
-    returned."""
+def test_searching_od_call_runs_no_heavy_search(monkeypatch):
+    """The engine takes the weights, the level and beta from
+    ``integer_masses`` and UB from the seeds' heavy windows, so it runs no
+    heavy-subset search.  It calls the prefix search even when a seed
+    already meets UB; then the search cuts its own empty prefix, no ordering
+    is solved, and the seed's witness is returned."""
     calls = {"families": 0, "searches": 0, "solves": 0}
 
     def counted_family(*args):
@@ -193,25 +176,29 @@ def test_searching_od_call_runs_one_heavy_search(monkeypatch):
         return _max_t_for_order(*args)
 
     monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
-    # the engine calls the search through its own binding
+    # the engine module holds its own binding, which the grid oracle reads
     monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
     monkeypatch.setattr(observable, "_pruned_orderings", counted_search)
     monkeypatch.setattr(observable, "_max_t_for_order", counted_solve)
     assert observable_diameter(X2, Interval(-1, 1), F(3, 5)).value == F(2, 3)
-    assert calls["families"] == calls["searches"] == 1
+    assert calls["families"] == 0
+    assert calls["searches"] == 1
     # here the seeds stay below UB and one ordering is solved
     calls.update(families=0, searches=0, solves=0)
     assert observable_diameter(X2, Interval(-1, 1), F(1, 3)).value == F(3, 2)
-    assert calls == {"families": 1, "searches": 1, "solves": 1}
+    assert calls == {"families": 0, "searches": 1, "solves": 1}
 
     # the distance-to-leftmost-point seed of a line space on the full line
     # is an isometry, so it meets UB and the search cuts its root
     calls.update(families=0, searches=0, solves=0)
     line = FiniteMMSpace.line_space(range(8))
     got = observable_diameter(line, FULL_LINE, F(1, 2))
-    assert calls == {"families": 1, "searches": 1, "solves": 0}
+    assert calls == {"families": 0, "searches": 1, "solves": 0}
     assert got.value == 3
     assert got.witness.values == tuple(range(8))
+    # the grid oracle still reads the family
+    od_grid_oracle(X2, Interval(-1, 1), F(3, 5), F(1, 2))
+    assert calls["families"] == 1
 
 
 def test_seed_values_match_their_witnesses():
@@ -220,7 +207,9 @@ def test_seed_values_match_their_witnesses():
     partial diameter and the per-subset least spread, squeezed screens
     included.  Line spaces with equal gaps make windows tie, an anchor
     inside them gives equal distances, and skewed masses make tied windows
-    differ in mass."""
+    differ in mass.  The bound each sweep returns is the least diameter of
+    a minimal heavy window of the anchor's row, or the bound handed in when
+    that is less, as a plain scan over every window of the row finds it."""
     rng = random.Random("seed-values")
     cases = [
         (random_space(rng, min_points=2, max_points=7), 1 - random_alpha(rng))
@@ -240,8 +229,13 @@ def test_seed_values_match_their_witnesses():
             scale, dmat_scaled, width_scaled = _scaled(sp, screen)
             base = screen.a if isinstance(screen, Interval) else 0
             table = _neighbour_table(dmat_scaled, heavy.weights)
+            upper = expected = width_scaled
             for distances, nearest in zip(dmat_scaled, table):
-                num, den = _seed_value(nearest, heavy.level, scale, width_scaled)
+                num, den, upper = _seed_value(
+                    nearest, dmat_scaled, heavy.level, scale, width_scaled, upper
+                )
+                expected = min(expected, _row_window_bound(nearest, dmat_scaled, heavy.level))
+                assert upper == expected
                 value = F(num, den)
                 witness = _seed_witness(distances, scale, width_scaled, base)
                 witness.validate(sp, screen)
@@ -249,6 +243,22 @@ def test_seed_values_match_their_witnesses():
                 assert value == seed_value_oracle(family, distances, scale, width_scaled)
                 checked += 1
     assert checked >= 500
+
+
+def _row_window_bound(nearest, dmat_scaled, level):
+    """The least diameter of a minimal heavy window of one row of the
+    neighbour table: a run of the row that is heavy and stops being heavy
+    when either end point is dropped."""
+    points = [bit.bit_length() - 1 for _, bit, _ in nearest]
+    weights = [w for _, _, w in nearest]
+    diameters = []
+    for i in range(len(points)):
+        for j in range(i, len(points)):
+            mass = sum(weights[i : j + 1])
+            if mass >= level > max(mass - weights[i], mass - weights[j]):
+                window = points[i : j + 1]
+                diameters.append(max(dmat_scaled[p][q] for p in window for q in window))
+    return min(diameters)
 
 
 def _neighbour_table(dmat_scaled, weights):
@@ -270,40 +280,53 @@ def _clustered(n, k, first):
     return FiniteMMSpace.line_space(positions)
 
 
-def test_least_diameter_matches_brute_force():
-    """UB guards the seed loop's early exit: a UB below the least diameter
-    would stop at a seed short of the optimum, and that seed would still
-    pass the witness check.  Equal gaps tie many subsets at the least
-    diameter; a tight cluster at the first or the last points puts the one
-    least subset first or last in family order."""
+def _window_upper(space, screen, alpha):
+    """The engine's UB: the screen width, lowered by every anchor's sweep."""
+    weights, level, _ = integer_masses(space, alpha)
+    scale, dmat_scaled, width_scaled = _scaled(space, screen)
+    upper = width_scaled
+    for nearest in _neighbour_table(dmat_scaled, weights):
+        _, _, upper = _seed_value(nearest, dmat_scaled, level, scale, width_scaled, upper)
+    return upper
+
+
+def test_window_upper_bound_is_sound_and_exact_on_line_spaces():
+    """UB guards the end of the search: a UB below od would cut the empty
+    prefix at a seed short of the optimum, and that seed would still pass
+    the witness check.  Every window behind UB is heavy, so UB is at least
+    the least diameter of a heavy set, or the width when that is less; on
+    a line space the leftmost point's windows are intervals, and UB equals
+    it.  Equal gaps tie many windows at the least diameter; a tight cluster
+    at the first or the last points puts the one least window at either end
+    of the leftmost point's row."""
     rng = random.Random("least-diameter")
+    line_rng = random.Random("least-diameter/line")
     checked = 0
     for n in range(2, 13):
         k = (n + 1) // 2  # the size of a minimal heavy subset at alpha 1/2
-        cases = [(random_space(rng, min_points=n, max_points=n), None)]
-        cases.append((FiniteMMSpace.line_space(range(n)), None))
-        cases += [(_clustered(n, k, first), first) for first in (True, False)]
-        for sp, first in cases:
-            _, dmat_scaled, _ = _scaled(sp, FULL_LINE)
+        cases = [(random_space(rng, min_points=n, max_points=n), False)]
+        cases.append((random_space(line_rng, min_points=n, max_points=n, kind="line"), True))
+        cases.append((FiniteMMSpace.line_space(range(n)), True))
+        cases += [(_clustered(n, k, first), True) for first in (True, False)]
+        for sp, line in cases:
             for alpha in (F(1, 3), F(1, 2), F(3, 4)):
-                family = heavy_minimal_subsets(sp, alpha).minimal_subsets
-                diams = [max(dmat_scaled[i][j] for i in s for j in s) for s in family]
-                assert _least_diameter(family, dmat_scaled) == min(diams), (n, alpha)
-                checked += 1
-            if first is not None and n > 2:
-                # at alpha 1/2 the cluster is the one least subset, at its end
-                family = heavy_minimal_subsets(sp, F(1, 2)).minimal_subsets
-                at = 0 if first else len(family) - 1
-                assert family[at] == tuple(range(k) if first else range(n - k, n))
-                others = family[:at] + family[at + 1:]
-                assert all(sp.dist(s[0], s[-1]) > k - 1 for s in others)
-    assert checked == 11 * 4 * 3
+                family = heavy_subsets_bruteforce(sp, alpha)
+                for screen in (FULL_LINE, Interval(-1, 1)):
+                    _, dmat_scaled, width_scaled = _scaled(sp, screen)
+                    least = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
+                    upper = _window_upper(sp, screen, alpha)
+                    if line:
+                        assert upper == min(least, width_scaled), (n, alpha, screen)
+                    else:
+                        assert upper >= min(least, width_scaled), (n, alpha, screen)
+                    checked += 1
+    assert checked == 11 * 5 * 3 * 2
 
 
 def test_twenty_point_line_space_sets_up_in_time():
     """On a line space over the full line the isometric seed meets UB, so
-    the call is the family and the set-up; neither the seeds nor UB may
-    walk the 184 756 minimal subsets once per anchor."""
+    the call is the set-up and the seed sweeps; neither the seeds nor UB
+    may walk the 184 756 minimal heavy subsets."""
     sp = FiniteMMSpace.line_space(range(20))
     start = time.process_time()
     got = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=20)
@@ -311,6 +334,33 @@ def test_twenty_point_line_space_sets_up_in_time():
     assert got.value == 9
     assert got.witness.values == tuple(range(20))
     assert elapsed < 1.2, elapsed
+
+
+def test_twenty_two_point_line_space_runs_in_time_and_memory():
+    """At the point ceiling the engine lists 2 * 2^11 half sums for beta and
+    builds no subset: the 705 432 minimal heavy subsets of 22 points at
+    alpha 1/2 would take seconds and about 100 MB.  A result holds its
+    value, its witness and the heaviest light mass, and the peak of the
+    whole call stays under 1 MB."""
+    sp = FiniteMMSpace.line_space(range(22))
+    start = time.process_time()
+    got = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=22)
+    elapsed = time.process_time() - start
+    assert got.value == 10
+    assert got.witness.values == tuple(range(22))
+    assert got.below == F(5, 11)
+    assert elapsed < 0.2, elapsed
+    gc.collect()
+    tracemalloc.start()
+    try:
+        again = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=22)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == got
+    assert peak < 1_000_000, peak
+    assert kept < 100_000, kept
 
 
 def test_od_values_and_witnesses_pinned_past_the_oracle():
