@@ -2,9 +2,35 @@
 
 A screen is where 1-Lipschitz observables take values: the whole line or a
 closed interval [a, b].  A heavy subset at level ``alpha`` is a set of points
-whose mass reaches ``alpha``; the inclusion-minimal ones are exactly the sets
-whose spread can pin down the partial diameter of an image measure, so they
-are the combinatorial core of every observable-diameter computation here.
+whose mass reaches ``alpha``.  The exact engine lists no heavy subset: it
+reads the integer point weights, the level and the heaviest light mass from
+``integer_masses``, and the masses of the prefixes of each ordering.  The
+inclusion-minimal heavy subsets (``heavy_minimal_subsets``) serve the grid
+oracle and callers that list them.
+
+Stored forms.  Spaces and witnesses store each of their numbers once, as
+integers over one denominator, and build Fractions from them on each call:
+
+* a space's metric as ``scaled_dist = (scale, rows)``, the distances times
+  the lcm of their denominators;
+* a space's masses as ``scaled_masses = (scale, weights)``, the masses times
+  the lcm of their denominators, integers summing to ``scale``;
+* a witness's values as ``scaled_values = (den, ints)``, the values times
+  the lcm of their denominators.
+
+Each form is canonical: the denominator is the lcm of the reduced
+denominators, a function of the numbers alone, and the integers are the
+numbers times it.  So two spaces or two witnesses are equal exactly when
+their forms are, and ``__eq__`` and ``__hash__`` read the forms.  A witness
+built from integers over any positive denominator D, ``k_i / D``, is brought
+to this form by ``LipschitzWitness._from_scaled``, which divides D and every
+k_i by ``g = gcd(D, k_1, ..., k_n)``.  Write ``D' = D / g`` and
+``k'_i = k_i / g``, so that ``gcd(D', k'_1, ..., k'_n) = 1``.  The reduced
+denominator of ``k'_i / D'`` is ``q_i = D' / gcd(D', k'_i)``, which divides
+D', so their lcm L divides D'.  Conversely, let p^e be the exact power of a
+prime p in D'.  Not every k'_i is divisible by p, since the gcd is 1, and for
+such an i ``gcd(D', k'_i)`` has no factor p, so p^e divides q_i and L.  Hence
+D' divides L, and ``D' = L``.
 """
 
 from __future__ import annotations
@@ -13,11 +39,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Union
 
-from ._rational import ZERO, JsonFile, format_fraction, fraction_text, to_fraction
+from ._rational import JsonFile, format_fraction, fraction_text, to_fraction
 from .errors import DomainError, ResourceCapError, ValidationError
 from .measures import DiscreteMeasure, scaled_level
 
@@ -41,11 +67,12 @@ class FiniteMMSpace(JsonFile):
     """Points with a rational metric and a probability mass on each point.
 
     The metric is stored as one integer matrix, the distances times their
-    least common denominator (``scaled_dist``); ``dist`` and ``dist_matrix``
-    build Fractions from it on each call.
+    least common denominator (``scaled_dist``), and the masses as integer
+    weights, the masses times theirs (``scaled_masses``); ``dist``,
+    ``dist_matrix`` and ``masses`` build Fractions from them on each call.
     """
 
-    __slots__ = ("_labels", "_mass", "_scale", "_dist_int")
+    __slots__ = ("_labels", "_mass_scale", "_weights", "_scale", "_dist_int")
 
     def __init__(self, labels: Iterable[str], dist, mass):
         labels = tuple(str(x) for x in labels)
@@ -62,8 +89,11 @@ class FiniteMMSpace(JsonFile):
             raise ValidationError("need exactly one mass per point")
         if any(m <= 0 for m in masses):
             raise ValidationError("all masses must be positive")
-        if sum(masses) != 1:
-            raise ValidationError(f"masses must sum to 1 exactly, got {fraction_text(sum(masses))}")
+        mass_scale = lcm(*(m.denominator for m in masses))
+        weights = tuple(m.numerator * (mass_scale // m.denominator) for m in masses)
+        if sum(weights) != mass_scale:
+            total = Fraction(sum(weights), mass_scale)
+            raise ValidationError(f"masses must sum to 1 exactly, got {fraction_text(total)}")
         # the checks below run on the stored integer matrix, the distances
         # times their least common denominator; the parsed rows serve only
         # the triangle-inequality message
@@ -94,7 +124,8 @@ class FiniteMMSpace(JsonFile):
                         f"+ {fraction_text(rows[k][j])}"
                     )
         self._labels = labels
-        self._mass = masses
+        self._mass_scale = mass_scale
+        self._weights = weights
         self._scale = scale
         self._dist_int = ints
 
@@ -120,7 +151,17 @@ class FiniteMMSpace(JsonFile):
 
     @property
     def masses(self) -> tuple:
-        return self._mass
+        """The masses as Fractions, built from ``scaled_masses`` on each
+        call."""
+        scale = self._mass_scale
+        return tuple(Fraction(w, scale) for w in self._weights)
+
+    @property
+    def scaled_masses(self) -> tuple:
+        """``(scale, weights)``, the stored form of the masses: the masses
+        times their least common denominator ``scale``, as a tuple of ints
+        summing to ``scale``."""
+        return self._mass_scale, self._weights
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -146,23 +187,25 @@ class FiniteMMSpace(JsonFile):
         return Fraction(max(map(max, self._dist_int)), self._scale)
 
     def mass_of(self, indices: Iterable[int]) -> Fraction:
-        return sum((self._mass[i] for i in indices), ZERO)
+        weights = self._weights
+        return Fraction(sum(weights[i] for i in indices), self._mass_scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMMSpace):
             return NotImplemented
-        # the scale is the lcm of the reduced distance denominators, so equal
-        # metrics have equal (scale, rows); rows alone would equate the
-        # metrics {0, 1/2} and {0, 1/3}
+        # both stored forms are canonical (module docstring), so equal spaces
+        # have equal forms; the integers alone would equate the metrics
+        # {0, 1/2} and {0, 1/3}
         return (
             self._labels == other._labels
             and self._scale == other._scale
             and self._dist_int == other._dist_int
-            and self._mass == other._mass
+            and self._mass_scale == other._mass_scale
+            and self._weights == other._weights
         )
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._scale, self._dist_int, self._mass))
+        return hash((self._labels, self._scale, self._dist_int, self._mass_scale, self._weights))
 
     def __repr__(self) -> str:
         return f"FiniteMMSpace(n={len(self._labels)}, diam={self.diameter})"
@@ -173,7 +216,7 @@ class FiniteMMSpace(JsonFile):
         return {
             "labels": list(self._labels),
             "dist": [[format_fraction(v) for v in row] for row in self.dist_matrix],
-            "mass": [format_fraction(m) for m in self._mass],
+            "mass": [format_fraction(m) for m in self.masses],
         }
 
     @classmethod
@@ -246,18 +289,60 @@ def screen_to_str(screen: Screen) -> str:
     return f"interval:{format_fraction(screen.a)}:{format_fraction(screen.b)}"
 
 
-@dataclass(frozen=True)
 class LipschitzWitness:
-    """One value per point of a space; a candidate 1-Lipschitz observable."""
+    """One value per point of a space; a candidate 1-Lipschitz observable.
 
-    values: tuple
+    The values are stored as ``scaled_values = (den, ints)``: their least
+    common denominator and the values times it (module docstring); ``values``
+    builds Fractions from them on each call.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "values",
-            tuple(to_fraction(v, what="witness value") for v in self.values),
-        )
+    __slots__ = ("_den", "_ints")
+
+    def __init__(self, values: Iterable):
+        values = tuple(to_fraction(v, what="witness value") for v in values)
+        den = lcm(*(v.denominator for v in values))
+        self._den = den
+        self._ints = tuple(v.numerator * (den // v.denominator) for v in values)
+
+    @classmethod
+    def _from_scaled(cls, den: int, ints) -> "LipschitzWitness":
+        """The witness with values ``ints[i] / den`` for a positive ``den``,
+        reduced by ``gcd(den, *ints)`` to the canonical form (module
+        docstring)."""
+        g = gcd(den, *ints)
+        witness = cls.__new__(cls)
+        witness._den = den // g
+        witness._ints = tuple(k // g for k in ints)
+        return witness
+
+    @property
+    def values(self) -> tuple:
+        den = self._den
+        return tuple(Fraction(k, den) for k in self._ints)
+
+    @property
+    def scaled_values(self) -> tuple:
+        """``(den, ints)``, the stored form of the values: the values times
+        their least common denominator ``den``, as a tuple of ints."""
+        return self._den, self._ints
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self._ints == other._ints
+
+    def __hash__(self) -> int:
+        return hash((self._den, self._ints))
+
+    def __repr__(self) -> str:
+        return f"LipschitzWitness(values={self.values!r})"
+
+    def _check_length(self, space: FiniteMMSpace) -> None:
+        """Raise ValidationError unless there is one value per point."""
+        n = len(space)
+        if len(self._ints) != n:
+            raise ValidationError(f"witness has {len(self._ints)} values for a {n}-point space")
 
     def validate(self, space: FiniteMMSpace, screen: Screen) -> None:
         """Raise ValidationError unless the values fit the space, lie on the
@@ -265,32 +350,33 @@ class LipschitzWitness:
         pairs (i, j) with i < j are checked in lexicographic order.
 
         The screen and the Lipschitz pairs are compared on one integer scale,
-        ``den = lcm(distance scale, value denominators, screen-end
-        denominators)``.  Every value, every distance and each screen end
+        ``den = lcm(distance scale, value scale, screen-end denominators)``,
+        where the value scale is ``scaled_values``' lcm of the value
+        denominators.  Every value, every distance and each screen end
         times ``den`` is an integer, and multiplying both sides of
         ``a <= v <= b`` or ``|v_i - v_j| > d(i, j)`` by the positive ``den``
         keeps the comparison, so each check fails exactly when it does on
         fractions.
         """
-        values = self.values
+        self._check_length(space)
         n = len(space)
-        if len(values) != n:
-            raise ValidationError(
-                f"witness has {len(values)} values for a {n}-point space"
-            )
         scale, rows = space.scaled_dist
         ends = (screen.a, screen.b) if isinstance(screen, Interval) else ()
-        den = lcm(scale, *(v.denominator for v in values), *(e.denominator for e in ends))
+        den = lcm(scale, self._den, *(e.denominator for e in ends))
         per_dist = den // scale
-        ints = [v.numerator * (den // v.denominator) for v in values]
+        per_value = den // self._den
+        ints = self._ints if per_value == 1 else [k * per_value for k in self._ints]
         if ends:
             a, b = (e.numerator * (den // e.denominator) for e in ends)
-            for v, k in zip(values, ints):
+            for k in ints:
                 if not a <= k <= b:
-                    raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")
+                    raise ValidationError(
+                        f"witness value {fraction_text(Fraction(k, den))} escapes the screen"
+                    )
         for i, (vi, row) in enumerate(zip(ints, rows)):
             for j in range(i + 1, n):
                 if abs(vi - ints[j]) > row[j] * per_dist:
+                    values = self.values
                     raise ValidationError(
                         "witness is not 1-Lipschitz between "
                         f"{space.labels[i]} and {space.labels[j]}: "
@@ -299,6 +385,7 @@ class LipschitzWitness:
                     )
 
     def pushforward(self, space: FiniteMMSpace) -> DiscreteMeasure:
+        self._check_length(space)
         return DiscreteMeasure(zip(self.values, space.masses))
 
 
@@ -328,8 +415,7 @@ def integer_masses(space: FiniteMMSpace, alpha: Fraction) -> tuple:
     of the second; one bisection of the sorted second list finds the best h
     for each s.  Callers check ``POINT_CEILING`` first.
     """
-    scale = lcm(*(m.denominator for m in space.masses))
-    weights = tuple(m.numerator * (scale // m.denominator) for m in space.masses)
+    scale, weights = space.scaled_masses
     level = scaled_level(alpha, scale)
     half = len(weights) // 2
     firsts, seconds = _subset_sums(weights[:half]), sorted(_subset_sums(weights[half:]))

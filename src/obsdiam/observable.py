@@ -175,11 +175,12 @@ from ._rational import (
     format_fraction,
     fraction_text,
     render_decimal,
+    to_at_most_one,
     to_open_unit,
     to_positive,
 )
 from .errors import DomainError, ResourceCapError, VerificationError, check_cap
-from .measures import partial_diameter
+from .measures import scaled_level
 from .mmspace import (
     FULL_LINE,
     FiniteMMSpace,
@@ -251,8 +252,40 @@ class OdResult:
 
 def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, alpha) -> Fraction:
     """Partial diameter of the witness's image measure; the self-check used
-    to certify every reported observable diameter."""
-    return partial_diameter(witness.pushforward(space), alpha).value
+    to certify every reported observable diameter.
+
+    The image is not built.  The witness's integer values
+    (``scaled_values``) are sorted together with the point weights
+    (``scaled_masses``), and the two-pointer sweep of
+    ``measures.partial_diameter`` finds the narrowest heavy window against
+    ``scaled_level``.  Points with equal values stay apart; by
+    ``_seed_value``'s window argument the order among tied values does not
+    change the least width, which is the least spread of a heavy set.  As
+    in ``partial_diameter``, alpha <= 0 gives 0 and alpha > 1 raises
+    ``DomainError``; a witness of the wrong length raises
+    ``ValidationError`` first.
+    """
+    witness._check_length(space)
+    alpha = to_at_most_one(alpha, what="alpha")
+    if alpha <= 0:
+        return ZERO
+    den, ints = witness.scaled_values
+    scale, weights = space.scaled_masses
+    level = scaled_level(alpha, scale)
+    pairs = sorted(zip(ints, weights))
+    low = pairs[-1][0] - pairs[0][0]  # the whole space is heavy
+    acc = i = 0
+    for value, weight in pairs:
+        acc += weight
+        if acc < level:
+            continue
+        while acc - pairs[i][1] >= level:
+            acc -= pairs[i][1]
+            i += 1
+        gap = value - pairs[i][0]
+        if gap < low:
+            low = gap
+    return Fraction(low, den)
 
 
 def observable_diameter(
@@ -314,12 +347,12 @@ def observable_diameter(
         edges = _order_edges(n, perm, spans, dmat_scaled, width_scaled)
         result = _max_t_for_order(edges, n, scale, bound, best)
         if result is not None:
-            t, potentials = result
-            values = [ZERO] * n
-            shift = base - potentials[0]
-            for slot in range(n):
-                values[perm[slot]] = potentials[slot] + shift
-            candidate = LipschitzWitness(tuple(values))
+            t, potentials, den = result
+            first = potentials[0]
+            ints = [0] * n
+            for point, potential in zip(perm, potentials):
+                ints[point] = potential - first
+            candidate = _shifted_witness(den, ints, base)
             _check_witness(space, candidate, alpha, t)
             best, best_witness = t, candidate
         return best
@@ -561,7 +594,15 @@ def _seed_witness(distances, scale, width_scaled, base) -> LipschitzWitness:
     spread = max(distances)
     if spread > width_scaled:
         scale, distances = scale * spread, [d * width_scaled for d in distances]
-    return LipschitzWitness(tuple(Fraction(d, scale) + base for d in distances))
+    return _shifted_witness(scale, distances, base)
+
+
+def _shifted_witness(den, ints, base) -> LipschitzWitness:
+    """The witness with values ``ints[i] / den + base``, built on the
+    integer scale ``lcm(den, base's denominator)``."""
+    full = lcm(den, base.denominator)
+    per, shift = full // den, base.numerator * (full // base.denominator)
+    return LipschitzWitness._from_scaled(full, [k * per + shift for k in ints])
 
 
 def _order_edges(n, perm, spans, dmat_scaled, width_scaled):
@@ -581,7 +622,9 @@ def _order_edges(n, perm, spans, dmat_scaled, width_scaled):
 
 
 def _max_t_for_order(edges, n_slots, scale, upper, floor_best):
-    """Exact max feasible t for one ordering, or None once it cannot beat
+    """``(t, potentials, den)`` for one ordering: the exact max feasible t
+    and the slot values at it, the integer potentials over
+    ``den = scale * t.denominator``; or None once t cannot beat
     ``floor_best``.  Each infeasible probe returns a negative cycle whose
     exact ratio becomes the next (strictly smaller) probe; the first feasible
     probe is the optimum because feasibility is monotone in t."""
@@ -593,7 +636,7 @@ def _max_t_for_order(edges, n_slots, scale, upper, floor_best):
         weights = [c * t_den - t_num * scale * k for (_, _, c, k) in edges]
         potentials, cycle = _bellman_ford(n_slots, edges, weights)
         if cycle is None:
-            return t, [Fraction(p, scale * t_den) for p in potentials]
+            return t, potentials, scale * t_den
         const_sum = sum(edges[e][2] for e in cycle)
         t_count = sum(edges[e][3] for e in cycle)
         if t_count == 0:
@@ -800,7 +843,7 @@ def random_lipschitz_map(space: FiniteMMSpace, screen: Screen, seed: int) -> Lip
     ]
     if isinstance(screen, Interval):
         values = [min(b, max(a, v)) for v in values]
-    witness = LipschitzWitness(tuple(Fraction(v, den) for v in values))
+    witness = LipschitzWitness._from_scaled(den, values)
     witness.validate(space, screen)
     return witness
 

@@ -25,7 +25,6 @@ from obsdiam import (
     heavy_minimal_subsets,
     partial_diameter,
     push_forward,
-    witness_partial_diameter,
 )
 from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
 from obsdiam.observable import _max_t_for_order
@@ -303,7 +302,7 @@ def od_permutation_oracle(space, screen, kappa):
     best = Fraction(0)
     best_witness = LipschitzWitness((base,) * n)
     for seed_witness in seed_witnesses(space, screen):
-        value = witness_partial_diameter(space, seed_witness, alpha)
+        value = witness_pd_oracle(space, seed_witness, alpha)
         if value > best:
             best, best_witness = value, seed_witness
     for perm in permutations(range(n)):
@@ -330,11 +329,11 @@ def od_permutation_oracle(space, screen, kappa):
         result = _max_t_for_order(edges, n, scale, ub, best)
         if result is None:
             continue
-        t, potentials = result
+        t, potentials, den = result
         values = [Fraction(0)] * n
-        shift = base - potentials[0]
+        shift = base - Fraction(potentials[0], den)
         for slot in range(n):
-            values[perm[slot]] = potentials[slot] + shift
+            values[perm[slot]] = Fraction(potentials[slot], den) + shift
         best, best_witness = t, LipschitzWitness(tuple(values))
     return best, best_witness
 
@@ -406,6 +405,13 @@ def grid_oracle_reference(space, screen, kappa, step) -> tuple:
         recurse(0, top, anchor)
     lower = Fraction(best) * step
     return lower, lower + slack
+
+
+def witness_pd_oracle(space, witness: LipschitzWitness, alpha) -> Fraction:
+    """Partial diameter of a witness's image by the path the integer sweep
+    replaced: build the image measure, merging points with equal values,
+    and run ``partial_diameter`` on it."""
+    return partial_diameter(witness.pushforward(space), alpha).value
 
 
 def random_lipschitz_map_oracle(space, screen, rng) -> LipschitzWitness:

@@ -1,9 +1,11 @@
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from conftest import (
+    exactly,
     heaviest_light_bruteforce,
     heavy_subsets_bruteforce,
     lipschitz_validate_oracle,
@@ -260,6 +262,76 @@ def test_witness_validate_matches_fraction_oracle_on_coprime_denominators():
         assert got == _complaint(lambda: lipschitz_validate_oracle(w, sp, screen))
         failures += got is not None
     assert 50 < failures < 250  # both outcomes are exercised
+
+
+# -- stored forms -------------------------------------------------------------------
+
+
+def test_witness_stored_form_is_canonical():
+    one = LipschitzWitness((F(1, 2), 1))
+    other = LipschitzWitness(("2/4", F(2, 2)))
+    assert one == other and hash(one) == hash(other)
+    assert one.scaled_values == other.scaled_values == (2, (1, 2))
+    assert one.values == (F(1, 2), F(1))
+    reduced = LipschitzWitness._from_scaled(12, (6, 12))
+    assert reduced.scaled_values == (2, (1, 2))
+    assert reduced == one and hash(reduced) == hash(one)
+    assert LipschitzWitness((F(1, 2), 1)) != LipschitzWitness((F(1, 3), 1))
+
+
+def test_witness_from_scaled_matches_the_fraction_form():
+    """``_from_scaled`` reduces by one gcd to the lcm of the reduced value
+    denominators (mmspace docstring), for any positive denominator."""
+    rng = random.Random(26)
+    for _ in range(300):
+        den = rng.choice([1, 2, 6, 12, 35, 210, 2**40 * 3**5]) * rng.randint(1, 30)
+        ints = [rng.randint(-60, 60) * rng.choice([1, 2, 3, 5, 7]) for _ in range(rng.randint(0, 6))]
+        got = LipschitzWitness._from_scaled(den, ints)
+        want = LipschitzWitness(tuple(F(k, den) for k in ints))
+        assert got.scaled_values == want.scaled_values
+        assert got == want and hash(got) == hash(want)
+        assert got.scaled_values[0] == lcm(*(F(k, den).denominator for k in ints))
+
+
+def test_witness_repr_is_the_dataclass_text():
+    assert repr(LipschitzWitness((F(1, 3), 0))) == (
+        "LipschitzWitness(values=(Fraction(1, 3), Fraction(0, 1)))"
+    )
+    assert repr(LipschitzWitness(("-5/10",))) == "LipschitzWitness(values=(Fraction(-1, 2),))"
+
+
+def test_witness_refuses_floats_and_bools():
+    message = (
+        "witness value must be exact; pass a Fraction, an int, or a string "
+        "like '3/10' instead of the float 0.5"
+    )
+    with pytest.raises(DomainError, match=exactly(message)):
+        LipschitzWitness((0, 0.5))
+    with pytest.raises(DomainError, match=exactly("witness value must be a rational number, got a bool")):
+        LipschitzWitness((True, 0))
+
+
+def test_space_masses_are_stored_as_integer_weights():
+    rng = random.Random(2026)
+    for _ in range(60):
+        sp = random_space(rng, max_points=7)
+        scale, weights = sp.scaled_masses
+        assert scale == lcm(*(m.denominator for m in sp.masses))
+        assert sum(weights) == scale
+        assert sp.masses == tuple(F(w, scale) for w in weights)
+        assert weights == integer_masses(sp, random_alpha(rng))[0]
+        twin = FiniteMMSpace.from_json_dict(json.loads(json.dumps(sp.to_json_dict())))
+        assert twin == sp and hash(twin) == hash(sp)
+        assert twin.scaled_masses == sp.scaled_masses
+    halves = FiniteMMSpace(["a", "b"], ((0, 1), (1, 0)), ["2/4", F(1, 2)])
+    assert halves.scaled_masses == (2, (1, 1))
+    assert halves == FiniteMMSpace.line_space([0, 1], labels=["a", "b"])
+    assert halves != FiniteMMSpace.line_space([0, 1], [F(1, 3), F(2, 3)], labels=["a", "b"])
+
+
+def test_space_mass_total_is_checked_on_the_weights():
+    with pytest.raises(ValidationError, match=exactly("masses must sum to 1 exactly, got 5/6")):
+        FiniteMMSpace(["a", "b"], ((0, 1), (1, 0)), [F(1, 2), F(1, 3)])
 
 
 def test_witness_pushforward_merges():

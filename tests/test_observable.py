@@ -16,7 +16,9 @@ from obsdiam import (
     DomainError,
     FiniteMMSpace,
     Interval,
+    LipschitzWitness,
     ResourceCapError,
+    ValidationError,
     heavy_minimal_subsets,
     observable_diameter,
     od_grid_oracle,
@@ -39,6 +41,7 @@ from obsdiam.observable import (
 from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 
 from conftest import (
+    exactly,
     grid_oracle_reference,
     heaviest_light_bruteforce,
     heavy_subsets_bruteforce,
@@ -46,6 +49,7 @@ from conftest import (
     od_permutation_oracle,
     random_lipschitz_map_oracle,
     seed_value_oracle,
+    witness_pd_oracle,
 )
 
 X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
@@ -114,6 +118,99 @@ def test_reported_value_is_achieved_by_its_witness():
         got.witness.validate(sp, screen)
         assert witness_partial_diameter(sp, got.witness, 1 - kappa) == got.value
         assert got.below == heaviest_light_bruteforce(sp, 1 - kappa)
+
+
+# -- witness image sweep -------------------------------------------------------------
+
+
+def _sweep_alphas(rng, sp):
+    """0, a hair above it, the mass of a random nonempty subset (where heavy
+    and light meet) and 1."""
+    subset = rng.sample(range(len(sp)), rng.randint(1, len(sp)))
+    return (F(0), F(1, 10**9), sp.mass_of(subset), F(1))
+
+
+def test_witness_sweep_matches_measure_oracle_on_engine_and_random_witnesses():
+    rng = random.Random(2611)
+    checked = 0
+    for n in range(1, 9):
+        for _ in range(3 if n > 6 else 6):
+            sp = random_space(rng, min_points=n, max_points=n)
+            screen = FULL_LINE if rng.random() < 0.5 else Interval(F(-1), F(1))
+            kappa = random_alpha(rng)
+            witnesses = [
+                observable_diameter(sp, screen, kappa).witness,
+                *(random_lipschitz_map(sp, screen, rng.randint(0, 10**6)) for _ in range(3)),
+            ]
+            for witness in witnesses:
+                for alpha in (*_sweep_alphas(rng, sp), 1 - kappa):
+                    got = witness_partial_diameter(sp, witness, alpha)
+                    assert got == witness_pd_oracle(sp, witness, alpha)
+                    checked += 1
+    assert checked > 700
+
+
+def test_witness_sweep_matches_measure_oracle_on_tied_values():
+    sp = FiniteMMSpace.line_space(range(6), [F(1, 12), F(1, 4), F(1, 6), F(1, 12), F(1, 3), F(1, 12)])
+    for values in (
+        (0, 1, 1, 1, 2, 2),
+        (3, 3, 3, 3, 3, 3),
+        (2, 0, 2, 0, 2, 0),
+        (F(1, 2), 0, F(1, 2), 1, 0, F(1, 2)),
+    ):
+        witness = LipschitzWitness(values)
+        for alpha in (F(1, 10**9), F(1, 12), F(1, 3), F(5, 12), F(1, 2), F(2, 3), F(11, 12), F(1)):
+            assert witness_partial_diameter(sp, witness, alpha) == witness_pd_oracle(sp, witness, alpha)
+    rng = random.Random(2612)
+    for _ in range(200):
+        sp = random_space(rng, max_points=8)
+        levels = [F(k, 2) for k in range(rng.randint(1, 3))]
+        witness = LipschitzWitness(tuple(rng.choice(levels) for _ in range(len(sp))))
+        for alpha in _sweep_alphas(rng, sp):
+            assert witness_partial_diameter(sp, witness, alpha) == witness_pd_oracle(sp, witness, alpha)
+
+
+def test_witness_sweep_matches_measure_oracle_on_long_values():
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    rng = random.Random(2613)
+    for _ in range(100):
+        sp = random_space(rng, max_points=8)
+        n = len(sp)
+        coprime = LipschitzWitness(
+            tuple(F(rng.randint(-50, 50), p) for p in rng.sample(primes, n))
+        )
+        huge = LipschitzWitness(
+            tuple(F(rng.randrange(10**300), 10**299 + rng.randrange(10**299)) for _ in range(n))
+        )
+        for witness in (coprime, huge):
+            for alpha in _sweep_alphas(rng, sp):
+                got = witness_partial_diameter(sp, witness, alpha)
+                assert got == witness_pd_oracle(sp, witness, alpha)
+
+
+def test_witness_sweep_refuses_alpha_above_one_as_partial_diameter_does():
+    sp = FiniteMMSpace.line_space([0, 1, 2])
+    witness = LipschitzWitness((0, 1, 2))
+    message = "alpha must be <= 1, got 3/2"
+    with pytest.raises(DomainError, match=exactly(message)):
+        witness_partial_diameter(sp, witness, F(3, 2))
+    with pytest.raises(DomainError, match=exactly(message)):
+        witness_pd_oracle(sp, witness, F(3, 2))
+
+
+@pytest.mark.parametrize("values", [(0, 1, 2, 3), (0, 1)], ids=["four", "two"])
+def test_witness_of_the_wrong_length_is_refused(values):
+    """A witness with a value too many or too few for the space is refused
+    with ``validate``'s message, not cut short or read as bad masses."""
+    sp = FiniteMMSpace.line_space([0, 1, 2])
+    witness = LipschitzWitness(values)
+    message = f"witness has {len(values)} values for a 3-point space"
+    with pytest.raises(ValidationError, match=exactly(message)):
+        witness_partial_diameter(sp, witness, F(1, 2))
+    with pytest.raises(ValidationError, match=exactly(message)):
+        witness.pushforward(sp)
+    with pytest.raises(ValidationError, match=exactly(message)):
+        witness.validate(sp, FULL_LINE)
 
 
 @pytest.mark.parametrize("kind", SPACE_KINDS)
