@@ -29,24 +29,26 @@ and a fourth makes the stored form canonical.
    q - p = (c*b - a*d) / (b*d), a numerator over a positive denominator.  Two
    such widths u/v and x/y compare as u*y and x*v do, since multiplying both
    sides by v*y > 0 keeps the order.
-3. Order.  Atoms are in the order of the key (float(p), p), where float(p)
-   is ``_float_key(p)``.  Integer true division rounds correctly, and
-   correct rounding is monotone: p < q gives float(p) <= float(q).  A
-   position past the float range raises ``OverflowError`` and is keyed
-   +-inf, which keeps that order, since a value that overflows upward
-   exceeds every value that converts, and likewise downward.  So
-   float(p) < float(q) implies p < q, and equal floats (say 2^60 and
-   2^60 + 1, or two positions that underflow to 0.0) fall through to the
-   exact comparison of p and q.  The key order is the exact order;
-   ``pd_profile`` sorts its widths by the same key.  The finisher sorts
-   twice, by float(p) alone and then by the whole key.  The second sort
-   alone gives the key order from any input order, so the result is exact;
-   the first only makes it fast.  After it the atoms are out of key order
-   only inside runs of equal floats, so the second sort, a merge sort that
-   detects sorted runs, takes close to one comparison per atom when few
-   positions share a float.  The first sort alone is not enough: a sort is
-   stable, so positions with equal floats keep their input order, and
-   2^60 + 1 given before 2^60 would stay before it.
+3. Order.  Atoms are sorted on float(p), the float key
+   ``_float_key(a, b)`` of the position's integer pair p = a/b, b > 0,
+   computed once when its merge entry is made.  Integer true division
+   rounds correctly, and correct rounding is monotone: p < q gives
+   float(p) <= float(q).  A position past the float range raises
+   ``OverflowError`` and is keyed +-inf, which keeps that order, since a
+   value that overflows upward exceeds every value that converts, and
+   likewise downward.  So float(p) < float(q) implies p < q: were q <= p,
+   monotonicity would give float(q) <= float(p).  The finisher sorts once
+   by float(p) and then compares adjacent keys.  If they strictly
+   increase, each adjacent pair of positions strictly increases by that
+   implication, so the positions are in exact order after the one sort.
+   If two keys are equal (say 2^60 and 2^60 + 1, two positions that
+   underflow to 0.0 or -0.0, or two past the float range), the float sort
+   alone can be wrong: a sort is stable, so positions with equal floats
+   keep their input order, and 2^60 + 1 given before 2^60 would stay
+   before it.  Only then does the finisher sort again by the key
+   (float(p), p), which gives the exact order from any input order: equal
+   floats fall through to the exact comparison of p and q.  ``pd_profile``
+   sorts its widths, and ``prokhorov`` its stops, by that two-part key.
 4. Canonical form.  On every path ``scale`` is the lcm of the reduced
    merged denominators.  Each merge entry holds the exact total mass at its
    position as an integer fraction: the constructor adds a mass with the
@@ -76,11 +78,11 @@ weight exists; past it construction raises ``ResourceCapError``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, inf, lcm
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple
 
 from ._rational import (
@@ -100,20 +102,21 @@ __all__ = [
 WEIGHT_CEILING = 28  # 2^28 bits of integer weights, 32 MiB; 10^5 atoms need about 2^21
 
 
-def _float_key(p: Fraction) -> float:
-    """The correctly rounded float of ``p``, or +-inf past the float range:
-    a sort key that keeps the exact order (module docstring, fact 3)."""
+def _float_key(num: int, den: int) -> float:
+    """The correctly rounded float of ``num / den`` (``den > 0``), or +-inf
+    past the float range: a sort key that keeps the exact order (module
+    docstring, fact 3)."""
     try:
-        return p.numerator / p.denominator
+        return num / den
     except OverflowError:
-        return inf if p > 0 else -inf
+        return inf if num > 0 else -inf
 
 
 def _order_key(pair: tuple) -> tuple:
     """Sort key of a pair by its first entry, a rational, in exact order
     (module docstring, fact 3)."""
     p = pair[0]
-    return _float_key(p), p
+    return _float_key(p.numerator, p.denominator), p
 
 
 def scaled_level(alpha: Fraction, scale: int) -> int:
@@ -139,8 +142,10 @@ class DiscreteMeasure(JsonFile):
         merged: dict[tuple, list] = {}
         get = merged.get
         for pos, mass in atoms:
-            pos = to_fraction(pos, what="atom position")
-            mass = to_fraction(mass, what="atom mass")
+            if not isinstance(pos, Fraction):
+                pos = to_fraction(pos, what="atom position")
+            if not isinstance(mass, Fraction):
+                mass = to_fraction(mass, what="atom mass")
             num, den = mass.as_integer_ratio()
             if num <= 0:  # the denominator is positive
                 raise ValidationError(
@@ -150,7 +155,7 @@ class DiscreteMeasure(JsonFile):
             key = pos.as_integer_ratio()
             entry = get(key)
             if entry is None:
-                merged[key] = [pos, num, den, _float_key(pos)]
+                merged[key] = [pos, num, den, _float_key(*key)]
             elif entry[2] == den:
                 entry[1] += num
             else:
@@ -172,8 +177,11 @@ class DiscreteMeasure(JsonFile):
         The one finisher of every measure: it reduces each mass, sets
         ``scale`` to the lcm of the reduced denominators under the weight
         ceiling, checks that the masses sum to 1 and sorts the atoms into
-        exact order (module docstring, facts 3 and 4).  It empties
-        ``merged``.
+        exact order (module docstring, facts 3 and 4).  It sorts once by
+        the float key.  Where the sorted keys strictly increase, so do the
+        positions, as float(p) < float(q) implies p < q; so only when two
+        adjacent keys are equal does it sort again, by (float key,
+        position), which is exact from any order.  It empties ``merged``.
         """
         entries = list(merged.values())
         merged.clear()  # free the keys before the sort
@@ -199,10 +207,12 @@ class DiscreteMeasure(JsonFile):
             raise ValidationError(
                 f"atom masses must sum to 1 exactly, got {fraction_text(Fraction(total, scale))}"
             )
-        # the second sort alone gives the exact order; the first leaves it
-        # sorted runs to merge (module docstring, fact 3)
+        # strictly increasing float keys give the exact order; only a tie
+        # needs the exact key (module docstring, fact 3)
         entries.sort(key=itemgetter(3))
-        entries.sort(key=itemgetter(3, 0))
+        floats = list(map(itemgetter(3), entries))
+        if any(map(eq, floats, islice(floats, 1, None))):
+            entries.sort(key=itemgetter(3, 0))
         self._positions = tuple(map(itemgetter(0), entries))
         self._scale = scale
         self._weights = tuple(map(itemgetter(1), entries))
@@ -263,11 +273,14 @@ class DiscreteMeasure(JsonFile):
         return f"DiscreteMeasure({inner})"
 
     def mass_of_interval(self, lo, hi) -> Fraction:
-        """Mass of the closed interval [lo, hi]."""
+        """Mass of the closed interval [lo, hi]; 0 when lo > hi."""
         lo = to_fraction(lo, what="interval end")
         hi = to_fraction(hi, what="interval end")
-        inside = sum(w for p, w in zip(self._positions, self._weights) if lo <= p <= hi)
-        return Fraction(inside, self._scale)
+        # positions are in exact order (module docstring, fact 3), so the
+        # atoms inside are one slice; it is empty when lo > hi
+        positions = self._positions
+        inside = self._weights[bisect_left(positions, lo) : bisect_right(positions, hi)]
+        return Fraction(sum(inside), self._scale)
 
     # -- serialization -----------------------------------------------------------
 
@@ -457,7 +470,7 @@ def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
         key = image.as_integer_ratio()
         entry = get(key)
         if entry is None:
-            merged[key] = [image, weight, scale, _float_key(image)]
+            merged[key] = [image, weight, scale, _float_key(*key)]
         else:
             entry[1] += weight
     measure = DiscreteMeasure.__new__(DiscreteMeasure)

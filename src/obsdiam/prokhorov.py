@@ -120,8 +120,11 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     what = "atoms of combined support exceed the Prokhorov support cap"
     check_cap(len(mu) + len(nu), cap, what, keyword="cap")
     # Every eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances past 1 are
-    # never stops.  The key sorts them in exact order (``measures`` module
-    # docstring, fact 3).
+    # never stops.  The key (float, d) sorts them in exact order (``measures``
+    # module docstring, fact 3).  It is not the finisher's float sort with a
+    # tie check: one distance recurs between many atom pairs (a shared grid
+    # spacing), so here equal floats are the rule and the check would almost
+    # always end in the two-part sort anyway.
     xs, ys = mu.positions, nu.positions
     mu_scale, mu_weights = mu.scaled_masses
     nu_scale, nu_weights = nu.scaled_masses
@@ -132,7 +135,7 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     for y in ys:
         near = xs[bisect_right(xs, y - 1) : bisect_left(xs, y + 1)]  # |x - y| < 1
         stops.extend(abs(x - y) for x in near)
-    stops.sort(key=lambda d: (_float_key(d), d))
+    stops.sort(key=lambda d: (_float_key(d.numerator, d.denominator), d))
     # Binary search for the first stretch (stops[k], stops[k+1]] whose
     # deficiency is at most its right end.  The last stretch, past 1,
     # always qualifies and gives max(1, deficiency) = 1 for any deficiency.

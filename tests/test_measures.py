@@ -178,6 +178,23 @@ def test_mass_of_interval():
     assert mu.mass_of_interval(F(1, 2), 10) == F(3, 4)
 
 
+def test_mass_of_interval_matches_the_atom_loop():
+    # ends at every atom, between adjacent atoms and outside them, with
+    # lo > hi in about half the pairs; the pools' floats tie or overflow.
+    # Distinct masses make an atom dropped or counted twice show.
+    for pool in POSITION_POOLS:
+        total = len(pool) * (len(pool) + 1) // 2
+        mu = DiscreteMeasure((p, F(k, total)) for k, p in enumerate(pool, 1))
+        atoms = sorted(pool)
+        ends = atoms + [(a + b) / 2 for a, b in zip(atoms, atoms[1:])]
+        ends += [atoms[0] - 1, atoms[-1] + 1]
+        for lo in ends:
+            for hi in ends:
+                loop = sum((m for p, m in mu.atoms if lo <= p <= hi), F(0))
+                assert mu.mass_of_interval(lo, hi) == loop
+        assert mu.mass_of_interval(atoms[-1], atoms[0]) == 0
+
+
 # -- partial diameter -------------------------------------------------------------
 
 
@@ -329,14 +346,25 @@ def test_merge_adds_masses_of_different_denominators():
 
 
 def test_order_is_exact_where_floats_tie():
-    # 2^60 + 1 and 2^60 round to one float; 10^400 overflows and 1/10^400
-    # underflows.  A stable float-only sort would keep 2^60 + 1 first.
-    descending = [F(10**400), F(2**60 + 1), F(2**60), F(1, 10**400), F(-(2**60))]
-    mu = DiscreteMeasure((p, F(1, 5)) for p in descending)
-    assert mu.positions == tuple(sorted(descending))
-    # the push-forward path: negation hands the finisher descending images
-    image = push_forward(mu, lambda x: -x)
-    assert image.positions == tuple(sorted(-p for p in descending))
+    # Each case is given in descending order, so a stable float-only sort
+    # keeps a tied pair in the wrong order.  2^60 + 1 and 2^60 round to one
+    # float; 10^400 overflows and 1/10^400 underflows.  In the second and
+    # third cases the only tie is the top pair (both +inf) or the bottom
+    # pair (both -inf), the last and the first pair the tie check compares.
+    cases = (
+        [F(10**400), F(2**60 + 1), F(2**60), F(1, 10**400), F(-(2**60))],
+        [F(10**400 + 1), F(10**400), F(1), F(0)],
+        [F(1), F(0), F(-(10**400)), F(-(10**400) - 1)],
+    )
+    for descending in cases:
+        share = F(1, len(descending))
+        mu = DiscreteMeasure((p, share) for p in descending)
+        assert mu.positions == tuple(sorted(descending))
+        # the push-forward path: negating the ascending atoms of the negated
+        # case hands the finisher the case's images in descending order
+        source = DiscreteMeasure((-p, share) for p in descending)
+        image = push_forward(source, lambda x: -x)
+        assert image.positions == mu.positions
 
 
 def test_merge_reduces_cancelling_masses_at_one_position():
