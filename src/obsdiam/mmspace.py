@@ -2,11 +2,12 @@
 
 A screen is where 1-Lipschitz observables take values: the whole line or a
 closed interval [a, b].  A heavy subset at level ``alpha`` is a set of points
-whose mass reaches ``alpha``.  The exact engine lists no heavy subset: it
-reads the integer point weights, the level and the heaviest light mass from
-``integer_masses``, and the masses of the prefixes of each ordering.  The
-inclusion-minimal heavy subsets (``heavy_minimal_subsets``) serve the grid
-oracle and callers that list them.
+whose mass reaches ``alpha``.  No solver lists a heavy subset.  The exact
+engine reads the integer point weights, the level and the heaviest light mass
+from ``integer_masses``, and the masses of the prefixes of each ordering; the
+grid oracle reads the heavy windows of the values it has placed.
+``heavy_minimal_subsets`` lists the inclusion-minimal heavy subsets for the
+callers that want them.
 
 Stored forms.  Spaces and witnesses store each of their numbers once, as
 integers over one denominator, and build Fractions from them on each call:
@@ -36,7 +37,7 @@ D' divides L, and ``D' = L``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -60,7 +61,9 @@ __all__ = [
     "heavy_minimal_subsets",
 ]
 
-POINT_CEILING = 22  # up to C(22, 11) = 705,432 minimal heavy subsets (README)
+# guards integer_masses' 2 x 2^11 half sums, the family listing (up to
+# C(22, 11) = 705,432 minimal heavy subsets) and the parsing of a space file
+POINT_CEILING = 22
 
 
 class FiniteMMSpace(JsonFile):
@@ -391,16 +394,11 @@ class LipschitzWitness:
 
 @dataclass(frozen=True)
 class HeavyFamily:
-    """Inclusion-minimal subsets of points with mass at least ``alpha``.
-
-    ``weights``, ``level`` and ``beta`` are those of ``integer_masses``;
-    these raw integers stay out of ``repr`` and equality."""
+    """Inclusion-minimal subsets of points with mass at least ``alpha``, as
+    ``heavy_minimal_subsets`` lists them."""
 
     alpha: Fraction
     minimal_subsets: tuple  # tuple of sorted index tuples
-    weights: tuple = field(repr=False, compare=False)
-    level: int = field(repr=False, compare=False)
-    beta: int = field(repr=False, compare=False)
 
 
 def integer_masses(space: FiniteMMSpace, alpha: Fraction) -> tuple:
@@ -434,7 +432,9 @@ def _subset_sums(weights) -> list:
 
 def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
     """The minimal heavy subsets, smallest first and lexicographic within a
-    size, from one depth-first search on ``integer_masses``' weights.
+    size, from one depth-first search on the integer weights
+    (``scaled_masses``) against ``measures.scaled_level``.  No solver calls
+    it: the exact engine and the grid oracle read heavy windows instead.
 
     The search takes the points heaviest first, ties by index, and grows a
     light set by one later point at a time.  A point that makes the set
@@ -458,7 +458,8 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
         raise DomainError(f"alpha must lie in (0, 1], got {fraction_text(alpha)}")
     n = len(space)
     check_point_ceiling(n)
-    weights, level, beta = integer_masses(space, alpha)
+    scale, weights = space.scaled_masses
+    level = scaled_level(alpha, scale)
     order = sorted(range(n), key=lambda p: -weights[p])  # stable: ties by index
     weight = [weights[p] for p in order]
     rest = [*accumulate(reversed(weight))][::-1]  # rest[j]: weight of order[j:]
@@ -483,15 +484,14 @@ def heavy_minimal_subsets(space: FiniteMMSpace, alpha) -> HeavyFamily:
         found[k] = tuple(sorted(subset))
     found.sort()
     found.sort(key=len)
-    return HeavyFamily(alpha, tuple(found), weights, level, beta)
+    return HeavyFamily(alpha, tuple(found))
 
 
 def check_point_ceiling(n: int) -> None:
     """Raise ResourceCapError when a space passes ``POINT_CEILING`` points,
-    the ceiling of the heavy family and of the subset sums; no cap keyword
-    raises it."""
+    the ceiling of ``integer_masses``' half sums, of the family listing and
+    of a space file's parse; no cap keyword raises it."""
     if n > POINT_CEILING:
         raise ResourceCapError(
-            f"{n} points exceed the heavy-family point ceiling {POINT_CEILING}; "
-            "--cap-n cannot raise it"
+            f"{n} points exceed the point ceiling {POINT_CEILING}; --cap-n cannot raise it"
         )

@@ -189,7 +189,6 @@ from .mmspace import (
     LipschitzWitness,
     Screen,
     check_point_ceiling,
-    heavy_minimal_subsets,
     integer_masses,
 )
 
@@ -273,19 +272,27 @@ def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, al
     scale, weights = space.scaled_masses
     level = scaled_level(alpha, scale)
     pairs = sorted(zip(ints, weights))
-    low = pairs[-1][0] - pairs[0][0]  # the whole space is heavy
+    # level <= scale, the weight of the whole space, so some window is heavy
+    low = min(pairs[j][0] - pairs[i][0] for i, j in _heavy_windows(pairs, level))
+    return Fraction(low, den)
+
+
+def _heavy_windows(pairs, level) -> list:
+    """``(i, j)`` for each position j of ``pairs``, ``(value, weight)``
+    sorted by value, whose prefix weighs at least ``level``: the shortest
+    window ``pairs[i : j + 1]`` ending at j that does, found by the
+    two-pointer sweep of ``measures.partial_diameter``."""
+    windows = []
     acc = i = 0
-    for value, weight in pairs:
+    for j, (_, weight) in enumerate(pairs):
         acc += weight
         if acc < level:
             continue
         while acc - pairs[i][1] >= level:
             acc -= pairs[i][1]
             i += 1
-        gap = value - pairs[i][0]
-        if gap < low:
-            low = gap
-    return Fraction(low, den)
+        windows.append((i, j))
+    return windows
 
 
 def observable_diameter(
@@ -733,6 +740,34 @@ def od_grid_oracle(
     than (n - 1) * h, and g > od - (n - 1) * h.  The early return of 0 for
     a heavy singleton is exact, since that subset's spread is always 0.
 
+    The search lists no heavy subset.  Along a path it keeps ``cap``, the
+    least spread of the minimal heavy subsets among the points placed so
+    far, and when point ``var`` takes value k it lowers ``cap`` by those
+    that ``var`` completes: the minimal heavy subsets of points 0..var that
+    contain ``var``.  It reads them from the placed values instead, sorted
+    with their weights, by ``_seed_value``'s window argument: the shortest
+    window ending at each position that is heavy together with ``var``
+    (weighs at least ``level - w_var``) gives a range ``[low, high]``, and
+    the least of ``max(high, k) - min(low, k)`` over those ranges and
+    ``cap`` is the same ``cap_here`` as over the completed subsets and
+    ``cap``:
+
+    * a heavy set S containing ``var`` has its placed values inside the
+      window from the first position at its least value to the last at its
+      greatest.  That window holds S minus ``var``, so it is heavy with
+      ``var``, and with k it spreads ``max(high, k) - min(low, k)``, the
+      same as S;
+    * that window holds the shortest heavy window ending at its last
+      position, which spreads no wider, with k or without;
+    * conversely, a window heavy with ``var`` and ``var`` itself make a
+      heavy set of points 0..var, which holds a minimal heavy subset M.  If
+      M contains ``var``, ``var`` completes M, and M spreads no wider than
+      the window with k.  If M omits ``var``, its last point came earlier,
+      and ``cap`` already counts M.
+
+    So ``cap_here`` matches the family's node by node, and the search
+    visits the same nodes.
+
     The search meets at most (top + 1)^n - top^n <= n * (top + 1)^(n - 1)
     grid maps.  Once (top + 1)^(n - 1) passes 2^``GRID_CEILING`` the grid
     is refused before the search, and no cap keyword raises this ceiling.
@@ -743,10 +778,10 @@ def od_grid_oracle(
     step = to_positive(grid_step, what="grid_step")
     n = len(space)
     check_grid_size(n, cap_n)
-    alpha = 1 - kappa
-    heavy = heavy_minimal_subsets(space, alpha)
+    mass_scale, weights = space.scaled_masses
+    level = scaled_level(1 - kappa, mass_scale)
     slack = (n - 1) * step
-    if max(heavy.weights) >= heavy.level:
+    if max(weights) >= level:
         return ZERO, slack
 
     top = floor(screen.width / step)  # grid indices run 0..top
@@ -764,12 +799,6 @@ def od_grid_oracle(
     per_step = scale * step.numerator
     bound = [[d * step.denominator // per_step for d in row] for row in rows]
 
-    # a minimal subset completes at its last point; keep the others, whose
-    # values are already placed when that point's value is chosen
-    rests: list[list[tuple]] = [[] for _ in range(n)]
-    for subset in heavy.minimal_subsets:
-        rests[subset[-1]].append(subset[:-1])
-
     ks = [0] * n  # point 0 stays pinned at 0
     best = 0
 
@@ -783,12 +812,12 @@ def od_grid_oracle(
         for b, placed in zip(bound[var][:var], ks):
             lo = max(lo, placed - b)
             hi = min(hi, placed + b)
-        # a completing subset whose other values span [low, high] spreads
-        # max(high, k) - min(low, k) when its last point takes value k
-        ranges = []
-        for rest in rests[var]:
-            vals = [ks[i] for i in rest]
-            ranges.append((min(vals), max(vals)))
+        # each shortest window of placed values that is heavy with var spans
+        # [low, high] and spreads max(high, k) - min(low, k) when var takes
+        # value k (docstring)
+        pairs = sorted(zip(ks[:var], weights))
+        windows = _heavy_windows(pairs, level - weights[var])
+        ranges = [(pairs[i][0], pairs[j][0]) for i, j in windows]
         leaf = var == n - 1
         for k in range(lo, hi + 1):
             cap_here = cap

@@ -282,7 +282,7 @@ def test_od_grid_requires_interval_screen(capsys, space_file):
 
 def test_od_grid_cap_n_also_raises_the_heavy_subset_cap(capsys, tmp_path):
     # 13 points pass the grid oracle's default cap of 4 only through --cap-n,
-    # which is the only cap on the run: the heavy family has none of its own;
+    # which is the only cap on the run: the oracle builds no heavy family;
     # the heavy first atom ends the run before any grid search
     path = tmp_path / "big13.json"
     FiniteMMSpace.line_space(range(13), masses=[F(9, 10)] + [F(1, 120)] * 12).dump(path)
@@ -354,16 +354,15 @@ def test_oversized_space_file_exits_before_its_matrix_is_parsed(capsys, tmp_path
 )
 def test_space_file_past_the_subset_table_ceiling_exits_before_parsing(capsys, tmp_path, argv):
     # --cap-n 600 lets the label count past the command's cap, but every
-    # engine behind od and profile runs the heavy-subset search, whose
-    # ceiling of 22 points refuses the file before its distances are parsed
+    # engine behind od and profile checks the point ceiling of 22 points,
+    # which refuses the file before its distances are parsed
     path = _line_space_file(tmp_path, 600)
     start = time.monotonic()
     code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--cap-n", "600")
     elapsed = time.monotonic() - start
     assert (code, out) == (3, "")
     assert err == (
-        "resource cap: 600 points exceed the heavy-family point ceiling 22; "
-        "--cap-n cannot raise it\n"
+        "resource cap: 600 points exceed the point ceiling 22; --cap-n cannot raise it\n"
     )
     assert elapsed < 1
 
@@ -395,10 +394,10 @@ sys.exit(main(sys.argv[1:]))
     ],
 )
 def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
-    # a raised --cap-n lets 30 points past the exact cap, and the C(30, 15)
-    # minimal heavy subsets would not fit in 1 GiB: the ceiling refuses
-    # the search first; counterexample refuses its 2N points before it
-    # builds and triangle-checks the family
+    # a raised --cap-n lets 30 points past the exact cap: the point ceiling
+    # refuses them before the engine lists 2 x 2^15 half sums;
+    # counterexample refuses its 2N points before it builds and
+    # triangle-checks the family
     pytest.importorskip("resource")
     points = 2 * int(argv[1]) if argv[0] == "counterexample" else 30
     FiniteMMSpace.line_space(range(30)).dump(tmp_path / "s30.json")
@@ -411,7 +410,7 @@ def test_subset_table_ceiling_under_a_memory_limit(tmp_path, argv):
     )
     elapsed = time.monotonic() - start
     assert child.returncode == 3, child.stderr
-    assert f"{points} points exceed the heavy-family point ceiling 22" in child.stderr
+    assert f"{points} points exceed the point ceiling 22" in child.stderr
     assert "--cap-n cannot raise it" in child.stderr
     assert elapsed < 2
 

@@ -119,7 +119,7 @@ def test_sharpness_rows_unit_radius():
     assert [r.od_interval for r in rows] == [F(2 * n - 2, 2 * n - 1) for n in range(2, 13)]
     assert all(r.od_full_line == 1 for r in rows)
     assert all(r.gap == 2 for r in rows)
-    # members with 2n <= 22 points, the heavy-family ceiling, are recomputed
+    # members with 2n <= 22 points, the point ceiling, are recomputed
     # exactly (and must equal the closed forms to be returned at all)
     assert [r.provenance for r in rows] == ["exact"] * 10 + ["closed-form"]
     assert rows[0].revised_screen_width == 4
@@ -235,8 +235,7 @@ def test_semicontinuity_checks_the_cap_before_the_subset_sums(monkeypatch):
 
     monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
     monkeypatch.setattr(mmspace, "integer_masses", counted_masses)
-    # the engine calls both through its own bindings
-    monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
+    # the engine calls integer_masses through its own binding
     monkeypatch.setattr(observable, "integer_masses", counted_masses)
     sp = FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)])
     with pytest.raises(ResourceCapError):

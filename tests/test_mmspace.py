@@ -370,20 +370,19 @@ def test_heavy_alpha_domain():
 
 
 def test_heavy_cap():
-    # the heavy-subset search has a fixed ceiling of 22 points, checked
+    # the family listing has the fixed point ceiling of 22 points, checked
     # before the search starts
     sp = FiniteMMSpace.line_space(range(23))
-    with pytest.raises(
-        ResourceCapError, match="23 points exceed the heavy-family point ceiling 22"
-    ):
+    with pytest.raises(ResourceCapError, match="23 points exceed the point ceiling 22"):
         heavy_minimal_subsets(sp, F(1, 2))
 
 
 def _check_heavy(sp, alpha):
     """The family and beta, the heaviest light mass, against brute force."""
     heavy = heavy_minimal_subsets(sp, alpha)
+    weights, _, beta = integer_masses(sp, alpha)
     assert list(heavy.minimal_subsets) == heavy_subsets_bruteforce(sp, alpha), alpha
-    assert F(heavy.beta, sum(heavy.weights)) == heaviest_light_bruteforce(sp, alpha), alpha
+    assert F(beta, sum(weights)) == heaviest_light_bruteforce(sp, alpha), alpha
 
 
 def test_heavy_matches_bruteforce():

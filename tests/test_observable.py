@@ -257,12 +257,19 @@ def test_searching_od_call_runs_no_heavy_search(monkeypatch):
     ``integer_masses`` and UB from the seeds' heavy windows, so it runs no
     heavy-subset search.  It calls the prefix search even when a seed
     already meets UB; then the search cuts its own empty prefix, no ordering
-    is solved, and the seed's witness is returned."""
+    is solved, and the seed's witness is returned.  The grid oracle reads
+    heavy windows of its placed values and needs no beta, so it calls
+    neither ``heavy_minimal_subsets`` nor ``integer_masses``."""
     calls = {"families": 0, "searches": 0, "solves": 0}
+    masses = []
 
     def counted_family(*args):
         calls["families"] += 1
         return heavy_minimal_subsets(*args)
+
+    def counted_masses(*args):
+        masses.append(args)
+        return integer_masses(*args)
 
     def counted_search(*args):
         calls["searches"] += 1
@@ -273,8 +280,6 @@ def test_searching_od_call_runs_no_heavy_search(monkeypatch):
         return _max_t_for_order(*args)
 
     monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
-    # the engine module holds its own binding, which the grid oracle reads
-    monkeypatch.setattr(observable, "heavy_minimal_subsets", counted_family)
     monkeypatch.setattr(observable, "_pruned_orderings", counted_search)
     monkeypatch.setattr(observable, "_max_t_for_order", counted_solve)
     assert observable_diameter(X2, Interval(-1, 1), F(3, 5)).value == F(2, 3)
@@ -293,9 +298,14 @@ def test_searching_od_call_runs_no_heavy_search(monkeypatch):
     assert calls == {"families": 0, "searches": 1, "solves": 0}
     assert got.value == 3
     assert got.witness.values == tuple(range(8))
-    # the grid oracle still reads the family
+    # the grid oracle needs no beta, so it reads the weights and the level
+    # itself; the engine module holds its own integer_masses binding
+    monkeypatch.setattr(mmspace, "integer_masses", counted_masses)
+    monkeypatch.setattr(observable, "integer_masses", counted_masses)
+    calls.update(families=0)
     od_grid_oracle(X2, Interval(-1, 1), F(3, 5), F(1, 2))
-    assert calls["families"] == 1
+    assert calls["families"] == 0
+    assert masses == []
 
 
 def test_seed_values_match_their_witnesses():
@@ -318,20 +328,20 @@ def test_seed_values_match_their_witnesses():
             cases += [(space, alpha) for alpha in (F(1, 3), F(1, 2), F(3, 4))]
     checked = 0
     for sp, alpha in cases:
-        heavy = heavy_minimal_subsets(sp, alpha)
-        family = heavy.minimal_subsets
+        family = heavy_minimal_subsets(sp, alpha).minimal_subsets
         if any(len(s) == 1 for s in family):
             continue  # the engine returns 0 before seeding
+        weights, level, _ = integer_masses(sp, alpha)
         for screen in (FULL_LINE, Interval(-1, 1), Interval(0, F(1, 7))):
             scale, dmat_scaled, width_scaled = _scaled(sp, screen)
             base = screen.a if isinstance(screen, Interval) else 0
-            table = _neighbour_table(dmat_scaled, heavy.weights)
+            table = _neighbour_table(dmat_scaled, weights)
             upper = expected = width_scaled
             for distances, nearest in zip(dmat_scaled, table):
                 num, den, upper = _seed_value(
-                    nearest, dmat_scaled, heavy.level, scale, width_scaled, upper
+                    nearest, dmat_scaled, level, scale, width_scaled, upper
                 )
-                expected = min(expected, _row_window_bound(nearest, dmat_scaled, heavy.level))
+                expected = min(expected, _row_window_bound(nearest, dmat_scaled, level))
                 assert upper == expected
                 value = F(num, den)
                 witness = _seed_witness(distances, scale, width_scaled, base)
@@ -491,15 +501,15 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     """
     n = len(space)
     alpha = 1 - kappa
-    heavy = heavy_minimal_subsets(space, alpha)
-    family = heavy.minimal_subsets
+    family = heavy_minimal_subsets(space, alpha).minimal_subsets
     if any(len(s) == 1 for s in family):
         return False
+    weights, heavy_level, beta = integer_masses(space, alpha)
     scale, dmat_scaled, width_scaled = _scaled(space, screen)
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
     upper_scaled = min(diam_scaled, width_scaled)
     upper = F(upper_scaled, scale)
-    nearest = _neighbour_table(dmat_scaled, heavy.weights)
+    nearest = _neighbour_table(dmat_scaled, weights)
 
     optimum, minimal = {}, {}
     for perm in permutations(range(n)):
@@ -525,7 +535,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
 
         _pruned_orderings(
             n, dmat_scaled, nearest, width_scaled, scale, upper_scaled,
-            heavy.weights, heavy.level, heavy.beta, level - eps, leaf,
+            weights, heavy_level, beta, level - eps, leaf,
         )
         for perm, value in optimum.items():
             if value >= level:
@@ -574,6 +584,7 @@ def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
         subset = rng.sample(range(n), rng.randint(1, n - 1))
         for alpha in (random_alpha(rng), sp.mass_of(subset)):
             heavy = heavy_minimal_subsets(sp, alpha)
+            weights, level, _ = integer_masses(sp, alpha)
             for _ in range(30):
                 perm = rng.sample(range(n), n)
                 slot_of = {point: slot for slot, point in enumerate(perm)}
@@ -585,7 +596,7 @@ def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
                     (a, b)
                     for a in range(n)
                     for b in range(a, n)
-                    if sum(heavy.weights[p] for p in perm[a:b + 1]) >= heavy.level
+                    if sum(weights[p] for p in perm[a:b + 1]) >= level
                 }
                 assert minimal_spans(spans) == minimal_spans(windows), (perm, alpha)
                 cases += 1
@@ -845,6 +856,31 @@ def test_grid_oracle_cap():
     with pytest.raises(ResourceCapError):
         od_grid_oracle(sp, Interval(0, 1), F(1, 2), F(1, 8))
     assert od_grid_oracle(sp, Interval(0, 1), F(1, 2), F(1, 8), cap_n=5)[0] >= 0
+
+
+def test_grid_oracle_refuses_a_wide_grid_before_any_heavy_search():
+    """22 unit-spaced points at step 1 on [0, 2] pass the raised cap and the
+    point ceiling, and their 3^21 grid assignments fail the grid ceiling.
+    Before that test the oracle reads only the weights and the level; the
+    C(22, 11) minimal heavy subsets, built there first, took about 1.3 s of
+    CPU time and a 100 MB peak (CPython 3.11.7 on a shared 2-vCPU x86-64
+    VM)."""
+    sp = FiniteMMSpace.line_space(range(22))
+    message = "22 points at grid step 1 on a screen of width 2 exceed the grid ceiling"
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match=message):
+        od_grid_oracle(sp, Interval(0, 2), F(1, 2), 1, cap_n=22)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.1, elapsed
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=message):
+            od_grid_oracle(sp, Interval(0, 2), F(1, 2), 1, cap_n=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 # -- random witnesses ----------------------------------------------------------------
