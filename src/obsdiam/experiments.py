@@ -23,7 +23,9 @@ from ._rational import (
     to_positive,
 )
 from .errors import DomainError, ResourceCapError, VerificationError
-from .mmspace import FULL_LINE, POINT_CEILING, FiniteMMSpace, Interval, Screen, screen_to_str
+from .mmspace import (
+    FULL_LINE, POINT_CEILING, FiniteMMSpace, Interval, Screen, integer_masses, screen_to_str,
+)
 from .observable import DEFAULT_EXACT_CAP, check_exact_size, observable_diameter
 
 __all__ = [
@@ -333,9 +335,11 @@ def semicontinuity_profile(
     """od over a kappa grid with monotonicity and right-continuity checks.
 
     The grid is sorted and deduplicated.  For each point, the largest subset
-    mass strictly below alpha = 1 - kappa (``OdResult.below``) bounds the
-    stretch on which the heavy family, hence od, must stay constant; od is
-    re-evaluated at the midpoint of that stretch as the certificate.
+    mass strictly below alpha = 1 - kappa (``mmspace.integer_masses``'
+    ``beta`` as a mass, read after the engine call, which checks the size
+    first) bounds the stretch on which the heavy family, hence od, must stay
+    constant; od is re-evaluated at the midpoint of that stretch as the
+    certificate.
     """
     if not kappa_grid:
         raise DomainError("kappa grid must be nonempty")
@@ -344,7 +348,8 @@ def semicontinuity_profile(
     for kappa in grid:
         alpha = 1 - kappa
         result = observable_diameter(space, screen, kappa, cap_n=cap_n)
-        below = result.below
+        weights, _, beta = integer_masses(space, alpha)
+        below = Fraction(beta, sum(weights))  # the weights sum to mass 1
         constant_until = 1 - below  # od constant on [kappa, constant_until)
         probe_alpha = (alpha + below) / 2
         probe_kappa = 1 - probe_alpha

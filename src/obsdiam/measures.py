@@ -125,6 +125,39 @@ def scaled_level(alpha: Fraction, scale: int) -> int:
     return -(-alpha.numerator * scale // alpha.denominator)
 
 
+def minimal_heavy_windows(weights, level) -> list:
+    """``(i, j)`` for each minimal heavy window ``weights[i : j + 1]``: one
+    whose sum reaches ``level`` while ``weights[i + 1 : j + 1]`` and
+    ``weights[i : j]`` do not.  Both i and j strictly increase along the
+    list, which is empty when the total stays below ``level``.
+
+    One two-pointer sweep, for positive weights and a positive level: for
+    each right end j the left end i moves up as far as the window stays
+    heavy, and never backs up, since the weights are positive.  That gives
+    the shortest heavy window ``[i, j]`` ending at j, so ``[i + 1, j]`` is
+    light.  ``[i, j - 1]`` is heavy exactly when the shortest heavy window
+    ending at j - 1 starts at i too (it cannot start later).  A window
+    skipped as not minimal has the start of the one before it, so the
+    window at j is minimal exactly when i exceeds ``last``, the last start
+    kept.  Every heavy window holds a minimal one: drop end weights while
+    it stays heavy.
+    """
+    windows = []
+    acc = i = 0
+    last = -1
+    for j, weight in enumerate(weights):
+        acc += weight
+        if acc < level:
+            continue
+        while acc - weights[i] >= level:
+            acc -= weights[i]
+            i += 1
+        if i > last:
+            windows.append((i, j))
+            last = i
+    return windows
+
+
 class DiscreteMeasure(JsonFile):
     """A probability measure with finitely many atoms on the rational line.
 
@@ -325,27 +358,23 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     Returns 0 with no window for alpha <= 0 (diameter of the empty set is 0
     by convention) and raises DomainError for alpha > 1, where no set can
     reach the level.
+
+    The value is the least width over the minimal heavy windows of atoms
+    (``minimal_heavy_windows``; every heavy window holds one, no wider), and
+    the reported window is the first of least width.  It is also the first
+    least-width window among the shortest heavy windows ending at each atom:
+    if that one, ending at j, were not minimal, the window ending at j - 1
+    would have the same start and be strictly narrower, since positions
+    strictly increase.  Widths compare by cross-multiplication.
     """
     alpha = to_at_most_one(alpha, what="alpha")
     if alpha <= 0:
         return PartialDiameter(ZERO, None)
     positions = mu.positions
     scale, weights = mu.scaled_masses
-    target = scaled_level(alpha, scale)
     best: tuple | None = None  # (numerator, positive denominator) of the best width
     window: tuple | None = None
-    acc = 0
-    i = 0
-    # Classic two-pointer sweep on the integer weights: for each right end j,
-    # shrink the left end i as far as the level allows; weights are positive
-    # so i never backs up.  Widths compare by cross-multiplication.
-    for j, weight in enumerate(weights):
-        acc += weight
-        if acc < target:
-            continue
-        while acc - weights[i] >= target:
-            acc -= weights[i]
-            i += 1
+    for i, j in minimal_heavy_windows(weights, scaled_level(alpha, scale)):
         lo, hi = positions[i], positions[j]
         num = hi.numerator * lo.denominator - lo.numerator * hi.denominator
         den = hi.denominator * lo.denominator

@@ -235,8 +235,9 @@ def test_semicontinuity_checks_the_cap_before_the_subset_sums(monkeypatch):
 
     monkeypatch.setattr(mmspace, "heavy_minimal_subsets", counted_family)
     monkeypatch.setattr(mmspace, "integer_masses", counted_masses)
-    # the engine calls integer_masses through its own binding
+    # the engine and the profile call integer_masses through their own bindings
     monkeypatch.setattr(observable, "integer_masses", counted_masses)
+    monkeypatch.setattr(experiments, "integer_masses", counted_masses)
     sp = FiniteMMSpace.line_space(range(40), masses=[F(k, 820) for k in range(1, 41)])
     with pytest.raises(ResourceCapError):
         semicontinuity_profile(sp, FULL_LINE, [F(1, 2)])

@@ -29,6 +29,7 @@ from obsdiam import (
     push_forward,
 )
 from obsdiam._rational import format_fraction
+from obsdiam.measures import minimal_heavy_windows
 from obsdiam.randgen import random_lipschitz_pl, random_measure
 
 # Position pools for the integer-view oracle test.  Each pool holds distinct
@@ -235,6 +236,39 @@ def test_pd_window_is_a_witness():
     lo, hi = window
     assert hi - lo == value
     assert mu.mass_of_interval(lo, hi) >= F(1, 2)
+
+
+def _minimal_heavy_windows_bruteforce(weights, level) -> list:
+    """Every window ``weights[i : j + 1]`` that reaches ``level`` while
+    both windows one weight shorter do not, by right end."""
+    def heavy(i, j):
+        return i <= j and sum(weights[i : j + 1]) >= level
+
+    return [
+        (i, j)
+        for j in range(len(weights))
+        for i in range(j + 1)
+        if heavy(i, j) and not heavy(i + 1, j) and not heavy(i, j - 1)
+    ]
+
+
+def test_minimal_heavy_windows_match_every_window():
+    """The one sweep behind every partial diameter against a listing of
+    every window: random positive weights with ties, levels at a window's
+    exact weight, random levels, and a level above the total, which no
+    window reaches."""
+    rng = random.Random("minimal-heavy-windows")
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        weights = [rng.randint(1, 4) for _ in range(n)]
+        total = sum(weights)
+        i = rng.randrange(n)
+        exact = sum(weights[i : rng.randint(i, n - 1) + 1])
+        for level in (exact, rng.randint(1, total), total, total + 1):
+            got = minimal_heavy_windows(weights, level)
+            assert got == _minimal_heavy_windows_bruteforce(weights, level), (weights, level)
+            assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(got, got[1:]))
+        assert minimal_heavy_windows(weights, total + 1) == []
 
 
 @settings(max_examples=150, deadline=None)

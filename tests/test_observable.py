@@ -29,6 +29,7 @@ from obsdiam import (
 )
 import obsdiam.mmspace as mmspace
 import obsdiam.observable as observable
+from obsdiam.measures import minimal_heavy_windows
 from obsdiam.mmspace import integer_masses
 from obsdiam.observable import (
     _max_t_for_order,
@@ -53,6 +54,12 @@ from conftest import (
 )
 
 X2 = FiniteMMSpace.line_space([1, 2, 3, 4])
+
+
+def _heaviest_light_mass(space, alpha):
+    """``integer_masses``' beta as a mass: the weights sum to mass 1."""
+    weights, _, beta = integer_masses(space, alpha)
+    return F(beta, sum(weights))
 
 
 # -- frozen values -------------------------------------------------------------------
@@ -86,10 +93,10 @@ def test_od_zero_when_one_point_carries_enough():
     # below 1/2 it is light alone, so both engines search
     sp = FiniteMMSpace.line_space([0, 1, 3], masses=[F(1, 2), F(1, 4), F(1, 4)])
     for screen in (FULL_LINE, Interval(0, 3)):
-        got = observable_diameter(sp, screen, F(1, 2))
-        assert (got.value, got.below) == (0, F(1, 4))
-        got = observable_diameter(sp, screen, F(1, 2) - F(1, 10**6))
-        assert (got.value, got.below) == (1, F(1, 2))
+        assert observable_diameter(sp, screen, F(1, 2)).value == 0
+        assert observable_diameter(sp, screen, F(1, 2) - F(1, 10**6)).value == 1
+    assert _heaviest_light_mass(sp, F(1, 2)) == F(1, 4)
+    assert _heaviest_light_mass(sp, F(1, 2) + F(1, 10**6)) == F(1, 2)
     assert od_grid_oracle(sp, Interval(0, 3), F(1, 2), 1) == (0, 2)
     assert od_grid_oracle(sp, Interval(0, 3), F(1, 2) - F(1, 10**6), 1) == (1, 3)
 
@@ -117,7 +124,7 @@ def test_reported_value_is_achieved_by_its_witness():
         got = observable_diameter(sp, screen, kappa)
         got.witness.validate(sp, screen)
         assert witness_partial_diameter(sp, got.witness, 1 - kappa) == got.value
-        assert got.below == heaviest_light_bruteforce(sp, 1 - kappa)
+        assert _heaviest_light_mass(sp, 1 - kappa) == heaviest_light_bruteforce(sp, 1 - kappa)
 
 
 # -- witness image sweep -------------------------------------------------------------
@@ -447,16 +454,16 @@ def test_twenty_two_point_line_space_runs_in_time_and_memory():
     """At the point ceiling the engine lists 2 * 2^11 half sums for beta and
     builds no subset: the 705 432 minimal heavy subsets of 22 points at
     alpha 1/2 would take seconds and about 100 MB.  A result holds its
-    value, its witness and the heaviest light mass, and the peak of the
-    whole call stays under 1 MB."""
+    value and its witness, and the peak of the whole call stays under
+    1 MB."""
     sp = FiniteMMSpace.line_space(range(22))
     start = time.process_time()
     got = observable_diameter(sp, FULL_LINE, F(1, 2), cap_n=22)
     elapsed = time.process_time() - start
     assert got.value == 10
     assert got.witness.values == tuple(range(22))
-    assert got.below == F(5, 11)
     assert elapsed < 0.2, elapsed
+    assert _heaviest_light_mass(sp, F(1, 2)) == F(5, 11)
     gc.collect()
     tracemalloc.start()
     try:
@@ -490,8 +497,8 @@ def test_od_values_and_witnesses_pinned_past_the_oracle():
 def _check_prefix_bounds(space, screen, kappa) -> bool:
     """Run the prefix search at incumbents just below each ordering optimum
     and require it to reach a leaf at every ordering that reaches that
-    optimum, with a bound at least the optimum and the ordering's minimal
-    spans.
+    optimum, with a bound at least the optimum.  The leaf's constraint
+    graph (``_order_edges``) must carry the ordering's minimal spans.
 
     Each ordering's optimum is solved from the global bound with floor 0.
     A prefix whose bound is below the optimum of one of its completions
@@ -520,7 +527,8 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
             (min(slot_of[i] for i in s), max(slot_of[i] for i in s)) for s in family
         }
         minimal[perm] = tuple(minimal_spans(spans))
-        edges = _order_edges(n, perm, minimal[perm], dmat_scaled, width_scaled)
+        edges = _order_edges(perm, weights, heavy_level, dmat_scaled, width_scaled)
+        assert tuple((lo, hi) for hi, lo, _, t in edges if t) == minimal[perm], perm
         result = _max_t_for_order(edges, n, scale, upper, F(0))
         optimum[perm] = F(0) if result is None else result[0]
 
@@ -529,8 +537,8 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     for level in sorted(set(optimum.values()) - {0}):
         reached = {}
 
-        def leaf(perm, bound, spans):
-            reached[perm] = bound, spans
+        def leaf(perm, bound):
+            reached[perm] = bound
             return level - eps  # the incumbent never rises
 
         _pruned_orderings(
@@ -540,9 +548,8 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
         for perm, value in optimum.items():
             if value >= level:
                 assert perm in reached, (perm, value)
-        for perm, (bound, spans) in reached.items():
+        for perm, bound in reached.items():
             assert bound >= optimum[perm], (perm, bound, optimum[perm])
-            assert spans == minimal[perm], perm
     return True
 
 
@@ -574,9 +581,9 @@ def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
 def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
     """The window lemma behind the prefix search: under any ordering, the
     minimal spans of the minimal heavy subsets are the minimal slot windows
-    whose points are heavy, so the search reads them off the prefix masses.
-    Alpha is drawn at random and at a subset's mass, where a window reaches
-    the level exactly."""
+    whose points are heavy, so a leaf reads them off its slot weights with
+    ``minimal_heavy_windows``.  Alpha is drawn at random and at a subset's
+    mass, where a window reaches the level exactly."""
     rng = random.Random("window-lemma")
     cases = 0
     for n in [*range(2, 10)] * 6:
@@ -599,6 +606,8 @@ def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
                     if sum(weights[p] for p in perm[a:b + 1]) >= level
                 }
                 assert minimal_spans(spans) == minimal_spans(windows), (perm, alpha)
+                slot_weights = [weights[p] for p in perm]
+                assert minimal_heavy_windows(slot_weights, level)[::-1] == minimal_spans(spans)
                 cases += 1
     assert cases == 2880
 
@@ -717,6 +726,75 @@ def test_od_scales_with_the_metric():
                         assert got.witness.values == tuple(c * v for v in want.witness.values)
                         cases += 1
     assert cases == 108
+
+
+def _truncated_metric(space, c):
+    """The same points and masses with every distance cut to ``min(d, c)``."""
+    return FiniteMMSpace(
+        space.labels,
+        tuple(tuple(min(d, c) for d in row) for row in space.dist_matrix),
+        space.masses,
+    )
+
+
+def _merged(space, p, q):
+    """The quotient that glues point q onto point p: the shortest-path
+    metric once d(p, q) is 0 (Floyd-Warshall), with q's mass added to p's."""
+    n = len(space)
+    d = [list(row) for row in space.dist_matrix]
+    d[p][q] = d[q][p] = F(0)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    masses = list(space.masses)
+    masses[p] += masses[q]
+    keep = [i for i in range(n) if i != q]
+    return FiniteMMSpace(
+        [space.labels[i] for i in keep],
+        [[d[i][j] for j in keep] for i in keep],
+        [masses[i] for i in keep],
+    )
+
+
+def test_od_never_grows_under_truncation_or_merging():
+    """Past the permutation oracle, at n = 8 and 9, two push-forwards
+    along 1-Lipschitz maps must not raise od.
+
+    If pi: X -> Y is 1-Lipschitz and pushes mu to nu, every 1-Lipschitz
+    g: Y -> S gives the 1-Lipschitz g o pi: X -> S with the same image
+    measure, so od(Y; S, kappa) <= od(X; S, kappa) on every screen S.
+
+    * Truncation: ``min(d, c)`` is a metric, since
+      min(d(x, z), c) <= min(d(x, y) + d(y, z), c)
+      <= min(d(x, y), c) + min(d(y, z), c), and the identity onto it is
+      1-Lipschitz, as min(d, c) <= d; it keeps the measure.
+    * Merging p and q: the shortest-path metric once d(p, q) is 0 is
+      d'(x, y) = min(d(x, y), d(x, p) + d(q, y), d(x, q) + d(p, y)).  It
+      is at most d, so the quotient map is 1-Lipschitz, and it is positive
+      between any two classes, as d(x, p) + d(q, y) = 0 only for x = p and
+      y = q.  The quotient map sends q's mass to p.
+
+    c is the median distinct distance, and the pair is drawn per space.
+    """
+    rows = 0
+    for n in (8, 9):
+        rng = random.Random(f"od-metamorphic/{n}")
+        for kind in SPACE_KINDS:
+            for _ in range(3):
+                sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+                distances = sorted({d for row in sp.dist_matrix for d in row if d})
+                truncated = _truncated_metric(sp, distances[len(distances) // 2])
+                merged = _merged(sp, *rng.sample(range(n), 2))
+                for screen in (FULL_LINE, Interval(-1, 1)):
+                    for kappa in (F(1, 3), F(1, 2), F(3, 4)):
+                        od = observable_diameter(sp, screen, kappa).value
+                        for image in (truncated, merged):
+                            assert observable_diameter(image, screen, kappa).value <= od, (
+                                n, kind, screen, kappa, image is merged
+                            )
+                        rows += 1
+    assert rows == 108
 
 
 def test_od_kappa_domain():
