@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -238,7 +239,10 @@ def _cmd_proptest(args):
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, and building it costs most of a short command."""
     parser = argparse.ArgumentParser(
         prog="obsdiam",
         description=(

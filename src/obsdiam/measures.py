@@ -12,14 +12,17 @@ Stored form.  A measure stores its sorted positions and
 of the mass denominators and ``weights[k] = masses[k] * scale``, integers
 summing to ``scale``.  ``masses`` and ``atoms`` build their Fractions
 ``w / scale`` from the weights on each call.  Every measure is built one
-way: the constructor and ``push_forward`` merge atoms in a dict keyed by the
-position's integer pair ``p.as_integer_ratio()``, which hashes and compares
-in C where a Fraction does not, add the masses at a position as integer
-numerators over a denominator, and hand the merged entries to one finisher,
-``DiscreteMeasure._store``, which reduces, scales, sorts and stores them.
-The sweeps below add and compare the weights instead of Fractions, and
-build a Fraction only for what they return.  Three facts make that exact,
-and a fourth makes the stored form canonical.
+way: the constructor and ``push_forward`` give each distinct position a slot,
+found through a dict keyed by the position's integer pair
+``p.as_integer_ratio()``, which hashes and compares in C where a Fraction
+does not.  The slots live in three flat lists, ``positions``, ``nums`` and
+``dens``: slot k holds the total mass at ``positions[k]`` as the integer
+fraction ``nums[k] / dens[k]``; flat lists of ints, rather than one list
+per position, keep the finisher's passes short.  One finisher,
+``DiscreteMeasure._store``, reduces, scales, sorts and stores the slots.  The
+sweeps below add and compare the weights instead of Fractions, and build a
+Fraction only for what they return.  Three facts make that exact, and a
+fourth makes the stored form canonical.
 
 1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
    its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
@@ -31,32 +34,32 @@ and a fourth makes the stored form canonical.
    sides by v*y > 0 keeps the order.
 3. Order.  Atoms are sorted on float(p), the float key
    ``_float_key(a, b)`` of the position's integer pair p = a/b, b > 0,
-   computed once when its merge entry is made.  Integer true division
+   computed once per slot from the dict's keys.  Integer true division
    rounds correctly, and correct rounding is monotone: p < q gives
    float(p) <= float(q).  A position past the float range raises
    ``OverflowError`` and is keyed +-inf, which keeps that order, since a
    value that overflows upward exceeds every value that converts, and
    likewise downward.  So float(p) < float(q) implies p < q: were q <= p,
-   monotonicity would give float(q) <= float(p).  The finisher sorts once
-   by float(p) and then compares adjacent keys.  If they strictly
-   increase, each adjacent pair of positions strictly increases by that
-   implication, so the positions are in exact order after the one sort.
-   If two keys are equal (say 2^60 and 2^60 + 1, two positions that
+   monotonicity would give float(q) <= float(p).  The finisher sorts the
+   slot indices once by float(p) and then compares adjacent keys.  If they
+   strictly increase, each adjacent pair of positions strictly increases by
+   that implication, so the positions are in exact order after the one
+   sort.  If two keys are equal (say 2^60 and 2^60 + 1, two positions that
    underflow to 0.0 or -0.0, or two past the float range), the float sort
    alone can be wrong: a sort is stable, so positions with equal floats
-   keep their input order, and 2^60 + 1 given before 2^60 would stay
+   keep their slot order, and 2^60 + 1 given before 2^60 would stay
    before it.  Only then does the finisher sort again by the key
    (float(p), p), which gives the exact order from any input order: equal
    floats fall through to the exact comparison of p and q.  ``pd_profile``
    sorts its widths, and ``prokhorov`` its stops, by that two-part key.
 4. Canonical form.  On every path ``scale`` is the lcm of the reduced
-   merged denominators.  Each merge entry holds the exact total mass at its
+   slot denominators.  Each slot holds the exact total mass at its
    position as an integer fraction: the constructor adds a mass with the
-   entry's denominator to its numerator, and one with another denominator
+   slot's denominator to its numerator, and one with another denominator
    on the lcm of the two, reduced by their gcd at once so that the integers
    stay as short as the Fraction sum would be; ``push_forward`` adds the
    source weights at an image point over the source's ``scale``.  The
-   finisher reduces each entry by one gcd and takes the lcm of the reduced
+   finisher reduces each slot by one gcd and takes the lcm of the reduced
    denominators.  So ``scale`` is a function of the masses, and so are the
    weights, masses times ``scale``.  Two measures therefore have equal
    atoms exactly when they have equal positions and weights (the weights
@@ -82,7 +85,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, inf, lcm
-from operator import eq, itemgetter
+from operator import eq, floordiv
 from typing import Iterable, NamedTuple
 
 from ._rational import (
@@ -170,10 +173,13 @@ class DiscreteMeasure(JsonFile):
     __slots__ = ("_positions", "_scale", "_weights")
 
     def __init__(self, atoms: Iterable[tuple, ]):
-        # entries [position, mass numerator, mass denominator, float key],
-        # keyed by the position's integer pair, which hashes in C
-        merged: dict[tuple, list] = {}
-        get = merged.get
+        # one slot per distinct position, keyed by its integer pair, which
+        # hashes in C; slot k holds positions[k] and the mass nums[k]/dens[k]
+        index: dict[tuple, int] = {}
+        positions: list = []
+        nums: list = []
+        dens: list = []
+        get = index.get
         for pos, mass in atoms:
             if not isinstance(pos, Fraction):
                 pos = to_fraction(pos, what="atom position")
@@ -186,69 +192,73 @@ class DiscreteMeasure(JsonFile):
                     f"at {fraction_text(pos)}"
                 )
             key = pos.as_integer_ratio()
-            entry = get(key)
-            if entry is None:
-                merged[key] = [pos, num, den, _float_key(*key)]
-            elif entry[2] == den:
-                entry[1] += num
+            slot = get(key)
+            if slot is None:
+                index[key] = len(positions)
+                positions.append(pos)
+                nums.append(num)
+                dens.append(den)
+            elif dens[slot] == den:
+                nums[slot] += num
             else:
                 # reduce at once: unreduced sums of coprime denominators grow
                 # with every merge
-                common = lcm(entry[2], den)
-                total = entry[1] * (common // entry[2]) + num * (common // den)
+                old = dens[slot]
+                common = lcm(old, den)
+                total = nums[slot] * (common // old) + num * (common // den)
                 g = gcd(total, common)
-                entry[1], entry[2] = total // g, common // g
-        if not merged:
+                nums[slot], dens[slot] = total // g, common // g
+        if not positions:
             raise ValidationError("a measure needs at least one atom")
-        self._store(merged)
+        self._store(index, positions, nums, dens)
 
-    def _store(self, merged: dict) -> None:
-        """Store the measure whose atoms are the values of ``merged``, one
-        entry ``[position, mass numerator, mass denominator, float key]`` per
-        distinct position.
+    def _store(self, index: dict, positions: list, nums: list, dens: list) -> None:
+        """Store the measure with one atom per slot k: position
+        ``positions[k]`` with mass ``nums[k] / dens[k]``, where ``index``
+        maps each position's integer pair to its slot, in slot order.
 
         The one finisher of every measure: it reduces each mass, sets
         ``scale`` to the lcm of the reduced denominators under the weight
         ceiling, checks that the masses sum to 1 and sorts the atoms into
-        exact order (module docstring, facts 3 and 4).  It sorts once by
-        the float key.  Where the sorted keys strictly increase, so do the
-        positions, as float(p) < float(q) implies p < q; so only when two
-        adjacent keys are equal does it sort again, by (float key,
-        position), which is exact from any order.  It empties ``merged``.
+        exact order (module docstring, facts 3 and 4).  It computes the float
+        keys from ``index``'s keys and sorts the slots once by them.  Where
+        the sorted keys strictly increase, so do the positions, as float(p) <
+        float(q) implies p < q; so only when two adjacent keys are equal does
+        it sort again, by (float key, position), which is exact from any
+        order.  It empties ``index`` and frees each list once it is read.
         """
-        entries = list(merged.values())
-        merged.clear()  # free the keys before the sort
-        for entry in entries:
-            g = gcd(entry[1], entry[2])
-            if g != 1:
-                entry[1] //= g
-                entry[2] //= g
-        n = len(entries)
+        floats = [_float_key(a, b) for a, b in index]
+        index.clear()  # free the keys before the sort
+        divisors = list(map(gcd, nums, dens))
+        nums = list(map(floordiv, nums, divisors))
+        dens = list(map(floordiv, dens, divisors))
+        del divisors
+        n = len(positions)
         scale = 1
-        for den in {entry[2] for entry in entries}:
+        for den in set(dens):
             scale = lcm(scale, den)
             if n * scale.bit_length() > 1 << WEIGHT_CEILING:
                 raise ResourceCapError(
                     f"{n} atoms with a common mass denominator of {scale.bit_length()} or "
                     f"more bits exceed the integer-weight ceiling of 2^{WEIGHT_CEILING} bits"
                 )
-        total = 0
-        for entry in entries:
-            entry[1] *= scale // entry[2]  # the weight, mass times scale
-            total += entry[1]
+        weights = [num * (scale // den) for num, den in zip(nums, dens)]  # mass times scale
+        del nums, dens
+        total = sum(weights)
         if total != scale:
             raise ValidationError(
                 f"atom masses must sum to 1 exactly, got {fraction_text(Fraction(total, scale))}"
             )
         # strictly increasing float keys give the exact order; only a tie
         # needs the exact key (module docstring, fact 3)
-        entries.sort(key=itemgetter(3))
-        floats = list(map(itemgetter(3), entries))
-        if any(map(eq, floats, islice(floats, 1, None))):
-            entries.sort(key=itemgetter(3, 0))
-        self._positions = tuple(map(itemgetter(0), entries))
+        order = sorted(range(n), key=floats.__getitem__)
+        ordered = list(map(floats.__getitem__, order))
+        if any(map(eq, ordered, islice(ordered, 1, None))):
+            order.sort(key=lambda k: (floats[k], positions[k]))
+        del floats, ordered
+        self._positions = tuple(map(positions.__getitem__, order))
         self._scale = scale
-        self._weights = tuple(map(itemgetter(1), entries))
+        self._weights = tuple(map(weights.__getitem__, order))
 
     # -- construction helpers -------------------------------------------------
 
@@ -375,12 +385,13 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     best: tuple | None = None  # (numerator, positive denominator) of the best width
     window: tuple | None = None
     for i, j in minimal_heavy_windows(weights, scaled_level(alpha, scale)):
-        lo, hi = positions[i], positions[j]
-        num = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-        den = hi.denominator * lo.denominator
+        a, b = positions[i].as_integer_ratio()
+        c, d = positions[j].as_integer_ratio()
+        num = c * b - a * d
+        den = d * b
         if best is None or num * best[1] < best[0] * den:
             best = (num, den)
-            window = (lo, hi)
+            window = (positions[i], positions[j])
     if best is None:  # unreachable: the total weight scale reaches the level
         raise VerificationError(f"no window reaches mass {fraction_text(alpha)}")
     return PartialDiameter(Fraction(*best), window)
@@ -487,21 +498,25 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
 
 def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
     """Image measure of ``mu`` under ``f`` (any exact callable, e.g. a
-    PiecewiseLinearMap).  Atoms landing on the same point are merged by
-    adding their integer weights; the merged entries then go through the
-    constructor's finisher ``_store``, which reduces, scales, checks and
-    sorts them."""
+    PiecewiseLinearMap).  Atoms landing on the same point share a slot and
+    add their integer weights over the source's ``scale``; the slots then go
+    through the constructor's finisher ``_store``, which reduces, scales,
+    checks and sorts them."""
     scale, weights = mu.scaled_masses
-    merged: dict[tuple, list] = {}  # keyed as in the constructor
-    get = merged.get
+    index: dict[tuple, int] = {}  # slots as in the constructor
+    positions: list = []
+    nums: list = []
+    get = index.get
     for pos, weight in zip(mu.positions, weights):
         image = to_fraction(f(pos), what="image position")
         key = image.as_integer_ratio()
-        entry = get(key)
-        if entry is None:
-            merged[key] = [image, weight, scale, _float_key(*key)]
+        slot = get(key)
+        if slot is None:
+            index[key] = len(positions)
+            positions.append(image)
+            nums.append(weight)
         else:
-            entry[1] += weight
+            nums[slot] += weight
     measure = DiscreteMeasure.__new__(DiscreteMeasure)
-    measure._store(merged)
+    measure._store(index, positions, nums, [scale] * len(positions))
     return measure

@@ -7,6 +7,24 @@ constructor canonicalizes: knots that do not change the slope are dropped,
 and a map with no slope change at all (an affine map) is normalized to the
 single anchor knot (0, f(0)).  Two equal functions therefore compare equal.
 
+Evaluation runs on integers.  Knots x_0 < ... < x_{m-1} cut the line into
+m + 1 affine pieces: the left ray up to x_0, the interior pieces
+[x_i, x_{i+1}], and the right ray from x_{m-1}.  The constructor stores each
+piece's line y = (p/q) x + r/t as four integers (p, q, r, t) with q, t > 0:
+p/q is the piece's slope and r/t = y_i - (p/q) x_i for a knot (x_i, y_i) at
+an end of the piece (x_0 for the left ray, x_i for [x_i, x_{i+1}], x_{m-1}
+for the right ray), so the line passes through that knot with the piece's
+slope and equals the map on the whole piece.  ``__call__`` writes the
+argument as x = a/b with b > 0 and finds k, the number of knots at or left
+of x, by a binary search.  Knot u/v (v > 0) is at or left of x exactly when
+u * b <= a * v: multiplying both sides of u/v <= a/b by the positive v * b
+keeps every comparison.  Line k belongs to the piece from x_{k-1} to x_k
+(unbounded at k = 0 and k = m), which holds x, so
+f(x) = p a / (q b) + r / t = (p a t + r q b) / (q t b), one Fraction of
+integers, with the positive denominator q t b.  At a knot both neighbouring
+lines give the knot's value, by continuity, so the choice of line there
+does not matter.
+
 Composition is symbolic.  ``outer.after(inner)`` collects the knots of the
 inner map together with every point where the inner map crosses a knot value
 of the outer map; between consecutive collected points both maps are affine,
@@ -15,7 +33,6 @@ so the result is again an exact PiecewiseLinearMap.  No sampling is involved.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
@@ -26,7 +43,7 @@ __all__ = ["PiecewiseLinearMap"]
 
 
 class PiecewiseLinearMap(JsonFile):
-    __slots__ = ("_xs", "_ys", "_left", "_right", "_mids")
+    __slots__ = ("_xs", "_ys", "_left", "_right", "_mids", "_pairs", "_lines")
 
     def __init__(self, knots: Iterable[tuple], slope_left, slope_right):
         pts = [
@@ -46,6 +63,13 @@ class PiecewiseLinearMap(JsonFile):
         self._mids = mids
         self._left = left
         self._right = right
+        # integer forms for __call__ (module docstring): each knot's x as
+        # (u, v), and one line (p, q, r, t), y = (p/q) x + r/t, per piece
+        self._pairs = tuple(x.as_integer_ratio() for x in xs)
+        self._lines = tuple(
+            (*slope.as_integer_ratio(), *(y - slope * x).as_integer_ratio())
+            for slope, x, y in zip((left, *mids, right), (xs[0], *xs), (ys[0], *ys))
+        )
 
     # -- constructors ---------------------------------------------------------
 
@@ -75,14 +99,22 @@ class PiecewiseLinearMap(JsonFile):
         return (self._left, *self._mids, self._right)
 
     def __call__(self, x) -> Fraction:
-        x = to_fraction(x, what="argument")
-        xs, ys = self._xs, self._ys
-        if x <= xs[0]:
-            return ys[0] + self._left * (x - xs[0])
-        if x >= xs[-1]:
-            return ys[-1] + self._right * (x - xs[-1])
-        i = bisect_right(xs, x) - 1
-        return ys[i] + self._mids[i] * (x - xs[i])
+        """f(x) on the integer line of the piece that holds x (module
+        docstring)."""
+        a, b = to_fraction(x, what="argument").as_integer_ratio()
+        pairs = self._pairs
+        # lo = the number of knots at or left of x, each u/v <= a/b tested as
+        # a * v >= u * b; line lo is the piece from knot lo - 1 to knot lo
+        lo, hi = 0, len(pairs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            u, v = pairs[mid]
+            if a * v < u * b:
+                hi = mid
+            else:
+                lo = mid + 1
+        p, q, r, t = self._lines[lo]
+        return Fraction(p * a * t + r * q * b, q * t * b)
 
     def is_one_lipschitz(self) -> bool:
         return all(abs(s) <= 1 for s in self.slopes())

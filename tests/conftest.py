@@ -8,6 +8,7 @@ against something naive.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import floor, lcm
@@ -561,6 +562,22 @@ def clamp_compose_oracle(mu: DiscreteMeasure, alpha, radius) -> PiecewiseLinearM
     squeeze = PiecewiseLinearMap(knots, 0, 0)
     expand = PiecewiseLinearMap.affine(min(radius, r), 0)
     return expand.after(squeeze).after(rescale)
+
+
+def pl_value_oracle(f: PiecewiseLinearMap, x) -> Fraction:
+    """f(x) by the Fraction evaluation the integer lines replaced: the value
+    at the nearest knot at or left of x plus that piece's slope times the
+    offset, with the rays read from the first and last knot."""
+    x = to_fraction(x, what="argument")
+    knots = f.knots
+    slopes = f.slopes()
+    xs = [kx for kx, _ in knots]
+    if x <= xs[0]:
+        return knots[0][1] + slopes[0] * (x - xs[0])
+    if x >= xs[-1]:
+        return knots[-1][1] + slopes[-1] * (x - xs[-1])
+    i = bisect_right(xs, x) - 1
+    return knots[i][1] + slopes[i + 1] * (x - xs[i])
 
 
 # -- hypothesis strategies -------------------------------------------------------

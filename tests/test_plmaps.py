@@ -2,9 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import measure_atoms_oracle, pl_value_oracle
 
-from obsdiam import PiecewiseLinearMap, ValidationError
-from obsdiam.randgen import random_affine, random_lipschitz_pl
+from obsdiam import (
+    DiscreteMeasure,
+    PiecewiseLinearMap,
+    ValidationError,
+    clamp_construct,
+    push_forward,
+)
+from obsdiam.randgen import random_affine, random_lipschitz_pl, random_measure
 
 PLM = PiecewiseLinearMap
 
@@ -35,6 +42,63 @@ def test_knots_must_increase():
         PLM([(0, 0), (0, 1)], 1, 1)
     with pytest.raises(ValidationError):
         PLM([(3, 0), (1, 1)], 1, 1)
+
+
+def _oracle_maps(rng):
+    """Affine maps, seeded 1-Lipschitz maps, clamping maps with many knots,
+    and maps whose knots, values and slopes sit near 10^400 and 10^-400."""
+    maps = [random_affine(rng) for _ in range(20)]
+    maps += [random_lipschitz_pl(rng) for _ in range(60)]
+    for atoms, alpha in ((120, F(1, 40)), (300, F(1, 90)), (60, F(1, 7))):
+        mu = DiscreteMeasure.uniform(F(x, 4) for x in rng.sample(range(-4 * atoms, 4 * atoms), atoms))
+        maps.append(clamp_construct(mu, alpha, F(1, 3)))
+    huge, tiny = F(10**400), F(1, 10**400)
+    maps += [
+        PLM.affine(tiny, huge),
+        PLM.affine(-huge, tiny),
+        PLM([(-huge, 1), (tiny, -tiny), (huge, 3)], 1, F(-1, 2)),
+        PLM([(-tiny, huge), (tiny, -huge), (huge + 1, 0)], -tiny, huge),
+        PLM([(huge * k + k, F(k * k, 7)) for k in range(-5, 6)], F(-2, 3), 5),
+    ]
+    return maps
+
+
+def _probes(rng, f):
+    """Every knot, a point strictly inside each piece, points beyond both end
+    knots, and seeded points across the knots' range."""
+    xs = [x for x, _ in f.knots]
+    probes = set(xs)
+    probes |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+    probes |= {a + (b - a) / 3 for a, b in zip(xs, xs[1:])}
+    probes |= {xs[0] - 1, xs[0] - F(1, 10**400), xs[-1] + 1, xs[-1] + F(1, 10**400)}
+    probes |= {xs[0] * 3 - 7, xs[-1] * 3 + 7, F(-(10**401)), F(10**401)}
+    span = xs[-1] - xs[0] + 1
+    probes |= {xs[0] + span * F(rng.randint(-20, 120), 100) for _ in range(10)}
+    return probes
+
+
+def test_integer_lines_match_fraction_oracle():
+    rng = random.Random(30)
+    maps = _oracle_maps(rng)
+    assert max(len(f.knots) for f in maps) >= 60
+    for f in maps:
+        for x in _probes(rng, f):
+            assert f(x) == pl_value_oracle(f, x), (f, x)
+
+
+def test_push_forward_through_integer_lines_matches_fraction_oracle():
+    rng = random.Random(31)
+    maps = _oracle_maps(rng)
+    measures = [random_measure(rng, max_atoms=12) for _ in range(8)]
+    for f in maps:
+        # the knots themselves, and a point beyond each end knot
+        xs = [x for x, _ in f.knots]
+        on_knots = DiscreteMeasure.uniform([xs[0] - 1, *xs, xs[-1] + 1])
+        for mu in [on_knots, *rng.sample(measures, 3)]:
+            image = push_forward(mu, f)
+            assert image.atoms == measure_atoms_oracle(
+                (pl_value_oracle(f, p), m) for p, m in mu.atoms
+            ), (f, mu)
 
 
 # -- canonical form ---------------------------------------------------------------
