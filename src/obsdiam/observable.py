@@ -165,6 +165,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
+from operator import add
 
 from ._rational import (
     ZERO,
@@ -205,7 +206,8 @@ __all__ = [
 DEFAULT_EXACT_CAP = 10
 DEFAULT_GRID_CAP = 4
 # (top + 1)^(n - 1) grid assignments to the points besides a pinned one; the
-# oracle meets at most n times that many maps (README times a 4-point run)
+# oracle lists fewer placements than that of all points but the last (README
+# times a 4-point run)
 GRID_CEILING = 22
 
 
@@ -261,11 +263,16 @@ def witness_partial_diameter(space: FiniteMMSpace, witness: LipschitzWitness, al
         return ZERO
     den, ints = witness.scaled_values
     scale, weights = space.scaled_masses
-    level = scaled_level(alpha, scale)
+    return Fraction(_least_heavy_gap(ints, weights, scaled_level(alpha, scale)), den)
+
+
+def _least_heavy_gap(ints, weights, level) -> int:
+    """The least value gap over the minimal heavy windows of ``ints`` sorted
+    with their ``weights`` against ``level``: the partial diameter of the
+    image, times the scale of ``ints``.  Some window is heavy when ``level``
+    is at most the total weight."""
     values, sorted_weights = zip(*sorted(zip(ints, weights)))
-    # level <= scale, the weight of the whole space, so some window is heavy
-    low = min(values[j] - values[i] for i, j in minimal_heavy_windows(sorted_weights, level))
-    return Fraction(low, den)
+    return min(values[j] - values[i] for i, j in minimal_heavy_windows(sorted_weights, level))
 
 
 def observable_diameter(
@@ -746,9 +753,34 @@ def od_grid_oracle(
     So ``cap_here`` matches the family's node by node, and the search
     visits the same nodes.
 
-    The search meets at most (top + 1)^n - top^n <= n * (top + 1)^(n - 1)
-    grid maps.  Once (top + 1)^(n - 1) passes 2^``GRID_CEILING`` the grid
-    is refused before the search, and no cap keyword raises this ceiling.
+    The last point is placed in closed form.  At ``var = n - 1`` a value k
+    only raises ``best`` to g(k) = min(cap, min_r s_r(k)), where
+    s_r(k) = max(high_r, k) - min(low_r, k) over the ranges r, so the node
+    needs the largest g(k) over the integers k of [lo, hi].  Each s_r is
+    ``high_r - k`` up to ``low_r``, ``high_r - low_r`` up to ``high_r``
+    and ``k - low_r`` after: integer valued on integers, and it changes by
+    at most 1 per unit step, rising by exactly 1 only on its last stretch
+    and falling by exactly 1 only on its first.  That largest value is met
+    at lo, at hi, or at floor((high_t + low_r) / 2) for two ranges r and t
+    (``_last_point_values``).  Let k* be the least integer of [lo, hi] where
+    g is greatest, M = g(k*), and j the last integer such that g = M at
+    every integer of [k*, j], j <= hi.  If k* = lo or j = hi, lo or hi is
+    met.  Otherwise g(k* - 1) <= M - 1 and g(j + 1) <= M - 1, since g is
+    integer valued on integers.  Take the function that is least at
+    k* - 1: it is at least g(k*) = M at k*, so it rose by 1 in one step.
+    It is not the constant cap, so it is some s_r on its last stretch,
+    ``k - low_r``, and ``k* - low_r = M``.  Likewise the function least at
+    j + 1 fell by 1, so it is some s_t on its first stretch and
+    ``high_t - j = M``.  Then (high_t + low_r) / 2 = (j + k*) / 2, whose
+    floor lies in [k*, j], where g = M.  So the leaf tries at most
+    2 + r^2 values for r ranges, r <= n - 1, where it tried all
+    hi - lo + 1.
+
+    So the search lists at most (top + 1)^(n - 1) - top^(n - 1)
+    <= (n - 1) * (top + 1)^(n - 2) placements of points 0..n - 2 (for
+    n >= 2) and tries those few values of the last point on each.  Once
+    (top + 1)^(n - 1) passes 2^``GRID_CEILING`` the grid is refused before
+    the search, and no cap keyword raises this ceiling.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, Interval):
@@ -799,7 +831,9 @@ def od_grid_oracle(
             for i, j in minimal_heavy_windows(placed_weights, level - weights[var])
         ]
         leaf = var == n - 1
-        for k in range(lo, hi + 1):
+        # the last point tries only the values that hold its best one (docstring)
+        candidates = _last_point_values(lo, hi, ranges) if leaf else range(lo, hi + 1)
+        for k in candidates:
             cap_here = cap
             for low, high in ranges:
                 spread = (high if high > k else k) - (low if low < k else k)
@@ -818,43 +852,106 @@ def od_grid_oracle(
     return lower, lower + slack
 
 
+def _last_point_values(lo: int, hi: int, ranges) -> list:
+    """The integers of ``[lo, hi]`` among which the grid oracle's last point
+    finds its best value: lo, hi and floor((high_t + low_r) / 2) for every
+    two ranges r and t (proof in ``od_grid_oracle``)."""
+    values = {lo, hi}
+    values.update((high + low) // 2 for _, high in ranges for low, _ in ranges)
+    return [k for k in values if lo <= k <= hi]
+
+
 def random_lipschitz_map(space: FiniteMMSpace, screen: Screen, seed: int) -> LipschitzWitness:
     """Seeded random 1-Lipschitz witness: lower envelope of cones over random
     anchors, clipped to the screen.  Both steps preserve the Lipschitz bound,
     and a fixed seed reproduces the witness exactly.
 
     The anchors are ``lo + (hi - lo) * r / 64`` for ``r = randint(0, 64)``,
-    one draw per point in point order, where ``[lo, hi]`` is the screen
-    widened by the space's diameter on both sides (``[-diam, diam]`` on the
-    full line).  All of it runs on one integer scale,
-    ``den = 64 * lcm(distance scale, screen-end denominators)``: the screen
-    ends and every distance times ``den`` are integer multiples of 64, so
-    ``(hi - lo) / 64`` is an integer step on that scale and each anchor is
-    exact.  Sums, minima and the clamp commute with multiplying by the
-    positive ``den``, so each value is the integer result over ``den``, the
-    same rational the arithmetic on fractions gives.
+    one draw per point in point order from ``random.Random(seed)``, where
+    ``[lo, hi]`` is the screen widened by the space's diameter on both sides
+    (``[-diam, diam]`` on the full line).  The values come from the one
+    construction kernel, ``_random_lipschitz_values``, which builds and
+    checks them on one integer scale; the witness is its result for this
+    one seed, reduced.
+    """
+    den, values = next(_random_lipschitz_values(space, screen, (seed,)))
+    return LipschitzWitness._from_scaled(den, values)
+
+
+def _random_lipschitz_values(space: FiniteMMSpace, screen: Screen, seeds):
+    """Yield ``(den, values)``, unreduced, for each seed of ``seeds``: the
+    values of ``random_lipschitz_map(space, screen, seed)`` times ``den``.
+
+    Everything per space and screen is computed once per call, on one
+    integer scale, ``den = 64 * lcm(distance scale, screen-end
+    denominators)``: the screen ends ``a, b`` and every distance times
+    ``den`` are integer multiples of 64, so ``(hi - lo) / 64`` is an integer
+    ``step`` on that scale and each anchor ``lo + step * r`` is exact.
+    Sums, minima and the clamp commute with multiplying by the positive
+    ``den``, so each value is the integer result over ``den``, the same
+    rational the arithmetic on fractions gives.  Per seed the draws are
+    those of the witness: ``random.Random(seed)``, then ``randint(0, 64)``
+    once per point in point order.  Each seed's values pass
+    ``_integer_check`` before they are yielded.  A screen of the wrong type
+    raises ``DomainError`` before any draw.
     """
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
-    rng = random.Random(seed)
     n = len(space)
     scale, rows = space.scaled_dist
-    ends = (screen.a, screen.b) if isinstance(screen, Interval) else (ZERO, ZERO)
+    bounded = isinstance(screen, Interval)
+    ends = (screen.a, screen.b) if bounded else (ZERO, ZERO)
     den = 64 * lcm(scale, *(e.denominator for e in ends))
     per_dist = den // scale
     a, b = (e.numerator * (den // e.denominator) for e in ends)
-    diam = max(map(max, rows)) * per_dist
-    lo, hi = a - diam, b + diam
-    step = (hi - lo) // 64
-    anchors = [lo + step * rng.randint(0, 64) for _ in range(n)]
-    values = [
-        min(anchor + d * per_dist for anchor, d in zip(anchors, row)) for row in rows
-    ]
+    rows = [[d * per_dist for d in row] for row in rows]
+    diam = max(map(max, rows))
+    lo = a - diam
+    step = (b + diam - lo) // 64
+    check = _integer_check(space, screen, den)
+    for seed in seeds:
+        randint = random.Random(seed).randint
+        anchors = [lo + step * randint(0, 64) for _ in range(n)]
+        values = [min(map(add, anchors, row)) for row in rows]
+        if bounded:
+            values = [min(b, max(a, v)) for v in values]
+        check(values)
+        yield den, values
+
+
+def _integer_check(space: FiniteMMSpace, screen: Screen, den: int):
+    """``check(values)``, which returns when the witness ``values / den``
+    lies on the screen and is 1-Lipschitz, and raises otherwise; ``den``
+    is a positive multiple of the distance scale and of the screen-end
+    denominators.
+
+    The screen ends and the distances are scaled to ``den`` once, and each
+    call compares integers: multiplying ``a <= v <= b`` and
+    ``|v_i - v_j| <= d(i, j)`` by the positive ``den`` keeps each
+    comparison, so the check fails exactly when ``LipschitzWitness.validate``
+    does.  On a failure ``validate`` raises its own message; if it passes
+    instead, the two checks disagree and ``VerificationError`` is raised.
+    """
+    scale, rows = space.scaled_dist
+    per_dist = den // scale
+    n = len(rows)
+    pairs = [(i, j, rows[i][j] * per_dist) for i in range(n) for j in range(i + 1, n)]
     if isinstance(screen, Interval):
-        values = [min(b, max(a, v)) for v in values]
-    witness = LipschitzWitness._from_scaled(den, values)
-    witness.validate(space, screen)
-    return witness
+        a, b = (e.numerator * (den // e.denominator) for e in (screen.a, screen.b))
+    else:
+        a = b = None
+
+    def check(values) -> None:
+        if a is None or a <= min(values) and max(values) <= b:
+            for i, j, d in pairs:
+                if abs(values[i] - values[j]) > d:
+                    break
+            else:
+                return
+        LipschitzWitness._from_scaled(den, values).validate(space, screen)
+        raise VerificationError("the integer check of a witness failed but validate passed")
+
+    return check
 
 
 @dataclass(frozen=True)

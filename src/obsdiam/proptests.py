@@ -14,14 +14,14 @@ from fractions import Fraction
 
 from .compression import anchor_walk, verify_clamp
 from .errors import DomainError
-from .measures import partial_diameter, pd_profile, push_forward
+from .measures import partial_diameter, pd_profile, push_forward, scaled_level
 from .mmspace import Interval
 from .observable import (
+    _least_heavy_gap,
+    _random_lipschitz_values,
     observable_diameter,
     od_grid_oracle,
-    random_lipschitz_map,
     verify_revised_inequality,
-    witness_partial_diameter,
 )
 from .prokhorov import check_pd_transfer
 from .randgen import (
@@ -169,18 +169,32 @@ def _case_oracle_agreement(rng: random.Random):
 
 
 def _case_cloud_bound(rng: random.Random):
+    """No image pd of 64 seeded random maps may exceed the exact od, a sup
+    over 1-Lipschitz maps.
+
+    The maps are those of ``random_lipschitz_map(space, screen, seed)`` for
+    seeds ``base_seed .. base_seed + 63``: the kernel makes the same draws
+    and yields the same rationals, as ``(den, values)`` on one integer scale
+    per case, checked as ``validate`` checks them.  ``_least_heavy_gap`` is
+    ``witness_partial_diameter``'s sweep, so the image pd is ``gap / den``,
+    and since both ``den`` and ``od.denominator`` are positive,
+    ``gap / den > od`` exactly when ``gap * od.denominator > od.numerator *
+    den``.  A failure reads as it did on fractions.
+    """
     space = random_space(rng, min_points=2, max_points=4)
     kappa = random_alpha(rng)
     radius = rng.choice([Fraction(1), Fraction(2)])
     base_seed = rng.randint(0, 10**6)
-    alpha = 1 - kappa
     screen = Interval(-radius, radius)
     od = observable_diameter(space, screen, kappa).value
-    # od is a sup over 1-Lipschitz maps, so no sampled map's image may beat it
-    for i in range(64):
-        witness = random_lipschitz_map(space, screen, base_seed + i)
-        pd = witness_partial_diameter(space, witness, alpha)
-        if pd > od:
+    scale, weights = space.scaled_masses
+    level = scaled_level(1 - kappa, scale)
+    od_num, od_den = od.numerator, od.denominator
+    seeds = range(base_seed, base_seed + 64)
+    for i, (den, values) in enumerate(_random_lipschitz_values(space, screen, seeds)):
+        gap = _least_heavy_gap(values, weights, level)
+        if gap * od_den > od_num * den:
+            pd = Fraction(gap, den)
             return f"image pd {pd} of map {i} (seed {base_seed + i}) exceeds exact od {od}"
     return None
 

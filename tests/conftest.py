@@ -28,6 +28,7 @@ from obsdiam import (
     push_forward,
 )
 from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
+from obsdiam.measures import minimal_heavy_windows, scaled_level
 from obsdiam.observable import _max_t_for_order
 
 
@@ -404,6 +405,52 @@ def grid_oracle_reference(space, screen, kappa, step) -> tuple:
 
     for anchor in range(n):
         recurse(0, top, anchor)
+    lower = Fraction(best) * step
+    return lower, lower + slack
+
+
+def grid_search_per_k_oracle(space, screen, kappa, step) -> tuple:
+    """``(lower, upper)`` by ``od_grid_oracle``'s one pinned and reflected
+    search as it was before the last point got its closed form: every point,
+    the last one too, takes each grid value k in its range in turn, and each
+    k lowers the cap by the spread of every range of placed values heavy
+    with the point.  No caps or ceilings; callers keep the grid small."""
+    kappa = Fraction(kappa)
+    step = Fraction(step)
+    n = len(space)
+    mass_scale, weights = space.scaled_masses
+    level = scaled_level(1 - kappa, mass_scale)
+    slack = (n - 1) * step
+    if max(weights) >= level:
+        return Fraction(0), slack
+    top = floor(screen.width / step)
+    bound = [[floor(d / step) for d in row] for row in space.dist_matrix]
+    ks = [0] * n
+    best = 0
+
+    def recurse(var: int, cap: int, least: int, most: int) -> None:
+        nonlocal best
+        lo, hi = most - top, least + top
+        if var == 1:
+            lo = 0
+        for b, placed in zip(bound[var][:var], ks):
+            lo = max(lo, placed - b)
+            hi = min(hi, placed + b)
+        values, placed_weights = zip(*sorted(zip(ks[:var], weights)))
+        ranges = [
+            (values[i], values[j])
+            for i, j in minimal_heavy_windows(placed_weights, level - weights[var])
+        ]
+        for k in range(lo, hi + 1):
+            cap_here = min([cap] + [max(high, k) - min(low, k) for low, high in ranges])
+            if cap_here > best:
+                if var == n - 1:
+                    best = cap_here
+                else:
+                    ks[var] = k
+                    recurse(var + 1, cap_here, min(least, k), max(most, k))
+
+    recurse(1, top, 0, 0)
     lower = Fraction(best) * step
     return lower, lower + slack
 

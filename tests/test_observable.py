@@ -19,6 +19,7 @@ from obsdiam import (
     LipschitzWitness,
     ResourceCapError,
     ValidationError,
+    VerificationError,
     heavy_minimal_subsets,
     observable_diameter,
     od_grid_oracle,
@@ -32,9 +33,12 @@ import obsdiam.observable as observable
 from obsdiam.measures import minimal_heavy_windows
 from obsdiam.mmspace import integer_masses
 from obsdiam.observable import (
+    _integer_check,
+    _last_point_values,
     _max_t_for_order,
     _order_edges,
     _pruned_orderings,
+    _random_lipschitz_values,
     _scaled,
     _seed_value,
     _seed_witness,
@@ -44,6 +48,7 @@ from obsdiam.randgen import SPACE_KINDS, random_alpha, random_space
 from conftest import (
     exactly,
     grid_oracle_reference,
+    grid_search_per_k_oracle,
     heaviest_light_bruteforce,
     heavy_subsets_bruteforce,
     minimal_spans,
@@ -875,6 +880,48 @@ def test_grid_oracle_floors_distances_off_the_step(step):
         )
 
 
+# n -> the largest top = floor(width / step) drawn for n points
+LAST_POINT_TOPS = {2: 64, 3: 24, 4: 10, 5: 6}
+
+
+@pytest.mark.parametrize("step", [F(1, 64), F(1, 8), F(1, 4), F(1, 3), F(2, 7)])
+def test_grid_oracle_places_the_last_point_in_closed_form(step):
+    """The last point's value tried only at lo, at hi and next to the
+    breakpoints of the spreads gives the enclosure of the search that tries
+    every grid value in its range: 300 seeded cases per step, 75 for each
+    n = 2..5, so 1,500 over the five steps."""
+    rng = random.Random(f"grid-last-point/{step}")
+    for n, most in LAST_POINT_TOPS.items():
+        for _ in range(75):
+            sp = random_space(rng, min_points=n, max_points=n)
+            kappa = random_alpha(rng)
+            lo = F(rng.randint(-32, 32), 16)
+            screen = Interval(lo, lo + step * F(rng.randint(1, 64 * most), 64))
+            want = grid_search_per_k_oracle(sp, screen, kappa, step)
+            assert od_grid_oracle(sp, screen, kappa, step, cap_n=5) == want
+
+
+def test_last_point_values_hold_the_best_grid_value():
+    """The proof in od_grid_oracle's docstring, node by node: over 20,000
+    seeded windows [lo, hi] (some empty), caps and up to four ranges, the
+    largest min(cap, spreads) over every integer of the window is met among
+    the values ``_last_point_values`` lists, all inside the window."""
+    rng = random.Random("last-point-values")
+    for _ in range(20000):
+        ranges = [tuple(sorted((rng.randint(-20, 20), rng.randint(-20, 20))))
+                  for _ in range(rng.randint(0, 4))]
+        cap = rng.randint(0, 40)
+        lo = rng.randint(-30, 30)
+        hi = lo + rng.randint(-2, 40)
+
+        def g(k):
+            return min([cap] + [max(high, k) - min(low, k) for low, high in ranges])
+
+        values = _last_point_values(lo, hi, ranges)
+        assert all(lo <= k <= hi for k in values)
+        assert max(map(g, values), default=None) == max(map(g, range(lo, hi + 1)), default=None)
+
+
 def test_grid_oracle_meets_a_screen_spanning_optimum_at_once():
     """Uniform masses whose best map spans the whole screen.  Pinned by
     translation alone, the search raises its incumbent one grid step per
@@ -1009,6 +1056,70 @@ def test_random_lipschitz_map_matches_fraction_oracle(monkeypatch):
                 assert made.pop().getstate() == oracle_rng.getstate()
                 cases += 1
     assert cases >= 1000
+
+
+@pytest.mark.parametrize("seeds_per_call", [1, 40])
+def test_random_lipschitz_values_match_the_witness_and_the_oracle(monkeypatch, seeds_per_call):
+    """The construction kernel's ``(den, values)``, reduced, is the witness
+    of ``random_lipschitz_map`` and of the Fraction oracle for every seed,
+    and each seed's generator ends in the oracle's state, whether one call
+    serves one seed or 40: n = 1..8, the full line and screens whose end
+    denominators are coprime to the distance scale."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(observable, "random", SimpleNamespace(Random=Recording))
+    rng = random.Random(f"kernel/{seeds_per_call}")
+    maps = 0
+    for n in range(1, 9):
+        for _ in range(120 // seeds_per_call + 1):
+            sp = random_space(rng, min_points=n, max_points=n)
+            scale, _ = sp.scaled_dist
+            for screen in (FULL_LINE, _coprime_interval(rng, scale)):
+                seeds = [rng.randint(0, 10**6) for _ in range(seeds_per_call)]
+                got = list(_random_lipschitz_values(sp, screen, seeds))
+                kernel_rngs = made[:]
+                made.clear()
+                assert len(got) == len(kernel_rngs) == len(seeds)
+                for seed, (den, values), kernel_rng in zip(seeds, got, kernel_rngs):
+                    g = gcd(den, *values)
+                    reduced = (den // g, tuple(v // g for v in values))
+                    witness = random_lipschitz_map(sp, screen, seed)
+                    assert made.pop().getstate() == kernel_rng.getstate()
+                    oracle_rng = random.Random(seed)
+                    oracle = random_lipschitz_map_oracle(sp, screen, oracle_rng)
+                    assert reduced == witness.scaled_values == oracle.scaled_values
+                    assert kernel_rng.getstate() == oracle_rng.getstate()
+                    maps += 1
+    assert maps >= 1000
+
+
+def test_integer_check_raises_the_messages_of_validate(monkeypatch):
+    """The kernel's check is live: hand-made integers off the screen, or
+    breaking the Lipschitz bound of one pair, raise ``validate``'s exact
+    messages, and if ``validate`` passed them the check would still raise."""
+    sp = FiniteMMSpace.line_space([0, 1, 3])
+    check = _integer_check(sp, Interval(-2, 2), 12)
+    check([0, 12, 24])  # 0, 1, 2: on the screen and 1-Lipschitz
+    with pytest.raises(ValidationError, match=exactly("witness value 5/2 escapes the screen")):
+        check([0, 12, 30])
+    message = "witness is not 1-Lipschitz between p0 and p1: |0 - 3/2| > 1"
+    with pytest.raises(ValidationError, match=exactly(message)):
+        check([0, 18, 24])
+    full = _integer_check(sp, FULL_LINE, 6)
+    full([0, 6, 7])
+    message = "witness is not 1-Lipschitz between p0 and p2: |0 - 4| > 3"
+    with pytest.raises(ValidationError, match=exactly(message)):
+        full([0, 6, 24])
+    monkeypatch.setattr(LipschitzWitness, "validate", lambda self, space, screen: None)
+    with pytest.raises(VerificationError, match="failed but validate passed"):
+        check([0, 12, 30])
+    with pytest.raises(VerificationError, match="failed but validate passed"):
+        full([0, 6, 24])
 
 
 # -- revised inequality --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -6,8 +7,18 @@ import pytest
 
 import obsdiam.compression as compression
 import obsdiam.proptests as proptests
-from obsdiam import SUITE_NAMES, DomainError, partial_diameter, push_forward, run_suite
-from obsdiam.randgen import random_measure
+from obsdiam import (
+    SUITE_NAMES,
+    DomainError,
+    Interval,
+    observable_diameter,
+    partial_diameter,
+    push_forward,
+    random_lipschitz_map,
+    run_suite,
+    witness_partial_diameter,
+)
+from obsdiam.randgen import random_alpha, random_measure, random_space
 
 
 def test_suite_registry_is_stable():
@@ -64,8 +75,35 @@ UNDERSTATED_CLOUD_FAILURES = {
 }
 
 
+def _cloud_bound_replica(seed, count, share) -> list:
+    """``(index, detail)`` of each failing case of ``run_suite("cloud-bound",
+    seed, count)`` when the engine reports ``share`` of the true od, by the
+    suite's loop on fractions: the same draws, then for each of the 64 maps
+    ``random_lipschitz_map``, ``witness_partial_diameter`` and a
+    ``Fraction`` compare."""
+    rng = random.Random(seed)
+    failures = []
+    for index in range(count):
+        space = random_space(rng, min_points=2, max_points=4)
+        kappa = random_alpha(rng)
+        radius = rng.choice([F(1), F(2)])
+        base_seed = rng.randint(0, 10**6)
+        screen = Interval(-radius, radius)
+        od = observable_diameter(space, screen, kappa).value * share
+        for i in range(64):
+            witness = random_lipschitz_map(space, screen, base_seed + i)
+            pd = witness_partial_diameter(space, witness, 1 - kappa)
+            if pd > od:
+                detail = f"image pd {pd} of map {i} (seed {base_seed + i}) exceeds exact od {od}"
+                failures.append((index, detail))
+                break
+    return failures
+
+
 @pytest.mark.parametrize("share", UNDERSTATED_CLOUD_FAILURES)
 def test_cloud_bound_catches_an_understated_od(monkeypatch, share):
+    """Failing cases and their details match the loop on fractions, for
+    seed 0 over 25 cases and for seeds 0-99 over two cases each."""
     honest_od = proptests.observable_diameter
 
     def understated(*args, **kwargs):
@@ -75,6 +113,16 @@ def test_cloud_bound_catches_an_understated_od(monkeypatch, share):
     report = run_suite("cloud-bound", 0, 25)
     assert [f.index for f in report.failures] == UNDERSTATED_CLOUD_FAILURES[share]
     assert all("exceeds exact od" in f.detail for f in report.failures)
+    assert [(f.index, f.detail) for f in report.failures] == _cloud_bound_replica(0, 25, share)
+    for seed in range(100):
+        report = run_suite("cloud-bound", seed, 2)
+        assert [(f.index, f.detail) for f in report.failures] == _cloud_bound_replica(seed, 2, share)
+
+
+def test_cloud_bound_passes_an_honest_od():
+    for seed in range(100):
+        assert run_suite("cloud-bound", seed, 2).ok
+        assert _cloud_bound_replica(seed, 2, 1) == []
 
 
 def test_run_suite_is_deterministic():
