@@ -84,33 +84,27 @@ def anchor_walk(mu: DiscreteMeasure, alpha) -> tuple:
     return tuple(anchors)
 
 
-def _merge_open_intervals(intervals):
-    """Union of open intervals as maximal open intervals, up to endpoints.
-
-    Intervals that overlap or merely touch at an endpoint merge, so the
-    result may also cover a shared endpoint; the integral of the indicator
-    does not see a single point.
-    """
-    merged: list[list[Fraction]] = []
-    for a, b in sorted(intervals):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
-
-
 def _integrate(anchors, r: Fraction, s: Fraction) -> PiecewiseLinearMap:
     """Constant ``-N*s`` to the left (N = number of anchors), slope ``s/r`` on
     the union of the open balls of radius ``r`` around the anchors, slope 0
-    in the gaps."""
+    in the gaps.
+
+    The anchors strictly increase and every ball has radius r, so the balls
+    arrive in order, each ending past the last.  A ball that overlaps or
+    merely touches the run before it extends that run to its own end; the
+    run may then cover a shared endpoint, which the slope does not see.
+    """
     slope = s / r
     knots: list[tuple] = []
     value = -len(anchors) * s
-    for a, b in _merge_open_intervals([(a - r, a + r) for a in anchors]):
-        knots.append((a, value))
-        value += (b - a) * slope
-        knots.append((b, value))
+    for a in anchors:
+        if knots and a - r <= knots[-1][0]:
+            end, value = knots.pop()
+            value += (a + r - end) * slope
+        else:
+            knots.append((a - r, value))
+            value += 2 * s  # a whole ball: 2r at slope s/r
+        knots.append((a + r, value))
     return PiecewiseLinearMap(knots, 0, 0)
 
 

@@ -32,6 +32,12 @@ D', so their lcm L divides D'.  Conversely, let p^e be the exact power of a
 prime p in D'.  Not every k'_i is divisible by p, since the gcd is 1, and for
 such an i ``gcd(D', k'_i)`` has no factor p, so p^e divides q_i and L.  Hence
 D' divides L, and ``D' = L``.
+
+One integer scale per space and screen.  ``screen_scale`` is the lcm of the
+distance scale and the screen-end denominators, ``on_scale`` puts the metric
+and the screen ends on a multiple of it, and ``check_scaled`` checks a
+witness on that scale.  ``LipschitzWitness.validate``, the exact engine and
+the random-map kernel in ``observable`` all take their scale from these.
 """
 
 from __future__ import annotations
@@ -352,44 +358,80 @@ class LipschitzWitness:
         screen and are 1-Lipschitz; the first failing check is reported, and
         pairs (i, j) with i < j are checked in lexicographic order.
 
-        The screen and the Lipschitz pairs are compared on one integer scale,
-        ``den = lcm(distance scale, value scale, screen-end denominators)``,
+        The screen and the Lipschitz pairs are compared by ``check_scaled``
+        on one integer scale, ``den = lcm(screen_scale, value scale)``,
         where the value scale is ``scaled_values``' lcm of the value
-        denominators.  Every value, every distance and each screen end
-        times ``den`` is an integer, and multiplying both sides of
-        ``a <= v <= b`` or ``|v_i - v_j| > d(i, j)`` by the positive ``den``
-        keeps the comparison, so each check fails exactly when it does on
-        fractions.
+        denominators.
         """
         self._check_length(space)
-        n = len(space)
-        scale, rows = space.scaled_dist
-        ends = (screen.a, screen.b) if isinstance(screen, Interval) else ()
-        den = lcm(scale, self._den, *(e.denominator for e in ends))
-        per_dist = den // scale
+        den = lcm(screen_scale(space, screen), self._den)
+        rows, ends = on_scale(space, screen, den)
         per_value = den // self._den
         ints = self._ints if per_value == 1 else [k * per_value for k in self._ints]
-        if ends:
-            a, b = (e.numerator * (den // e.denominator) for e in ends)
-            for k in ints:
-                if not a <= k <= b:
-                    raise ValidationError(
-                        f"witness value {fraction_text(Fraction(k, den))} escapes the screen"
-                    )
-        for i, (vi, row) in enumerate(zip(ints, rows)):
-            for j in range(i + 1, n):
-                if abs(vi - ints[j]) > row[j] * per_dist:
-                    values = self.values
-                    raise ValidationError(
-                        "witness is not 1-Lipschitz between "
-                        f"{space.labels[i]} and {space.labels[j]}: "
-                        f"|{fraction_text(values[i])} - {fraction_text(values[j])}| "
-                        f"> {fraction_text(space.dist(i, j))}"
-                    )
+        check_scaled(space, rows, ends, den, ints)
 
     def pushforward(self, space: FiniteMMSpace) -> DiscreteMeasure:
         self._check_length(space)
         return DiscreteMeasure(zip(self.values, space.masses))
+
+
+def screen_scale(space: FiniteMMSpace, screen: Screen) -> int:
+    """The least integer scale of the metric and the screen: the lcm of the
+    distance scale (``scaled_dist``) and, on an Interval, the denominators
+    of its ends."""
+    scale = space.scaled_dist[0]
+    if not isinstance(screen, Interval):
+        return scale
+    return lcm(scale, screen.a.denominator, screen.b.denominator)
+
+
+def on_scale(space: FiniteMMSpace, screen: Screen, den: int) -> tuple:
+    """``(rows, ends)``: the distances and the screen ends times ``den``, a
+    positive multiple of ``screen_scale``, as ints; ``rows`` are the stored
+    rows, not a copy, when ``den`` is the distance scale, and ``ends`` is
+    None on the full line.
+
+    Every distance and each end times ``den`` is an integer, and multiplying
+    both sides of ``a <= v <= b`` or ``|v_i - v_j| <= d(i, j)`` by the
+    positive ``den`` keeps the comparison.  So a witness ``ints / den`` on
+    this scale passes a check on integers exactly when its Fractions do.
+    """
+    scale, rows = space.scaled_dist
+    per_dist = den // scale
+    if per_dist != 1:
+        rows = [[d * per_dist for d in row] for row in rows]
+    if not isinstance(screen, Interval):
+        return rows, None
+    return rows, tuple(e.numerator * (den // e.denominator) for e in (screen.a, screen.b))
+
+
+def check_scaled(space: FiniteMMSpace, rows, ends, den: int, ints) -> None:
+    """The witness check on one integer scale: raise ValidationError unless
+    the values ``ints / den`` lie on the screen and are 1-Lipschitz, where
+    ``(rows, ends)`` is ``on_scale(space, screen, den)``.  The first value
+    off the screen in point order is reported, then the first pair i < j in
+    lexicographic order that breaks its bound, with ``validate``'s
+    messages.
+    """
+    if ends is not None:
+        a, b = ends
+        for k in ints:
+            if not a <= k <= b:
+                raise ValidationError(
+                    f"witness value {fraction_text(Fraction(k, den))} escapes the screen"
+                )
+    n = len(ints)
+    for i in range(n):
+        vi, row = ints[i], rows[i]
+        for j in range(i + 1, n):
+            if abs(vi - ints[j]) > row[j]:
+                vi, vj = Fraction(vi, den), Fraction(ints[j], den)
+                raise ValidationError(
+                    "witness is not 1-Lipschitz between "
+                    f"{space.labels[i]} and {space.labels[j]}: "
+                    f"|{fraction_text(vi)} - {fraction_text(vj)}| "
+                    f"> {fraction_text(space.dist(i, j))}"
+                )
 
 
 @dataclass(frozen=True)

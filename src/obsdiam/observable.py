@@ -164,7 +164,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor
 from operator import add
 
 from ._rational import (
@@ -186,7 +186,10 @@ from .mmspace import (
     LipschitzWitness,
     Screen,
     check_point_ceiling,
+    check_scaled,
     integer_masses,
+    on_scale,
+    screen_scale,
 )
 
 __all__ = [
@@ -284,10 +287,10 @@ def observable_diameter(
 ) -> OdResult:
     """Exact observable diameter with an achieving witness.
 
-    ``check_exact_size`` refuses the space before any subset is
-    enumerated.  The search's worst case grows like n!, so a space above
-    ``cap_n`` points needs it raised explicitly; past ``POINT_CEILING``
-    points it is refused whatever ``cap_n`` says.
+    ``check_exact_size`` refuses the space before any work.  The search's
+    worst case grows like n!, so a space above ``cap_n`` points needs it
+    raised explicitly; past ``POINT_CEILING`` points it is refused whatever
+    ``cap_n`` says.
     """
     kappa = to_open_unit(kappa, what="kappa")
     if not isinstance(screen, (Interval, FullLine)):
@@ -303,7 +306,7 @@ def observable_diameter(
         # has a zero-diameter heavy set.
         return OdResult(best, best_witness)
 
-    scale, dmat_scaled, width_scaled = _scaled(space, screen)
+    scale, dmat_scaled, base_scaled, width_scaled = _scaled(space, screen)
     # point -> (distance, bit, weight) of every point, nearest first, the
     # point itself first at distance 0: the seeds' values and the search's
     # balls (B3) and reach (B2, read in reverse)
@@ -325,7 +328,7 @@ def observable_diameter(
             best_num, best_den, winner = num, den, anchor
     if winner is not None:
         best = Fraction(best_num, best_den)
-        best_witness = _seed_witness(dmat_scaled[winner], scale, width_scaled, base)
+        best_witness = _seed_witness(dmat_scaled[winner], scale, width_scaled, base_scaled)
 
     def leaf(perm, bound):
         """Solve one surviving ordering; return the incumbent after it."""
@@ -334,11 +337,11 @@ def observable_diameter(
         result = _max_t_for_order(edges, n, scale, bound, best)
         if result is not None:
             t, potentials, den = result
-            first = potentials[0]
+            shift = base_scaled * t.denominator - potentials[0]  # slot 0 at the left end
             ints = [0] * n
             for point, potential in zip(perm, potentials):
-                ints[point] = potential - first
-            candidate = _shifted_witness(den, ints, base)
+                ints[point] = potential + shift
+            candidate = LipschitzWitness._from_scaled(den, ints)
             _check_witness(space, candidate, alpha, t)
             best, best_witness = t, candidate
         return best
@@ -354,9 +357,18 @@ def observable_diameter(
 
 
 def _scaled(space: FiniteMMSpace, screen: Screen):
-    """``(scale, dmat_scaled, width_scaled)``: the distances and the screen
-    width times the least common denominator ``scale``, as ints, so the
-    bounds and Bellman-Ford run on plain ints.
+    """``(scale, dmat_scaled, base_scaled, width_scaled)``: the distances,
+    the screen's left end and its width times ``scale``, the
+    ``mmspace.screen_scale`` of the space and screen, as ints, so the bounds
+    and Bellman-Ford run on plain ints.
+
+    Any common scale gives the same values and witnesses.  Every bound, edge
+    weight and Bellman-Ford potential is homogeneous in the scale: scaling
+    the distances, the left end and the width by ``c`` scales each of them
+    by ``c``, which keeps every comparison.  Each bound and cycle ratio is
+    read back over ``scale``, and each witness over ``scale`` times a
+    denominator of t, which scale by ``c`` too, so they are the same
+    rationals.
 
     The full line is searched as the screen ``[0, diam X]``: its width is
     the largest distance.  That changes no value: a 1-Lipschitz image
@@ -379,15 +391,12 @@ def _scaled(space: FiniteMMSpace, screen: Screen):
     probes stay above the optimum until the first feasible one, which is the
     optimum itself, on the same graph with the same potentials.
     """
-    scale, dmat_scaled = space.scaled_dist
-    if not isinstance(screen, Interval):
-        return scale, dmat_scaled, max(map(max, dmat_scaled))
-    width = screen.width
-    factor = width.denominator // gcd(scale, width.denominator)  # lcm(scale, den) / scale
-    if factor != 1:
-        scale *= factor
-        dmat_scaled = tuple(tuple(d * factor for d in row) for row in dmat_scaled)
-    return scale, dmat_scaled, width.numerator * (scale // width.denominator)
+    scale = screen_scale(space, screen)
+    dmat_scaled, ends = on_scale(space, screen, scale)
+    if ends is None:
+        return scale, dmat_scaled, 0, max(map(max, dmat_scaled))
+    a, b = ends
+    return scale, dmat_scaled, a, b - a
 
 
 def _check_witness(space, witness, alpha, value) -> None:
@@ -573,21 +582,15 @@ def _seed_value(nearest_row, dmat_scaled, level, scale, width_scaled, upper) -> 
     return low, scale, upper
 
 
-def _seed_witness(distances, scale, width_scaled, base) -> LipschitzWitness:
+def _seed_witness(distances, scale, width_scaled, base_scaled) -> LipschitzWitness:
     """The distance-to-anchor map from the anchor's scaled ``distances``,
-    squeezed affinely when the screen is short and shifted to ``base``."""
+    squeezed affinely when the screen is short and shifted to the left end
+    ``base_scaled / scale``."""
     spread = max(distances)
     if spread > width_scaled:
         scale, distances = scale * spread, [d * width_scaled for d in distances]
-    return _shifted_witness(scale, distances, base)
-
-
-def _shifted_witness(den, ints, base) -> LipschitzWitness:
-    """The witness with values ``ints[i] / den + base``, built on the
-    integer scale ``lcm(den, base's denominator)``."""
-    full = lcm(den, base.denominator)
-    per, shift = full // den, base.numerator * (full // base.denominator)
-    return LipschitzWitness._from_scaled(full, [k * per + shift for k in ints])
+        base_scaled *= spread
+    return LipschitzWitness._from_scaled(scale, [d + base_scaled for d in distances])
 
 
 def _order_edges(perm, weights, level, dmat_scaled, width_scaled):
@@ -883,75 +886,35 @@ def _random_lipschitz_values(space: FiniteMMSpace, screen: Screen, seeds):
     values of ``random_lipschitz_map(space, screen, seed)`` times ``den``.
 
     Everything per space and screen is computed once per call, on one
-    integer scale, ``den = 64 * lcm(distance scale, screen-end
-    denominators)``: the screen ends ``a, b`` and every distance times
-    ``den`` are integer multiples of 64, so ``(hi - lo) / 64`` is an integer
-    ``step`` on that scale and each anchor ``lo + step * r`` is exact.
-    Sums, minima and the clamp commute with multiplying by the positive
-    ``den``, so each value is the integer result over ``den``, the same
-    rational the arithmetic on fractions gives.  Per seed the draws are
-    those of the witness: ``random.Random(seed)``, then ``randint(0, 64)``
-    once per point in point order.  Each seed's values pass
-    ``_integer_check`` before they are yielded.  A screen of the wrong type
-    raises ``DomainError`` before any draw.
+    integer scale, ``den = 64 * mmspace.screen_scale(space, screen)``: the
+    screen ends ``a, b`` and every distance times ``den`` are integer
+    multiples of 64, so ``(hi - lo) / 64`` is an integer ``step`` on that
+    scale and each anchor ``lo + step * r`` is exact.  Sums, minima and the
+    clamp commute with multiplying by the positive ``den``, so each value is
+    the integer result over ``den``, the same rational the arithmetic on
+    fractions gives.  Per seed the draws are those of the witness:
+    ``random.Random(seed)``, then ``randint(0, 64)`` once per point in point
+    order.  Each seed's values pass ``mmspace.check_scaled``, ``validate``'s
+    check, before they are yielded.  A screen of the wrong type raises
+    ``DomainError`` before any draw.
     """
     if not isinstance(screen, (Interval, FullLine)):
         raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     n = len(space)
-    scale, rows = space.scaled_dist
-    bounded = isinstance(screen, Interval)
-    ends = (screen.a, screen.b) if bounded else (ZERO, ZERO)
-    den = 64 * lcm(scale, *(e.denominator for e in ends))
-    per_dist = den // scale
-    a, b = (e.numerator * (den // e.denominator) for e in ends)
-    rows = [[d * per_dist for d in row] for row in rows]
+    den = 64 * screen_scale(space, screen)
+    rows, ends = on_scale(space, screen, den)
+    a, b = ends or (0, 0)
     diam = max(map(max, rows))
     lo = a - diam
     step = (b + diam - lo) // 64
-    check = _integer_check(space, screen, den)
     for seed in seeds:
         randint = random.Random(seed).randint
         anchors = [lo + step * randint(0, 64) for _ in range(n)]
         values = [min(map(add, anchors, row)) for row in rows]
-        if bounded:
+        if ends:
             values = [min(b, max(a, v)) for v in values]
-        check(values)
+        check_scaled(space, rows, ends, den, values)
         yield den, values
-
-
-def _integer_check(space: FiniteMMSpace, screen: Screen, den: int):
-    """``check(values)``, which returns when the witness ``values / den``
-    lies on the screen and is 1-Lipschitz, and raises otherwise; ``den``
-    is a positive multiple of the distance scale and of the screen-end
-    denominators.
-
-    The screen ends and the distances are scaled to ``den`` once, and each
-    call compares integers: multiplying ``a <= v <= b`` and
-    ``|v_i - v_j| <= d(i, j)`` by the positive ``den`` keeps each
-    comparison, so the check fails exactly when ``LipschitzWitness.validate``
-    does.  On a failure ``validate`` raises its own message; if it passes
-    instead, the two checks disagree and ``VerificationError`` is raised.
-    """
-    scale, rows = space.scaled_dist
-    per_dist = den // scale
-    n = len(rows)
-    pairs = [(i, j, rows[i][j] * per_dist) for i in range(n) for j in range(i + 1, n)]
-    if isinstance(screen, Interval):
-        a, b = (e.numerator * (den // e.denominator) for e in (screen.a, screen.b))
-    else:
-        a = b = None
-
-    def check(values) -> None:
-        if a is None or a <= min(values) and max(values) <= b:
-            for i, j, d in pairs:
-                if abs(values[i] - values[j]) > d:
-                    break
-            else:
-                return
-        LipschitzWitness._from_scaled(den, values).validate(space, screen)
-        raise VerificationError("the integer check of a witness failed but validate passed")
-
-    return check
 
 
 @dataclass(frozen=True)

@@ -175,11 +175,12 @@ def _case_cloud_bound(rng: random.Random):
     The maps are those of ``random_lipschitz_map(space, screen, seed)`` for
     seeds ``base_seed .. base_seed + 63``: the kernel makes the same draws
     and yields the same rationals, as ``(den, values)`` on one integer scale
-    per case, checked as ``validate`` checks them.  ``_least_heavy_gap`` is
-    ``witness_partial_diameter``'s sweep, so the image pd is ``gap / den``,
-    and since both ``den`` and ``od.denominator`` are positive,
-    ``gap / den > od`` exactly when ``gap * od.denominator > od.numerator *
-    den``.  A failure reads as it did on fractions.
+    per case, checked by ``mmspace.check_scaled``, the check ``validate``
+    runs.  ``_least_heavy_gap`` is ``witness_partial_diameter``'s sweep, so
+    the image pd is ``gap / den``, and since both ``den`` and
+    ``od.denominator`` are positive, ``gap / den > od`` exactly when
+    ``gap * od.denominator > od.numerator * den``.  A failure reads as it
+    did on fractions.
     """
     space = random_space(rng, min_points=2, max_points=4)
     kappa = random_alpha(rng)

@@ -245,23 +245,26 @@ def test_full_line_accepts_any_value():
 
 def test_witness_validate_matches_fraction_oracle_on_coprime_denominators():
     """Values whose denominators are coprime to the distance scale, nudged
-    across the Lipschitz boundary, pass or fail with the same message as the
-    Fraction comparisons."""
+    across the Lipschitz boundary or off the screen, pass or fail with the
+    same message as the Fraction comparisons, on each screen: [-6, 6],
+    [-1/7, 5/3], the full line and [-5/2, 5/2], the corrected screen at
+    kappa = 3/5, R = 1, whose ends are halves and whose width is an
+    integer."""
     rng = random.Random(77)
-    failures = 0
-    for _ in range(300):
-        sp = random_space(rng, min_points=2, max_points=6)
-        screen = Interval(F(-6), F(6))
-        values = list(random_lipschitz_map(sp, screen, rng.randint(0, 10**6)).values)
-        den = rng.choice([3, 5, 7, 9, 11, 13])
-        for _ in range(rng.randint(0, 2)):
-            i = rng.randrange(len(values))
-            values[i] += F(rng.randint(-2, 2), den)
-        w = LipschitzWitness(tuple(values))
-        got = _complaint(lambda: w.validate(sp, screen))
-        assert got == _complaint(lambda: lipschitz_validate_oracle(w, sp, screen))
-        failures += got is not None
-    assert 50 < failures < 250  # both outcomes are exercised
+    for screen in (Interval(F(-6), F(6)), SCREEN, Interval(F(-5, 2), F(5, 2)), FULL_LINE):
+        failures = 0
+        for _ in range(300):
+            sp = random_space(rng, min_points=2, max_points=6)
+            values = list(random_lipschitz_map(sp, screen, rng.randint(0, 10**6)).values)
+            den = rng.choice([3, 5, 7, 9, 11, 13])
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(values))
+                values[i] += F(rng.randint(-2, 2), den)
+            w = LipschitzWitness(tuple(values))
+            got = _complaint(lambda: w.validate(sp, screen))
+            assert got == _complaint(lambda: lipschitz_validate_oracle(w, sp, screen))
+            failures += got is not None
+        assert 50 < failures < 250, screen  # both outcomes are exercised
 
 
 # -- stored forms -------------------------------------------------------------------

@@ -31,9 +31,8 @@ from obsdiam import (
 import obsdiam.mmspace as mmspace
 import obsdiam.observable as observable
 from obsdiam.measures import minimal_heavy_windows
-from obsdiam.mmspace import integer_masses
+from obsdiam.mmspace import check_scaled, integer_masses, on_scale
 from obsdiam.observable import (
-    _integer_check,
     _last_point_values,
     _max_t_for_order,
     _order_edges,
@@ -345,8 +344,7 @@ def test_seed_values_match_their_witnesses():
             continue  # the engine returns 0 before seeding
         weights, level, _ = integer_masses(sp, alpha)
         for screen in (FULL_LINE, Interval(-1, 1), Interval(0, F(1, 7))):
-            scale, dmat_scaled, width_scaled = _scaled(sp, screen)
-            base = screen.a if isinstance(screen, Interval) else 0
+            scale, dmat_scaled, base_scaled, width_scaled = _scaled(sp, screen)
             table = _neighbour_table(dmat_scaled, weights)
             upper = expected = width_scaled
             for distances, nearest in zip(dmat_scaled, table):
@@ -356,7 +354,7 @@ def test_seed_values_match_their_witnesses():
                 expected = min(expected, _row_window_bound(nearest, dmat_scaled, level))
                 assert upper == expected
                 value = F(num, den)
-                witness = _seed_witness(distances, scale, width_scaled, base)
+                witness = _seed_witness(distances, scale, width_scaled, base_scaled)
                 witness.validate(sp, screen)
                 assert value == witness_partial_diameter(sp, witness, alpha)
                 assert value == seed_value_oracle(family, distances, scale, width_scaled)
@@ -402,7 +400,7 @@ def _clustered(n, k, first):
 def _window_upper(space, screen, alpha):
     """The engine's UB: the screen width, lowered by every anchor's sweep."""
     weights, level, _ = integer_masses(space, alpha)
-    scale, dmat_scaled, width_scaled = _scaled(space, screen)
+    scale, dmat_scaled, _, width_scaled = _scaled(space, screen)
     upper = width_scaled
     for nearest in _neighbour_table(dmat_scaled, weights):
         _, _, upper = _seed_value(nearest, dmat_scaled, level, scale, width_scaled, upper)
@@ -431,7 +429,7 @@ def test_window_upper_bound_is_sound_and_exact_on_line_spaces():
             for alpha in (F(1, 3), F(1, 2), F(3, 4)):
                 family = heavy_subsets_bruteforce(sp, alpha)
                 for screen in (FULL_LINE, Interval(-1, 1)):
-                    _, dmat_scaled, width_scaled = _scaled(sp, screen)
+                    _, dmat_scaled, _, width_scaled = _scaled(sp, screen)
                     least = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
                     upper = _window_upper(sp, screen, alpha)
                     if line:
@@ -517,7 +515,7 @@ def _check_prefix_bounds(space, screen, kappa) -> bool:
     if any(len(s) == 1 for s in family):
         return False
     weights, heavy_level, beta = integer_masses(space, alpha)
-    scale, dmat_scaled, width_scaled = _scaled(space, screen)
+    scale, dmat_scaled, _, width_scaled = _scaled(space, screen)
     diam_scaled = min(max(dmat_scaled[i][j] for i in s for j in s) for s in family)
     upper_scaled = min(diam_scaled, width_scaled)
     upper = F(upper_scaled, scale)
@@ -1098,28 +1096,24 @@ def test_random_lipschitz_values_match_the_witness_and_the_oracle(monkeypatch, s
     assert maps >= 1000
 
 
-def test_integer_check_raises_the_messages_of_validate(monkeypatch):
-    """The kernel's check is live: hand-made integers off the screen, or
-    breaking the Lipschitz bound of one pair, raise ``validate``'s exact
-    messages, and if ``validate`` passed them the check would still raise."""
+def test_check_scaled_raises_the_messages_of_validate():
+    """The one witness check is live on hand-made integers: values off the
+    screen, or breaking the Lipschitz bound of one pair, raise
+    ``validate``'s exact messages."""
     sp = FiniteMMSpace.line_space([0, 1, 3])
-    check = _integer_check(sp, Interval(-2, 2), 12)
-    check([0, 12, 24])  # 0, 1, 2: on the screen and 1-Lipschitz
+    rows, ends = on_scale(sp, Interval(-2, 2), 12)
+    check_scaled(sp, rows, ends, 12, [0, 12, 24])  # 0, 1, 2: on the screen and 1-Lipschitz
     with pytest.raises(ValidationError, match=exactly("witness value 5/2 escapes the screen")):
-        check([0, 12, 30])
+        check_scaled(sp, rows, ends, 12, [0, 12, 30])
     message = "witness is not 1-Lipschitz between p0 and p1: |0 - 3/2| > 1"
     with pytest.raises(ValidationError, match=exactly(message)):
-        check([0, 18, 24])
-    full = _integer_check(sp, FULL_LINE, 6)
-    full([0, 6, 7])
+        check_scaled(sp, rows, ends, 12, [0, 18, 24])
+    rows, ends = on_scale(sp, FULL_LINE, 6)
+    assert ends is None
+    check_scaled(sp, rows, ends, 6, [0, 6, 7])
     message = "witness is not 1-Lipschitz between p0 and p2: |0 - 4| > 3"
     with pytest.raises(ValidationError, match=exactly(message)):
-        full([0, 6, 24])
-    monkeypatch.setattr(LipschitzWitness, "validate", lambda self, space, screen: None)
-    with pytest.raises(VerificationError, match="failed but validate passed"):
-        check([0, 12, 30])
-    with pytest.raises(VerificationError, match="failed but validate passed"):
-        full([0, 6, 24])
+        check_scaled(sp, rows, ends, 6, [0, 6, 24])
 
 
 # -- revised inequality --------------------------------------------------------------
