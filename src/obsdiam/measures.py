@@ -7,51 +7,46 @@ is the width of the cheapest contiguous window of atoms whose mass reaches the
 level.  Everything here is exact: positions and results are
 ``fractions.Fraction``, and masses are exact integer weights.
 
-Stored form.  A measure stores its sorted positions and
-``scaled_masses = (scale, weights)``: ``scale`` is the least common multiple
-of the mass denominators and ``weights[k] = masses[k] * scale``, integers
-summing to ``scale``.  ``masses`` and ``atoms`` build their Fractions
-``w / scale`` from the weights on each call.  Every measure is built one
-way: the constructor and ``push_forward`` give each distinct position a slot,
-found through a dict keyed by the position's integer pair
+Stored form.  A measure stores its sorted positions, their integer view
+``scaled_positions = (pscale, ints)`` and ``scaled_masses = (scale,
+weights)``.  ``pscale`` is the least common multiple of the position
+denominators and ``ints[k] = positions[k] * pscale``, held in a 64-bit
+``array`` (8 bytes an int, where a tuple takes about 36) when every int
+fits one and in a tuple when one does not.  ``scale`` is the least common
+multiple of the mass denominators and ``weights[k] = masses[k] * scale``,
+integers summing to ``scale``.  ``masses`` and ``atoms`` build their
+Fractions ``w / scale`` from the weights on each call.  Every measure is
+built one way: the constructor and ``push_forward`` give each distinct
+position a slot, found through a dict keyed by the position's integer pair
 ``p.as_integer_ratio()``, which hashes and compares in C where a Fraction
 does not.  The slots live in three flat lists, ``positions``, ``nums`` and
 ``dens``: slot k holds the total mass at ``positions[k]`` as the integer
 fraction ``nums[k] / dens[k]``; flat lists of ints, rather than one list
 per position, keep the finisher's passes short.  One finisher,
-``DiscreteMeasure._store``, reduces, scales, sorts and stores the slots.  The
-sweeps below add and compare the weights instead of Fractions, and build a
-Fraction only for what they return.  Three facts make that exact, and a
-fourth makes the stored form canonical.
+``DiscreteMeasure._store``, reduces, scales, sorts and stores the slots; it
+reads the position ints off the dict's integer pairs.  The sweeps below add
+and compare the weights and the position ints instead of Fractions, and
+build a Fraction only for what they return.  Three facts make that exact,
+and a fourth makes the stored form canonical.
 
 1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
    its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
    an integer, that holds exactly when acc >= ceil(alpha * scale), computed
    as ``-(-alpha.numerator * scale // alpha.denominator)`` on integers.
-2. Widths.  For positions p = a/b and q = c/d with b, d > 0 the width is
-   q - p = (c*b - a*d) / (b*d), a numerator over a positive denominator.  Two
-   such widths u/v and x/y compare as u*y and x*v do, since multiplying both
-   sides by v*y > 0 keeps the order.
-3. Order.  Atoms are sorted on float(p), the float key
-   ``_float_key(a, b)`` of the position's integer pair p = a/b, b > 0,
-   computed once per slot from the dict's keys.  Integer true division
-   rounds correctly, and correct rounding is monotone: p < q gives
-   float(p) <= float(q).  A position past the float range raises
-   ``OverflowError`` and is keyed +-inf, which keeps that order, since a
-   value that overflows upward exceeds every value that converts, and
-   likewise downward.  So float(p) < float(q) implies p < q: were q <= p,
-   monotonicity would give float(q) <= float(p).  The finisher sorts the
-   slot indices once by float(p) and then compares adjacent keys.  If they
-   strictly increase, each adjacent pair of positions strictly increases by
-   that implication, so the positions are in exact order after the one
-   sort.  If two keys are equal (say 2^60 and 2^60 + 1, two positions that
-   underflow to 0.0 or -0.0, or two past the float range), the float sort
-   alone can be wrong: a sort is stable, so positions with equal floats
-   keep their slot order, and 2^60 + 1 given before 2^60 would stay
-   before it.  Only then does the finisher sort again by the key
-   (float(p), p), which gives the exact order from any input order: equal
-   floats fall through to the exact comparison of p and q.  ``pd_profile``
-   sorts its widths, and ``prokhorov`` its stops, by that two-part key.
+2. Widths.  Positions p and q are ints[i] / pscale and ints[j] / pscale, so
+   the width q - p is (ints[j] - ints[i]) / pscale, and two widths compare
+   as their integer numerators do, since multiplying both sides by
+   ``pscale`` > 0 keeps the order.  The width is built as a Fraction only
+   when it is returned.
+3. Order.  For the same reason p < q exactly when p * pscale < q * pscale,
+   and p = q exactly when the two ints are equal.  Every position p = a/b in
+   lowest terms has b dividing ``pscale``, so p * pscale is the int
+   a * (pscale // b), read off the slot's integer pair.  The finisher sorts
+   the slot indices once by these ints, which puts the positions in exact
+   order from any input order, with no float and no tie: distinct slots
+   hold distinct positions and so distinct ints.  ``pd_profile`` sorts its
+   integer widths, and ``prokhorov`` its integer stops, with a plain sort
+   for the same reason.
 4. Canonical form.  On every path ``scale`` is the lcm of the reduced
    slot denominators.  Each slot holds the exact total mass at its
    position as an integer fraction: the constructor adds a mass with the
@@ -61,31 +56,47 @@ fourth makes the stored form canonical.
    source weights at an image point over the source's ``scale``.  The
    finisher reduces each slot by one gcd and takes the lcm of the reduced
    denominators.  So ``scale`` is a function of the masses, and so are the
-   weights, masses times ``scale``.  Two measures therefore have equal
-   atoms exactly when they have equal positions and weights (the weights
-   give back ``scale`` as their sum, hence the masses), whichever path built
+   weights, masses times ``scale``; likewise ``pscale`` and ``ints`` are
+   functions of the positions.  Two measures therefore have equal atoms
+   exactly when they have equal positions and weights (the weights give
+   back ``scale`` as their sum, hence the masses), whichever path built
    them; ``__eq__`` and ``__hash__`` read those two tuples, so equal
    measures hash equal, as a set or dict key needs.
 
-Each weight is at most ``scale``, so the view costs n integers no larger
-than ``scale``.  With a shared mass denominator, as in ``uniform``, ``scale``
-is that denominator.  Masses whose denominators share few factors can make
-``scale`` long even when every running Fraction total of them is short: the
-k pairs 1/(k*d_i) and (d_i - 1)/(k*d_i) at 2k distinct positions sum to 1,
-yet ``scale`` is k*d_1*...*d_k when the d_i are pairwise coprime and
-coprime to k.  (At shared positions each pair merges to 1/k first.)  So n
-times the bit length of ``scale`` has a fixed ceiling of
+Each weight is at most ``scale``, so the mass view costs n integers no
+larger than ``scale``.  With a shared mass denominator, as in ``uniform``,
+``scale`` is that denominator.  Masses whose denominators share few factors
+can make ``scale`` long even when every running Fraction total of them is
+short: the k pairs 1/(k*d_i) and (d_i - 1)/(k*d_i) at 2k distinct positions
+sum to 1, yet ``scale`` is k*d_1*...*d_k when the d_i are pairwise coprime
+and coprime to k.  (At shared positions each pair merges to 1/k first.)  So
+n times the bit length of ``scale`` has a fixed ceiling of
 2^``WEIGHT_CEILING`` bits, checked as ``scale`` is built and before any
-weight exists; past it construction raises ``ResourceCapError``.
+weight exists; past it construction raises ``ResourceCapError``.  Positions
+are bounded the same way.  ints[k] has the bits of positions[k]'s numerator
+plus at most those of ``pscale``, so the position view costs at most n times
+the bit length of ``pscale`` beyond the positions themselves, and
+positions with pairwise coprime denominators (1/p over the first 5,000
+primes p) make ``pscale`` their product.  So n times the bit length of
+``pscale`` has a fixed ceiling of 2^``POSITION_CEILING`` bits, checked as
+``pscale`` is built, before any position int exists and before the masses
+are checked; past it construction raises ``ResourceCapError``.  The sweeps
+that hold an int per pair of atoms, ``pd_profile``'s window widths and
+``prokhorov``'s stops, would multiply that: each int carries the bits of
+``pscale``, where a reduced Fraction for one pair carries only those of the
+pair's denominators.  So ``check_sweep_size`` refuses such a sweep with
+``ResourceCapError`` when its int count times the bit length of ``pscale``
+passes 2^``SWEEP_CEILING`` bits, before any of those ints is built.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import gcd, inf, lcm
-from operator import eq, floordiv
+from math import gcd, lcm
+from operator import floordiv
 from typing import Iterable, NamedTuple
 
 from ._rational import (
@@ -103,23 +114,20 @@ __all__ = [
 ]
 
 WEIGHT_CEILING = 28  # 2^28 bits of integer weights, 32 MiB; 10^5 atoms need about 2^21
+POSITION_CEILING = 28  # 2^28 bits of pscale per atom, likewise
+SWEEP_CEILING = 30  # 2^30 bits, 128 MiB: the ints a quadratic sweep holds times the bits of pscale
 
 
-def _float_key(num: int, den: int) -> float:
-    """The correctly rounded float of ``num / den`` (``den > 0``), or +-inf
-    past the float range: a sort key that keeps the exact order (module
-    docstring, fact 3)."""
-    try:
-        return num / den
-    except OverflowError:
-        return inf if num > 0 else -inf
-
-
-def _order_key(pair: tuple) -> tuple:
-    """Sort key of a pair by its first entry, a rational, in exact order
-    (module docstring, fact 3)."""
-    p = pair[0]
-    return _float_key(p.numerator, p.denominator), p
+def check_sweep_size(count: int, pscale: int, what: str) -> None:
+    """Raise ResourceCapError when ``count`` ints on the position scale
+    ``pscale``, each carrying its bits, would pass 2^``SWEEP_CEILING`` bits
+    (module docstring)."""
+    bits = pscale.bit_length()
+    if count * bits > 1 << SWEEP_CEILING:
+        raise ResourceCapError(
+            f"{count} {what} on a common position denominator of {bits} bits exceed "
+            f"the integer-sweep ceiling of 2^{SWEEP_CEILING} bits"
+        )
 
 
 def scaled_level(alpha: Fraction, scale: int) -> int:
@@ -170,7 +178,7 @@ class DiscreteMeasure(JsonFile):
     exactly 1.
     """
 
-    __slots__ = ("_positions", "_scale", "_weights")
+    __slots__ = ("_positions", "_pscale", "_ints", "_scale", "_weights")
 
     def __init__(self, atoms: Iterable[tuple, ]):
         # one slot per distinct position, keyed by its integer pair, which
@@ -217,23 +225,29 @@ class DiscreteMeasure(JsonFile):
         ``positions[k]`` with mass ``nums[k] / dens[k]``, where ``index``
         maps each position's integer pair to its slot, in slot order.
 
-        The one finisher of every measure: it reduces each mass, sets
+        The one finisher of every measure: it sets ``pscale`` to the lcm of
+        the position denominators under the position ceiling and reads the
+        position ints off ``index``'s keys, reduces each mass, sets
         ``scale`` to the lcm of the reduced denominators under the weight
-        ceiling, checks that the masses sum to 1 and sorts the atoms into
-        exact order (module docstring, facts 3 and 4).  It computes the float
-        keys from ``index``'s keys and sorts the slots once by them.  Where
-        the sorted keys strictly increase, so do the positions, as float(p) <
-        float(q) implies p < q; so only when two adjacent keys are equal does
-        it sort again, by (float key, position), which is exact from any
-        order.  It empties ``index`` and frees each list once it is read.
+        ceiling, checks that the masses sum to 1, and sorts the atoms by
+        their integer positions (module docstring, facts 3 and 4).  It
+        empties ``index`` and frees each list once it is read.
         """
-        floats = [_float_key(a, b) for a, b in index]
-        index.clear()  # free the keys before the sort
+        n = len(positions)
+        pscale = 1
+        for den in {den for _, den in index}:
+            pscale = lcm(pscale, den)
+            if n * pscale.bit_length() > 1 << POSITION_CEILING:
+                raise ResourceCapError(
+                    f"{n} atoms with a common position denominator of {pscale.bit_length()} or "
+                    f"more bits exceed the integer-position ceiling of 2^{POSITION_CEILING} bits"
+                )
+        ints = [num * (pscale // den) for num, den in index]  # position times pscale
+        index.clear()
         divisors = list(map(gcd, nums, dens))
         nums = list(map(floordiv, nums, divisors))
         dens = list(map(floordiv, dens, divisors))
         del divisors
-        n = len(positions)
         scale = 1
         for den in set(dens):
             scale = lcm(scale, den)
@@ -249,14 +263,12 @@ class DiscreteMeasure(JsonFile):
             raise ValidationError(
                 f"atom masses must sum to 1 exactly, got {fraction_text(Fraction(total, scale))}"
             )
-        # strictly increasing float keys give the exact order; only a tie
-        # needs the exact key (module docstring, fact 3)
-        order = sorted(range(n), key=floats.__getitem__)
-        ordered = list(map(floats.__getitem__, order))
-        if any(map(eq, ordered, islice(ordered, 1, None))):
-            order.sort(key=lambda k: (floats[k], positions[k]))
-        del floats, ordered
+        # distinct positions give distinct ints in the same order (fact 3)
+        order = sorted(range(n), key=ints.__getitem__)
         self._positions = tuple(map(positions.__getitem__, order))
+        self._pscale = pscale
+        ints = list(map(ints.__getitem__, order))
+        self._ints = array("q", ints) if -(1 << 63) <= ints[0] and ints[-1] < 1 << 63 else tuple(ints)
         self._scale = scale
         self._weights = tuple(map(weights.__getitem__, order))
 
@@ -292,6 +304,13 @@ class DiscreteMeasure(JsonFile):
         """The masses ``w / scale``, built from the weights on each call."""
         scale = self._scale
         return tuple(Fraction(w, scale) for w in self._weights)
+
+    @property
+    def scaled_positions(self) -> tuple:
+        """``(pscale, ints)``: the positions times their least common
+        denominator ``pscale``, a strictly increasing sequence of ints (an
+        ``array('q')`` when all fit in 64 bits, else a tuple)."""
+        return self._pscale, self._ints
 
     @property
     def scaled_masses(self) -> tuple:
@@ -375,26 +394,23 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     least-width window among the shortest heavy windows ending at each atom:
     if that one, ending at j, were not minimal, the window ending at j - 1
     would have the same start and be strictly narrower, since positions
-    strictly increase.  Widths compare by cross-multiplication.
+    strictly increase.  Widths are differences of the integer positions
+    (``scaled_positions``), all on the one scale ``pscale``, so they compare
+    as plain ints.
     """
     alpha = to_at_most_one(alpha, what="alpha")
     if alpha <= 0:
         return PartialDiameter(ZERO, None)
-    positions = mu.positions
     scale, weights = mu.scaled_masses
-    best: tuple | None = None  # (numerator, positive denominator) of the best width
-    window: tuple | None = None
-    for i, j in minimal_heavy_windows(weights, scaled_level(alpha, scale)):
-        a, b = positions[i].as_integer_ratio()
-        c, d = positions[j].as_integer_ratio()
-        num = c * b - a * d
-        den = d * b
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den)
-            window = (positions[i], positions[j])
-    if best is None:  # unreachable: the total weight scale reaches the level
+    pscale, ints = mu.scaled_positions
+    windows = minimal_heavy_windows(weights, scaled_level(alpha, scale))
+    if not windows:  # unreachable: the total weight scale reaches the level
         raise VerificationError(f"no window reaches mass {fraction_text(alpha)}")
-    return PartialDiameter(Fraction(*best), window)
+    widths = [ints[j] - ints[i] for i, j in windows]
+    best = min(widths)
+    i, j = windows[widths.index(best)]  # the first of least width
+    positions = mu.positions
+    return PartialDiameter(Fraction(best, pscale), (positions[i], positions[j]))
 
 
 class PdProfile:
@@ -459,35 +475,30 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
     Every candidate value is the width of some window of atoms.  The profile
     is the lower staircase of (window width, window mass) pairs: sort widths
     ascending, keep each one only while it raises the best reachable mass.
-    Widths are keyed by their reduced (numerator, denominator) pair and
-    masses are integer weight sums; Fractions are built for the distinct
-    widths and the kept masses only.
+    Widths are differences of the integer positions and masses are integer
+    weight sums, so the windows are keyed, compared and sorted as ints;
+    Fractions are built for the kept steps only.  The n(n + 1)/2 widths are
+    checked against the integer-sweep ceiling before any is built.
     """
-    positions = mu.positions
+    pscale, ints = mu.scaled_positions
+    n = len(ints)
+    check_sweep_size(n * (n + 1) // 2, pscale, "window widths")
+    ints = tuple(ints)  # read n/2 times each: an array would make an int per read
     scale, weights = mu.scaled_masses
-    n = len(positions)
-    nums = [p.numerator for p in positions]
-    dens = [p.denominator for p in positions]
     prefix = list(accumulate(weights, initial=0))
-    best_mass: dict[tuple, int] = {}
+    best_mass: dict[int, int] = {}
     get = best_mass.get
-    for i in range(n):
-        num_i, den_i, below = nums[i], dens[i], prefix[i]
-        for j in range(i, n):
-            num = nums[j] * den_i - num_i * dens[j]
-            den = dens[j] * den_i
-            g = gcd(num, den)
-            width = (num // g, den // g)
-            mass = prefix[j + 1] - below
+    for i, (x, below) in enumerate(zip(ints, prefix)):
+        for y, above in zip(islice(ints, i, None), islice(prefix, i + 1, None)):
+            width, mass = y - x, above - below
             if get(width, 0) < mass:
                 best_mass[width] = mass
     steps = []
     reached = 0
-    for width, mass in sorted(
-        ((Fraction(*width), mass) for width, mass in best_mass.items()), key=_order_key
-    ):
+    for width in sorted(best_mass):
+        mass = best_mass[width]
         if mass > reached:
-            steps.append((Fraction(mass, scale), width))
+            steps.append((Fraction(mass, scale), Fraction(width, pscale)))
             reached = mass
     if reached != scale:
         raise VerificationError(

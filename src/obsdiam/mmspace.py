@@ -281,6 +281,13 @@ FULL_LINE = FullLine()
 Screen = Union[Interval, FullLine]
 
 
+def check_screen(screen) -> None:
+    """Raise DomainError unless ``screen`` is an Interval or FULL_LINE; the
+    one screen check of ``validate``, the exact engine and the random maps."""
+    if not isinstance(screen, (Interval, FullLine)):
+        raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
+
+
 def parse_screen(text: str) -> Screen:
     """Parse 'fullline' or 'interval:a:b' with rational endpoints."""
     text = text.strip()
@@ -355,8 +362,10 @@ class LipschitzWitness:
 
     def validate(self, space: FiniteMMSpace, screen: Screen) -> None:
         """Raise ValidationError unless the values fit the space, lie on the
-        screen and are 1-Lipschitz; the first failing check is reported, and
-        pairs (i, j) with i < j are checked in lexicographic order.
+        screen and are 1-Lipschitz, and DomainError (``check_screen``, after
+        the length check) unless the screen is an Interval or FULL_LINE; the
+        first failing check is reported, and pairs (i, j) with i < j are
+        checked in lexicographic order.
 
         The screen and the Lipschitz pairs are compared by ``check_scaled``
         on one integer scale, ``den = lcm(screen_scale, value scale)``,
@@ -364,6 +373,7 @@ class LipschitzWitness:
         denominators.
         """
         self._check_length(space)
+        check_screen(screen)
         den = lcm(screen_scale(space, screen), self._den)
         rows, ends = on_scale(space, screen, den)
         per_value = den // self._den

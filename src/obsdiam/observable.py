@@ -181,12 +181,12 @@ from .measures import minimal_heavy_windows, scaled_level
 from .mmspace import (
     FULL_LINE,
     FiniteMMSpace,
-    FullLine,
     Interval,
     LipschitzWitness,
     Screen,
     check_point_ceiling,
     check_scaled,
+    check_screen,
     integer_masses,
     on_scale,
     screen_scale,
@@ -293,8 +293,7 @@ def observable_diameter(
     ``cap_n`` says.
     """
     kappa = to_open_unit(kappa, what="kappa")
-    if not isinstance(screen, (Interval, FullLine)):
-        raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
+    check_screen(screen)
     n = len(space)
     check_exact_size(n, cap_n)
     alpha = 1 - kappa
@@ -898,8 +897,7 @@ def _random_lipschitz_values(space: FiniteMMSpace, screen: Screen, seeds):
     check, before they are yielded.  A screen of the wrong type raises
     ``DomainError`` before any draw.
     """
-    if not isinstance(screen, (Interval, FullLine)):
-        raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
+    check_screen(screen)
     n = len(space)
     den = 64 * screen_scale(space, screen)
     rows, ends = on_scale(space, screen, den)

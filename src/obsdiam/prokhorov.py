@@ -56,11 +56,21 @@ algorithm with no subset enumeration.
 
 With n and m atoms, finding and sorting the distances below 1 costs at most
 O(nm log nm) comparisons, and each of the O(log nm) flows O(n + m) steps.
-The distances are exact ``Fraction``s.  The flows run on integers: both
-measures' masses are put on the pair's common scale lcm(mu scale, nu scale)
-(``DiscreteMeasure.scaled_masses``), so every capacity is an integer weight,
-the greedy flow adds and compares integers, and the deficiency 1 - F_k is
-exactly (scale - flow) / scale.
+Everything runs on integers.  Both measures' positions are put on the
+pair's common position scale pscale = lcm(mu pscale, nu pscale)
+(``DiscreteMeasure.scaled_positions``), so each distance |x - y| is the int
+|x - y| * pscale; multiplying by pscale > 0 keeps every comparison, so the
+stops sort with a plain integer sort and the flow's windows compare ints.
+Both measures' masses are put on their common mass scale lcm(mu scale,
+nu scale) (``DiscreteMeasure.scaled_masses``), so every capacity is an
+integer weight, the greedy flow adds and compares integers, and the
+deficiency 1 - F_k is exactly (scale - flow) / scale; the search compares
+it with a stop t_k = s / pscale as (scale - flow) * pscale against
+s * scale.  ``Fraction``s are built only at the end, for the distance
+returned.  Each stop is an int below pscale, so the search counts the
+stops first (two bisections per nu atom), and ``measures.check_sweep_size``
+refuses it when their count times the bit length of pscale passes the
+integer-sweep ceiling.
 
 There is no separate symmetric variant, because on probability measures the
 two directions agree (Strassen 1965; Dudley, *Real Analysis and
@@ -79,9 +89,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._rational import ONE, ZERO, to_at_most_one, to_positive
+from ._rational import to_at_most_one, to_positive
 from .errors import check_cap
-from .measures import DiscreteMeasure, _float_key, partial_diameter
+from .measures import DiscreteMeasure, check_sweep_size, partial_diameter
 
 __all__ = [
     "prokhorov_onesided",
@@ -93,11 +103,11 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 600  # 300 + 300 atoms within distance 1: under 1 s (README)
 
 
-def _max_flow(xs: tuple, supply: list, ys: tuple, demand: list, reach: Fraction) -> int:
-    """Greedy maximum flow from nu's atoms (positions ``ys``, integer weights
-    ``demand``) to mu's atoms (``xs``, ``supply``), both weights on one
-    scale, each nu atom at y sending only to mu atoms in [y - reach,
-    y + reach] (module docstring)."""
+def _max_flow(xs, supply: list, ys, demand: list, reach: int) -> int:
+    """Greedy maximum flow from nu's atoms (integer positions ``ys``,
+    integer weights ``demand``) to mu's atoms (``xs``, ``supply``), positions
+    on one scale and weights on another, each nu atom at y sending only to
+    mu atoms in [y - reach, y + reach] (module docstring)."""
     capacity = supply[:]
     flow = 0
     i = 0  # mu atoms before i are used up or left of every later window
@@ -115,40 +125,48 @@ def _max_flow(xs: tuple, supply: list, ys: tuple, demand: list, reach: Fraction)
     return flow
 
 
+def _rescaled(scaled: tuple, common: int) -> list:
+    """The ints of ``(scale, ints)`` put on ``common``, a multiple of
+    ``scale``."""
+    scale, ints = scaled
+    factor = common // scale
+    return [k * factor for k in ints]
+
+
 def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
     """inf of eps > 0 with mu(U_eps(A)) >= nu(A) - eps for all Borel A."""
     what = "atoms of combined support exceed the Prokhorov support cap"
     check_cap(len(mu) + len(nu), cap, what, keyword="cap")
-    # Every eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances past 1 are
-    # never stops.  The key (float, d) sorts them in exact order (``measures``
-    # module docstring, fact 3).  It is not the finisher's float sort with a
-    # tie check: one distance recurs between many atom pairs (a shared grid
-    # spacing), so here equal floats are the rule and the check would almost
-    # always end in the two-part sort anyway.
-    xs, ys = mu.positions, nu.positions
-    mu_scale, mu_weights = mu.scaled_masses
-    nu_scale, nu_weights = nu.scaled_masses
-    scale = lcm(mu_scale, nu_scale)
-    supply = [w * (scale // mu_scale) for w in mu_weights]
-    demand = [w * (scale // nu_scale) for w in nu_weights]
-    stops = [ZERO, ONE]
-    for y in ys:
-        near = xs[bisect_right(xs, y - 1) : bisect_left(xs, y + 1)]  # |x - y| < 1
-        stops.extend(abs(x - y) for x in near)
-    stops.sort(key=lambda d: (_float_key(d.numerator, d.denominator), d))
+    # positions on pscale and masses on scale (module docstring); every
+    # eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances of pscale or more
+    # are never stops
+    pscale = lcm(mu.scaled_positions[0], nu.scaled_positions[0])
+    xs = _rescaled(mu.scaled_positions, pscale)
+    ys = _rescaled(nu.scaled_positions, pscale)
+    scale = lcm(mu.scaled_masses[0], nu.scaled_masses[0])
+    supply = _rescaled(mu.scaled_masses, scale)
+    demand = _rescaled(nu.scaled_masses, scale)
+    near = [(bisect_right(xs, y - pscale), bisect_left(xs, y + pscale)) for y in ys]  # |x - y| < 1
+    check_sweep_size(sum(j - i for i, j in near), pscale, "atom distances below 1")
+    stops = [0, pscale]
+    for y, (i, j) in zip(ys, near):
+        stops.extend(abs(x - y) for x in xs[i:j])
+    stops.sort()
     # Binary search for the first stretch (stops[k], stops[k+1]] whose
-    # deficiency is at most its right end.  The last stretch, past 1,
-    # always qualifies and gives max(1, deficiency) = 1 for any deficiency.
+    # deficiency (scale - flow) / scale is at most its right end
+    # stops[k+1] / pscale; the two compare cross-multiplied.  The last
+    # stretch, past 1, always qualifies and gives max(1, deficiency) = 1
+    # for any deficiency.
     lo, hi = 0, len(stops) - 1
-    deficiency = ZERO  # stands for the deficiency of stretch hi
+    short = 0  # stands for the deficiency of stretch hi, times scale
     while lo < hi:
         mid = (lo + hi) // 2
-        gap = Fraction(scale - _max_flow(xs, supply, ys, demand, stops[mid]), scale)
-        if gap <= stops[mid + 1]:
-            hi, deficiency = mid, gap
+        gap = scale - _max_flow(xs, supply, ys, demand, stops[mid])
+        if gap * pscale <= stops[mid + 1] * scale:
+            hi, short = mid, gap
         else:
             lo = mid + 1
-    return max(stops[lo], deficiency)
+    return max(Fraction(stops[lo], pscale), Fraction(short, scale))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,20 @@ def exactly(message: str) -> str:
     return f"^{re.escape(message)}$"
 
 
+def reciprocal_prime_atoms(k: int) -> list:
+    """Uniform mass on 1/p for the first k primes (k <= 5 000): positions
+    with pairwise coprime denominators, whose lcm is the product of the
+    primes, about 70 000 bits at k = 5 000."""
+    limit = 48612  # the 5 000th prime is 48 611
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, 221):  # 221^2 > limit
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    primes = [p for p in range(limit) if sieve[p]][:k]
+    return [(Fraction(1, p), Fraction(1, k)) for p in primes]
+
+
 # -- brute-force oracles -------------------------------------------------------
 
 

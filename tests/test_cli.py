@@ -6,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from conftest import reciprocal_prime_atoms
 
 import obsdiam
 import obsdiam.cli as cli
@@ -100,6 +101,18 @@ def test_pd_huge_exponent_is_a_resource_cap(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "exponent" in err
+
+
+def test_pd_past_the_position_ceiling_exits_3(capsys, tmp_path):
+    # 1/p over the first 5 000 primes: the positions' common denominator
+    # passes the integer-position ceiling while the measure is built
+    path = tmp_path / "primes.json"
+    atoms = [{"pos": f"1/{p.denominator}", "mass": "1/5000"} for p, _ in reciprocal_prime_atoms(5000)]
+    path.write_text(json.dumps({"atoms": atoms}))
+    code, out, err = run(capsys, "pd", str(path), "--alpha", "1/2")
+    assert code == 3
+    assert out == ""
+    assert "exceed the integer-position ceiling of 2^28 bits" in err
 
 
 def test_pd_result_past_the_digit_limit_is_a_resource_cap(capsys, tmp_path):
@@ -489,6 +502,18 @@ def test_prokhorov_support_cap_is_raised_by_cap_n(capsys, tmp_path):
     code, out, _ = run(capsys, "prokhorov", str(big), str(other), "--cap-n", "601")
     assert code == 0
     assert out.strip() == "1/2"
+
+
+def test_prokhorov_past_the_sweep_ceiling_exits_3(capsys, tmp_path):
+    # 1/p over the first 2 000 primes: 4 000 000 distances below 1, each
+    # carrying the bits of a 25 000-bit common denominator
+    path = tmp_path / "primes.json"
+    DiscreteMeasure(reciprocal_prime_atoms(2000)).dump(path)
+    code, out, err = run(capsys, "prokhorov", str(path), str(path), "--cap-n", "4000")
+    assert code == 3
+    assert out == ""
+    assert "4000000 atom distances below 1" in err
+    assert "exceed the integer-sweep ceiling of 2^30 bits" in err
 
 
 # -- counterexample -------------------------------------------------------------------

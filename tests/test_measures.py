@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate
 from math import lcm
@@ -13,7 +14,9 @@ from conftest import (
     pd_profile_oracle,
     pd_sweep_oracle,
     pd_window_scan,
+    prokhorov_subset_oracle,
     rational_measures,
+    reciprocal_prime_atoms,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +29,12 @@ from obsdiam import (
     ValidationError,
     partial_diameter,
     pd_profile,
+    prokhorov_onesided,
     push_forward,
 )
 from obsdiam._rational import format_fraction
 from obsdiam.measures import minimal_heavy_windows
-from obsdiam.randgen import random_lipschitz_pl, random_measure
+from obsdiam.randgen import jittered_pair, random_alpha, random_lipschitz_pl, random_measure
 
 # Position pools for the integer-view oracle test.  Each pool holds distinct
 # rationals that a float cannot tell apart (2^60 + k, 1/3 + k/10^30), that
@@ -173,6 +177,51 @@ def test_weight_ceiling_refuses_a_long_common_denominator():
     assert mu.scaled_masses == (401, (1,) * 401)
 
 
+def test_position_ceiling_refuses_coprime_position_denominators():
+    # the positions 1/p over the first 5 000 primes have the product of the
+    # primes, about 70 000 bits, as pscale, so their ints would take about
+    # 44 MB; the lcm passes 2^28 bits over 5 000 atoms at about 53 700 bits,
+    # before any position int is built
+    atoms = reciprocal_prime_atoms(5000)
+    message = (
+        "5000 atoms with a common position denominator of [0-9]+ or more bits "
+        "exceed the integer-position ceiling of 2\\^28 bits"
+    )
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match=f"^{message}$"):
+        DiscreteMeasure(atoms)
+    assert time.process_time() - start < 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=message):
+            DiscreteMeasure(atoms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # 500 of them stay inside the ceiling, with pscale their product
+    mu = DiscreteMeasure.uniform(p for p, _ in reciprocal_prime_atoms(500))
+    pscale, ints = mu.scaled_positions
+    assert pscale == lcm(*(p.denominator for p in mu.positions))
+    assert tuple(F(k, pscale) for k in ints) == mu.positions
+
+
+def test_sweep_ceiling_refuses_quadratic_sweeps_on_a_wide_common_denominator():
+    # 1/p over the first 2 000 primes stay inside the position ceiling, but
+    # pscale is about 25 000 bits, so the profile's 2 001 000 window widths
+    # or the 4 000 000 Prokhorov stops would each carry that many bits
+    mu = DiscreteMeasure(reciprocal_prime_atoms(2000))
+    bits = mu.scaled_positions[0].bit_length()
+    assert 2000 * bits <= 1 << 28 < 2001000 * bits
+    tail = f"on a common position denominator of {bits} bits exceed the integer-sweep ceiling of 2^30 bits"
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match=exactly(f"2001000 window widths {tail}")):
+        pd_profile(mu)
+    with pytest.raises(ResourceCapError, match=exactly(f"4000000 atom distances below 1 {tail}")):
+        prokhorov_onesided(mu, mu, cap=4000)
+    assert time.process_time() - start < 1
+
+
 def test_mass_of_interval():
     mu = DiscreteMeasure.uniform([0, 1, 2, 3])
     assert mu.mass_of_interval(1, 2) == F(1, 2)
@@ -291,11 +340,12 @@ def test_pd_never_grows_under_one_lipschitz_maps(mu, alpha, seed):
     assert partial_diameter(push_forward(mu, f), alpha).value <= partial_diameter(mu, alpha).value
 
 
-def _oracle_case(rng):
-    """Raw atoms drawn from one position pool, with repeats (merges) and
-    masses of mixed denominators normalised to total 1."""
-    pool = rng.choice(POSITION_POOLS)
-    size = 1 if rng.random() < 0.1 else rng.randint(2, 12)
+def _oracle_case(rng, pool=None, most=12):
+    """Raw atoms drawn from one position pool (a random one by default), with
+    repeats (merges) and masses of mixed denominators normalised to total
+    1; at most ``most`` of them."""
+    pool = pool or rng.choice(POSITION_POOLS)
+    size = 1 if rng.random() < 0.1 else rng.randint(2, most)
     raw = [F(rng.randint(1, 9), rng.choice(MASS_DENOMINATORS)) for _ in range(size)]
     total = sum(raw)
     return [(rng.choice(pool), m / total) for m in raw]
@@ -337,6 +387,32 @@ def test_integer_view_matches_fraction_oracles():
         assert image.scaled_masses == (
             image_scale, tuple(int(m * image_scale) for _, m in image_atoms)
         )
+
+
+def test_integer_positions_match_fraction_oracles():
+    """``scaled_positions`` gives back every position on the lcm of the
+    reduced position denominators, in strictly increasing order, and the
+    partial diameter, the profile and the Prokhorov distance read from it
+    agree with their Fraction oracles, on the pools whose floats tie,
+    overflow or underflow and on seeded measures."""
+    rng = random.Random(33)
+    for case in range(600):
+        if case % 3 == 2:
+            mu, nu = jittered_pair(rng, F(rng.randint(1, 8), 8))
+        else:
+            pool = rng.choice(POSITION_POOLS) if case % 3 else None
+            mu = DiscreteMeasure(_oracle_case(rng, pool)) if pool else random_measure(rng)
+            nu = DiscreteMeasure(_oracle_case(rng, pool, most=6)) if pool else random_measure(rng, max_atoms=6)
+        for measure in (mu, nu):
+            pscale, ints = measure.scaled_positions
+            assert pscale == lcm(*(p.denominator for p in measure.positions))
+            assert tuple(F(k, pscale) for k in ints) == measure.positions
+            assert all(a < b for a, b in zip(ints, ints[1:]))
+        atoms = mu.atoms
+        for alpha in (random_alpha(rng), F(1)):
+            assert partial_diameter(mu, alpha) == pd_sweep_oracle(atoms, alpha)
+        assert pd_profile(mu).steps == pd_profile_oracle(atoms)
+        assert prokhorov_onesided(mu, nu) == prokhorov_subset_oracle(mu, nu)
 
 
 def _oracle_view(atoms) -> tuple:

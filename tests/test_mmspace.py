@@ -21,6 +21,7 @@ from obsdiam import (
     ResourceCapError,
     ValidationError,
     heavy_minimal_subsets,
+    observable_diameter,
     parse_screen,
     random_lipschitz_map,
     screen_to_str,
@@ -241,6 +242,23 @@ def test_full_line_accepts_any_value():
     sp = FiniteMMSpace.line_space([0, 2 * 10**9])
     LipschitzWitness((F(-(10**9)), F(10**9))).validate(sp, FULL_LINE)  # should not raise
     LipschitzWitness((F(10**9), F(-(10**9)))).validate(sp, FULL_LINE)
+
+
+def test_witness_validate_refuses_a_screen_of_the_wrong_type():
+    # a screen string is not a screen: validate raises what the exact engine
+    # and the random maps raise, where it once passed as on the full line
+    sp = FiniteMMSpace.line_space([0, 1])
+    message = exactly("screen must be an Interval or FULL_LINE, got 'interval:-1:1'")
+    for call in (
+        lambda: LipschitzWitness((50, 50)).validate(sp, "interval:-1:1"),
+        lambda: observable_diameter(sp, "interval:-1:1", F(1, 2)),
+        lambda: random_lipschitz_map(sp, "interval:-1:1", 0),
+    ):
+        with pytest.raises(DomainError, match=message):
+            call()
+    # the length check still comes first
+    with pytest.raises(ValidationError, match=exactly("witness has 1 values for a 2-point space")):
+        LipschitzWitness((0,)).validate(sp, "interval:-1:1")
 
 
 def test_witness_validate_matches_fraction_oracle_on_coprime_denominators():
