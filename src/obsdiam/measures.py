@@ -12,7 +12,9 @@ Stored form.  A measure stores its sorted positions, their integer view
 weights)``.  ``pscale`` is the least common multiple of the position
 denominators and ``ints[k] = positions[k] * pscale``, held in a 64-bit
 ``array`` (8 bytes an int, where a tuple takes about 36) when every int
-fits one and in a tuple when one does not.  ``scale`` is the least common
+fits one and in a tuple when one does not; ``scaled_positions`` hands out a
+read-only view of the array, so the ints, like the tuples, cannot be
+changed.  ``scale`` is the least common
 multiple of the mass denominators and ``weights[k] = masses[k] * scale``,
 integers summing to ``scale``.  ``masses`` and ``atoms`` build their
 Fractions ``w / scale`` from the weights on each call.  Every measure is
@@ -27,7 +29,8 @@ per position, keep the finisher's passes short.  One finisher,
 reads the position ints off the dict's integer pairs.  The sweeps below add
 and compare the weights and the position ints instead of Fractions, and
 build a Fraction only for what they return.  Three facts make that exact,
-and a fourth makes the stored form canonical.
+a fourth makes the stored form canonical, and a fifth keeps the quadratic
+sweeps short when ``pscale`` is long.
 
 1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
    its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
@@ -62,6 +65,23 @@ and a fourth makes the stored form canonical.
    back ``scale`` as their sum, hence the masses), whichever path built
    them; ``__eq__`` and ``__hash__`` read those two tuples, so equal
    measures hash equal, as a set or dict key needs.
+5. Long scales.  ``pd_profile`` keys every window width, and ``prokhorov``
+   every atom distance below 1, as an int: a difference d >= 0 of two
+   positions.  On ``pscale`` that int carries all of pscale's bits, which
+   the reduced Fraction of one pair does not when the positions have many
+   coprime denominators.  So past ``SWEEP_BITS`` bits of pscale the sweeps
+   key d as floor(d * 2^B) instead (``floor_bits``), with B = 2b + 1 and
+   2^b above a bound Q on the reduced denominators of the differences:
+   Q = D^2 for the widths, D the largest position denominator, and
+   D_mu * D_nu for the distances from mu's atoms to nu's.  That key is
+   exact.  Two distinct differences are at least 1/Q^2 > 2^-B apart, so
+   their keys differ in the same direction, and equal differences have
+   equal keys; the keys therefore compare, sort and hash as the
+   differences do.  And d is the one fraction with denominator at most 2^b
+   nearest to key / 2^B (``unfloor``): d lies within 2^-B = 1/(2 * 4^b) of
+   it, and any other such fraction lies more than 1/4^b from d.  B grows
+   with the denominators of one pair, not with their number, and keys are
+   built only where pscale is longer than B.
 
 Each weight is at most ``scale``, so the mass view costs n integers no
 larger than ``scale``.  With a shared mass denominator, as in ``uniform``,
@@ -80,13 +100,7 @@ positions with pairwise coprime denominators (1/p over the first 5,000
 primes p) make ``pscale`` their product.  So n times the bit length of
 ``pscale`` has a fixed ceiling of 2^``POSITION_CEILING`` bits, checked as
 ``pscale`` is built, before any position int exists and before the masses
-are checked; past it construction raises ``ResourceCapError``.  The sweeps
-that hold an int per pair of atoms, ``pd_profile``'s window widths and
-``prokhorov``'s stops, would multiply that: each int carries the bits of
-``pscale``, where a reduced Fraction for one pair carries only those of the
-pair's denominators.  So ``check_sweep_size`` refuses such a sweep with
-``ResourceCapError`` when its int count times the bit length of ``pscale``
-passes 2^``SWEEP_CEILING`` bits, before any of those ints is built.
+are checked; past it construction raises ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -115,19 +129,25 @@ __all__ = [
 
 WEIGHT_CEILING = 28  # 2^28 bits of integer weights, 32 MiB; 10^5 atoms need about 2^21
 POSITION_CEILING = 28  # 2^28 bits of pscale per atom, likewise
-SWEEP_CEILING = 30  # 2^30 bits, 128 MiB: the ints a quadratic sweep holds times the bits of pscale
+SWEEP_BITS = 512  # the quadratic sweeps key on pscale while it has at most this many bits
 
 
-def check_sweep_size(count: int, pscale: int, what: str) -> None:
-    """Raise ResourceCapError when ``count`` ints on the position scale
-    ``pscale``, each carrying its bits, would pass 2^``SWEEP_CEILING`` bits
-    (module docstring)."""
-    bits = pscale.bit_length()
-    if count * bits > 1 << SWEEP_CEILING:
-        raise ResourceCapError(
-            f"{count} {what} on a common position denominator of {bits} bits exceed "
-            f"the integer-sweep ceiling of 2^{SWEEP_CEILING} bits"
-        )
+def floor_bits(pscale: int, xs: tuple, ys: tuple) -> int:
+    """0 when a sweep over the differences y - x, x in ``xs`` and y in
+    ``ys`` (positions on the scale ``pscale``), keys them on ``pscale``;
+    else the B of the scale 2^B on which it keys them rounded down (module
+    docstring, fact 5), when that is shorter than pscale."""
+    if pscale.bit_length() <= SWEEP_BITS:
+        return 0
+    bound = max(x.denominator for x in xs) * max(y.denominator for y in ys)
+    bits = 2 * bound.bit_length() + 1
+    return bits if bits < pscale.bit_length() else 0
+
+
+def unfloor(key: int, bits: int) -> Fraction:
+    """The difference whose key on 2^``bits`` is ``key`` (module docstring,
+    fact 5)."""
+    return Fraction(key, 1 << bits).limit_denominator(1 << (bits >> 1))
 
 
 def scaled_level(alpha: Fraction, scale: int) -> int:
@@ -234,16 +254,18 @@ class DiscreteMeasure(JsonFile):
         empties ``index`` and frees each list once it is read.
         """
         n = len(positions)
+        pairs = list(index)  # the integer pairs, in slot order
+        index.clear()  # its table is the largest object here; the ints come next
         pscale = 1
-        for den in {den for _, den in index}:
+        for den in {den for _, den in pairs}:
             pscale = lcm(pscale, den)
             if n * pscale.bit_length() > 1 << POSITION_CEILING:
                 raise ResourceCapError(
                     f"{n} atoms with a common position denominator of {pscale.bit_length()} or "
                     f"more bits exceed the integer-position ceiling of 2^{POSITION_CEILING} bits"
                 )
-        ints = [num * (pscale // den) for num, den in index]  # position times pscale
-        index.clear()
+        ints = [num * (pscale // den) for num, den in pairs]  # position times pscale
+        del pairs
         divisors = list(map(gcd, nums, dens))
         nums = list(map(floordiv, nums, divisors))
         dens = list(map(floordiv, dens, divisors))
@@ -308,9 +330,11 @@ class DiscreteMeasure(JsonFile):
     @property
     def scaled_positions(self) -> tuple:
         """``(pscale, ints)``: the positions times their least common
-        denominator ``pscale``, a strictly increasing sequence of ints (an
-        ``array('q')`` when all fit in 64 bits, else a tuple)."""
-        return self._pscale, self._ints
+        denominator ``pscale``, a strictly increasing read-only sequence of
+        ints (a view of the stored 64-bit array when all fit one, else a
+        tuple)."""
+        ints = self._ints
+        return self._pscale, memoryview(ints).toreadonly() if type(ints) is array else ints
 
     @property
     def scaled_masses(self) -> tuple:
@@ -475,30 +499,40 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
     Every candidate value is the width of some window of atoms.  The profile
     is the lower staircase of (window width, window mass) pairs: sort widths
     ascending, keep each one only while it raises the best reachable mass.
-    Widths are differences of the integer positions and masses are integer
-    weight sums, so the windows are keyed, compared and sorted as ints;
-    Fractions are built for the kept steps only.  The n(n + 1)/2 widths are
-    checked against the integer-sweep ceiling before any is built.
+    Widths are integer keys, differences of the integer positions or, on a
+    long ``pscale``, their floors on 2^B (module docstring, fact 5), and
+    masses are integer weight sums, so the windows are keyed, compared and
+    sorted as ints; Fractions are built for the kept steps only.
     """
-    pscale, ints = mu.scaled_positions
-    n = len(ints)
-    check_sweep_size(n * (n + 1) // 2, pscale, "window widths")
-    ints = tuple(ints)  # read n/2 times each: an array would make an int per read
     scale, weights = mu.scaled_masses
+    pscale, ints = mu.scaled_positions
+    positions = mu.positions
+    bits = floor_bits(pscale, positions, positions)
     prefix = list(accumulate(weights, initial=0))
     best_mass: dict[int, int] = {}
     get = best_mass.get
-    for i, (x, below) in enumerate(zip(ints, prefix)):
-        for y, above in zip(islice(ints, i, None), islice(prefix, i + 1, None)):
-            width, mass = y - x, above - below
-            if get(width, 0) < mass:
-                best_mass[width] = mass
+    if bits:
+        # the key of c/d - a/b, from the integer pairs of the window's ends
+        pairs = [p.as_integer_ratio() for p in positions]
+        for i, ((a, b), below) in enumerate(zip(pairs, prefix)):
+            for (c, d), above in zip(islice(pairs, i, None), islice(prefix, i + 1, None)):
+                width, mass = ((c * b - a * d) << bits) // (d * b), above - below
+                if get(width, 0) < mass:
+                    best_mass[width] = mass
+    else:
+        ints = tuple(ints)  # read n/2 times each: an array would make an int per read
+        for i, (x, below) in enumerate(zip(ints, prefix)):
+            for y, above in zip(islice(ints, i, None), islice(prefix, i + 1, None)):
+                width, mass = y - x, above - below
+                if get(width, 0) < mass:
+                    best_mass[width] = mass
     steps = []
     reached = 0
     for width in sorted(best_mass):
         mass = best_mass[width]
         if mass > reached:
-            steps.append((Fraction(mass, scale), Fraction(width, pscale)))
+            value = unfloor(width, bits) if bits else Fraction(width, pscale)
+            steps.append((Fraction(mass, scale), value))
             reached = mass
     if reached != scale:
         raise VerificationError(

@@ -67,10 +67,11 @@ integer weight, the greedy flow adds and compares integers, and the
 deficiency 1 - F_k is exactly (scale - flow) / scale; the search compares
 it with a stop t_k = s / pscale as (scale - flow) * pscale against
 s * scale.  ``Fraction``s are built only at the end, for the distance
-returned.  Each stop is an int below pscale, so the search counts the
-stops first (two bisections per nu atom), and ``measures.check_sweep_size``
-refuses it when their count times the bit length of pscale passes the
-integer-sweep ceiling.
+returned.  When pscale is long, each distance is keyed instead by its
+floor on a scale 2^B that grows with the denominators of one pair of atoms,
+not with their number (``measures`` module docstring, fact 5): those keys
+sort exactly, and the search turns the O(log nm) stops it reads back into
+ints on pscale.
 
 There is no separate symmetric variant, because on probability measures the
 two directions agree (Strassen 1965; Dudley, *Real Analysis and
@@ -91,7 +92,7 @@ from math import lcm
 
 from ._rational import to_at_most_one, to_positive
 from .errors import check_cap
-from .measures import DiscreteMeasure, check_sweep_size, partial_diameter
+from .measures import DiscreteMeasure, floor_bits, partial_diameter, unfloor
 
 __all__ = [
     "prokhorov_onesided",
@@ -147,26 +148,42 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     supply = _rescaled(mu.scaled_masses, scale)
     demand = _rescaled(nu.scaled_masses, scale)
     near = [(bisect_right(xs, y - pscale), bisect_left(xs, y + pscale)) for y in ys]  # |x - y| < 1
-    check_sweep_size(sum(j - i for i, j in near), pscale, "atom distances below 1")
-    stops = [0, pscale]
-    for y, (i, j) in zip(ys, near):
-        stops.extend(abs(x - y) for x in xs[i:j])
+    bits = floor_bits(pscale, mu.positions, nu.positions)
+    if bits:
+        # the key of |a/b - c/d|, from the integer pairs of the two atoms
+        pairs = [x.as_integer_ratio() for x in mu.positions]
+        stops = [0, 1 << bits]
+        for y, (i, j) in zip(nu.positions, near):
+            c, d = y.as_integer_ratio()
+            stops.extend((abs(a * d - c * b) << bits) // (b * d) for a, b in pairs[i:j])
+    else:
+        stops = [0, pscale]
+        for y, (i, j) in zip(ys, near):
+            stops.extend(abs(x - y) for x in xs[i:j])
     stops.sort()
+
+    def at(k: int) -> int:
+        """stops[k] on pscale."""
+        if not bits:
+            return stops[k]
+        stop = unfloor(stops[k], bits)
+        return stop.numerator * (pscale // stop.denominator)
+
     # Binary search for the first stretch (stops[k], stops[k+1]] whose
     # deficiency (scale - flow) / scale is at most its right end
-    # stops[k+1] / pscale; the two compare cross-multiplied.  The last
+    # at(k + 1) / pscale; the two compare cross-multiplied.  The last
     # stretch, past 1, always qualifies and gives max(1, deficiency) = 1
     # for any deficiency.
     lo, hi = 0, len(stops) - 1
     short = 0  # stands for the deficiency of stretch hi, times scale
     while lo < hi:
         mid = (lo + hi) // 2
-        gap = scale - _max_flow(xs, supply, ys, demand, stops[mid])
-        if gap * pscale <= stops[mid + 1] * scale:
+        gap = scale - _max_flow(xs, supply, ys, demand, at(mid))
+        if gap * pscale <= at(mid + 1) * scale:
             hi, short = mid, gap
         else:
             lo = mid + 1
-    return max(Fraction(stops[lo], pscale), Fraction(short, scale))
+    return max(Fraction(at(lo), pscale), Fraction(short, scale))
 
 
 @dataclass(frozen=True)

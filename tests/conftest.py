@@ -29,6 +29,7 @@ from obsdiam import (
 )
 from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
 from obsdiam.measures import minimal_heavy_windows, scaled_level
+from obsdiam.mmspace import FullLine
 from obsdiam.observable import _max_t_for_order
 
 
@@ -499,12 +500,14 @@ def random_lipschitz_map_oracle(space, screen, rng) -> LipschitzWitness:
 
 def lipschitz_validate_oracle(witness: LipschitzWitness, space, screen) -> None:
     """``LipschitzWitness.validate`` by Fraction comparisons, as before the
-    common integer scale: length, then the screen, then the pairs (i, j)
-    with i < j in order, raising the same messages."""
+    common integer scale: length, then the screen's type, then the screen,
+    then the pairs (i, j) with i < j in order, raising the same messages."""
     values = witness.values
     n = len(space)
     if len(values) != n:
         raise ValidationError(f"witness has {len(values)} values for a {n}-point space")
+    if not isinstance(screen, (Interval, FullLine)):
+        raise DomainError(f"screen must be an Interval or FULL_LINE, got {screen!r}")
     for v in values:
         if isinstance(screen, Interval) and not screen.a <= v <= screen.b:
             raise ValidationError(f"witness value {fraction_text(v)} escapes the screen")

@@ -504,16 +504,20 @@ def test_prokhorov_support_cap_is_raised_by_cap_n(capsys, tmp_path):
     assert out.strip() == "1/2"
 
 
-def test_prokhorov_past_the_sweep_ceiling_exits_3(capsys, tmp_path):
-    # 1/p over the first 2 000 primes: 4 000 000 distances below 1, each
-    # carrying the bits of a 25 000-bit common denominator
-    path = tmp_path / "primes.json"
-    DiscreteMeasure(reciprocal_prime_atoms(2000)).dump(path)
-    code, out, err = run(capsys, "prokhorov", str(path), str(path), "--cap-n", "4000")
-    assert code == 3
-    assert out == ""
-    assert "4000000 atom distances below 1" in err
-    assert "exceed the integer-sweep ceiling of 2^30 bits" in err
+def test_prokhorov_on_a_long_position_scale(capsys, tmp_path):
+    # 1/p over the first 300 primes: the common position denominator has
+    # about 2 800 bits, so the distances are keyed on a short scale instead
+    path, other = tmp_path / "primes.json", tmp_path / "other.json"
+    mu = DiscreteMeasure(reciprocal_prime_atoms(300))
+    assert mu.scaled_positions[0].bit_length() > 2000
+    mu.dump(path)
+    DiscreteMeasure.point_mass(F(1, 2)).dump(other)
+    code, out, _ = run(capsys, "prokhorov", str(path), str(path))
+    assert code == 0
+    assert out.strip() == "0"
+    code, out, _ = run(capsys, "prokhorov", str(path), str(other))
+    assert code == 0
+    assert out.strip() == str(obsdiam.prokhorov_onesided(mu, DiscreteMeasure.point_mass(F(1, 2))))
 
 
 # -- counterexample -------------------------------------------------------------------

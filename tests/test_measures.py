@@ -32,6 +32,7 @@ from obsdiam import (
     prokhorov_onesided,
     push_forward,
 )
+from obsdiam import measures
 from obsdiam._rational import format_fraction
 from obsdiam.measures import minimal_heavy_windows
 from obsdiam.randgen import jittered_pair, random_alpha, random_lipschitz_pl, random_measure
@@ -206,20 +207,53 @@ def test_position_ceiling_refuses_coprime_position_denominators():
     assert tuple(F(k, pscale) for k in ints) == mu.positions
 
 
-def test_sweep_ceiling_refuses_quadratic_sweeps_on_a_wide_common_denominator():
-    # 1/p over the first 2 000 primes stay inside the position ceiling, but
-    # pscale is about 25 000 bits, so the profile's 2 001 000 window widths
-    # or the 4 000 000 Prokhorov stops would each carry that many bits
-    mu = DiscreteMeasure(reciprocal_prime_atoms(2000))
-    bits = mu.scaled_positions[0].bit_length()
-    assert 2000 * bits <= 1 << 28 < 2001000 * bits
-    tail = f"on a common position denominator of {bits} bits exceed the integer-sweep ceiling of 2^30 bits"
+def test_sweeps_key_differences_on_2_to_the_b_past_a_long_position_scale(monkeypatch):
+    # 1/p over the first 100 primes: pscale, their product, is longer than
+    # SWEEP_BITS and than B, so the profile's widths and the Prokhorov
+    # distances are keyed as floors on 2^B (module docstring, fact 5)
+    rng = random.Random(51)
+    atoms = reciprocal_prime_atoms(100)
+    masses = [F(w) for w in range(1, 101)]
+    mu = DiscreteMeasure((p, m / sum(masses)) for (p, _), m in zip(atoms, rng.sample(masses, 100)))
+    pscale = mu.scaled_positions[0]
+    assert 0 < measures.floor_bits(pscale, mu.positions, mu.positions) < pscale.bit_length()
+    assert pscale.bit_length() > measures.SWEEP_BITS
+    assert pd_profile(mu).steps == pd_profile_oracle(mu.atoms)
+    nu = DiscreteMeasure([(F(1, 3), F(1, 2)), (F(2, 7), F(1, 3)), (F(1, 1000003), F(1, 6))])
+    assert prokhorov_onesided(mu, nu) == prokhorov_subset_oracle(mu, nu) > 0
+    assert prokhorov_onesided(mu, mu) == 0
+    # with SWEEP_BITS at 0 every measure whose pscale is longer than B takes
+    # the keys; on seeded measures over prime-power denominators they agree
+    # with the Fraction oracles
+    monkeypatch.setattr(measures, "SWEEP_BITS", 0)
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    keyed = 0
+    for _ in range(150):
+        sides = []
+        for most, power in ((12, 3), (6, 1)):
+            dens = [rng.choice(primes) ** rng.randint(1, power) for _ in range(rng.randint(1, most))]
+            positions = {F(rng.randint(-3 * d, 3 * d), d) for d in dens}
+            weights = [rng.randint(1, 9) for _ in positions]
+            sides.append(DiscreteMeasure((p, F(w, sum(weights))) for p, w in zip(positions, weights)))
+        mu, nu = sides
+        keyed += bool(measures.floor_bits(mu.scaled_positions[0], mu.positions, mu.positions))
+        assert pd_profile(mu).steps == pd_profile_oracle(mu.atoms)
+        assert prokhorov_onesided(mu, nu) == prokhorov_subset_oracle(mu, nu)
+    assert keyed > 50
+
+
+def test_sweeps_on_many_coprime_position_denominators_stay_quick():
+    # 400 atoms at random 7-digit denominators: pscale has about 5 000 bits,
+    # and each key on 2^B about 100
+    rng = random.Random(52)
+    mu = DiscreteMeasure.uniform({F(rng.randint(0, 10**7), rng.randint(10**6, 10**7)) for _ in range(400)})
+    assert mu.scaled_positions[0].bit_length() > 4000
     start = time.process_time()
-    with pytest.raises(ResourceCapError, match=exactly(f"2001000 window widths {tail}")):
-        pd_profile(mu)
-    with pytest.raises(ResourceCapError, match=exactly(f"4000000 atom distances below 1 {tail}")):
-        prokhorov_onesided(mu, mu, cap=4000)
-    assert time.process_time() - start < 1
+    profile = pd_profile(mu)
+    assert prokhorov_onesided(mu, mu, cap=800) == 0
+    assert time.process_time() - start < 2
+    for alpha in (F(1, 400), F(1, 7), F(1, 2), F(1)):
+        assert profile.evaluate(alpha) == partial_diameter(mu, alpha).value
 
 
 def test_mass_of_interval():
@@ -387,6 +421,17 @@ def test_integer_view_matches_fraction_oracles():
         assert image.scaled_masses == (
             image_scale, tuple(int(m * image_scale) for _, m in image_atoms)
         )
+
+
+def test_scaled_positions_cannot_be_changed():
+    # a 64-bit array behind a read-only view, and a tuple past 64 bits
+    for positions in ([0, F(1, 2), 3], [0, 2**70]):
+        mu = DiscreteMeasure.uniform(positions)
+        pscale, ints = mu.scaled_positions
+        with pytest.raises(TypeError):
+            ints[0] = 1
+        assert list(mu.scaled_positions[1]) == [p * pscale for p in mu.positions]
+        assert partial_diameter(mu, 1).value == mu.positions[-1]
 
 
 def test_integer_positions_match_fraction_oracles():

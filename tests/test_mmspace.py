@@ -251,6 +251,7 @@ def test_witness_validate_refuses_a_screen_of_the_wrong_type():
     message = exactly("screen must be an Interval or FULL_LINE, got 'interval:-1:1'")
     for call in (
         lambda: LipschitzWitness((50, 50)).validate(sp, "interval:-1:1"),
+        lambda: lipschitz_validate_oracle(LipschitzWitness((50, 50)), sp, "interval:-1:1"),
         lambda: observable_diameter(sp, "interval:-1:1", F(1, 2)),
         lambda: random_lipschitz_map(sp, "interval:-1:1", 0),
     ):
