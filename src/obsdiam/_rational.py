@@ -13,6 +13,13 @@ would build a 10^8-digit integer.  A string longer than
 limit matches CPython's default cap of 4300 digits on int-string
 conversion, which already bounds the written digits, so an exponent adds no
 more digits than a written-out number could carry; ``1e400`` is accepted.
+
+The range checks ``to_open_unit``, ``to_positive`` and ``to_at_most_one``
+compare the integer pair of the value, never two Fractions: a Fraction
+num/den has den > 0, so it is positive exactly when num > 0, below 1 exactly
+when num < den, and above 1 exactly when num > den.  A Fraction comparison
+goes through the ``numbers.Rational`` checks, several times the cost of the
+integer one, and the checks run on every level a public function takes.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ def to_fraction(value, *, what: str = "value") -> Fraction:
 def to_open_unit(value, *, what: str) -> Fraction:
     """``to_fraction`` for a level that must lie strictly between 0 and 1."""
     value = to_fraction(value, what=what)
-    if not 0 < value < 1:
+    num, den = value.as_integer_ratio()
+    if not 0 < num < den:
         raise DomainError(f"{what} must lie in (0, 1), got {fraction_text(value)}")
     return value
 
@@ -84,7 +92,7 @@ def to_open_unit(value, *, what: str) -> Fraction:
 def to_positive(value, *, what: str) -> Fraction:
     """``to_fraction`` for a quantity that must be strictly positive."""
     value = to_fraction(value, what=what)
-    if value <= 0:
+    if value.numerator <= 0:
         raise DomainError(f"{what} must be positive, got {fraction_text(value)}")
     return value
 
@@ -92,7 +100,8 @@ def to_positive(value, *, what: str) -> Fraction:
 def to_at_most_one(value, *, what: str) -> Fraction:
     """``to_fraction`` for a mass level, which no set can pass above 1."""
     value = to_fraction(value, what=what)
-    if value > 1:
+    num, den = value.as_integer_ratio()
+    if num > den:
         raise DomainError(f"{what} must be <= 1, got {fraction_text(value)}")
     return value
 

@@ -79,7 +79,8 @@ def anchor_walk(mu: DiscreteMeasure, alpha) -> tuple:
             anchors.append(pos)
             acc = 0
     anchors.append(positions[last])
-    if len(anchors) * alpha > 1:
+    num, den = alpha.as_integer_ratio()  # len * alpha > 1, on the integer pair
+    if len(anchors) * num > den:
         raise VerificationError("anchor count exceeded 1/alpha")
     return tuple(anchors)
 

@@ -29,8 +29,9 @@ per position, keep the finisher's passes short.  One finisher,
 reads the position ints off the dict's integer pairs.  The sweeps below add
 and compare the weights and the position ints instead of Fractions, and
 build a Fraction only for what they return.  Three facts make that exact,
-a fourth makes the stored form canonical, and a fifth keeps the quadratic
-sweeps short when ``pscale`` is long.
+a fourth makes the stored form canonical, a fifth keeps the quadratic
+sweeps short when ``pscale`` is long, and a sixth gives a profile the same
+kind of stored form.
 
 1. Levels.  A set of atoms with weight sum ``acc`` has mass acc / scale, so
    its mass reaches ``alpha`` exactly when acc >= alpha * scale.  As acc is
@@ -82,6 +83,23 @@ sweeps short when ``pscale`` is long.
    it, and any other such fraction lies more than 1/4^b from d.  B grows
    with the denominators of one pair, not with their number, and keys are
    built only where pscale is longer than B.
+6. Profiles.  A ``PdProfile`` stores its thresholds as integer levels on
+   one scale, threshold k being ``levels[k] / scale``, beside its values.
+   ``pd_profile`` takes the kept windows' weight sums on the measure's
+   ``scale`` and divides scale and levels by their gcd; ``PdProfile(steps)``
+   takes as scale the lcm L of the reduced threshold denominators, and
+   levels t * L.  Both give the same form.  The public one has gcd 1: for a
+   prime p whose highest power in L divides the denominator b of a reduced
+   threshold a/b, neither a nor L / b is a multiple of p, so neither is
+   the level a * (L / b).  And a scale S with levels of gcd 1 is that L:
+   each threshold is a multiple of 1/L, so S / L divides every level, and
+   S itself, the last level.  So the stored form is a function of the
+   thresholds, and ``__eq__`` and ``__hash__``, which read it, agree
+   whichever constructor built the profile.  ``evaluate(alpha)`` takes the
+   first threshold at least alpha; by fact 1, with a level in place of a
+   weight sum, levels[k] / scale >= alpha exactly when levels[k] >=
+   ``scaled_level(alpha, scale)``, so one ``bisect_left`` on the levels
+   finds it, comparing ints only.
 
 Each weight is at most ``scale``, so the mass view costs n integers no
 larger than ``scale``.  With a shared mass denominator, as in ``uniform``,
@@ -110,7 +128,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, lt
 from typing import Iterable, NamedTuple
 
 from ._rational import (
@@ -418,23 +436,22 @@ def partial_diameter(mu: DiscreteMeasure, alpha) -> PartialDiameter:
     least-width window among the shortest heavy windows ending at each atom:
     if that one, ending at j, were not minimal, the window ending at j - 1
     would have the same start and be strictly narrower, since positions
-    strictly increase.  Widths are differences of the integer positions
-    (``scaled_positions``), all on the one scale ``pscale``, so they compare
-    as plain ints.
+    strictly increase.  Widths are differences of the stored integer
+    positions, all on the one scale ``pscale``, so they compare as plain
+    ints.
     """
     alpha = to_at_most_one(alpha, what="alpha")
-    if alpha <= 0:
+    if alpha.numerator <= 0:  # the denominator is positive
         return PartialDiameter(ZERO, None)
-    scale, weights = mu.scaled_masses
-    pscale, ints = mu.scaled_positions
-    windows = minimal_heavy_windows(weights, scaled_level(alpha, scale))
+    windows = minimal_heavy_windows(mu._weights, scaled_level(alpha, mu._scale))
     if not windows:  # unreachable: the total weight scale reaches the level
         raise VerificationError(f"no window reaches mass {fraction_text(alpha)}")
+    ints = mu._ints
     widths = [ints[j] - ints[i] for i, j in windows]
     best = min(widths)
     i, j = windows[widths.index(best)]  # the first of least width
-    positions = mu.positions
-    return PartialDiameter(Fraction(best, pscale), (positions[i], positions[j]))
+    positions = mu._positions
+    return PartialDiameter(Fraction(best, mu._pscale), (positions[i], positions[j]))
 
 
 class PdProfile:
@@ -444,9 +461,14 @@ class PdProfile:
     strictly increasing and the last threshold equal to 1; the function takes
     ``value`` on the half-open interval (previous threshold, threshold].  That
     shape makes the profile nondecreasing and left-continuous by construction.
+
+    The thresholds are stored as integer levels on one scale, threshold k
+    being ``levels[k] / scale`` with ``scale`` the lcm of the reduced
+    threshold denominators (module docstring, fact 6).  ``steps``
+    builds the threshold Fractions from the levels on each call.
     """
 
-    __slots__ = ("_steps",)
+    __slots__ = ("_scale", "_levels", "_values")
 
     def __init__(self, steps: Iterable[tuple]):
         steps = tuple(
@@ -466,30 +488,59 @@ class PdProfile:
             prev_t, prev_v = t, v
         if steps[-1][0] != 1:
             raise ValidationError("last threshold must be exactly 1")
-        self._steps = steps
+        scale = lcm(*(t.denominator for t, _ in steps))
+        self._scale = scale
+        self._levels = tuple(t.numerator * (scale // t.denominator) for t, _ in steps)
+        self._values = tuple(v for _, v in steps)
+
+    @classmethod
+    def _on_scale(cls, scale: int, levels: list, keys: list, values: list) -> "PdProfile":
+        """The profile with thresholds ``levels[k] / scale`` and values
+        ``values[k]``, where ``keys[k]`` is value k's integer key (a width on
+        ``pscale`` or its floor on 2^B, which orders as the value does).
+        ``__init__``'s checks, on the ints: the last level is ``scale``, and
+        the levels strictly increase from above 0 and the keys from 0."""
+        reached = levels[-1] if levels else 0
+        if reached != scale:
+            raise VerificationError(
+                f"profile steps reach mass {fraction_text(Fraction(reached, scale))}, not 1"
+            )
+        if not (all(map(lt, [0, *levels], levels)) and all(map(lt, [-1, *keys], keys))):
+            raise VerificationError("profile steps must strictly increase")
+        common = gcd(*levels)  # the last level is scale, so this divides it
+        profile = cls.__new__(cls)
+        profile._scale = scale // common
+        profile._levels = tuple(level // common for level in levels)
+        profile._values = tuple(values)
+        return profile
 
     @property
     def steps(self) -> tuple:
-        return self._steps
+        """The (threshold, value) pairs, built from the levels on each call."""
+        scale = self._scale
+        return tuple((Fraction(level, scale), v) for level, v in zip(self._levels, self._values))
 
     def evaluate(self, alpha) -> Fraction:
+        """The value of the first step whose threshold is at least ``alpha``:
+        a threshold level / scale is at least alpha exactly when the level
+        reaches ``scaled_level(alpha, scale)`` (module docstring, fact 1)."""
         alpha = to_at_most_one(alpha, what="alpha")
-        if alpha <= 0:
+        if alpha.numerator <= 0:  # the denominator is positive
             return ZERO
-        # (alpha,) sorts before every step (alpha, v), so this is the first
-        # step whose threshold is at least alpha
-        return self._steps[bisect_left(self._steps, (alpha,))][1]
+        return self._values[bisect_left(self._levels, scaled_level(alpha, self._scale))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PdProfile):
             return NotImplemented
-        return self._steps == other._steps
+        # canonical (fact 6), and the last level is the scale: equal steps,
+        # equal levels and values
+        return self._levels == other._levels and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._steps)
+        return hash((self._levels, self._values))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({t}] -> {v}" for t, v in self._steps)
+        inner = ", ".join(f"({t}] -> {v}" for t, v in self.steps)
         return f"PdProfile({inner})"
 
 
@@ -502,11 +553,10 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
     Widths are integer keys, differences of the integer positions or, on a
     long ``pscale``, their floors on 2^B (module docstring, fact 5), and
     masses are integer weight sums, so the windows are keyed, compared and
-    sorted as ints; Fractions are built for the kept steps only.
+    sorted as ints, and the kept masses are the profile's levels on the
+    measure's ``scale``; Fractions are built for the kept values only.
     """
-    scale, weights = mu.scaled_masses
-    pscale, ints = mu.scaled_positions
-    positions = mu.positions
+    scale, weights, pscale, positions = mu._scale, mu._weights, mu._pscale, mu._positions
     bits = floor_bits(pscale, positions, positions)
     prefix = list(accumulate(weights, initial=0))
     best_mass: dict[int, int] = {}
@@ -520,25 +570,22 @@ def pd_profile(mu: DiscreteMeasure) -> PdProfile:
                 if get(width, 0) < mass:
                     best_mass[width] = mass
     else:
-        ints = tuple(ints)  # read n/2 times each: an array would make an int per read
+        ints = tuple(mu._ints)  # read n/2 times each: an array would make an int per read
         for i, (x, below) in enumerate(zip(ints, prefix)):
             for y, above in zip(islice(ints, i, None), islice(prefix, i + 1, None)):
                 width, mass = y - x, above - below
                 if get(width, 0) < mass:
                     best_mass[width] = mass
-    steps = []
+    levels, keys = [], []
     reached = 0
     for width in sorted(best_mass):
         mass = best_mass[width]
         if mass > reached:
-            value = unfloor(width, bits) if bits else Fraction(width, pscale)
-            steps.append((Fraction(mass, scale), value))
+            levels.append(mass)
+            keys.append(width)
             reached = mass
-    if reached != scale:
-        raise VerificationError(
-            f"profile steps reach mass {fraction_text(Fraction(reached, scale))}, not 1"
-        )
-    return PdProfile(steps)
+    values = [unfloor(key, bits) for key in keys] if bits else [Fraction(key, pscale) for key in keys]
+    return PdProfile._on_scale(scale, levels, keys, values)
 
 
 def push_forward(mu: DiscreteMeasure, f) -> DiscreteMeasure:

@@ -117,7 +117,9 @@ class PiecewiseLinearMap(JsonFile):
         return Fraction(p * a * t + r * q * b, q * t * b)
 
     def is_one_lipschitz(self) -> bool:
-        return all(abs(s) <= 1 for s in self.slopes())
+        """Every slope p/q (q > 0, from the integer lines) has |p/q| <= 1,
+        that is -q <= p <= q."""
+        return all(-q <= p <= q for p, q, _, _ in self._lines)
 
     def bounds(self) -> tuple:
         """(inf, sup) of the range; an unbounded side is reported as None."""

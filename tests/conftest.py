@@ -8,7 +8,7 @@ against something naive.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import floor, lcm
@@ -27,7 +27,9 @@ from obsdiam import (
     partial_diameter,
     push_forward,
 )
-from obsdiam._rational import ZERO, fraction_text, to_fraction, to_open_unit, to_positive
+from obsdiam._rational import (
+    ZERO, fraction_text, to_at_most_one, to_fraction, to_open_unit, to_positive,
+)
 from obsdiam.measures import minimal_heavy_windows, scaled_level
 from obsdiam.mmspace import FullLine
 from obsdiam.observable import _max_t_for_order
@@ -138,6 +140,52 @@ def pd_profile_oracle(atoms) -> tuple:
             reached = best_mass[width]
             steps.append((reached, width))
     return tuple(steps)
+
+
+def range_check_oracle(check, value, what: str) -> Fraction:
+    """``check`` (``to_open_unit``, ``to_positive`` or ``to_at_most_one``)
+    by the Fraction comparisons that the integer pairs replaced."""
+    value = to_fraction(value, what=what)
+    inside, wanted = {
+        to_open_unit: (lambda v: 0 < v < 1, "lie in (0, 1)"),
+        to_positive: (lambda v: v > 0, "be positive"),
+        to_at_most_one: (lambda v: v <= 1, "be <= 1"),
+    }[check]
+    if not inside(value):
+        raise DomainError(f"{what} must {wanted}, got {fraction_text(value)}")
+    return value
+
+
+def forbid_fraction_order(monkeypatch) -> None:
+    """Make every ``<``, ``<=``, ``>`` and ``>=`` on a Fraction raise, until
+    ``monkeypatch.undo()``: code that passes compared no Fraction."""
+
+    def refuse(self, other):
+        raise AssertionError("a Fraction was compared")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, with its type, or the type and message
+    of what it raises."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def pd_profile_evaluate_oracle(steps, alpha) -> Fraction:
+    """A profile's value at ``alpha`` by the Fraction bisect the integer
+    levels replaced: 0 at or below 0, else the value of the first step whose
+    threshold is at least ``alpha``."""
+    alpha = range_check_oracle(to_at_most_one, alpha, "alpha")
+    if alpha <= 0:
+        return ZERO
+    # (alpha,) sorts before every step (alpha, v)
+    return steps[bisect_left(steps, (alpha,))][1]
 
 
 def _every_subset_mass(space) -> dict:

@@ -10,7 +10,10 @@ import pytest
 from conftest import (
     alphas,
     exactly,
+    forbid_fraction_order,
     measure_atoms_oracle,
+    outcome,
+    pd_profile_evaluate_oracle,
     pd_profile_oracle,
     pd_sweep_oracle,
     pd_window_scan,
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from obsdiam import (
     DiscreteMeasure,
     DomainError,
+    PdProfile,
     PiecewiseLinearMap,
     ResourceCapError,
     ValidationError,
@@ -591,6 +595,59 @@ def test_profile_left_continuous_at_thresholds():
         for t, v in prof.steps:
             assert prof.evaluate(t) == v
             assert partial_diameter(mu, t).value == v
+
+
+def _profile_cases(rng):
+    """Seeded random measures, measures drawn from each position pool, and
+    uniform mass on 1/p over 100 primes, whose widths take the 2^B keys."""
+    cases = [random_measure(rng) for _ in range(150)]
+    cases += [DiscreteMeasure(_oracle_case(rng, pool)) for pool in POSITION_POOLS for _ in range(30)]
+    cases.append(DiscreteMeasure(reciprocal_prime_atoms(100)))
+    return cases
+
+
+def test_profile_evaluate_matches_fraction_bisect(monkeypatch):
+    """``evaluate`` on the integer levels, with every Fraction comparison
+    made to raise, gives what the Fraction bisect over ``steps`` gives: at
+    0, below 0, at 1, at each threshold and 1/10^30 to either side of it,
+    and above 1, where both raise the same error."""
+    rng = random.Random(34)
+    eps = F(1, 10**30)
+    cases = _profile_cases(rng)
+    mu = cases[-1]
+    assert measures.floor_bits(mu.scaled_positions[0], mu.positions, mu.positions)
+    probed = []
+    for mu in cases:
+        prof = pd_profile(mu)
+        probes = [0, F(0), F(-1, 3), -eps, 1, F(1), 1 + eps, "1/2", random_alpha(rng)]
+        for t, _ in prof.steps:
+            probes += [t, t - eps, t + eps]
+        probed.append((prof, prof.steps, probes))
+    forbid_fraction_order(monkeypatch)
+    got = [[outcome(prof.evaluate, alpha) for alpha in probes] for prof, _, probes in probed]
+    monkeypatch.undo()
+    for values, (_, steps, probes) in zip(got, probed):
+        assert values == [outcome(pd_profile_evaluate_oracle, steps, alpha) for alpha in probes]
+
+
+def test_profile_equality_across_constructors():
+    """A profile rebuilt from its steps is equal to it and hashes equal, also
+    where the measure's mass scale is a multiple of the thresholds' one."""
+    rng = random.Random(35)
+    # mass scale 10; the thresholds 2/5, 3/5, 4/5 and 1 reduce to the scale 5
+    shared = DiscreteMeasure([(5, F(3, 10)), (6, F(1, 10)), (9, F(2, 5)), (11, F(1, 5))])
+    assert shared.scaled_masses[0] == 10
+    prof = pd_profile(shared)
+    assert [t for t, _ in prof.steps] == [F(2, 5), F(3, 5), F(4, 5), F(1)]
+    for mu in [shared, *_profile_cases(rng)]:
+        prof = pd_profile(mu)
+        again = PdProfile(prof.steps)
+        assert again == prof
+        assert hash(again) == hash(prof)
+        assert again.steps == prof.steps
+        assert repr(again) == repr(prof)
+    assert PdProfile([(F(1, 2), 0), (1, 1)]) != PdProfile([(F(1, 3), 0), (1, 1)])
+    assert PdProfile([(F(1, 2), 0), (1, 1)]) != PdProfile([(F(1, 2), 0), (1, 2)])
 
 
 # -- serialization ------------------------------------------------------------------

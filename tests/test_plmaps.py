@@ -204,6 +204,25 @@ def test_is_one_lipschitz():
     assert not PLM([(0, 0)], F(-5, 4), 0).is_one_lipschitz()
 
 
+def test_is_one_lipschitz_on_integer_lines_matches_slopes():
+    """The check on the integer lines agrees with |s| <= 1 over the Fraction
+    slopes, on seeded, affine and clamping maps and at slopes of exactly
+    +-1 and +-(1 + 1/10^30)."""
+    rng = random.Random(34)
+    maps = _oracle_maps(rng)
+    maps += [random_lipschitz_pl(rng) for _ in range(100)]
+    just = 1 + F(1, 10**30)
+    for slope in (1, -1, just, -just, 1 - F(1, 10**30)):
+        maps += [PLM.affine(slope, 3), PLM([(0, 0)], slope, 0), PLM([(0, 0), (1, slope)], 0, 0)]
+    maps += [PLM([(0, 0), (1, 1)], -1, -just), PLM([(0, 0), (1, -1), (3, 1)], 1, -1)]
+    verdicts = set()
+    for f in maps:
+        expected = all(abs(s) <= 1 for s in f.slopes())
+        assert f.is_one_lipschitz() == expected, f
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # -- serialization -----------------------------------------------------------------
 
 

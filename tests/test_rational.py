@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import exactly
+from conftest import exactly, forbid_fraction_order, outcome, range_check_oracle
 
 from obsdiam import (
     DiscreteMeasure,
@@ -24,7 +24,7 @@ from obsdiam import (
     verify_counterexample,
     verify_revised_inequality,
 )
-from obsdiam._rational import to_fraction
+from obsdiam._rational import to_at_most_one, to_fraction, to_open_unit, to_positive
 from obsdiam.randgen import random_space
 
 MU = DiscreteMeasure.uniform([0, 1, 2, 3])
@@ -62,6 +62,29 @@ def test_levels_above_one_are_refused(call):
     with pytest.raises(DomainError, match=r"^alpha must be <= 1, got 5/4$"):
         call(F(5, 4))
     call(1)  # the whole mass is a level every measure reaches
+
+
+RANGE_CHECKS = [to_open_unit, to_positive, to_at_most_one]
+# the ends of each range and values just past them, 10^400 past the float
+# range, and inputs to_fraction refuses; keyed by test id
+RANGE_EDGES = {
+    "int 0": 0, "0": F(0), "int 1": 1, "1": F(1), "1+1/10^400": 1 + F(1, 10**400),
+    "-1/10^400": -F(1, 10**400), "int 10^400": 10**400, "10^400": F(10**400),
+    "int 3": 3, "int -2": -2, "'1/2'": "1/2", "'-1/2'": "-1/2", "'1e-400'": "1e-400",
+    "'2'": "2", "'abc'": "abc", "float": 0.5, "bool": True, "None": None,
+}
+
+
+@pytest.mark.parametrize("value", RANGE_EDGES.values(), ids=RANGE_EDGES)
+@pytest.mark.parametrize("check", RANGE_CHECKS, ids=lambda check: check.__name__)
+def test_range_checks_match_fraction_comparisons(check, value, monkeypatch):
+    """The checks compare integer pairs, no Fractions, and raise or return
+    exactly what the Fraction comparisons did, at the ends of each range and
+    past them."""
+    forbid_fraction_order(monkeypatch)
+    got = outcome(lambda: check(value, what="level"))
+    monkeypatch.undo()
+    assert got == outcome(range_check_oracle, check, value, "level")
 
 
 # (input check, its error, its exact message)
