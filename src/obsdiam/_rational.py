@@ -1,4 +1,5 @@
-"""Exact rational coercion and rendering helpers, and the JSON file format.
+"""Exact rational coercion and rendering helpers, the integer stored form of
+rationals, and the JSON file format.
 
 All public entry points of the package funnel numeric input through
 ``to_fraction`` so that arithmetic stays exact end to end.  Floats are
@@ -20,6 +21,37 @@ num/den has den > 0, so it is positive exactly when num > 0, below 1 exactly
 when num < den, and above 1 exactly when num > den.  A Fraction comparison
 goes through the ``numbers.Rational`` checks, several times the cost of the
 integer one, and the checks run on every level a public function takes.
+
+Stored forms.  Every type that stores numbers (a space's masses and
+distances, a witness's values, a measure's positions and masses, a
+profile's thresholds) stores them as ``(scale, ints)``: ``scale`` is the
+lcm L of the numbers' reduced denominators and ``ints[k]`` is number k
+times L.  Three helpers own that form.  ``_build`` makes it from the
+numerators and denominators in lowest terms, ``_reduce`` brings integers
+over any positive denominator to it, and ``_rescale`` puts its ints on a
+multiple of ``scale``.
+
+The form is canonical: L, and so each int, is a function of the numbers
+alone, so two stored forms are equal exactly when their numbers are.
+Integers ``k_1, ..., k_n`` over a positive D, the numbers ``k_i / D``, come
+to it by dividing D and every k_i by ``g = gcd(D, k_1, ..., k_n)``.  Write
+``D' = D / g`` and ``k'_i = k_i / g``, so that
+``gcd(D', k'_1, ..., k'_n) = 1``.  The reduced denominator of
+``k'_i / D'`` is ``q_i = D' / gcd(D', k'_i)``, which divides D', so L
+divides D'.  Conversely, let p^e be the exact power of a prime p in D'.
+Not every k'_i is a multiple of p, since the gcd is 1, and for such an i
+``gcd(D', k'_i)`` has no factor p, so p^e divides q_i and L.  Hence D'
+divides L, and ``D' = L``.  In particular a scale whose ints have gcd 1
+with it is L.
+
+The form has one ceiling.  ``ints[k]`` carries up to all the bits of L
+beyond those of its own numerator, so n ints cost up to n times the bit
+length of L, and numbers with pairwise coprime denominators make L their
+product: 1/p over the first 5,000 primes p give an L of about 70,000 bits,
+and their ints about 44 MB.  So n times the bit length of L may not pass
+2^``SCALE_CEILING`` bits (32 MiB; 10^5 atoms on one short scale need about
+2^21).  ``_build`` checks that as L grows, before any int exists, and
+raises ``ResourceCapError`` past it.
 """
 
 from __future__ import annotations
@@ -28,6 +60,7 @@ import json
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, ResourceCapError, ValidationError
 
@@ -39,6 +72,7 @@ __all__ = [
 
 MAX_TEXT_LENGTH = 10_000  # two 4300-digit integers, a sign and a slash fit
 MAX_EXPONENT = 4300
+SCALE_CEILING = 28  # count times bits of a stored form's scale, at most 2^28
 DECIMAL_DIGITS = 9  # significant digits of render_decimal
 
 ZERO = Fraction(0)
@@ -104,6 +138,40 @@ def to_at_most_one(value, *, what: str) -> Fraction:
     if num > den:
         raise DomainError(f"{what} must be <= 1, got {fraction_text(value)}")
     return value
+
+
+def _build(nums, dens, what: str, ceiling: str) -> tuple:
+    """``(scale, ints)``, the stored form of the numbers ``num / den`` in
+    lowest terms, the numerators given by ``nums`` (any iterable) and the
+    denominators by the sequence ``dens`` (module docstring), the ints as a
+    list.  Raises ``ResourceCapError`` before any int exists when
+    ``len(dens)`` times the bit length of the growing lcm passes
+    ``SCALE_CEILING``; the message names the count, ``what`` and the
+    ``ceiling``."""
+    scale = 1
+    for den in set(dens):
+        scale = lcm(scale, den)
+        if len(dens) * scale.bit_length() > 1 << SCALE_CEILING:
+            raise ResourceCapError(
+                f"{len(dens)} {what} of {scale.bit_length()} or more bits exceed "
+                f"the {ceiling} ceiling of 2^{SCALE_CEILING} bits"
+            )
+    return scale, [num * (scale // den) for num, den in zip(nums, dens)]
+
+
+def _reduce(den: int, ints) -> tuple:
+    """``(scale, ints)``, the stored form of the numbers ``k / den`` for k
+    in ``ints`` and a positive ``den``: both divided by their gcd (module
+    docstring)."""
+    g = gcd(den, *ints)
+    return den // g, tuple([k // g for k in ints])
+
+
+def _rescale(scale: int, ints, common: int) -> list:
+    """The ints of the stored form ``(scale, ints)`` put on ``common``, a
+    positive multiple of ``scale``, as a new list."""
+    factor = common // scale
+    return list(ints) if factor == 1 else [k * factor for k in ints]
 
 
 class JsonFile:

@@ -9,7 +9,8 @@ level.  Everything here is exact: positions and results are
 
 Stored form.  A measure stores its sorted positions, their integer view
 ``scaled_positions = (pscale, ints)`` and ``scaled_masses = (scale,
-weights)``.  ``pscale`` is the least common multiple of the position
+weights)``, both the one stored form of ``_rational`` (its module
+docstring).  ``pscale`` is the least common multiple of the position
 denominators and ``ints[k] = positions[k] * pscale``, held in a 64-bit
 ``array`` (8 bytes an int, where a tuple takes about 36) when every int
 fits one and in a tuple when one does not; ``scaled_positions`` hands out a
@@ -51,21 +52,20 @@ kind of stored form.
    hold distinct positions and so distinct ints.  ``pd_profile`` sorts its
    integer widths, and ``prokhorov`` its integer stops, with a plain sort
    for the same reason.
-4. Canonical form.  On every path ``scale`` is the lcm of the reduced
-   slot denominators.  Each slot holds the exact total mass at its
+4. Canonical form.  Each slot holds the exact total mass at its
    position as an integer fraction: the constructor adds a mass with the
    slot's denominator to its numerator, and one with another denominator
    on the lcm of the two, reduced by their gcd at once so that the integers
    stay as short as the Fraction sum would be; ``push_forward`` adds the
    source weights at an image point over the source's ``scale``.  The
-   finisher reduces each slot by one gcd and takes the lcm of the reduced
-   denominators.  So ``scale`` is a function of the masses, and so are the
-   weights, masses times ``scale``; likewise ``pscale`` and ``ints`` are
-   functions of the positions.  Two measures therefore have equal atoms
-   exactly when they have equal positions and weights (the weights give
-   back ``scale`` as their sum, hence the masses), whichever path built
-   them; ``__eq__`` and ``__hash__`` read those two tuples, so equal
-   measures hash equal, as a set or dict key needs.
+   finisher reduces each slot by one gcd and builds the stored form of the
+   reduced masses, which is canonical (``_rational`` module docstring): a
+   function of the masses, as ``(pscale, ints)`` is of the positions.  Two
+   measures therefore have equal atoms exactly when they have equal
+   positions and weights (the weights give back ``scale`` as their sum,
+   hence the masses), whichever path built them; ``__eq__`` and
+   ``__hash__`` read those two tuples, so equal measures hash equal, as a
+   set or dict key needs.
 5. Long scales.  ``pd_profile`` keys every window width, and ``prokhorov``
    every atom distance below 1, as an int: a difference d >= 0 of two
    positions.  On ``pscale`` that int carries all of pscale's bits, which
@@ -85,17 +85,12 @@ kind of stored form.
    built only where pscale is longer than B.
 6. Profiles.  A ``PdProfile`` stores its thresholds as integer levels on
    one scale, threshold k being ``levels[k] / scale``, beside its values.
-   ``pd_profile`` takes the kept windows' weight sums on the measure's
-   ``scale`` and divides scale and levels by their gcd; ``PdProfile(steps)``
-   takes as scale the lcm L of the reduced threshold denominators, and
-   levels t * L.  Both give the same form.  The public one has gcd 1: for a
-   prime p whose highest power in L divides the denominator b of a reduced
-   threshold a/b, neither a nor L / b is a multiple of p, so neither is
-   the level a * (L / b).  And a scale S with levels of gcd 1 is that L:
-   each threshold is a multiple of 1/L, so S / L divides every level, and
-   S itself, the last level.  So the stored form is a function of the
-   thresholds, and ``__eq__`` and ``__hash__``, which read it, agree
-   whichever constructor built the profile.  ``evaluate(alpha)`` takes the
+   ``PdProfile(steps)`` builds the thresholds' stored form
+   (``_rational._build``), and ``pd_profile`` reduces the kept windows'
+   weight sums on the measure's ``scale`` to it (``_rational._reduce``).
+   That form is canonical (``_rational`` module docstring), so
+   ``__eq__`` and ``__hash__``, which read it, agree whichever constructor
+   built the profile.  ``evaluate(alpha)`` takes the
    first threshold at least alpha; by fact 1, with a level in place of a
    weight sum, levels[k] / scale >= alpha exactly when levels[k] >=
    ``scaled_level(alpha, scale)``, so one ``bisect_left`` on the levels
@@ -107,18 +102,12 @@ larger than ``scale``.  With a shared mass denominator, as in ``uniform``,
 can make ``scale`` long even when every running Fraction total of them is
 short: the k pairs 1/(k*d_i) and (d_i - 1)/(k*d_i) at 2k distinct positions
 sum to 1, yet ``scale`` is k*d_1*...*d_k when the d_i are pairwise coprime
-and coprime to k.  (At shared positions each pair merges to 1/k first.)  So
-n times the bit length of ``scale`` has a fixed ceiling of
-2^``WEIGHT_CEILING`` bits, checked as ``scale`` is built and before any
-weight exists; past it construction raises ``ResourceCapError``.  Positions
-are bounded the same way.  ints[k] has the bits of positions[k]'s numerator
-plus at most those of ``pscale``, so the position view costs at most n times
-the bit length of ``pscale`` beyond the positions themselves, and
-positions with pairwise coprime denominators (1/p over the first 5,000
-primes p) make ``pscale`` their product.  So n times the bit length of
-``pscale`` has a fixed ceiling of 2^``POSITION_CEILING`` bits, checked as
-``pscale`` is built, before any position int exists and before the masses
-are checked; past it construction raises ``ResourceCapError``.
+and coprime to k.  (At shared positions each pair merges to 1/k first.)
+Positions with pairwise coprime denominators (1/p over the first 5,000
+primes p) make ``pscale`` their product likewise.  So both forms are built
+under the one stored-form ceiling (``_rational`` module docstring), the
+positions' first: past it, construction raises ``ResourceCapError`` before
+any position int or weight exists.
 """
 
 from __future__ import annotations
@@ -128,13 +117,14 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import floordiv, lt
+from operator import floordiv, itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from ._rational import (
-    ONE, ZERO, JsonFile, format_fraction, fraction_text, to_at_most_one, to_fraction,
+    ONE, ZERO, JsonFile, _build, _reduce, format_fraction, fraction_text, to_at_most_one,
+    to_fraction,
 )
-from .errors import ResourceCapError, ValidationError, VerificationError
+from .errors import ValidationError, VerificationError
 
 __all__ = [
     "DiscreteMeasure",
@@ -145,8 +135,6 @@ __all__ = [
     "push_forward",
 ]
 
-WEIGHT_CEILING = 28  # 2^28 bits of integer weights, 32 MiB; 10^5 atoms need about 2^21
-POSITION_CEILING = 28  # 2^28 bits of pscale per atom, likewise
 SWEEP_BITS = 512  # the quadratic sweeps key on pscale while it has at most this many bits
 
 
@@ -263,41 +251,28 @@ class DiscreteMeasure(JsonFile):
         ``positions[k]`` with mass ``nums[k] / dens[k]``, where ``index``
         maps each position's integer pair to its slot, in slot order.
 
-        The one finisher of every measure: it sets ``pscale`` to the lcm of
-        the position denominators under the position ceiling and reads the
-        position ints off ``index``'s keys, reduces each mass, sets
-        ``scale`` to the lcm of the reduced denominators under the weight
-        ceiling, checks that the masses sum to 1, and sorts the atoms by
-        their integer positions (module docstring, facts 3 and 4).  It
-        empties ``index`` and frees each list once it is read.
+        The one finisher of every measure: it builds the positions' stored
+        form ``(pscale, ints)`` from ``index``'s keys, reduces each mass and
+        builds the masses' ``(scale, weights)``, each under the stored-form
+        ceiling (``_rational._build``), checks that the masses sum to 1, and
+        sorts the atoms by their integer positions (module docstring, facts
+        3 and 4).  It empties ``index`` and frees each list once it is
+        read.
         """
         n = len(positions)
-        pairs = list(index)  # the integer pairs, in slot order
+        pnums = list(map(itemgetter(0), index))  # the integer pairs, in slot order
+        pdens = list(map(itemgetter(1), index))
         index.clear()  # its table is the largest object here; the ints come next
-        pscale = 1
-        for den in {den for _, den in pairs}:
-            pscale = lcm(pscale, den)
-            if n * pscale.bit_length() > 1 << POSITION_CEILING:
-                raise ResourceCapError(
-                    f"{n} atoms with a common position denominator of {pscale.bit_length()} or "
-                    f"more bits exceed the integer-position ceiling of 2^{POSITION_CEILING} bits"
-                )
-        ints = [num * (pscale // den) for num, den in pairs]  # position times pscale
-        del pairs
+        pscale, ints = _build(
+            pnums, pdens, "atoms with a common position denominator", "integer-position"
+        )
+        del pnums, pdens
         divisors = list(map(gcd, nums, dens))
-        nums = list(map(floordiv, nums, divisors))
-        dens = list(map(floordiv, dens, divisors))
-        del divisors
-        scale = 1
-        for den in set(dens):
-            scale = lcm(scale, den)
-            if n * scale.bit_length() > 1 << WEIGHT_CEILING:
-                raise ResourceCapError(
-                    f"{n} atoms with a common mass denominator of {scale.bit_length()} or "
-                    f"more bits exceed the integer-weight ceiling of 2^{WEIGHT_CEILING} bits"
-                )
-        weights = [num * (scale // den) for num, den in zip(nums, dens)]  # mass times scale
-        del nums, dens
+        scale, weights = _build(
+            map(floordiv, nums, divisors), list(map(floordiv, dens, divisors)),
+            "atoms with a common mass denominator", "integer-weight",
+        )
+        del nums, dens, divisors
         total = sum(weights)
         if total != scale:
             raise ValidationError(
@@ -488,9 +463,11 @@ class PdProfile:
             prev_t, prev_v = t, v
         if steps[-1][0] != 1:
             raise ValidationError("last threshold must be exactly 1")
-        scale = lcm(*(t.denominator for t, _ in steps))
-        self._scale = scale
-        self._levels = tuple(t.numerator * (scale // t.denominator) for t, _ in steps)
+        self._scale, levels = _build(
+            [t.numerator for t, _ in steps], [t.denominator for t, _ in steps],
+            "steps with a common threshold denominator", "integer-level",
+        )
+        self._levels = tuple(levels)
         self._values = tuple(v for _, v in steps)
 
     @classmethod
@@ -507,10 +484,8 @@ class PdProfile:
             )
         if not (all(map(lt, [0, *levels], levels)) and all(map(lt, [-1, *keys], keys))):
             raise VerificationError("profile steps must strictly increase")
-        common = gcd(*levels)  # the last level is scale, so this divides it
         profile = cls.__new__(cls)
-        profile._scale = scale // common
-        profile._levels = tuple(level // common for level in levels)
+        profile._scale, profile._levels = _reduce(scale, levels)
         profile._values = tuple(values)
         return profile
 

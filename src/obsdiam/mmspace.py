@@ -19,19 +19,13 @@ integers over one denominator, and build Fractions from them on each call:
 * a witness's values as ``scaled_values = (den, ints)``, the values times
   the lcm of their denominators.
 
-Each form is canonical: the denominator is the lcm of the reduced
-denominators, a function of the numbers alone, and the integers are the
-numbers times it.  So two spaces or two witnesses are equal exactly when
-their forms are, and ``__eq__`` and ``__hash__`` read the forms.  A witness
-built from integers over any positive denominator D, ``k_i / D``, is brought
-to this form by ``LipschitzWitness._from_scaled``, which divides D and every
-k_i by ``g = gcd(D, k_1, ..., k_n)``.  Write ``D' = D / g`` and
-``k'_i = k_i / g``, so that ``gcd(D', k'_1, ..., k'_n) = 1``.  The reduced
-denominator of ``k'_i / D'`` is ``q_i = D' / gcd(D', k'_i)``, which divides
-D', so their lcm L divides D'.  Conversely, let p^e be the exact power of a
-prime p in D'.  Not every k'_i is divisible by p, since the gcd is 1, and for
-such an i ``gcd(D', k'_i)`` has no factor p, so p^e divides q_i and L.  Hence
-D' divides L, and ``D' = L``.
+Each is the one stored form of ``_rational`` (its module docstring), built
+by ``_rational._build`` under its ceiling, and canonical: a function of the
+numbers alone.  So two spaces or two witnesses are equal exactly when their
+forms are, and ``__eq__`` and ``__hash__`` read the forms.  A witness built
+from integers over any positive denominator, as the solvers build theirs,
+is brought to this form by ``LipschitzWitness._from_scaled`` through
+``_rational._reduce``.
 
 One integer scale per space and screen.  ``screen_scale`` is the lcm of the
 distance scale and the screen-end denominators, ``on_scale`` puts the metric
@@ -46,11 +40,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from operator import add
 from typing import Iterable, Union
 
-from ._rational import JsonFile, format_fraction, fraction_text, to_fraction
+from ._rational import (
+    JsonFile, _build, _reduce, _rescale, format_fraction, fraction_text, to_fraction,
+)
 from .errors import DomainError, ResourceCapError, ValidationError
 from .measures import DiscreteMeasure, scaled_level
 
@@ -98,16 +94,22 @@ class FiniteMMSpace(JsonFile):
             raise ValidationError("need exactly one mass per point")
         if any(m <= 0 for m in masses):
             raise ValidationError("all masses must be positive")
-        mass_scale = lcm(*(m.denominator for m in masses))
-        weights = tuple(m.numerator * (mass_scale // m.denominator) for m in masses)
+        mass_scale, weights = _build(
+            [m.numerator for m in masses], [m.denominator for m in masses],
+            "points with a common mass denominator", "integer-weight",
+        )
         if sum(weights) != mass_scale:
             total = Fraction(sum(weights), mass_scale)
             raise ValidationError(f"masses must sum to 1 exactly, got {fraction_text(total)}")
         # the checks below run on the stored integer matrix, the distances
         # times their least common denominator; the parsed rows serve only
         # the triangle-inequality message
-        scale = lcm(*{d.denominator for row in rows for d in row})
-        ints = tuple(tuple(d.numerator * (scale // d.denominator) for d in row) for row in rows)
+        scale, ints = _build(
+            [d.numerator for row in rows for d in row],
+            [d.denominator for row in rows for d in row],
+            "distances with a common denominator", "integer-distance",
+        )
+        ints = tuple(zip(*[iter(ints)] * n))  # back to rows of n
         for i in range(n):
             if ints[i][i] != 0:
                 raise ValidationError(f"distance ({labels[i]}, {labels[i]}) must be 0")
@@ -134,7 +136,7 @@ class FiniteMMSpace(JsonFile):
                     )
         self._labels = labels
         self._mass_scale = mass_scale
-        self._weights = weights
+        self._weights = tuple(weights)
         self._scale = scale
         self._dist_int = ints
 
@@ -146,7 +148,7 @@ class FiniteMMSpace(JsonFile):
             raise ValidationError("line positions must be distinct")
         n = len(pos)
         if masses is None:
-            masses = [Fraction(1, n)] * n
+            masses = [Fraction(1, n)] * n if n else []
         if labels is None:
             labels = [f"p{i}" for i in range(n)]
         dist = [[abs(a - b) for b in pos] for a in pos]
@@ -317,19 +319,18 @@ class LipschitzWitness:
 
     def __init__(self, values: Iterable):
         values = tuple(to_fraction(v, what="witness value") for v in values)
-        den = lcm(*(v.denominator for v in values))
-        self._den = den
-        self._ints = tuple(v.numerator * (den // v.denominator) for v in values)
+        self._den, ints = _build(
+            [v.numerator for v in values], [v.denominator for v in values],
+            "values with a common denominator", "integer-value",
+        )
+        self._ints = tuple(ints)
 
     @classmethod
     def _from_scaled(cls, den: int, ints) -> "LipschitzWitness":
         """The witness with values ``ints[i] / den`` for a positive ``den``,
-        reduced by ``gcd(den, *ints)`` to the canonical form (module
-        docstring)."""
-        g = gcd(den, *ints)
+        reduced to the canonical form (module docstring)."""
         witness = cls.__new__(cls)
-        witness._den = den // g
-        witness._ints = tuple(k // g for k in ints)
+        witness._den, witness._ints = _reduce(den, ints)
         return witness
 
     @property
@@ -376,9 +377,7 @@ class LipschitzWitness:
         check_screen(screen)
         den = lcm(screen_scale(space, screen), self._den)
         rows, ends = on_scale(space, screen, den)
-        per_value = den // self._den
-        ints = self._ints if per_value == 1 else [k * per_value for k in self._ints]
-        check_scaled(space, rows, ends, den, ints)
+        check_scaled(space, rows, ends, den, _rescale(self._den, self._ints, den))
 
     def pushforward(self, space: FiniteMMSpace) -> DiscreteMeasure:
         self._check_length(space)
@@ -407,9 +406,8 @@ def on_scale(space: FiniteMMSpace, screen: Screen, den: int) -> tuple:
     this scale passes a check on integers exactly when its Fractions do.
     """
     scale, rows = space.scaled_dist
-    per_dist = den // scale
-    if per_dist != 1:
-        rows = [[d * per_dist for d in row] for row in rows]
+    if den != scale:
+        rows = [_rescale(scale, row, den) for row in rows]
     if not isinstance(screen, Interval):
         return rows, None
     return rows, tuple(e.numerator * (den // e.denominator) for e in (screen.a, screen.b))

@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._rational import to_at_most_one, to_positive
+from ._rational import _rescale, to_at_most_one, to_positive
 from .errors import check_cap
 from .measures import DiscreteMeasure, floor_bits, partial_diameter, unfloor
 
@@ -126,14 +126,6 @@ def _max_flow(xs, supply: list, ys, demand: list, reach: int) -> int:
     return flow
 
 
-def _rescaled(scaled: tuple, common: int) -> list:
-    """The ints of ``(scale, ints)`` put on ``common``, a multiple of
-    ``scale``."""
-    scale, ints = scaled
-    factor = common // scale
-    return [k * factor for k in ints]
-
-
 def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
     """inf of eps > 0 with mu(U_eps(A)) >= nu(A) - eps for all Borel A."""
     what = "atoms of combined support exceed the Prokhorov support cap"
@@ -142,11 +134,11 @@ def prokhorov_onesided(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: int = D
     # eps >= 1 qualifies, as nu(A) - 1 <= 0, so distances of pscale or more
     # are never stops
     pscale = lcm(mu.scaled_positions[0], nu.scaled_positions[0])
-    xs = _rescaled(mu.scaled_positions, pscale)
-    ys = _rescaled(nu.scaled_positions, pscale)
+    xs = _rescale(*mu.scaled_positions, pscale)
+    ys = _rescale(*nu.scaled_positions, pscale)
     scale = lcm(mu.scaled_masses[0], nu.scaled_masses[0])
-    supply = _rescaled(mu.scaled_masses, scale)
-    demand = _rescaled(nu.scaled_masses, scale)
+    supply = _rescale(*mu.scaled_masses, scale)
+    demand = _rescale(*nu.scaled_masses, scale)
     near = [(bisect_right(xs, y - pscale), bisect_left(xs, y + pscale)) for y in ys]  # |x - y| < 1
     bits = floor_bits(pscale, mu.positions, nu.positions)
     if bits:

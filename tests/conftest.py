@@ -54,6 +54,19 @@ def reciprocal_prime_atoms(k: int) -> list:
     return [(Fraction(1, p), Fraction(1, k)) for p in primes]
 
 
+def long_denominator_distances(n: int, rng) -> list:
+    """An n x n distance matrix, as strings, whose off-diagonal entries are
+    1 + 1/q for random 4,000-digit q: every distance lies in (1, 2], so the
+    triangle inequality holds, and the common denominator is the product of
+    n (n - 1) / 2 pairwise coprime q, as a rule."""
+    dist = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.randrange(10**3999, 10**4000)
+            dist[i][j] = dist[j][i] = f"{q + 1}/{q}"
+    return dist
+
+
 # -- brute-force oracles -------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
 
 import pytest
-from conftest import reciprocal_prime_atoms
+from conftest import long_denominator_distances, reciprocal_prime_atoms
 
 import obsdiam
 import obsdiam.cli as cli
@@ -113,6 +114,22 @@ def test_pd_past_the_position_ceiling_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "exceed the integer-position ceiling of 2^28 bits" in err
+
+
+def test_od_past_the_distance_ceiling_exits_3(capsys, tmp_path):
+    # 22 points at distances 1 + 1/q, q random 4 000-digit ints: the
+    # distances' common denominator passes the stored-form ceiling while
+    # the space is built, long before any od search
+    path = tmp_path / "long22.json"
+    dist = long_denominator_distances(22, random.Random("long-distances-cli"))
+    path.write_text(json.dumps({"labels": [f"p{i}" for i in range(22)], "dist": dist, "mass": ["1/22"] * 22}))
+    start = time.process_time()
+    code, out, err = run(capsys, "od", str(path), "--screen", "fullline", "--kappa", "1/2", "--cap-n", "22")
+    assert time.process_time() - start < 5
+    assert code == 3
+    assert out == ""
+    assert "484 distances with a common denominator of" in err
+    assert "exceed the integer-distance ceiling of 2^28 bits" in err
 
 
 def test_pd_result_past_the_digit_limit_is_a_resource_cap(capsys, tmp_path):

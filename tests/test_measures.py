@@ -211,6 +211,35 @@ def test_position_ceiling_refuses_coprime_position_denominators():
     assert tuple(F(k, pscale) for k in ints) == mu.positions
 
 
+def test_profile_ceiling_refuses_coprime_threshold_denominators():
+    # thresholds (p - 1)/p over the first 5 000 primes, then 1: their common
+    # denominator is the product of the primes, about 70 000 bits, so the
+    # 5 001 levels would take about 44 MB; the lcm passes 2^28 bits over
+    # 5 001 steps at about 53 700 bits, before any level is built
+    primes = [p.denominator for p, _ in reciprocal_prime_atoms(5000)]
+    steps = [(F(p - 1, p), k) for k, p in enumerate(primes)] + [(1, 5000)]
+    message = (
+        "5001 steps with a common threshold denominator of [0-9]+ or more bits "
+        "exceed the integer-level ceiling of 2\\^28 bits"
+    )
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match=f"^{message}$"):
+        PdProfile(steps)
+    assert time.process_time() - start < 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=message):
+            PdProfile(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # 500 of them stay inside the ceiling, with the primes' product as scale
+    profile = PdProfile(steps[:500] + [(1, 5000)])
+    assert profile.steps == tuple((F(t), F(v)) for t, v in steps[:500] + [(1, 5000)])
+    assert profile.evaluate(F(1, 2)) == 0 and profile.evaluate(F(2, 3)) == 1
+
+
 def test_sweeps_key_differences_on_2_to_the_b_past_a_long_position_scale(monkeypatch):
     # 1/p over the first 100 primes: pscale, their product, is longer than
     # SWEEP_BITS and than B, so the profile's widths and the Prokhorov

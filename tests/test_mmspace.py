@@ -1,5 +1,7 @@
 import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 from math import lcm
 
@@ -9,6 +11,8 @@ from conftest import (
     heaviest_light_bruteforce,
     heavy_subsets_bruteforce,
     lipschitz_validate_oracle,
+    long_denominator_distances,
+    reciprocal_prime_atoms,
 )
 
 from obsdiam import (
@@ -40,6 +44,61 @@ def test_line_space_basics():
     assert sp.masses == (F(1, 4),) * 4
     assert sp.dist(0, 3) == 3
     assert sp.diameter == 3
+    # no points: the constructor's message, not a division by zero
+    with pytest.raises(ValidationError, match=exactly("a space needs at least one point")):
+        FiniteMMSpace.line_space([])
+
+
+def test_space_ceiling_refuses_long_distance_denominators():
+    # 22 points at distances 1 + 1/q, q random 4 000-digit ints: the common
+    # denominator of the 484 distances passes 2^28 bits after about 41 of
+    # the 231 q, so the space is refused before any distance int, or the
+    # triangle check on them, exists
+    rng = random.Random("long-distances")
+    labels = [f"p{i}" for i in range(22)]
+    dist = long_denominator_distances(22, rng)
+    message = (
+        "484 distances with a common denominator of [0-9]+ or more bits "
+        "exceed the integer-distance ceiling of 2\\^28 bits"
+    )
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match=f"^{message}$"):
+        FiniteMMSpace(labels, dist, [F(1, 22)] * 22)
+    assert time.process_time() - start < 2
+    # 10 points, the default cap, stay inside the ceiling
+    dist = long_denominator_distances(10, rng)
+    sp = FiniteMMSpace(labels[:10], dist, [F(1, 10)] * 10)
+    scale, rows = sp.scaled_dist
+    assert scale == lcm(*{int(d.partition("/")[2]) for row in dist for d in row if d != "0"})
+    assert sp.dist(3, 7) == F(dist[3][7]) and rows[7][3] == rows[3][7]
+
+
+def test_witness_ceiling_refuses_coprime_value_denominators():
+    # values 1/p over the first 5 000 primes: their common denominator, the
+    # product of the primes, passes 2^28 bits over 5 000 values at about
+    # 53 700 bits, before any value int is built
+    values = [p for p, _ in reciprocal_prime_atoms(5000)]
+    message = (
+        "5000 values with a common denominator of [0-9]+ or more bits "
+        "exceed the integer-value ceiling of 2\\^28 bits"
+    )
+    start = time.process_time()
+    with pytest.raises(ResourceCapError, match=f"^{message}$"):
+        LipschitzWitness(values)
+    assert time.process_time() - start < 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=message):
+            LipschitzWitness(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # 500 of them stay inside the ceiling
+    witness = LipschitzWitness(values[:500])
+    den, ints = witness.scaled_values
+    assert den == lcm(*(v.denominator for v in values[:500]))
+    assert witness.values == tuple(values[:500])
 
 
 def test_line_space_rejects_duplicates():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from conftest import exactly, forbid_fraction_order, outcome, range_check_oracle
@@ -7,6 +8,7 @@ from conftest import exactly, forbid_fraction_order, outcome, range_check_oracle
 from obsdiam import (
     DiscreteMeasure,
     DomainError,
+    ResourceCapError,
     FiniteMMSpace,
     Interval,
     PdProfile,
@@ -24,7 +26,9 @@ from obsdiam import (
     verify_counterexample,
     verify_revised_inequality,
 )
-from obsdiam._rational import to_at_most_one, to_fraction, to_open_unit, to_positive
+from obsdiam._rational import (
+    _build, _reduce, _rescale, to_at_most_one, to_fraction, to_open_unit, to_positive,
+)
 from obsdiam.randgen import random_space
 
 MU = DiscreteMeasure.uniform([0, 1, 2, 3])
@@ -171,3 +175,45 @@ INPUT_CHECKS = {
 def test_input_checks_name_their_complaint(call, error, message):
     with pytest.raises(error, match=exactly(message)):
         call()
+
+
+# -- the stored form (scale, ints) ---------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_stored_form_helpers_match_fraction_oracles(seed):
+    rng = random.Random(f"stored-form/{seed}")
+    pool = rng.choice(((1,), (2, 4, 8), (3, 5, 7, 12, 30), (10**20 + 39, 6, 9, 35)))
+    values = [F(rng.randint(-10**6, 10**6), rng.choice(pool)) for _ in range(rng.randint(1, 25))]
+    # build: the lcm of the reduced denominators, and each value times it
+    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    scale, ints = _build(nums, dens, "values", "test")
+    assert scale == lcm(*(v.denominator for v in values))
+    assert [F(k, scale) for k in ints] == values
+    # reduce: integers over any positive denominator give back that lcm (the
+    # lemma in the _rational docstring), on a multiple of it or not
+    for den in (scale * rng.randint(1, 10**6), rng.randint(1, 10**6)):
+        ks = [rng.randint(-10**9, 10**9) for _ in values]
+        reduced = [F(k, den) for k in ks]
+        common = lcm(*(v.denominator for v in reduced))
+        assert _reduce(den, ks) == (common, tuple(int(v * common) for v in reduced))
+    # rescale: on any multiple of the scale every value is kept, in a new list
+    for common in (scale, scale * rng.randint(2, 10**6)):
+        scaled = _rescale(scale, tuple(ints), common)
+        assert type(scaled) is list
+        assert [F(k, common) for k in scaled] == values
+
+
+def test_build_refuses_past_the_ceiling_before_any_int():
+    def no_ints():
+        raise AssertionError("an int was built")
+        yield
+
+    with pytest.raises(ResourceCapError, match=exactly(
+        "262144 values with a common denominator of 1026 or more bits exceed "
+        "the integer-value ceiling of 2^28 bits"
+    )):
+        _build(no_ints(), [2**1025] * 2**18, "values with a common denominator", "integer-value")
+    # one bit less is exactly at the ceiling, which is allowed
+    scale, ints = _build([0] * 2**18, [2**1023] * 2**18, "values", "integer-value")
+    assert scale == 2**1023 and ints == [0] * 2**18
