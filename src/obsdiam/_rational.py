@@ -191,11 +191,16 @@ class JsonFile:
 
 
 def read_json(path):
-    """The JSON value in the file at ``path``; nesting too deep for the
-    parser is a ``ValidationError``."""
+    """The JSON value in the file at ``path``.  A file that is not UTF-8
+    text, or not JSON, or JSON nested too deep for the parser, is a
+    ``ValidationError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
         except RecursionError as exc:
             raise ValidationError(f"{path}: JSON nested too deeply to read") from exc
 

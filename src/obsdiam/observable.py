@@ -57,7 +57,8 @@ one wins, and its witness is the only one built:
   spread of a heavy subset.  Once every point of a heavy subset is placed,
   its span ``[lo, hi]`` (first and last slot) is *closed*: it is the same in
   every completion, and ``y_hi - y_lo >= t``.  Three bounds then hold for
-  every completion of the prefix.
+  every completion of the prefix, and a fourth cut looks at the unplaced
+  points together.
 
   - **(B1) Chain-Lipschitz.**  Let ``E(a, b)`` be the most closed spans that
     can be laid end to end (each starting at or after the previous one's
@@ -125,21 +126,65 @@ one wins, and its witness is the only one built:
     subsets hold most of the points, B1 and B2 see nothing until deep in
     the search, while the ball around an early point already fixes a
     radius.
+  - **(B4) Deadlines.**  Write I for the incumbent, and let ``light`` be
+    the most points whose total weight stays below the level: the lightest
+    ones, counted up the sorted weights.  Any ``light + 1`` points are
+    heavy, and ``light >= 1`` since no point is heavy alone.  Take a prefix
+    whose last point fills slot s, and an unplaced point q that a
+    completion puts at slot ``b > s``.  The windows of ``light + 1`` slots
+    that start at s and share end slots, ``[s, s + light]``,
+    ``[s + light, s + 2 light]`` and so on, are heavy, so each holds a
+    span, and ``floor((b - s) / light)`` of them lie end to end inside
+    ``[s, b]``, after any chain of spans inside ``[a, s]``.  So for every
+    placed slot a,
+    ``t * (E(a, s) + floor((b - s) / light)) <= y_b - y_a``, which is at
+    most ``d(perm[a], q)`` and at most the width W.  Let ``M(a, q)`` be the
+    largest k with ``k * I < min(d(perm[a], q), W)``; it is at least 0,
+    since distances and W are positive.  In a completion with ``t > I``
+    every count k above obeys ``k * I < k * t <= min(d(perm[a], q), W)``
+    or is 0, so ``floor((b - s) / light) <= spare(q)``, the least over the
+    placed slots a of ``M(a, q) - E(a, s)``.  That is, q sits at or before
+    its *deadline* ``s - 1 + light * (1 + spare(q))``.  The unplaced points
+    fill slots ``s + 1 .. n - 1``, one each, so by Hall's theorem (the i
+    points with the earliest deadlines need i slots by the i-th of them) a
+    completion beating I needs the i-th least deadline, counted from
+    i = 1, at or after slot s + i.  Otherwise, or when some spare is
+    negative, the prefix is cut.
+
+    A spare of at least ``room = floor((n - 1 - s) / light)`` puts the
+    deadline at or after the last slot, where it constrains nothing, so
+    only the pairs with ``M(a, q) - E(a, s) < room`` count.  Since
+    ``E(a, s) <= E(0, s)``, every spare is at most ``M_W - E(0, s)``, with
+    ``M_W`` the largest k with ``k * I < W``.  If that is below room, every
+    deadline falls before the last slot, the ``n - 1 - s`` unplaced points
+    have one slot fewer, and the prefix is cut at once.  Otherwise
+    ``(room + E(a, s)) * I < W``, so the counted pairs are those with
+    ``d(perm[a], q) <= (room + E(a, s)) * I``, and for them ``min(d, W)``
+    is d.  The search finds them by walking ``perm[a]``'s row of the
+    neighbour table, nearest first, out to that radius.  That radius never
+    grows with a, because a chain inside ``[a + 1, s]`` lies inside
+    ``[a, s]``.  Once it falls below the least distance of the space, no
+    later slot adds a pair.  At ``s >= n - light`` room is 0, so only a
+    negative spare could cut, and the search skips the check: leaving out a
+    cut changes nothing it returns.  B4 cuts most when heavy sets are
+    small, with uniform masses at large kappa.  On the benchmark's od
+    corpus it halves the prefixes searched.
 
   A prefix's bound is the least of UB and every B1, B2 and B3 value along
   its path, so it only tightens as the prefix grows, and a prefix whose bound
-  does not beat the incumbent cuts its whole subtree.  The bounds are kept
-  on integers: chain counts, the point weights, the level and ``beta`` on
-  the masses' integer scale, the masses of the placed prefixes, the
-  neighbour table, and distances scaled as below.  A prefix whose first
-  point exceeds every unplaced point is cut too: each of its orderings ends
-  below where it starts, and negating values realizes the reversed
-  ordering, which starts lower.
+  does not beat the incumbent cuts its whole subtree, as does a prefix
+  that B4 cuts.  The bounds are kept on integers: chain counts, the point
+  weights, the level and ``beta`` on the masses' integer scale, the masses
+  of the placed prefixes, the neighbour table, and distances scaled as
+  below.  A prefix whose first point exceeds every unplaced point is cut
+  too: each of its orderings ends below where it starts, and negating
+  values realizes the reversed ordering, which starts lower.
 
 The search visits the surviving orderings in the lexicographic order of
 ``itertools.permutations`` and cuts only orderings whose optimum is at most
 their bound, which is at most the incumbent; B3 is no exception, since
-like B1 and B2 it bounds the optimum of every completion.  A plain sweep
+like B1 and B2 it bounds the optimum of every completion, and B4 cuts only
+completions whose optimum is at most the incumbent.  A plain sweep
 over all orderings gets no strict improvement from those either, so both
 meet the same improving orderings in the same order.  The search calls a
 ``leaf`` at each surviving ordering with its bound; the leaf solves the
@@ -164,6 +209,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import floor
 from operator import add
 
@@ -383,12 +429,14 @@ def _scaled(space: FiniteMMSpace, screen: Screen):
     width edge, of weight ``W * t_den >= d(perm[0], perm[n - 1]) * t_den``,
     never relaxes: the potentials, the predecessors and every negative cycle
     are those of the graph without it.  In the prefix search W enters only
-    B2.  Before a leaf the farthest unplaced point is at most ``diam X``
-    away, so B2 reads the same; at a leaf it may now tighten the bound, but
-    not below the ordering's optimum, since ``y_{n-1} - y_0 <= diam X``.  A
-    leaf it cuts could not beat the incumbent, and otherwise the solve's
-    probes stay above the optimum until the first feasible one, which is the
-    optimum itself, on the same graph with the same potentials.
+    B2 and B4.  B4 reads it through ``min(d, W)``, which is d here, since
+    no distance exceeds ``diam X``.  Before a leaf the farthest unplaced
+    point is at most ``diam X`` away, so B2 reads the same; at a leaf it
+    may now tighten the bound, but not below the ordering's optimum, since
+    ``y_{n-1} - y_0 <= diam X``.  A leaf it cuts could not beat the
+    incumbent, and otherwise the solve's probes stay above the optimum
+    until the first feasible one, which is the optimum itself, on the same
+    graph with the same potentials.
     """
     scale = screen_scale(space, screen)
     dmat_scaled, ends = on_scale(space, screen, scale)
@@ -419,10 +467,12 @@ def _pruned_orderings(
     which every later cut reads.  ``incumbent`` is the starting incumbent, a
     ``Fraction``.  A prefix's bound is the least of ``root`` (UB) and the
     chain-Lipschitz (B1), remaining-mass (B2) and ball-mass (B3) bounds of
-    every prefix on its path, all over ``scale``; the module docstring
-    proves them.  The empty prefix is cut by the same test as every other,
-    before any set-up, so when a seed already meets UB the search returns
-    at once.  ``weights``, ``level`` and ``beta`` come from
+    every prefix on its path, all over ``scale``.  A prefix that passes them
+    is still cut when its unplaced points cannot all meet their deadlines
+    (B4, ``_deadlines_missed``).  The module docstring proves all four.
+    The empty prefix is cut by the same test as every other, before any
+    set-up, so when a seed already meets UB the search returns at once.
+    ``weights``, ``level`` and ``beta`` come from
     ``mmspace.integer_masses``; no point may weigh ``level`` alone.
     ``nearest[p]`` is the engine's neighbour table: every point as ``(scaled
     distance, bit, weight)``, nearest first, p itself first.  B3 reads it
@@ -435,6 +485,11 @@ def _pruned_orderings(
         return
     full = (1 << n) - 1
     total = sum(weights)
+    # B4: any light + 1 points are heavy; deadlines fall before the last
+    # slot only at slots below n - light
+    light = sum(acc < level for acc in accumulate(sorted(weights)))
+    shallow = n - light
+    closest = min(row[1][0] for row in nearest)  # the least distance
     perm = []
     before = [0]  # before[a]: mass of the points at slots < a
     chains = [None] * n  # chains[b][a] = E(a, b) for the placed slots
@@ -511,6 +566,31 @@ def _pruned_orderings(
                             break
                 if b_num * den <= limit * b_den:
                     continue
+                if slot < shallow:
+                    # B4: every unplaced point needs a slot by its deadline,
+                    # slot - 1 + light * (1 + spare); spares of room or more
+                    # put no deadline before the last slot
+                    room = (n - 1 - slot) // light
+                    if (col[0] + room) * limit >= width_scaled * den:
+                        continue
+                    spares = {}
+                    for a, e in enumerate(col):
+                        # the unplaced q with spare below room against slot a
+                        near = (room + e) * limit // den
+                        if near < closest:
+                            # e, and so near, never grows with a; a zero
+                            # incumbent stops here at a = 0
+                            break
+                        for d, near_bit, _ in nearest[perm[a] if a < slot else p]:
+                            if d > near:
+                                break
+                            if child & near_bit:
+                                continue
+                            spare = (d * den - 1) // limit - e
+                            if spare < spares.get(near_bit, room):
+                                spares[near_bit] = spare
+                    if spares and _deadlines_missed(spares.values(), light):
+                        continue
             perm.append(p)
             before.append(held)
             chains[slot] = col
@@ -523,6 +603,19 @@ def _pruned_orderings(
             perm.pop()
 
     extend(0, 0, root, 1)
+
+
+def _deadlines_missed(spares, light) -> bool:
+    """Whether unplaced points with these ``spares`` cannot take distinct
+    slots after the child by their deadlines (B4, Hall's condition): the one
+    with the i-th least spare, i from 1, may sit at most
+    ``light * (1 + spare) - 1`` slots past the child, and needs the i-th
+    free slot.  Points left out have spares past every deadline that
+    matters."""
+    for i, spare in enumerate(sorted(spares), 1):
+        if light * (1 + spare) - 1 < i:
+            return True
+    return False
 
 
 def _seed_value(nearest_row, dmat_scaled, level, scale, width_scaled, upper) -> tuple:

@@ -465,6 +465,12 @@ MALFORMED = {
     "dist-rows-are-strings": ("od", {**SPACE2, "dist": ["01", "10"]}, "needs lists"),
     "labels-object": ("od", {**SPACE2, "labels": {"a": 1, "b": 2}}, "needs lists"),
     "nested-too-deep": ("od", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "truncated": ("od", json.dumps(SPACE2)[:-3], "not valid JSON"),
+    "latin-1": (
+        "od",
+        json.dumps({**SPACE2, "labels": ["à", "b"]}, ensure_ascii=False).encode("latin-1"),
+        "not UTF-8 text",
+    ),
     "space-not-object": ("od", [], "space JSON must be an object"),
     "measure-not-object": ("pd", "3", "measure JSON must be an object"),
     "missing-field": ("od", {"labels": ["a"], "dist": [["0"]]}, "missing field 'mass'"),
@@ -479,7 +485,10 @@ MALFORMED = {
 @pytest.mark.parametrize("command, content, message", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_input_is_exit_two(capsys, tmp_path, command, content, message):
     path = tmp_path / "input.json"
-    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out, err = run(capsys, command, str(path), *REST[command])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err

@@ -497,6 +497,24 @@ def test_od_values_and_witnesses_pinned_past_the_oracle():
     assert digest == "e9cb188e33457dcb"
 
 
+def test_od_values_and_witnesses_pinned_where_deadlines_cut():
+    """Uniform masses at kappa = 3/4 and 2/3 make every pair or every
+    triple heavy, where the deadline bound (B4) cuts most.  A digest of
+    ``repr(OdResult)`` over 72 such rows at n = 8 and 9, recorded before
+    B4 existed, pins that the cut changed no value and no witness."""
+    reprs = []
+    for n in (8, 9):
+        rng = random.Random(f"deadline-digest/{n}")
+        for kind in SPACE_KINDS:
+            for _ in range(3):
+                sp = _uniform(random_space(rng, min_points=n, max_points=n, kind=kind))
+                for screen in (FULL_LINE, Interval(-1, 1)):
+                    for kappa in (F(3, 4), F(2, 3)):
+                        reprs.append(repr(observable_diameter(sp, screen, kappa)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()[:16]
+    assert digest == "00cc3325b60abf62"
+
+
 def _check_prefix_bounds(space, screen, kappa) -> bool:
     """Run the prefix search at incumbents just below each ordering optimum
     and require it to reach a leaf at every ordering that reaches that
@@ -564,6 +582,23 @@ def _skewed(space):
     )
 
 
+def _uniform(space):
+    """The same metric with equal masses."""
+    n = len(space)
+    return FiniteMMSpace(space.labels, space.dist_matrix, [F(1, n)] * n)
+
+
+# The od corpus's slowest row before the deadline bound (B4): seven points of
+# the L1 grid at unit step with equal masses, at kappa = 3/4 over the full line
+# (784 prefixes searched without B4)
+CORPUS_GRID = [(1, 3), (3, 4), (3, 9), (4, 1), (6, 1), (8, 1), (8, 4)]
+CORPUS_GRID_SPACE = FiniteMMSpace(
+    [f"p{i}" for i in range(7)],
+    [[abs(ax - bx) + abs(ay - by) for bx, by in CORPUS_GRID] for ax, ay in CORPUS_GRID],
+    [F(1, 7)] * 7,
+)
+
+
 @pytest.mark.parametrize("kind", SPACE_KINDS)
 def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
     rng = random.Random(f"prefix-bounds/{kind}")
@@ -578,7 +613,43 @@ def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
     sp = random_space(rng, min_points=7, max_points=7, kind=kind)
     checked += _check_prefix_bounds(sp, Interval(-1, 1), F(1, 3))
     checked += _check_prefix_bounds(_skewed(sp), FULL_LINE, F(1, 2))
-    assert checked >= 32
+    # equal masses at kappa = 3/4 and 2/3: any two points are heavy, so
+    # light = 1 in B4, and B4 cuts; light = 2 is the corpus row's test below
+    for n in (5, 6):
+        sp = _uniform(random_space(rng, min_points=n, max_points=n, kind=kind))
+        for screen in (FULL_LINE, Interval(-1, 1)):
+            for kappa in (F(3, 4), F(2, 3)):
+                checked += _check_prefix_bounds(sp, screen, kappa)
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("kappa", [F(3, 4), F(2, 3)])
+def test_prefix_bounds_on_the_slowest_corpus_row(kappa):
+    """Any two of the seven points are heavy at kappa = 3/4 (light = 1 in
+    B4), any three at kappa = 2/3 (light = 2)."""
+    assert _check_prefix_bounds(CORPUS_GRID_SPACE, FULL_LINE, kappa)
+
+
+def _deadlines_one_slot_early(spares, light):
+    """``observable._deadlines_missed`` with every deadline one slot early."""
+    return any(light * (1 + spare) - 2 < i for i, spare in enumerate(sorted(spares), 1))
+
+
+def test_prefix_bound_check_catches_a_deadline_one_slot_early(monkeypatch):
+    """``_check_prefix_bounds`` must fail a B4 whose deadlines fall one slot
+    early, since it cuts orderings that beat the incumbent: here on ten of
+    twelve equal-mass spaces at kappa = 3/4."""
+    monkeypatch.setattr(observable, "_deadlines_missed", _deadlines_one_slot_early)
+    rng = random.Random("deadline-mutant")
+    caught = []
+    for index in range(12):
+        n = 5 + index % 2
+        sp = _uniform(random_space(rng, min_points=n, max_points=n))
+        try:
+            _check_prefix_bounds(sp, FULL_LINE if index < 6 else Interval(-1, 1), F(3, 4))
+        except AssertionError:
+            caught.append(index)
+    assert caught == [0, 1, 2, 3, 4, 5, 7, 8, 10, 11]
 
 
 def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
