@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap.
+Exit 2 means a bad command line, a file that cannot be read (``OSError``), or
+input the library refuses (``ValidationError``, ``DomainError``).  ``main``
+catches nothing else: any other exception is a bug and shows as a traceback.
 JSON reports carry "schema": 1 and are byte-identical for identical inputs
 (sorted keys, no timestamps).  Exact values print as rationals; the grid
 cross-check prints a certified enclosure, never a rounded point.
@@ -341,7 +344,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,8 +57,9 @@ one wins, and its witness is the only one built:
   spread of a heavy subset.  Once every point of a heavy subset is placed,
   its span ``[lo, hi]`` (first and last slot) is *closed*: it is the same in
   every completion, and ``y_hi - y_lo >= t``.  Three bounds then hold for
-  every completion of the prefix, and a fourth cut looks at the unplaced
-  points together.
+  every completion of the prefix, a fourth cut looks at the unplaced
+  points together, and a fifth bound looks at two chains that overlap in
+  a full ordering.
 
   - **(B1) Chain-Lipschitz.**  Let ``E(a, b)`` be the most closed spans that
     can be laid end to end (each starting at or after the previous one's
@@ -169,22 +170,39 @@ one wins, and its witness is the only one built:
     cut changes nothing it returns.  B4 cuts most when heavy sets are
     small, with uniform masses at large kappa.  On the benchmark's od
     corpus it halves the prefixes searched.
+  - **(B5) Two spans.**  At a leaf the child's point p fills the last slot
+    s = n - 1.  For slots ``a1 < a2 < b1 < s`` add the Lipschitz bounds
+    ``y_s - y_a1 <= d(perm[a1], p)`` and
+    ``y_b1 - y_a2 <= d(perm[a2], perm[b1])``.  The left sides sum to
+    ``(y_b1 - y_a1) + (y_s - y_a2)``, and B1's chains put each term at
+    least t times its count, so
+    ``t * (E(a1, b1) + E(a2, s)) <= d(perm[a1], p) + d(perm[a2], perm[b1])``
+    when both counts are positive.  In the leaf's constraint graph this is
+    the cycle through the two chains of span edges and the two Lipschitz
+    edges, and a cycle's ratio bounds ``t``.  B1 closes one chain with one
+    Lipschitz edge, so it misses such a cycle when the two spans overlap.
+    ``E(a, b)`` only falls as a rises, so each scan over a first slot stops
+    at its first zero (``_two_span_bound``).  B5 runs only at leaves, where
+    it settles most orderings that cannot beat the incumbent without a
+    Bellman-Ford run: on the benchmark's od corpus 104 leaf solves become
+    72.  At inner prefixes it cut too few to pay for its scan.
 
   A prefix's bound is the least of UB and every B1, B2 and B3 value along
   its path, so it only tightens as the prefix grows, and a prefix whose bound
   does not beat the incumbent cuts its whole subtree, as does a prefix
-  that B4 cuts.  The bounds are kept on integers: chain counts, the point
-  weights, the level and ``beta`` on the masses' integer scale, the masses
-  of the placed prefixes, the neighbour table, and distances scaled as
-  below.  A prefix whose first point exceeds every unplaced point is cut
-  too: each of its orderings ends below where it starts, and negating
-  values realizes the reversed ordering, which starts lower.
+  that B4 cuts.  A full ordering's bound also takes B5.  The bounds are
+  kept on integers: chain counts, the point weights, the level and
+  ``beta`` on the masses' integer scale, the masses of the placed
+  prefixes, the neighbour table, and distances scaled as below.  A prefix
+  whose first point exceeds every unplaced point is cut too: each of its
+  orderings ends below where it starts, and negating values realizes the
+  reversed ordering, which starts lower.
 
 The search visits the surviving orderings in the lexicographic order of
 ``itertools.permutations`` and cuts only orderings whose optimum is at most
-their bound, which is at most the incumbent; B3 is no exception, since
-like B1 and B2 it bounds the optimum of every completion, and B4 cuts only
-completions whose optimum is at most the incumbent.  A plain sweep
+their bound, which is at most the incumbent; B3 and B5 are no exception,
+since like B1 and B2 they bound the optimum of every completion, and B4
+cuts only completions whose optimum is at most the incumbent.  A plain sweep
 over all orderings gets no strict improvement from those either, so both
 meet the same improving orderings in the same order.  The search calls a
 ``leaf`` at each surviving ordering with its bound; the leaf solves the
@@ -343,26 +361,25 @@ def observable_diameter(
     n = len(space)
     check_exact_size(n, cap_n)
     alpha = 1 - kappa
-    base = screen.a if isinstance(screen, Interval) else ZERO
-    best, best_witness = ZERO, LipschitzWitness((base,) * n)
     weights, level, beta = integer_masses(space, alpha)
     if max(weights) >= level:
         # Some single point already carries mass alpha, so every image measure
-        # has a zero-diameter heavy set.
-        return OdResult(best, best_witness)
+        # has a zero-diameter heavy set: the constant map at the left end
+        # witnesses 0
+        base = screen.a if isinstance(screen, Interval) else ZERO
+        return OdResult(ZERO, LipschitzWitness((base,) * n))
 
     scale, dmat_scaled, base_scaled, width_scaled = _scaled(space, screen)
     # point -> (distance, bit, weight) of every point, nearest first, the
     # point itself first at distance 0: the seeds' values and the search's
     # balls (B3) and reach (B2, read in reverse)
-    nearest = [
-        sorted((d, 1 << q, w) for q, (d, w) in enumerate(zip(row, weights)))
-        for row in dmat_scaled
-    ]
+    bits = [1 << q for q in range(n)]
+    nearest = [sorted(zip(row, bits, weights)) for row in dmat_scaled]
 
     # Seed the incumbent with the distance-to-anchor maps, scored as integer
     # pairs; the first anchor to reach the best score gets the one witness.
     # Each sweep lowers UB, the width at first, by the heavy windows it meets.
+    best, best_witness = ZERO, None
     best_num, best_den, winner = 0, 1, None
     upper_scaled = width_scaled
     for anchor in range(n):
@@ -396,6 +413,9 @@ def observable_diameter(
         weights, level, beta, best, leaf,
     )
 
+    if best_witness is None:
+        # no seed and no leaf beat 0: the constant map at the left end
+        best_witness = LipschitzWitness._from_scaled(scale, [base_scaled] * n)
     best_witness.validate(space, screen)
     _check_witness(space, best_witness, alpha, best)
     return OdResult(best, best_witness)
@@ -469,7 +489,9 @@ def _pruned_orderings(
     chain-Lipschitz (B1), remaining-mass (B2) and ball-mass (B3) bounds of
     every prefix on its path, all over ``scale``.  A prefix that passes them
     is still cut when its unplaced points cannot all meet their deadlines
-    (B4, ``_deadlines_missed``).  The module docstring proves all four.
+    (B4, ``_deadlines_missed``), and a full ordering's bound is lowered by
+    the two-span bound (B5, ``_two_span_bound``) before ``leaf`` is
+    called, or the ordering is cut.  The module docstring proves all five.
     The empty prefix is cut by the same test as every other, before any
     set-up, so when a seed already meets UB the search returns at once.
     ``weights``, ``level`` and ``beta`` come from
@@ -549,7 +571,10 @@ def _pruned_orderings(
                 b_num, b_den = reach, stack
             if b_num * den <= limit * b_den:
                 continue
-            if child != full:
+            if child == full:
+                # B5: two spans closed by two Lipschitz edges
+                b_num, b_den = _two_span_bound(row, dmat_scaled, perm, chains, col, b_num, b_den)
+            else:
                 # B3: slots a..slot plus the unplaced points nearest perm[a]
                 # out to radius d are heavy, so t <= d; slots lo..slot are
                 # heavy on their own, and B1 covers them
@@ -564,33 +589,33 @@ def _pruned_orderings(
                         if need <= 0:
                             b_num, b_den = d, 1
                             break
-                if b_num * den <= limit * b_den:
+            if b_num * den <= limit * b_den:
+                continue
+            if slot < shallow:  # never at a leaf, since light >= 1
+                # B4: every unplaced point needs a slot by its deadline,
+                # slot - 1 + light * (1 + spare); spares of room or more
+                # put no deadline before the last slot
+                room = (n - 1 - slot) // light
+                if (col[0] + room) * limit >= width_scaled * den:
                     continue
-                if slot < shallow:
-                    # B4: every unplaced point needs a slot by its deadline,
-                    # slot - 1 + light * (1 + spare); spares of room or more
-                    # put no deadline before the last slot
-                    room = (n - 1 - slot) // light
-                    if (col[0] + room) * limit >= width_scaled * den:
-                        continue
-                    spares = {}
-                    for a, e in enumerate(col):
-                        # the unplaced q with spare below room against slot a
-                        near = (room + e) * limit // den
-                        if near < closest:
-                            # e, and so near, never grows with a; a zero
-                            # incumbent stops here at a = 0
+                spares = {}
+                for a, e in enumerate(col):
+                    # the unplaced q with spare below room against slot a
+                    near = (room + e) * limit // den
+                    if near < closest:
+                        # e, and so near, never grows with a; a zero
+                        # incumbent stops here at a = 0
+                        break
+                    for d, near_bit, _ in nearest[perm[a] if a < slot else p]:
+                        if d > near:
                             break
-                        for d, near_bit, _ in nearest[perm[a] if a < slot else p]:
-                            if d > near:
-                                break
-                            if child & near_bit:
-                                continue
-                            spare = (d * den - 1) // limit - e
-                            if spare < spares.get(near_bit, room):
-                                spares[near_bit] = spare
-                    if spares and _deadlines_missed(spares.values(), light):
-                        continue
+                        if child & near_bit:
+                            continue
+                        spare = (d * den - 1) // limit - e
+                        if spare < spares.get(near_bit, room):
+                            spares[near_bit] = spare
+                if spares and _deadlines_missed(spares.values(), light):
+                    continue
             perm.append(p)
             before.append(held)
             chains[slot] = col
@@ -603,6 +628,32 @@ def _pruned_orderings(
             perm.pop()
 
     extend(0, 0, root, 1)
+
+
+def _two_span_bound(row, dmat_scaled, perm, chains, col, num, den) -> tuple:
+    """``(num, den)`` lowered to the least two-span bound (B5) of the leaf
+    child whose point fills the last slot ``s = len(perm)``:
+    ``(d(perm[a1], p) + d(perm[a2], perm[b1])) / (E(a1, b1) + E(a2, s))``
+    over slots ``a1 < a2 < b1 < s``, with ``row`` the distances from the
+    child's point p, ``chains[b][a] = E(a, b)`` for ``b < s`` and
+    ``col[a] = E(a, s)``.  ``E(a, b)`` only falls as a rises, so each loop
+    over a first slot stops at its first zero."""
+    s = len(perm)
+    for b1 in range(2, s):
+        chain, far = chains[b1], dmat_scaled[perm[b1]]
+        for a1 in range(b1 - 1):
+            e1 = chain[a1]
+            if not e1:
+                break
+            d1 = row[perm[a1]]
+            for a2 in range(a1 + 1, b1):
+                e2 = col[a2]
+                if not e2:
+                    break
+                d = d1 + far[perm[a2]]
+                if d * den < num * (e1 + e2):
+                    num, den = d, e1 + e2
+    return num, den
 
 
 def _deadlines_missed(spares, light) -> bool:
@@ -689,14 +740,21 @@ def _order_edges(perm, weights, level, dmat_scaled, width_scaled):
     """Difference-constraint edges (src, dst, const_scaled, t_count) meaning
     y[dst] - y[src] <= const - t * t_count, on slot variables.
 
-    The t-edges are the ordering's minimal heavy spans, first slot
-    descending: by the module docstring's window lemma, the minimal heavy
-    windows of the slot weights ``weights[p] for p in perm`` against
-    ``level``."""
+    The order edges come first, last slot first, so one Bellman-Ford sweep
+    carries a decrease at slot n - 1 down to slot 0.  The width edge comes
+    right after the Lipschitz edges (``_scaled``).  The t-edges are the
+    ordering's minimal heavy spans, first slot descending: by the module
+    docstring's window lemma, the minimal heavy windows of the slot weights
+    ``weights[p] for p in perm`` against ``level``.
+
+    The order of the edges changes no value, potential or witness.  On a
+    feasible probe ``_bellman_ford`` returns the shortest-path distances
+    from a virtual source, which depend on the graph alone.  On an
+    infeasible one it may find another negative cycle; that changes only
+    the probes before the first feasible one, which is the optimum in any
+    order (``_max_t_for_order``)."""
     n = len(perm)
-    edges = []
-    for k in range(n - 1):
-        edges.append((k + 1, k, 0, 0))  # y_k <= y_{k+1}
+    edges = [(k + 1, k, 0, 0) for k in range(n - 2, -1, -1)]  # y_k <= y_{k+1}
     for p in range(n):
         row = dmat_scaled[perm[p]]
         for q in range(p + 1, n):
@@ -713,14 +771,17 @@ def _max_t_for_order(edges, n_slots, scale, upper, floor_best):
     ``den = scale * t.denominator``; or None once t cannot beat
     ``floor_best``.  Each infeasible probe returns a negative cycle whose
     exact ratio becomes the next (strictly smaller) probe; the first feasible
-    probe is the optimum because feasibility is monotone in t."""
+    probe is the optimum because feasibility is monotone in t.  Every cycle
+    ratio is at least the optimum, so which negative cycle a probe finds
+    changes only the probes before it."""
     t = upper
     while True:
         if t <= floor_best:
             return None
         t_num, t_den = t.numerator, t.denominator
-        weights = [c * t_den - t_num * scale * k for (_, _, c, k) in edges]
-        potentials, cycle = _bellman_ford(n_slots, edges, weights)
+        per_count = t_num * scale
+        arcs = [(src, dst, c * t_den - per_count * k) for src, dst, c, k in edges]
+        potentials, cycle = _bellman_ford(n_slots, arcs)
         if cycle is None:
             return t, potentials, scale * t_den
         const_sum = sum(edges[e][2] for e in cycle)
@@ -733,19 +794,23 @@ def _max_t_for_order(edges, n_slots, scale, upper, floor_best):
         t = ratio
 
 
-def _bellman_ford(n_nodes, edges, weights):
-    """Feasible potentials for y[dst] <= y[src] + w, or a negative cycle.
+def _bellman_ford(n_nodes, arcs):
+    """Feasible potentials for y[dst] <= y[src] + weight over the
+    ``(src, dst, weight)`` arcs, or a negative cycle.
 
     Starting all potentials at 0 plays the role of a virtual source.  Returns
-    (potentials, None) when feasible, (None, cycle_edge_indices) otherwise.
+    (potentials, None) when feasible, (None, cycle_arc_indices) otherwise.
+    The potentials returned are the shortest-path distances from that
+    source, the one fixed point of the relaxations when there is no
+    negative cycle, so the order of the arcs does not change them.
     """
     dist = [0] * n_nodes
     pred = [-1] * n_nodes
     last_pass = n_nodes - 1
     for sweep in range(n_nodes):
         changed = False
-        for idx, (src, dst, _, _) in enumerate(edges):
-            candidate = dist[src] + weights[idx]
+        for idx, (src, dst, weight) in enumerate(arcs):
+            candidate = dist[src] + weight
             if candidate < dist[dst]:
                 dist[dst] = candidate
                 pred[dst] = idx
@@ -757,18 +822,18 @@ def _bellman_ford(n_nodes, edges, weights):
                     for _ in range(n_nodes):
                         if pred[node] < 0:
                             raise VerificationError("predecessor chain broke off")
-                        node = edges[pred[node]][0]
+                        node = arcs[pred[node]][0]
                     cycle = []
                     cursor = node
                     while True:
-                        edge_idx = pred[cursor]
-                        if edge_idx < 0:
+                        arc_idx = pred[cursor]
+                        if arc_idx < 0:
                             raise VerificationError("predecessor chain broke off")
-                        cycle.append(edge_idx)
-                        cursor = edges[edge_idx][0]
+                        cycle.append(arc_idx)
+                        cursor = arcs[arc_idx][0]
                         if cursor == node:
                             break
-                    if sum(weights[e] for e in cycle) >= 0:
+                    if sum(arcs[e][2] for e in cycle) >= 0:
                         raise VerificationError("extracted cycle is not negative")
                     return None, cycle
         if not changed:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -492,6 +493,144 @@ def test_malformed_input_is_exit_two(capsys, tmp_path, command, content, message
     code, out, err = run(capsys, command, str(path), *REST[command])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+# -- hostile input: every command ends in a documented exit code ---------------------
+
+GOOD_VALUES = ["1/4", "1/3", "1/2", "2/3", "3/4", "1", "5"]
+HOSTILE_VALUES = [
+    "1e999", "nan", "inf", "1/0", "0/0", "-1", "0", "", "abc", "1/2/3", "9" * 5000,
+    "1/" + "7" * 5000, "1e-400", "0x10", "\u00bd", " 3/4 ", "2/-3", 1.5, -2, 10**400,
+    True, None, [], {}, [1], {"a": 1}, float("nan"), float("inf"),
+]
+HOSTILE_SCREENS = [
+    "fullline", "interval:-1:1", "interval:0:4", "interval:1:1", "interval:2:1",
+    "interval:a:b", "interval:1", "interval:0:1/0", "line", "",
+]
+HOSTILE_CAPS = ["-1", "0", "1", "3", "abc", "1e3"]
+FUZZ_CASE_SECONDS = 2
+
+
+class _Overtime(BaseException):
+    """Raised by the fuzz's timer; the CLI catches no such exception."""
+
+
+def _broken(rng, value):
+    """``value`` with one field, entry or the whole replaced by a hostile
+    value, deleted or duplicated."""
+    if not isinstance(value, (dict, list)) or not value or rng.random() < 0.15:
+        return rng.choice(HOSTILE_VALUES)
+    key = rng.choice(sorted(value) if isinstance(value, dict) else range(len(value)))
+    move = rng.randrange(4)
+    if move == 0:
+        del value[key]  # a missing field, label or row entry
+    elif move == 1 and isinstance(value, list):
+        value.append(value[key])  # a duplicate label, atom or row
+    else:
+        value[key] = _broken(rng, value[key])
+    return value
+
+
+def _hostile_file(rng, path, payload) -> str:
+    """Write ``payload``, most often broken, as JSON to ``path``; some files
+    are truncated, nested too deep or not UTF-8."""
+    text = json.dumps(payload if rng.random() < 0.3 else _broken(rng, payload))
+    form = rng.random()
+    if form < 0.1:
+        text = text[: rng.randrange(len(text))]
+    elif form < 0.13:
+        text = "[" * 5000 + "]" * 5000
+    data = text.encode()
+    path.write_bytes(b"\xff" + data if form > 0.95 else data)
+    return str(path)
+
+
+def _hostile_argv(rng, tmp_path) -> list:
+    """One seeded command line: a subcommand with hostile files and flags."""
+
+    def value():
+        return rng.choice(GOOD_VALUES) if rng.random() < 0.75 else str(rng.choice(HOSTILE_VALUES))
+
+    def space():
+        n = rng.randint(1, 5)
+        points = rng.sample(range(-9, 10), n)
+        masses = [rng.randint(1, 5) for _ in range(n)]
+        payload = {
+            "labels": [f"p{i}" for i in range(n)],
+            "dist": [[str(abs(a - b)) for b in points] for a in points],
+            "mass": [f"{m}/{sum(masses)}" for m in masses],
+        }
+        return _hostile_file(rng, tmp_path / "space.json", payload)
+
+    def measure(name):
+        masses = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+        atoms = [{"pos": str(rng.randint(-5, 5)), "mass": f"{m}/{sum(masses)}"} for m in masses]
+        return _hostile_file(rng, tmp_path / name, {"atoms": atoms})
+
+    command = rng.choice(
+        ["pd", "compress", "od", "prokhorov", "counterexample", "sharpness", "profile", "proptest"]
+    )
+    if command == "pd":
+        argv = ["pd", measure("m.json"), "--alpha", value()]
+    elif command == "compress":
+        argv = ["compress", measure("m.json"), "--alpha", value(), "--radius", value()]
+    elif command == "od":
+        argv = ["od", space(), "--screen", rng.choice(HOSTILE_SCREENS), "--kappa", value()]
+        if rng.random() < 0.3:
+            argv += ["--grid-step", value()]
+    elif command == "prokhorov":
+        argv = ["prokhorov", measure("a.json"), measure("b.json")]
+        argv += ["--mode", rng.choice(["onesided", "symmetric", "both"])]
+    elif command == "counterexample":
+        argv = ["counterexample", rng.choice(["2", "3", "0", "-3", "abc"]), value(), value()]
+    elif command == "sharpness":
+        argv = ["sharpness", value(), rng.choice(["1", "3", "0", "-1", "abc", "100000"])]
+    elif command == "profile":
+        kappas = ",".join(value() for _ in range(rng.randint(0, 3)))
+        argv = ["profile", space(), "--screen", rng.choice(HOSTILE_SCREENS), "--kappas", kappas]
+    else:
+        suite = rng.choice(["profiles", "clamp-equality", "no-such-suite"])
+        argv = ["proptest", suite, "--seed", rng.choice(["0", "-1", "abc"])]
+        argv += ["--count", rng.choice(["0", "1", "-2", "abc"])]
+    if command in ("od", "prokhorov", "counterexample", "profile") and rng.random() < 0.3:
+        argv += ["--cap-n", rng.choice(HOSTILE_CAPS)]
+    if rng.random() < 0.05:
+        argv[1] = str(tmp_path / "missing.json")
+    if rng.random() < 0.3:
+        argv += ["--format", rng.choice(["json", "csv", "xml"])]
+    return argv
+
+
+def test_hostile_input_ends_in_a_documented_exit_code(capsys, tmp_path):
+    """Seeded command lines over every subcommand with hostile files (wrong
+    types, missing fields, duplicate labels, hostile numbers, truncated,
+    deeply nested and non-UTF-8 JSON) and hostile flags.  ``main`` catches
+    only ``OSError`` and the library's own errors, so every case must end in
+    exit 0-3 with no exception escaping, each within its time bound."""
+
+    def overtime(signum, frame):
+        raise _Overtime
+
+    rng = random.Random("cli-fuzz")
+    codes = {}
+    previous = signal.signal(signal.SIGALRM, overtime)
+    try:
+        for index in range(1000):
+            argv = _hostile_argv(rng, tmp_path)
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_CASE_SECONDS)
+            try:
+                code = cli.main(argv)
+            except _Overtime:
+                pytest.fail(f"case {index} ran past {FUZZ_CASE_SECONDS} s: {argv}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), (index, argv, code)
+            codes[code] = codes.get(code, 0) + 1
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    # the cases reach past the parsers: some succeed and some hit a cap
+    assert codes.keys() >= {0, 2, 3}, codes
 
 
 # -- prokhorov ----------------------------------------------------------------------

@@ -515,6 +515,25 @@ def test_od_values_and_witnesses_pinned_where_deadlines_cut():
     assert digest == "00cc3325b60abf62"
 
 
+def test_od_values_and_witnesses_pinned_where_two_spans_cut():
+    """At kappa = 1/3 and 1/2 heavy sets hold most of the points, their
+    spans overlap, and the two-span bound (B5) settles most losing leaves
+    without a solve: 457 of them over these 72 rows at n = 8 and 9.  A
+    digest of ``repr(OdResult)``, recorded before B5 existed, pins that the
+    cut and the leaf solve's edge order changed no value and no witness."""
+    reprs = []
+    for n in (8, 9):
+        rng = random.Random(f"two-span-digest/{n}")
+        for kind in SPACE_KINDS:
+            for _ in range(3):
+                sp = random_space(rng, min_points=n, max_points=n, kind=kind)
+                for screen in (FULL_LINE, Interval(-1, 1)):
+                    for kappa in (F(1, 3), F(1, 2)):
+                        reprs.append(repr(observable_diameter(sp, screen, kappa)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()[:16]
+    assert digest == "cfeaa97e792cb1fa"
+
+
 def _check_prefix_bounds(space, screen, kappa) -> bool:
     """Run the prefix search at incumbents just below each ordering optimum
     and require it to reach a leaf at every ordering that reaches that
@@ -614,13 +633,15 @@ def test_prefix_bounds_never_cut_an_ordering_that_beats_the_incumbent(kind):
     checked += _check_prefix_bounds(sp, Interval(-1, 1), F(1, 3))
     checked += _check_prefix_bounds(_skewed(sp), FULL_LINE, F(1, 2))
     # equal masses at kappa = 3/4 and 2/3: any two points are heavy, so
-    # light = 1 in B4, and B4 cuts; light = 2 is the corpus row's test below
+    # light = 1 in B4, and B4 cuts; light = 2 is the corpus row's test below.
+    # At kappa = 1/2 and 1/3 heavy sets are larger, spans overlap, and the
+    # two-span bound (B5) cuts leaves.
     for n in (5, 6):
         sp = _uniform(random_space(rng, min_points=n, max_points=n, kind=kind))
         for screen in (FULL_LINE, Interval(-1, 1)):
-            for kappa in (F(3, 4), F(2, 3)):
+            for kappa in (F(3, 4), F(2, 3), F(1, 2), F(1, 3)):
                 checked += _check_prefix_bounds(sp, screen, kappa)
-    assert checked >= 40
+    assert checked >= 48
 
 
 @pytest.mark.parametrize("kappa", [F(3, 4), F(2, 3)])
@@ -650,6 +671,38 @@ def test_prefix_bound_check_catches_a_deadline_one_slot_early(monkeypatch):
         except AssertionError:
             caught.append(index)
     assert caught == [0, 1, 2, 3, 4, 5, 7, 8, 10, 11]
+
+
+def _two_spans_one_too_many(row, dmat_scaled, perm, chains, col, num, den):
+    """``observable._two_span_bound`` with one span too many in every
+    denominator."""
+    for b1 in range(2, len(perm)):
+        for a1 in range(b1 - 1):
+            for a2 in range(a1 + 1, b1):
+                e1, e2 = chains[b1][a1], col[a2]
+                d = row[perm[a1]] + dmat_scaled[perm[b1]][perm[a2]]
+                if e1 and e2 and d * den < num * (e1 + e2 + 1):
+                    num, den = d, e1 + e2 + 1
+    return num, den
+
+
+def test_prefix_bound_check_catches_a_two_span_bound_one_span_over(monkeypatch):
+    """``_check_prefix_bounds`` must fail a B5 that counts one span more
+    than the two chains hold, since it cuts leaves that beat the
+    incumbent: here on ten of twelve equal-mass spaces at kappa = 1/2 and
+    1/3."""
+    monkeypatch.setattr(observable, "_two_span_bound", _two_spans_one_too_many)
+    rng = random.Random("two-span-mutant")
+    caught = []
+    for index in range(12):
+        n = 5 + index % 2
+        sp = _uniform(random_space(rng, min_points=n, max_points=n))
+        screen = FULL_LINE if index < 6 else Interval(-1, 1)
+        try:
+            _check_prefix_bounds(sp, screen, F(1, 2) if index % 4 < 2 else F(1, 3))
+        except AssertionError:
+            caught.append(index)
+    assert caught == [0, 1, 2, 3, 4, 5, 7, 9, 10, 11]
 
 
 def test_minimal_heavy_spans_are_the_minimal_heavy_windows():
